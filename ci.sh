@@ -32,6 +32,17 @@ run cargo test -q --workspace
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all -- --check
 
+# The benchmark package is a workspace of its own (so the benchmark can
+# build the repo's crates by path without joining this workspace), which
+# means none of the --workspace steps above compile it. Gate it on its
+# own manifest: it calls the public runner API, so an API change that
+# breaks it must fail here.
+BENCH_MANIFEST=benchmark/Cargo.toml
+run cargo build --release --manifest-path "$BENCH_MANIFEST"
+run cargo clippy --manifest-path "$BENCH_MANIFEST" --all-targets -- -D warnings
+run cargo fmt --manifest-path "$BENCH_MANIFEST" -- --check
+run cargo test --release --manifest-path "$BENCH_MANIFEST"
+
 # The scenario-manifest batch: compile capy-run, execute every checked-in
 # manifest headlessly, and fail the gate on any nonzero exit (assertion
 # failure, limit hit, manifest error) or malformed artifact. The runner
@@ -61,8 +72,9 @@ run "$CAPY_RUN" --validate-json BENCH_sim_throughput.json --schema capybara-sim-
 # Trace-driven fleet gate: the checked-in heterogeneous 10k-device
 # manifest (template mix + recorded harvest trace) must reproduce its
 # golden artifact bit-for-bit, and the artifact must be identical
-# whether the batch runs on 1 worker or 8 — the mixed/trace fleet path
-# has no worker-count dependence. The checked-in perf artifact must also
+# whether it runs on 1 worker or 8 — `--workers` sizes the fleet itself,
+# not only the batch, so this compares two genuinely different shard
+# schedules of the mixed/trace fleet path. The checked-in perf artifact must also
 # carry the trace-driven fleet series (the schema validator above
 # rejects it without).
 FLEET_TRACE_TMP=$(mktemp -d)

@@ -293,7 +293,7 @@ impl TrackerScenario {
 }
 
 /// Runs the full {policy × scenario} comparison grid on `workers` sweep
-/// workers: the [`lineup`] plus one per-scenario [`Oracle`] (always the
+/// workers (`0` = every core): the [`lineup`] plus one per-scenario [`Oracle`] (always the
 /// last policy row). Returns the comparison and each scenario's oracle
 /// provenance (candidate scores, winner).
 #[must_use]

@@ -7,7 +7,7 @@ use capy_bench::figure_header;
 use capy_power::booster::OutputBooster;
 use capy_power::mechanism::Mechanism;
 use capy_units::{Farads, SimTime, Volts, Watts};
-use capybara::sweep::{map_points, SweepSpec};
+use capybara::sweep::{map_on, SweepSpec};
 
 fn main() {
     figure_header(
@@ -26,7 +26,7 @@ fn main() {
     // Analytic comparison, one sweep point per mechanism.
     let spec =
         SweepSpec::new("ablation-mechanism", SimTime::ZERO).axis("mechanism", &Mechanism::ALL);
-    let rows = map_points(&spec, |point| {
+    let rows = map_on(spec.points(), 0, |point| {
         let m = point.expect_axis::<Mechanism>("mechanism");
         let cold_dim = m.cold_start(small, large, full, &booster, Watts::from_micro(500.0));
         let cold_bright = m.cold_start(small, large, full, &booster, Watts::from_milli(5.0));

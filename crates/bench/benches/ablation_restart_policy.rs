@@ -16,7 +16,7 @@ use capy_intermittent::nv::{NvState, NvVar};
 use capy_intermittent::task::{TaskGraph, TaskId, Transition};
 use capy_power::prelude::*;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
-use capybara::sweep::{available_workers, run_sweep_tally_on, AxisValue, RunSummary, SweepSpec};
+use capybara::sweep::{run_sweep_tally_on, AxisValue, RunSummary, SweepSpec};
 
 /// Units of compute in the long task; each unit is 100 ms at ~1 mW.
 const TASK_UNITS: usize = 100;
@@ -139,7 +139,7 @@ fn main() {
     );
     let horizon = SimTime::from_secs(300);
     // These recovery models drive the power substrate directly (no
-    // `Simulator`), so the runs shard with [`run_sweep_tally`], which
+    // `Simulator`), so the runs shard with [`run_sweep_tally_on`], which
     // assembles the standard sweep record from what each run reports.
     let spec = SweepSpec::new("ablation-restart-policy", horizon)
         .base_seed(FIGURE_SEED)
@@ -147,7 +147,7 @@ fn main() {
             "policy",
             &[RestartPolicy::TaskRestart, RestartPolicy::Checkpointing],
         );
-    let (report, ends) = run_sweep_tally_on(&spec, available_workers(), |point| {
+    let (report, ends) = run_sweep_tally_on(&spec, 0, |point| {
         let (done, attempts, end) = match point.expect_axis::<RestartPolicy>("policy") {
             RestartPolicy::TaskRestart => run_task_based(horizon),
             RestartPolicy::Checkpointing => run_checkpointed(horizon),

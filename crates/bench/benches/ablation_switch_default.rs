@@ -14,7 +14,7 @@ use capy_apps::prelude::*;
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_power::prelude::TraceHarvester;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 
 struct Ctx {
     completions: NvVar<u64>,
@@ -90,8 +90,9 @@ fn main() {
             "kind",
             &[SwitchKind::NormallyOpen, SwitchKind::NormallyClosed],
         );
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_on(
         &spec,
+        0,
         |point| build(point.expect_axis("kind")),
         |sim, _| (sim.ctx().completions.get(), sim.exec_stats().failures),
     );

@@ -16,7 +16,6 @@ use capy_apps::grc;
 use capy_bench::figures::baseline_federated_sweep;
 use capy_bench::{figure_header, pct, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
-use capybara::sweep::available_workers;
 
 fn main() {
     figure_header(
@@ -24,8 +23,7 @@ fn main() {
         "UFoP-style federated storage vs Capybara on GRC",
     );
     let events = grc_schedule(&mut DetRng::seed_from_u64(FIGURE_SEED));
-    let (report, rows) =
-        baseline_federated_sweep(&events, FIGURE_SEED, grc::HORIZON, available_workers());
+    let (report, rows) = baseline_federated_sweep(&events, FIGURE_SEED, grc::HORIZON, 0);
 
     println!(
         "{:<22} {:>10} {:>16} {:>14}",

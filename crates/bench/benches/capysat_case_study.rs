@@ -9,11 +9,10 @@
 
 use capy_bench::figures::capysat_sweep;
 use capy_bench::{figure_header, sweep_footer};
-use capybara::sweep::available_workers;
 
 fn main() {
     figure_header("Section 6.6", "CapySat case study");
-    let (report, sections) = capysat_sweep(2, available_workers());
+    let (report, sections) = capysat_sweep(2, 0);
     for section in &sections {
         for line in section {
             println!("{line}");

@@ -13,11 +13,10 @@
 
 use capy_bench::figures::char_area_sweep;
 use capy_bench::{figure_header, sweep_footer};
-use capybara::sweep::available_workers;
 
 fn main() {
     figure_header("Section 6.5", "prototype characterization");
-    let (report, blocks) = char_area_sweep(available_workers());
+    let (report, blocks) = char_area_sweep(0);
     for (i, block) in blocks.iter().enumerate() {
         if i > 0 {
             println!();

@@ -11,9 +11,12 @@
 //! Left panel: TA, means 100–400 s. Right panel: GRC-Fast, means 10–30 s.
 //!
 //! Each (mean, variant) cell is one point of a [`SweepSpec`] grid run in
-//! parallel by `run_sweep_with`; event schedules are regenerated inside
+//! parallel by `run_sweep_on`; event schedules are regenerated inside
 //! each point from the same legacy seeds the serial loop used, so the
 //! printed numbers are unchanged and identical for any worker count.
+//! Each point's mission ends a fixed margin after its last event, so
+//! `build` runs the simulator to that instant itself (the spec's horizon
+//! is zero) and `extract` scores the finished run.
 
 use capy_apps::events::poisson_events;
 use capy_apps::grc::{self, GrcVariant};
@@ -22,12 +25,17 @@ use capy_apps::ta;
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 use capybara::variant::Variant;
 
 const TA_MEANS: [u64; 6] = [100, 150, 200, 250, 300, 400];
 const GRC_MEANS: [u64; 5] = [10, 15, 20, 25, 30];
 const GRC_VARIANTS: [Variant; 3] = [Variant::Continuous, Variant::Fixed, Variant::CapyP];
+/// Events per TempAlarm sequence (`poisson_events` yields exactly this
+/// many).
+const TA_EVENTS: usize = 50;
+/// Events per GestureFast sequence.
+const GRC_EVENTS: usize = 80;
 
 fn grid(name: &'static str, means: &[u64], variants: &[Variant]) -> SweepSpec {
     let means: Vec<f64> = means.iter().map(|&m| m as f64).collect();
@@ -49,22 +57,26 @@ fn main() {
         "mean(s)", "Pwr", "Fixed", "CB-R", "CB-P"
     );
     let ta_spec = grid("fig10-ta", &TA_MEANS, &Variant::ALL);
-    let (ta_report, ta_correct) = run_sweep_with(&ta_spec, |point| {
-        let mean_s = point.expect_param("mean_s") as u64;
-        let v = point.expect_axis::<Variant>("variant");
-        let events = poisson_events(
-            &mut DetRng::seed_from_u64(FIGURE_SEED ^ mean_s),
-            SimDuration::from_secs(mean_s),
-            50,
-            SimDuration::from_secs(45),
-        );
-        let horizon = events.last().copied().unwrap_or(SimTime::ZERO) + SimDuration::from_secs(120);
-        let n_events = events.len();
-        let mut sim = ta::build(v, events, FIGURE_SEED);
-        sim.run_until(horizon);
-        let f = accuracy_fractions(&classify_reported(n_events, &sim.ctx().packets));
-        (sim, f.correct)
-    });
+    let (ta_report, ta_correct) = run_sweep_on(
+        &ta_spec,
+        0,
+        |point| {
+            let mean_s = point.expect_param("mean_s") as u64;
+            let v = point.expect_axis::<Variant>("variant");
+            let events = poisson_events(
+                &mut DetRng::seed_from_u64(FIGURE_SEED ^ mean_s),
+                SimDuration::from_secs(mean_s),
+                TA_EVENTS,
+                SimDuration::from_secs(45),
+            );
+            let horizon =
+                events.last().copied().unwrap_or(SimTime::ZERO) + SimDuration::from_secs(120);
+            let mut sim = ta::build(v, events, FIGURE_SEED);
+            sim.run_until(horizon);
+            sim
+        },
+        |sim, _| accuracy_fractions(&classify_reported(TA_EVENTS, &sim.ctx().packets)).correct,
+    );
     for (row, &mean_s) in TA_MEANS.iter().enumerate() {
         let cols = &ta_correct[row * Variant::ALL.len()..(row + 1) * Variant::ALL.len()];
         println!(
@@ -80,25 +92,32 @@ fn main() {
         "mean(s)", "Pwr", "Fixed", "CB-P"
     );
     let grc_spec = grid("fig10-grc", &GRC_MEANS, &GRC_VARIANTS);
-    let (grc_report, grc_reported) = run_sweep_with(&grc_spec, |point| {
-        let mean_s = point.expect_param("mean_s") as u64;
-        let v = point.expect_axis::<Variant>("variant");
-        let events = poisson_events(
-            &mut DetRng::seed_from_u64(FIGURE_SEED ^ (mean_s << 8)),
-            SimDuration::from_secs(mean_s),
-            80,
-            SimDuration::from_secs(3),
-        );
-        let horizon = events.last().copied().unwrap_or(SimTime::ZERO) + SimDuration::from_secs(60);
-        let n_events = events.len();
-        let mut sim = grc::build(v, GrcVariant::Fast, events, FIGURE_SEED);
-        sim.run_until(horizon);
-        let classes = grc::classify_run(n_events, &sim.ctx().packets, &sim.ctx().attempts);
-        let f = accuracy_fractions(&classes);
-        // "Fraction of reported events": correct + misclassified both
-        // produce packets.
-        (sim, f.correct + f.misclassified)
-    });
+    let (grc_report, grc_reported) = run_sweep_on(
+        &grc_spec,
+        0,
+        |point| {
+            let mean_s = point.expect_param("mean_s") as u64;
+            let v = point.expect_axis::<Variant>("variant");
+            let events = poisson_events(
+                &mut DetRng::seed_from_u64(FIGURE_SEED ^ (mean_s << 8)),
+                SimDuration::from_secs(mean_s),
+                GRC_EVENTS,
+                SimDuration::from_secs(3),
+            );
+            let horizon =
+                events.last().copied().unwrap_or(SimTime::ZERO) + SimDuration::from_secs(60);
+            let mut sim = grc::build(v, GrcVariant::Fast, events, FIGURE_SEED);
+            sim.run_until(horizon);
+            sim
+        },
+        |sim, _| {
+            let classes = grc::classify_run(GRC_EVENTS, &sim.ctx().packets, &sim.ctx().attempts);
+            let f = accuracy_fractions(&classes);
+            // "Fraction of reported events": correct + misclassified
+            // both produce packets.
+            f.correct + f.misclassified
+        },
+    );
     for (row, &mean_s) in GRC_MEANS.iter().enumerate() {
         let cols = &grc_reported[row * GRC_VARIANTS.len()..(row + 1) * GRC_VARIANTS.len()];
         println!(

@@ -10,7 +10,7 @@
 //! (necessarily) missed, and those without any events."
 //!
 //! The three variants are the three points of a [`SweepSpec`] run in
-//! parallel by `run_sweep_with`.
+//! parallel by `run_sweep_on`.
 
 use capy_apps::events::poisson_events;
 use capy_apps::metrics::{intersample_histogram, intersample_summary};
@@ -18,7 +18,7 @@ use capy_apps::ta;
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
 use capy_units::SimDuration;
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 use capybara::variant::Variant;
 
 const VARIANTS: [Variant; 3] = [Variant::Fixed, Variant::CapyR, Variant::CapyP];
@@ -53,61 +53,65 @@ fn main() {
         .base_seed(FIGURE_SEED)
         .axis("variant", &VARIANTS);
     let events_ref = &events;
-    let (mut report, details) = run_sweep_with(&spec, |point| {
-        let v = point.expect_axis::<Variant>("variant");
-        let mut sim = ta::build(v, events_ref.clone(), FIGURE_SEED);
-        sim.run_until(horizon);
-        let classes =
-            intersample_histogram(&sim.ctx().samples, events_ref, SimDuration::from_secs(40));
-        let summary = intersample_summary(&classes);
-        // Histogram of the >=1 s intervals in the paper's two ranges.
-        // Both ranges are guarded explicitly: an interval below 1 s
-        // would otherwise saturate `(s - 1.0) / 0.5` to bin 0, and the
-        // [5 s, 10 s) band between the ranges is tallied instead of
-        // silently dropped, so every interval is accounted for.
-        let mut short_bins = [0usize; 8]; // 0.5 s bins over 1..5 s
-        let mut long_bins = [0usize; 7]; // 50 s bins over 10..360 s
-        let mut out_of_range = 0usize;
-        for c in classes.iter().filter(|c| !c.back_to_back) {
-            let s = c.length.as_secs_f64();
-            if (1.0..5.0).contains(&s) {
-                short_bins[(((s - 1.0) / 0.5) as usize).min(7)] += 1;
-            } else if s >= 10.0 {
-                long_bins[(((s - 10.0) / 50.0) as usize).min(6)] += 1;
-            } else {
-                out_of_range += 1;
+    let (mut report, details) = run_sweep_on(
+        &spec,
+        0,
+        |point| {
+            let v = point.expect_axis::<Variant>("variant");
+            ta::build(v, events_ref.clone(), FIGURE_SEED)
+        },
+        |sim, _| {
+            let classes =
+                intersample_histogram(&sim.ctx().samples, events_ref, SimDuration::from_secs(40));
+            let summary = intersample_summary(&classes);
+            // Histogram of the >=1 s intervals in the paper's two ranges.
+            // Both ranges are guarded explicitly: an interval below 1 s
+            // would otherwise saturate `(s - 1.0) / 0.5` to bin 0, and the
+            // [5 s, 10 s) band between the ranges is tallied instead of
+            // silently dropped, so every interval is accounted for.
+            let mut short_bins = [0usize; 8]; // 0.5 s bins over 1..5 s
+            let mut long_bins = [0usize; 7]; // 50 s bins over 10..360 s
+            let mut out_of_range = 0usize;
+            for c in classes.iter().filter(|c| !c.back_to_back) {
+                let s = c.length.as_secs_f64();
+                if (1.0..5.0).contains(&s) {
+                    short_bins[(((s - 1.0) / 0.5) as usize).min(7)] += 1;
+                } else if s >= 10.0 {
+                    long_bins[(((s - 10.0) / 50.0) as usize).min(6)] += 1;
+                } else {
+                    out_of_range += 1;
+                }
             }
-        }
-        let mut bars: Vec<(String, usize)> = short_bins
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                (
-                    format!(
-                        "{:>4.1}-{:<4.1}s",
-                        1.0 + 0.5 * i as f64,
-                        1.5 + 0.5 * i as f64
-                    ),
-                    *n,
-                )
-            })
-            .collect();
-        bars.extend(
-            long_bins
+            let mut bars: Vec<(String, usize)> = short_bins
                 .iter()
                 .enumerate()
-                .map(|(i, n)| (format!("{:>4}-{:<4}s", 10 + 50 * i, 60 + 50 * i), *n)),
-        );
-        let detail = PanelDetail {
-            back_to_back: summary.back_to_back,
-            quiet: summary.quiet,
-            with_missed_events: summary.with_missed_events,
-            events_missed_in_gaps: summary.events_missed_in_gaps,
-            out_of_range,
-            bars,
-        };
-        (sim, detail)
-    });
+                .map(|(i, n)| {
+                    (
+                        format!(
+                            "{:>4.1}-{:<4.1}s",
+                            1.0 + 0.5 * i as f64,
+                            1.5 + 0.5 * i as f64
+                        ),
+                        *n,
+                    )
+                })
+                .collect();
+            bars.extend(
+                long_bins
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (format!("{:>4}-{:<4}s", 10 + 50 * i, 60 + 50 * i), *n)),
+            );
+            PanelDetail {
+                back_to_back: summary.back_to_back,
+                quiet: summary.quiet,
+                with_missed_events: summary.with_missed_events,
+                events_missed_in_gaps: summary.events_missed_in_gaps,
+                out_of_range,
+                bars,
+            }
+        },
+    );
     // Stamp the report so the footer surfaces intervals the histograms
     // above leave out (the [5 s, 10 s) band between the two ranges).
     report.out_of_range = details.iter().map(|d| d.out_of_range as u64).sum();

@@ -12,7 +12,7 @@
 //! This bench runs that exact application on a low- and a high-capacity
 //! fixed buffer and prints the rail-voltage trace with charge/sample/
 //! packet annotations. The two panels are the two points of a
-//! [`SweepSpec`] run in parallel by `run_sweep_with`; the charge counts
+//! [`SweepSpec`] run in parallel by `run_sweep_on`; the charge counts
 //! and mean charge time come straight from each run's [`RunSummary`].
 
 use capy_apps::prelude::*;
@@ -21,7 +21,7 @@ use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_device::peripherals::{BleRadio, Tmp36};
 use capy_power::prelude::{Bank, ConstantHarvester, PowerSystem, SwitchKind};
 use capy_units::{SimDuration, SimTime, Volts, Watts};
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 
 struct Fig2Ctx {
     now: SimTime,
@@ -74,7 +74,7 @@ struct PanelDetail {
     trace: Vec<(f64, f64)>,
 }
 
-fn run_panel(panel: Fig2Panel) -> (Simulator<ConstantHarvester, Fig2Ctx>, PanelDetail) {
+fn build_panel(panel: Fig2Panel) -> Simulator<ConstantHarvester, Fig2Ctx> {
     let power = PowerSystem::builder()
         .harvester(ConstantHarvester::new(
             Watts::from_milli(10.0),
@@ -89,7 +89,7 @@ fn run_panel(panel: Fig2Panel) -> (Simulator<ConstantHarvester, Fig2Ctx>, PanelD
         sample_times: Vec::new(),
         packet_times: Vec::new(),
     };
-    let mut sim = Simulator::builder(Variant::Fixed, power, Mcu::msp430fr5969())
+    Simulator::builder(Variant::Fixed, power, Mcu::msp430fr5969())
         .mode("only", &[BankId(0)])
         .task(
             "sample",
@@ -127,10 +127,11 @@ fn run_panel(panel: Fig2Panel) -> (Simulator<ConstantHarvester, Fig2Ctx>, PanelD
             },
         )
         .record_trace(true)
-        .build(ctx);
+        .build(ctx)
+}
 
-    sim.run_until(HORIZON);
-
+/// Reads a panel's detail from its finished run.
+fn panel_detail(sim: &Simulator<ConstantHarvester, Fig2Ctx>) -> PanelDetail {
     let packets_failed = sim
         .events()
         .iter()
@@ -142,13 +143,12 @@ fn run_panel(panel: Fig2Panel) -> (Simulator<ConstantHarvester, Fig2Ctx>, PanelD
         .iter()
         .map(|(t, v)| (t.as_secs_f64(), v.get()))
         .collect();
-    let detail = PanelDetail {
+    PanelDetail {
         samples: sim.ctx().sample_times.len(),
         packets_completed: sim.ctx().completed_packets.get(),
         packets_failed,
         trace,
-    };
-    (sim, detail)
+    }
 }
 
 fn main() {
@@ -158,7 +158,12 @@ fn main() {
         "fixed-capacity execution: 15-sample series + radio packet",
     );
     let spec = SweepSpec::new("fig2", HORIZON).axis("panel", &Fig2Panel::ALL);
-    let (report, details) = run_sweep_with(&spec, |point| run_panel(point.expect_axis("panel")));
+    let (report, details) = run_sweep_on(
+        &spec,
+        0,
+        |point| build_panel(point.expect_axis("panel")),
+        |sim, _| panel_detail(sim),
+    );
 
     for (run, detail) in report.runs.iter().zip(&details) {
         let s = &run.summary;

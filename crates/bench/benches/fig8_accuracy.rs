@@ -8,7 +8,7 @@
 //!
 //! Columns per system: Correct / Misclassified / Proximity-only / Missed,
 //! matching the stacked bars. Each application's four variants run as one
-//! parallel [`SweepSpec`] (`run_sweep_extract`: the engine advances every
+//! parallel [`SweepSpec`] (`run_sweep_on`: the engine advances every
 //! run to the spec's horizon, then the extract reads the finished
 //! simulator), so the bench saturates the machine while printing the
 //! exact same rows as the old serial driver.
@@ -19,7 +19,7 @@ use capy_apps::metrics::{accuracy_fractions, classify_reported, AccuracyBreakdow
 use capy_apps::{csr, ta};
 use capy_bench::{figure_header, pct, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 use capybara::variant::Variant;
 
 fn print_row(system: &str, f: AccuracyBreakdown) {
@@ -56,8 +56,9 @@ fn main() {
     let ta_events = ta_schedule(&mut DetRng::seed_from_u64(FIGURE_SEED));
     println!("TempAlarm (50 events / 120 min):");
     let events = &ta_events;
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_on(
         &variant_spec("fig8-ta", ta::HORIZON),
+        0,
         |point| {
             let v = point.expect_axis::<Variant>("variant");
             ta::build(v, events.clone(), FIGURE_SEED)
@@ -75,8 +76,9 @@ fn main() {
             GrcVariant::Fast => "fig8-grc-fast",
             GrcVariant::Compact => "fig8-grc-compact",
         };
-        let (report, rows) = run_sweep_extract(
+        let (report, rows) = run_sweep_on(
             &variant_spec(name, grc::HORIZON),
+            0,
             |point| {
                 let v = point.expect_axis::<Variant>("variant");
                 grc::build(v, gv, events.clone(), FIGURE_SEED)
@@ -95,8 +97,9 @@ fn main() {
     }
 
     println!("CorrSense (80 events / 42 min):");
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_on(
         &variant_spec("fig8-csr", grc::HORIZON),
+        0,
         |point| {
             let v = point.expect_axis::<Variant>("variant");
             csr::build(v, events.clone(), FIGURE_SEED)

@@ -13,7 +13,6 @@
 use capy_apps::adaptive::{compare_policies, TrackerScenario, STATIC_POLICIES};
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::Watts;
-use capybara::sweep::available_workers;
 
 fn main() {
     figure_header(
@@ -32,7 +31,7 @@ fn main() {
             TrackerScenario::steady(Watts::from_micro(200.0)),
         ),
     ];
-    let (cmp, oracle_reports) = compare_policies(&scenarios, available_workers());
+    let (cmp, oracle_reports) = compare_policies(&scenarios, 0);
 
     // Completion matrix, one row per policy.
     print!("  {:<10}", "policy");

@@ -28,9 +28,9 @@ use capy_power::prelude::{Bank, ConstantHarvester, KernelTuning, PowerSystem};
 use capy_units::{Farads, Ohms, SimDuration, SimTime, Volts, Watts};
 use capybara::faults::{explore_kill_grid, explore_kill_grid_replay, KillGridOptions};
 use capybara::fleet::{
-    parse_harvest_trace, run_fleet, DeviceOutcome, FleetSpec, SharedEnvironment,
+    parse_harvest_trace, run_fleet_on, DeviceOutcome, FleetSpec, SharedEnvironment,
 };
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 
 // --- timing harness -----------------------------------------------------
 
@@ -258,8 +258,9 @@ fn bench_sweep(horizon: SimTime) -> SweepStats {
     let spec = SweepSpec::new("sim-throughput-ta", horizon)
         .base_seed(FIGURE_SEED)
         .axis("variant", &Variant::ALL);
-    let (report, _) = run_sweep_extract(
+    let (report, _) = run_sweep_on(
         &spec,
+        0,
         |point| {
             let v = point.expect_axis::<Variant>("variant");
             ta::build(v, events.clone(), FIGURE_SEED)
@@ -372,7 +373,7 @@ fn bench_fleet(name: &'static str, quick: bool, env: SharedEnvironment) -> Fleet
         .rate_jitter(0.1)
         .environment(env);
     let t0 = Instant::now();
-    let report = run_fleet(&spec, |point| {
+    let report = run_fleet_on(&spec, 0, |point| {
         let power = PowerSystem::builder()
             .harvester(spec.harvester_for(
                 ConstantHarvester::new(Watts::from_milli(10.0), Volts::new(3.0)),

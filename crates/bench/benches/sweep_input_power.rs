@@ -9,7 +9,7 @@
 //! buffer cannot recharge between events.
 //!
 //! The (irradiance, variant) grid is a [`SweepSpec`] run in parallel by
-//! `run_sweep_with`; every point rebuilds the same event schedule from
+//! `run_sweep_on`; every point rebuilds the same event schedule from
 //! the shared figure seed, so output is worker-count independent.
 
 use capy_apps::events::poisson_events;
@@ -18,7 +18,7 @@ use capy_apps::ta;
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{run_sweep_on, SweepSpec};
 use capybara::variant::Variant;
 
 const IRRADIANCES: [f64; 5] = [0.15, 0.25, 0.42, 0.7, 1.0];
@@ -44,16 +44,21 @@ fn main() {
         .axis("variant", &VARIANTS);
 
     let events_ref = &events;
-    let (report, correct) = run_sweep_with(&spec, |point| {
-        let v = point.expect_axis::<Variant>("variant");
-        let mut sim = ta::build(v, events_ref.clone(), FIGURE_SEED);
-        sim.power_mut()
-            .harvester_mut()
-            .set_irradiance(point.expect_param("irradiance"));
-        sim.run_until(horizon);
-        let f = accuracy_fractions(&classify_reported(events_ref.len(), &sim.ctx().packets));
-        (sim, f.correct)
-    });
+    let (report, correct) = run_sweep_on(
+        &spec,
+        0,
+        |point| {
+            let v = point.expect_axis::<Variant>("variant");
+            let mut sim = ta::build(v, events_ref.clone(), FIGURE_SEED);
+            sim.power_mut()
+                .harvester_mut()
+                .set_irradiance(point.expect_param("irradiance"));
+            sim
+        },
+        |sim, _| {
+            accuracy_fractions(&classify_reported(events_ref.len(), &sim.ctx().packets)).correct
+        },
+    );
 
     println!(
         "{:>16} {:>8} {:>8} {:>8}",

@@ -19,7 +19,7 @@
 //! `DetRng::seed_from_u64(case.seed)` in a fixed draw order. The
 //! derivation never depends on other cases, worker scheduling, or wall
 //! time, so reports are bit-identical for any worker count (cases are
-//! sharded with [`map_points_on`]) and any case subset.
+//! sharded with [`map_on`]) and any case subset.
 //!
 //! # Survivable faults only
 //!
@@ -43,7 +43,7 @@ use capy_units::SimTime;
 use super::{conservation_violation, FaultPlan, SurgeEffect};
 use crate::policy::{NamedPolicy, ReconfigPolicy, Scenario};
 use crate::sim::{validate_event_log, SimContext, Simulator, StepResult};
-use crate::sweep::{available_workers, map_points_on, RunSummary, SweepPoint, SweepSpec};
+use crate::sweep::{map_on, RunSummary, SweepPoint, SweepSpec};
 
 /// Tuning knobs of the fault fuzzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +65,9 @@ pub struct FuzzOptions {
     /// Livelock threshold, as in
     /// [`KillGridOptions::zeno_boot_limit`](super::KillGridOptions).
     pub zeno_boot_limit: u64,
-    /// Worker threads; `0` uses one per core.
+    /// Worker threads for [`fuzz_faults`]; `0` = every core, resolved
+    /// by the sweep engine ([`map_on`]). [`fuzz_policy_grid_on`] takes
+    /// its count as an argument instead.
     pub workers: usize,
 }
 
@@ -320,19 +322,8 @@ where
 {
     // One probe build tells the generator how many banks it can strike.
     let bank_count = build().power().bank_count();
-    #[allow(clippy::cast_precision_loss)]
-    let spec = (0..options.cases).fold(
-        SweepSpec::new("fault-fuzz", options.horizon).base_seed(master_seed),
-        |spec, i| spec.point(format!("case#{i}"), &[("case", i as f64)]),
-    );
-    let workers = if options.workers == 0 {
-        available_workers()
-    } else {
-        options.workers
-    };
-    let outcomes = map_points_on(&spec, workers, |point| {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let index = point.expect_param("case") as usize;
+    let cases: Vec<usize> = (0..options.cases).collect();
+    let outcomes = map_on(&cases, options.workers, |&index| {
         let case = derive_case(master_seed, index, options, bank_count);
         run_case(&build, &invariant, &case, options)
     });
@@ -442,7 +433,7 @@ impl FuzzGrid {
 
 /// Fuzzes every {policy × scenario} cell with
 /// [`FuzzOptions::cases`] derived cases each, sharded on the sweep
-/// engine with an explicit worker count (`0` = one per core). Each
+/// engine with an explicit worker count (`0` = every core). Each
 /// cell's case sequence derives from
 /// `derive_seed(master_seed, policy * scenarios + scenario)`, so cells
 /// are independent and the whole grid reproduces from `master_seed`
@@ -492,12 +483,7 @@ where
             }
         }
     }
-    let workers = if workers == 0 {
-        available_workers()
-    } else {
-        workers
-    };
-    let outcomes = map_points_on(&spec, workers, |point| {
+    let outcomes = map_on(spec.points(), workers, |point| {
         let policy = point.expect_axis::<NamedPolicy>("policy");
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let (pi, si, ci) = (

@@ -51,7 +51,7 @@
 //! # Determinism
 //!
 //! The kill pass shards its grid across worker threads with
-//! [`map_points_on`]; each kill re-simulates independently from the
+//! [`map_on`]; each kill re-simulates independently from the
 //! scenario builder, so a [`KillReport`] is bit-identical for any worker
 //! count.
 
@@ -63,7 +63,7 @@ use capy_power::system::{HardwareFault, PowerSystem};
 use capy_units::{SimDuration, SimTime, Volts};
 
 use crate::sim::{validate_event_log, SimContext, SimSnapshot, Simulator, StepResult};
-use crate::sweep::{available_workers, map_points_on, RunSummary, SweepSpec};
+use crate::sweep::{map_on, RunSummary};
 
 pub mod fuzz;
 
@@ -278,7 +278,8 @@ pub struct KillGridOptions {
     /// times after the kill without completing a single task is flagged
     /// as a Zeno violation.
     pub zeno_boot_limit: u64,
-    /// Worker threads for the kill pass; `0` uses one per core.
+    /// Worker threads for the kill pass; `0` = every core, resolved by
+    /// the sweep engine ([`map_on`]).
     pub workers: usize,
     /// Checkpoint every `snapshot_stride`-th task boundary during the
     /// record pass (`1` = every boundary). Larger strides bound snapshot
@@ -611,20 +612,7 @@ where
 
     let selected = subsample(&grid, options);
     let dropped_points = grid.len() - selected.len();
-    #[allow(clippy::cast_precision_loss)]
-    let spec = selected
-        .iter()
-        .fold(SweepSpec::new("kill-grid", horizon), |spec, &t| {
-            spec.point(format!("kill@{t}"), &[("kill_us", t.as_micros() as f64)])
-        });
-    let workers = if options.workers == 0 {
-        available_workers()
-    } else {
-        options.workers
-    };
-    let results = map_points_on(&spec, workers, |point| {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let kill_at = SimTime::from_micros(point.expect_param("kill_us") as u64);
+    let results = map_on(&selected, options.workers, |&kill_at| {
         // The resume point is the last snapshot strictly before the
         // kill: a replay from zero passes through every boundary
         // < kill_at, so resuming from the latest of them (and stepping

@@ -65,7 +65,7 @@ use capy_units::sketch::QuantileSketch;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 
 use crate::sim::{SimContext, SimEvent, Simulator};
-use crate::sweep::{available_workers, map_points_on, RunSummary, SweepSpec, DEFAULT_BASE_SEED};
+use crate::sweep::{map_stats, RunSummary, DEFAULT_BASE_SEED};
 
 /// Number of shards a fleet is striped over — fixed (not derived from
 /// the worker count) so the shard partition, and therefore the report,
@@ -1172,7 +1172,9 @@ pub struct FleetReport {
     pub horizon: SimTime,
     /// The merged aggregate.
     pub acc: FleetAccumulator,
-    /// Worker threads used (excluded from equality).
+    /// Worker threads actually used: the requested count (`0` resolved
+    /// to [`available_workers`](crate::sweep::available_workers))
+    /// clamped to the number of shards (excluded from equality).
     pub workers: usize,
     /// Host wall-clock time (excluded from equality).
     pub wall: Duration,
@@ -1222,11 +1224,11 @@ impl FleetReport {
     }
 }
 
-/// Runs the fleet on `workers` threads: devices are striped over
-/// [`FLEET_SHARDS`] fixed shards, each shard folds its devices into a
-/// [`FleetAccumulator`] as they finish, and the shard accumulators
-/// merge in shard order — see the module docs for why the result is
-/// bit-identical for any worker count.
+/// Runs the fleet on `workers` threads (`0` = every core): devices are
+/// striped over [`FLEET_SHARDS`] fixed shards, each shard folds its
+/// devices into a [`FleetAccumulator`] as they finish, and the shard
+/// accumulators merge in shard order — see the module docs for why the
+/// result is bit-identical for any worker count.
 ///
 /// `device_fn` simulates one device and returns its outcome; it sees
 /// only the [`DevicePoint`] (and whatever template it captured), never
@@ -1235,47 +1237,7 @@ pub fn run_fleet_on<F>(spec: &FleetSpec, workers: usize, device_fn: F) -> FleetR
 where
     F: Fn(&DevicePoint) -> DeviceOutcome + Sync,
 {
-    let started = Instant::now();
-    let devices = spec.devices();
-    let shards = FLEET_SHARDS.min(devices).max(1);
-    let mut sweep = SweepSpec::new(spec.name, spec.horizon).base_seed(spec.fleet_seed);
-    for s in 0..shards {
-        #[allow(clippy::cast_precision_loss)]
-        let shard_param = s as f64;
-        sweep = sweep.point(format!("shard={s}"), &[("shard", shard_param)]);
-    }
-    let accs = map_points_on(&sweep, workers, |point| {
-        let shard = point.index as u64;
-        let mut acc = FleetAccumulator::new();
-        let mut index = shard;
-        while index < devices {
-            let device = spec.device(index);
-            let outcome = device_fn(&device);
-            acc.fold(spec.horizon, &outcome);
-            index += shards;
-        }
-        acc
-    });
-    let mut merged = FleetAccumulator::new();
-    for acc in &accs {
-        merged.merge(acc);
-    }
-    FleetReport {
-        name: spec.name,
-        devices,
-        horizon: spec.horizon,
-        acc: merged,
-        workers: workers.max(1),
-        wall: started.elapsed(),
-    }
-}
-
-/// [`run_fleet_on`] with [`available_workers`].
-pub fn run_fleet<F>(spec: &FleetSpec, device_fn: F) -> FleetReport
-where
-    F: Fn(&DevicePoint) -> DeviceOutcome + Sync,
-{
-    run_fleet_on(spec, available_workers(), device_fn)
+    run_shards(spec, workers, |device| (device_fn(device), ())).0
 }
 
 /// One leg of a multi-leg mission: like [`run_fleet_on`], but the
@@ -1308,60 +1270,62 @@ where
             "wear carry-in tracks a different fleet size"
         );
     }
+    let fresh = DeviceWear::none();
+    let (report, shards) = run_shards(spec, workers, |device| {
+        let carried = carry.map_or(&fresh, |w| w.device(device.index));
+        let outcome = device_fn(device, carried);
+        let wear = outcome.wear.clone();
+        (outcome, (device.index, wear))
+    });
+    let mut wear_out = FleetWear::fresh(spec.devices());
+    for (index, wear) in shards.into_iter().flatten() {
+        wear_out.devices[usize::try_from(index).expect("device index fits usize")] = wear;
+    }
+    (report, wear_out)
+}
+
+/// The shard loop behind both fleet runners. Devices are striped over
+/// [`FLEET_SHARDS`] fixed shards on the sweep engine; each shard folds
+/// every outcome into its accumulator and keeps the per-device value
+/// `device_fn` returns beside it (`()` for a fresh run, so nothing is
+/// held per device), and the accumulators merge in shard order. The
+/// report's `workers` is the thread count the engine actually used.
+fn run_shards<K, F>(spec: &FleetSpec, workers: usize, device_fn: F) -> (FleetReport, Vec<Vec<K>>)
+where
+    K: Send,
+    F: Fn(&DevicePoint) -> (DeviceOutcome, K) + Sync,
+{
     let started = Instant::now();
     let devices = spec.devices();
     let shards = FLEET_SHARDS.min(devices).max(1);
-    let mut sweep = SweepSpec::new(spec.name, spec.horizon).base_seed(spec.fleet_seed);
-    for s in 0..shards {
-        #[allow(clippy::cast_precision_loss)]
-        let shard_param = s as f64;
-        sweep = sweep.point(format!("shard={s}"), &[("shard", shard_param)]);
-    }
-    let fresh = DeviceWear::none();
-    let shard_results = map_points_on(&sweep, workers, |point| {
-        let shard = point.index as u64;
+    let shard_ids: Vec<u64> = (0..shards).collect();
+    let (results, worker_stats) = map_stats(&shard_ids, workers, |&shard| {
         let mut acc = FleetAccumulator::new();
-        let mut wear = Vec::new();
+        let mut kept = Vec::new();
         let mut index = shard;
         while index < devices {
-            let device = spec.device(index);
-            let carried = carry.map_or(&fresh, |w| w.device(index));
-            let outcome = device_fn(&device, carried);
-            wear.push((index, outcome.wear.clone()));
+            let (outcome, keep) = device_fn(&spec.device(index));
             acc.fold(spec.horizon, &outcome);
+            kept.push(keep);
             index += shards;
         }
-        (acc, wear)
+        (acc, kept)
     });
     let mut merged = FleetAccumulator::new();
-    let mut wear_out = FleetWear::fresh(devices);
-    for (acc, entries) in shard_results {
+    let mut kept = Vec::with_capacity(results.len());
+    for (acc, shard_kept) in results {
         merged.merge(&acc);
-        for (index, wear) in entries {
-            wear_out.devices[usize::try_from(index).expect("device index fits usize")] = wear;
-        }
+        kept.push(shard_kept);
     }
     let report = FleetReport {
         name: spec.name,
         devices,
         horizon: spec.horizon,
         acc: merged,
-        workers: workers.max(1),
+        workers: worker_stats.len(),
         wall: started.elapsed(),
     };
-    (report, wear_out)
-}
-
-/// [`run_fleet_leg_on`] with [`available_workers`].
-pub fn run_fleet_leg<F>(
-    spec: &FleetSpec,
-    carry: Option<&FleetWear>,
-    device_fn: F,
-) -> (FleetReport, FleetWear)
-where
-    F: Fn(&DevicePoint, &DeviceWear) -> DeviceOutcome + Sync,
-{
-    run_fleet_leg_on(spec, available_workers(), carry, device_fn)
+    (report, kept)
 }
 
 #[cfg(test)]
@@ -1527,6 +1491,21 @@ mod tests {
         let many = run_fleet_on(&spec, 8, synthetic_outcome);
         assert_eq!(one, many);
         assert_eq!(one.acc.devices, 257);
+    }
+
+    #[test]
+    fn report_workers_counts_the_threads_actually_used() {
+        // Four devices make four shards, so at most four threads run.
+        let tiny = FleetSpec::new("tiny", 4, SimTime::from_secs(60)).fleet_seed(1);
+        assert_eq!(run_fleet_on(&tiny, 8, synthetic_outcome).workers, 4);
+        let (leg, _) = run_fleet_leg_on(&tiny, 8, None, synthetic_leg);
+        assert_eq!(leg.workers, 4);
+        // `0` resolves to every core, still clamped to the shard count.
+        let spec = FleetSpec::new("wide", 1_000, SimTime::from_secs(60)).fleet_seed(1);
+        let shards = usize::try_from(FLEET_SHARDS).unwrap();
+        let expected = crate::sweep::available_workers().min(shards);
+        assert_eq!(run_fleet_on(&spec, 0, synthetic_outcome).workers, expected);
+        assert_eq!(run_fleet_on(&spec, 1, synthetic_outcome).workers, 1);
     }
 
     #[test]

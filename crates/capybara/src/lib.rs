@@ -73,6 +73,18 @@
 //! sim.run_until(SimTime::from_secs(600));
 //! assert_eq!(sim.ctx().alerts.get(), 1);
 //! ```
+//!
+//! # Parallel runs
+//!
+//! Every batch workload — figure sweeps, policy grids, kill grids, fuzz
+//! campaigns, fleets — runs on one engine in [`sweep`]:
+//! [`sweep::map_on`] shards a work list over worker threads and keeps
+//! the results in item order, [`sweep::run_sweep_on`] builds, runs and
+//! extracts one simulator per grid point, and
+//! [`sweep::run_sweep_tally_on`] does the same for non-simulator jobs.
+//! Every runner takes its worker count explicitly, `0` means one per
+//! core ([`sweep::available_workers`]), and results are bit-identical
+//! for any count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -107,17 +119,15 @@ pub mod prelude {
         KillOutcome, KillReport, SurgeEffect,
     };
     pub use crate::fleet::{
-        parse_harvest_trace, run_fleet, run_fleet_leg, run_fleet_leg_on, run_fleet_on,
-        DeviceOutcome, DevicePoint, DeviceWear, EnvError, FleetAccumulator, FleetHarvester,
-        FleetReport, FleetSpec, FleetWear, SharedEnvironment, TemplateSpec, FLEET_SHARDS,
-        SURVIVAL_BUCKETS,
+        parse_harvest_trace, run_fleet_leg_on, run_fleet_on, DeviceOutcome, DevicePoint,
+        DeviceWear, EnvError, FleetAccumulator, FleetHarvester, FleetReport, FleetSpec, FleetWear,
+        SharedEnvironment, TemplateSpec, FLEET_SHARDS, SURVIVAL_BUCKETS,
     };
     pub use crate::mode::{EnergyMode, ModeTable};
     pub use crate::policy::{
-        oracle_offline, run_fleet_policy_sweep, run_fleet_policy_sweep_on, run_policy_sweep,
-        EwmaAdaptive, FleetPolicyComparison, FleetScenario, NamedPolicy, Oracle, Pinned,
-        PolicyComparison, PolicyObservation, ReactiveDownsize, ReconfigPolicy, Scenario,
-        StaticAnnotation,
+        oracle_offline, run_fleet_policy_sweep_on, run_policy_sweep_on, EwmaAdaptive,
+        FleetPolicyComparison, FleetScenario, NamedPolicy, Oracle, Pinned, PolicyComparison,
+        PolicyObservation, ReactiveDownsize, ReconfigPolicy, Scenario, StaticAnnotation,
     };
     pub use crate::provision::{provision_bank_units, ProvisioningReport};
     pub use crate::sim::{
@@ -125,8 +135,8 @@ pub mod prelude {
         SimulatorBuilder, StepResult,
     };
     pub use crate::sweep::{
-        run_sweep, run_sweep_tally, run_sweep_with, AxisError, AxisTable, AxisValue, RunSummary,
-        SweepPoint, SweepReport, SweepRun, SweepSpec, WorkerStats,
+        available_workers, map_on, run_sweep_on, run_sweep_tally_on, AxisError, AxisTable,
+        AxisValue, RunSummary, SweepPoint, SweepReport, SweepRun, SweepSpec, WorkerStats,
     };
     pub use crate::variant::Variant;
 

@@ -36,7 +36,7 @@
 //!   replay reproduces the winning run exactly, so the oracle bounds
 //!   every candidate from above *by construction* on that trace.
 //!
-//! The policy-comparison harness ([`run_policy_sweep`]) runs a
+//! The policy-comparison harness ([`run_policy_sweep_on`]) runs a
 //! {policy × scenario} grid on the parallel sweep engine and exposes
 //! per-policy [`RunSummary`] deltas (event completions, charge time,
 //! reactivity) against any baseline.
@@ -55,10 +55,7 @@ use crate::fleet::{
 use crate::mode::EnergyMode;
 use crate::runtime::RuntimeState;
 use crate::sim::{SimContext, SimEvent, Simulator};
-use crate::sweep::{
-    available_workers, map_points_on, run_sweep_on, AxisValue, RunSummary, SweepPoint, SweepReport,
-    SweepSpec,
-};
+use crate::sweep::{run_sweep_on, AxisValue, RunSummary, SweepPoint, SweepReport, SweepSpec};
 
 /// What a policy sees at a task boundary, immediately before the runtime
 /// plans the pending task.
@@ -771,11 +768,10 @@ impl PolicyComparison {
 }
 
 /// Runs the {policy × scenario} grid on the parallel sweep engine with
-/// an explicit worker count (used by the determinism tests; prefer
-/// [`run_policy_sweep`]). `build` receives the sweep point (scenario
-/// axes, per-point seed) and a fresh policy instance and returns the
-/// simulator; the engine runs it to the scenario's horizon when set
-/// ([`Scenario::at_horizon`]), else to `horizon`.
+/// `workers` threads (`0` = every core). `build` receives the sweep
+/// point (scenario axes, per-point seed) and a fresh policy instance
+/// and returns the simulator; the engine runs it to the scenario's
+/// horizon when set ([`Scenario::at_horizon`]), else to `horizon`.
 pub fn run_policy_sweep_on<H, C, F>(
     name: &'static str,
     horizon: SimTime,
@@ -810,10 +806,15 @@ where
             };
         }
     }
-    let report = run_sweep_on(&spec, workers, |point| {
-        let policy = point.expect_axis::<NamedPolicy>("policy");
-        build(point, policy.instantiate(point))
-    });
+    let (report, _) = run_sweep_on(
+        &spec,
+        workers,
+        |point| {
+            let policy = point.expect_axis::<NamedPolicy>("policy");
+            build(point, policy.instantiate(point))
+        },
+        |_, _| (),
+    );
     PolicyComparison {
         report,
         policies: policies.iter().map(|p| p.label).collect(),
@@ -925,9 +926,9 @@ impl FleetPolicyComparison {
 /// Runs the fleet-wide {policy × scenario} grid: every cell installs
 /// one scenario's [`SharedEnvironment`] on `base` and runs the **whole
 /// fleet** under one policy, sharded on the sweep engine with `workers`
-/// threads ([`run_fleet_on`] — each cell's report is bit-identical for
-/// any worker count, so the comparison is too). The cells themselves
-/// run serially; parallelism lives inside each fleet.
+/// threads, `0` = every core ([`run_fleet_on`] — each cell's report is
+/// bit-identical for any worker count, so the comparison is too). The
+/// cells themselves run serially; parallelism lives inside each fleet.
 ///
 /// `device_fn` simulates one device: it receives the device point, the
 /// cell's fully-resolved [`FleetSpec`] (environment and horizon already
@@ -961,60 +962,26 @@ where
             };
         }
     }
-    let fleets = map_points_on(&grid, 1, |cell| {
-        let policy = cell.expect_axis::<NamedPolicy>("policy");
-        let scenario = cell.expect_axis::<FleetScenario>("scenario");
-        let spec = base
-            .clone()
-            .environment(scenario.env.clone())
-            .at_horizon(scenario.horizon.unwrap_or_else(|| base.horizon()));
-        run_fleet_on(&spec, workers, |point| {
-            device_fn(point, &spec, policy.instantiate(cell))
+    let fleets = grid
+        .points()
+        .iter()
+        .map(|cell| {
+            let policy = cell.expect_axis::<NamedPolicy>("policy");
+            let scenario = cell.expect_axis::<FleetScenario>("scenario");
+            let spec = base
+                .clone()
+                .environment(scenario.env.clone())
+                .at_horizon(scenario.horizon.unwrap_or_else(|| base.horizon()));
+            run_fleet_on(&spec, workers, |point| {
+                device_fn(point, &spec, policy.instantiate(cell))
+            })
         })
-    });
+        .collect();
     FleetPolicyComparison {
         fleets,
         policies: policies.iter().map(|p| p.label).collect(),
         scenarios: scenarios.iter().map(|s| s.label.clone()).collect(),
     }
-}
-
-/// [`run_fleet_policy_sweep_on`] with one worker per available core.
-pub fn run_fleet_policy_sweep<F>(
-    base: &FleetSpec,
-    policies: &[NamedPolicy],
-    scenarios: &[FleetScenario],
-    device_fn: F,
-) -> FleetPolicyComparison
-where
-    F: Fn(&DevicePoint, &FleetSpec, Box<dyn ReconfigPolicy>) -> DeviceOutcome + Sync,
-{
-    run_fleet_policy_sweep_on(base, policies, scenarios, available_workers(), device_fn)
-}
-
-/// [`run_policy_sweep_on`] with one worker per available core.
-pub fn run_policy_sweep<H, C, F>(
-    name: &'static str,
-    horizon: SimTime,
-    base_seed: u64,
-    policies: &[NamedPolicy],
-    scenarios: &[Scenario],
-    build: F,
-) -> PolicyComparison
-where
-    H: Harvester,
-    C: SimContext,
-    F: Fn(&SweepPoint, Box<dyn ReconfigPolicy>) -> Simulator<H, C> + Sync,
-{
-    run_policy_sweep_on(
-        name,
-        horizon,
-        base_seed,
-        policies,
-        scenarios,
-        available_workers(),
-        build,
-    )
 }
 
 #[cfg(test)]

@@ -8,9 +8,14 @@
 //! * [`SweepSpec`] names a grid of labeled parameter points, each owning
 //!   a deterministic seed derived from the spec's base seed and the
 //!   point's index;
-//! * [`run_sweep`] shards the points across `available_parallelism()`
-//!   OS threads with [`std::thread::scope`] (no dependencies, no
-//!   runtime) and runs one simulator per point to the spec's horizon;
+//! * [`run_sweep_on`] builds one simulator per point, runs it to the
+//!   point's horizon, and extracts from the finished run;
+//!   [`run_sweep_tally_on`] does the same for non-simulator jobs; both
+//!   sit on [`map_on`], the one parallel loop of the workspace, which
+//!   shards any work list across [`std::thread::scope`] OS threads (no
+//!   dependencies, no runtime) and keeps results in item order. Every
+//!   runner takes its worker count explicitly, and `0` means one worker
+//!   per core ([`available_workers`]);
 //! * [`RunSummary`] condenses each run's [`SimEvent`] log and execution
 //!   statistics into the repo's standard observability record;
 //! * **typed axes** ([`AxisValue`], [`SweepSpec::axis`]) let structured
@@ -839,7 +844,9 @@ pub struct SweepReport {
     /// to 0, stamped by the bench, printed by the footer, and
     /// **included in equality**.
     pub out_of_range: u64,
-    /// Number of worker threads used (excluded from equality).
+    /// Number of worker threads used: the requested count (`0` resolved
+    /// to [`available_workers`]) clamped to the number of points
+    /// (excluded from equality).
     pub workers: usize,
     /// Total host wall-clock time (excluded from equality).
     pub wall: Duration,
@@ -923,42 +930,55 @@ impl SweepReport {
     }
 }
 
-/// The sweep engine's default worker count: one per available core.
+/// The engine's default worker count: one per available core. Every
+/// runner takes `workers` explicitly and reads `0` as this count;
+/// [`map_on`] resolves it, and nothing else does.
 #[must_use]
 pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Applies `f` to every point of `spec` across `workers` scoped threads
-/// and returns the results **in point order**. The closure sees only the
-/// point (parameters + seed), so the output is identical for any worker
-/// count; work is claimed dynamically, so uneven run times still load-
-/// balance.
-pub fn map_points_on<R, F>(spec: &SweepSpec, workers: usize, f: F) -> Vec<R>
+/// Applies `f` to every item across `workers` scoped threads and
+/// returns the results **in item order**. `workers == 0` means
+/// [`available_workers`], and the count is clamped to the number of
+/// items. The closure sees only its item, so the output is identical
+/// for any worker count; items are claimed dynamically, so uneven run
+/// times still load-balance.
+///
+/// This is the workspace's one parallel loop: sweeps pass
+/// `spec.points()`, while fleets, kill grids, fuzz campaigns and
+/// manifest batches pass their own work lists (shard indices, kill
+/// instants, case indices, paths).
+pub fn map_on<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
+    T: Sync,
     R: Send,
-    F: Fn(&SweepPoint) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    map_points_stats(spec, workers, f).0
+    map_stats(items, workers, f).0
 }
 
-/// The engine behind [`map_points_on`]: additionally reports per-worker
-/// telemetry (points claimed, busy time) gathered on the workers
-/// themselves.
-fn map_points_stats<R, F>(spec: &SweepSpec, workers: usize, f: F) -> (Vec<R>, Vec<WorkerStats>)
+/// The engine behind [`map_on`]: additionally reports per-worker
+/// telemetry (items claimed, busy time) gathered on the workers
+/// themselves, one entry per thread actually used.
+pub(crate) fn map_stats<T, R, F>(items: &[T], workers: usize, f: F) -> (Vec<R>, Vec<WorkerStats>)
 where
+    T: Sync,
     R: Send,
-    F: Fn(&SweepPoint) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    let points = spec.points();
-    let n = points.len();
+    let n = items.len();
     if n == 0 {
         return (Vec::new(), Vec::new());
     }
-    let workers = workers.clamp(1, n);
+    let workers = match workers {
+        0 => available_workers(),
+        w => w,
+    }
+    .min(n);
     if workers == 1 {
         let t0 = Instant::now();
-        let results = points.iter().map(f).collect();
+        let results = items.iter().map(f).collect();
         let stats = WorkerStats {
             worker: 0,
             points: n as u64,
@@ -986,7 +1006,7 @@ where
                             break;
                         }
                         let t0 = Instant::now();
-                        let r = f(&points[i]);
+                        let r = f(&items[i]);
                         stats.points += 1;
                         stats.busy += t0.elapsed();
                         *slots[i].lock().expect("no panics while holding the slot") = Some(r);
@@ -1011,77 +1031,18 @@ where
     (results, stats)
 }
 
-/// [`map_points_on`] with [`available_workers`].
-pub fn map_points<R, F>(spec: &SweepSpec, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&SweepPoint) -> R + Sync,
-{
-    map_points_on(spec, available_workers(), f)
-}
-
-/// Runs one simulator per point in parallel, each to the point's horizon
-/// (the spec's unless overridden via [`SweepPoint::horizon`]), and also
-/// returns the caller's per-point extract (trace excerpts, application
-/// metrics, …) alongside the standard summaries.
+/// Runs one simulator per point of `spec` on `workers` threads (`0` =
+/// every core): `build` constructs the point's simulator, the engine
+/// runs it to the point's horizon (the spec's unless overridden via
+/// [`SweepPoint::horizon`]), and `extract` reads what the caller needs
+/// from the **finished** simulator — application context, trace tails,
+/// power telemetry — next to the standard [`RunSummary`]. Pass
+/// `|_, _| ()` when the summaries suffice.
 ///
-/// `run` receives the point and returns the simulator plus its extract;
-/// the engine measures wall time around the whole closure and then tops
-/// the simulator up to the point's horizon. `run_until` is monotone, so
-/// a closure that already advanced the simulator past the horizon leaves
-/// the run untouched. When the extract must observe the *finished*
-/// simulator, use [`run_sweep_extract`] instead.
-pub fn run_sweep_with<H, C, R, F>(spec: &SweepSpec, run: F) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    F: Fn(&SweepPoint) -> (Simulator<H, C>, R) + Sync,
-{
-    run_sweep_with_on(spec, available_workers(), run)
-}
-
-/// [`run_sweep_with`] pinned to an explicit worker count (used by the
-/// determinism tests; prefer [`run_sweep_with`]).
-pub fn run_sweep_with_on<H, C, R, F>(
-    spec: &SweepSpec,
-    workers: usize,
-    run: F,
-) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    F: Fn(&SweepPoint) -> (Simulator<H, C>, R) + Sync,
-{
-    run_sweep_inner(spec, workers, |point| {
-        let (mut sim, extract) = run(point);
-        sim.run_until(point.horizon_or(spec.horizon()));
-        (sim, extract)
-    })
-}
-
-/// Builds one simulator per point with `build`, runs each to its
-/// horizon, then applies `extract` to the **finished** simulator —
-/// the right shape for figure benches that read end-of-run state
-/// (application context, trace tails, power telemetry).
-pub fn run_sweep_extract<H, C, R, B, X>(
-    spec: &SweepSpec,
-    build: B,
-    extract: X,
-) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    B: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
-    X: Fn(&Simulator<H, C>, &SweepPoint) -> R + Sync,
-{
-    run_sweep_extract_on(spec, available_workers(), build, extract)
-}
-
-/// [`run_sweep_extract`] pinned to an explicit worker count.
-pub fn run_sweep_extract_on<H, C, R, B, X>(
+/// `run_until` is monotone, so a `build` that already ran its simulator
+/// to or past the horizon (a point whose mission length depends on its
+/// own event schedule) is left untouched by the engine.
+pub fn run_sweep_on<H, C, R, B, X>(
     spec: &SweepSpec,
     workers: usize,
     build: B,
@@ -1093,57 +1054,33 @@ where
     R: Send,
     B: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
     X: Fn(&Simulator<H, C>, &SweepPoint) -> R + Sync,
-{
-    run_sweep_inner(spec, workers, |point| {
-        let mut sim = build(point);
-        sim.run_until(point.horizon_or(spec.horizon()));
-        let r = extract(&sim, point);
-        (sim, r)
-    })
-}
-
-/// Shared engine: `run` fully executes one point (build + advance) and
-/// returns the finished simulator plus the caller's extract.
-fn run_sweep_inner<H, C, R, F>(spec: &SweepSpec, workers: usize, run: F) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    F: Fn(&SweepPoint) -> (Simulator<H, C>, R) + Sync,
 {
     // The tally engine stamps each summary's wall time around the whole
     // closure, so the placeholder Duration here is never observed.
     run_sweep_tally_on(spec, workers, |point| {
-        let (sim, extract) = run(point);
+        let mut sim = build(point);
+        sim.run_until(point.horizon_or(spec.horizon()));
+        let extract = extract(&sim, point);
         (RunSummary::from_sim(&sim, Duration::ZERO), extract)
     })
 }
 
-/// Runs one **non-simulator** job per point in parallel — for
-/// evaluation targets whose per-point work is a custom loop or an
-/// analytic calculation rather than a [`Simulator`] (the federated-GRC
-/// cascade, the CapySat orbit loop, board-area characterization). The
-/// closure returns the point's [`RunSummary`] plus a caller-chosen
-/// extract; the engine stamps the summary's wall time and assembles the
-/// standard [`SweepReport`], so these targets share footers, worker
-/// telemetry, and 1-vs-N bit-identity with the simulator sweeps.
-pub fn run_sweep_tally<R, F>(spec: &SweepSpec, run: F) -> (SweepReport, Vec<R>)
-where
-    R: Send,
-    F: Fn(&SweepPoint) -> (RunSummary, R) + Sync,
-{
-    run_sweep_tally_on(spec, available_workers(), run)
-}
-
-/// [`run_sweep_tally`] pinned to an explicit worker count (used by the
-/// determinism tests; prefer [`run_sweep_tally`]).
+/// Runs one **non-simulator** job per point on `workers` threads (`0` =
+/// every core) — for evaluation targets whose per-point work is a
+/// custom loop or an analytic calculation rather than a [`Simulator`]
+/// (the federated-GRC cascade, the CapySat orbit loop, board-area
+/// characterization). The closure returns the point's [`RunSummary`]
+/// plus a caller-chosen extract; the engine stamps the summary's wall
+/// time and assembles the standard [`SweepReport`], so these targets
+/// share footers, worker telemetry, and 1-vs-N bit-identity with the
+/// simulator sweeps ([`run_sweep_on`] is built on it).
 pub fn run_sweep_tally_on<R, F>(spec: &SweepSpec, workers: usize, run: F) -> (SweepReport, Vec<R>)
 where
     R: Send,
     F: Fn(&SweepPoint) -> (RunSummary, R) + Sync,
 {
     let started = Instant::now();
-    let (outcomes, worker_stats) = map_points_stats(spec, workers, |point| {
+    let (outcomes, worker_stats) = map_stats(spec.points(), workers, |point| {
         let t0 = Instant::now();
         let (mut summary, extract) = run(point);
         summary.wall = t0.elapsed();
@@ -1163,33 +1100,11 @@ where
         runs,
         dropped: 0,
         out_of_range: 0,
-        workers: workers.clamp(1, spec.points().len().max(1)),
+        workers: worker_stats.len(),
         wall: started.elapsed(),
         worker_stats,
     };
     (report, extracts)
-}
-
-/// Runs a grid of simulations in parallel: builds one simulator per
-/// point with `build`, runs each to the spec's horizon, and aggregates
-/// the per-run [`RunSummary`]s in point order.
-pub fn run_sweep<H, C, F>(spec: &SweepSpec, build: F) -> SweepReport
-where
-    H: Harvester,
-    C: SimContext,
-    F: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
-{
-    run_sweep_on(spec, available_workers(), build)
-}
-
-/// [`run_sweep`] pinned to an explicit worker count.
-pub fn run_sweep_on<H, C, F>(spec: &SweepSpec, workers: usize, build: F) -> SweepReport
-where
-    H: Harvester,
-    C: SimContext,
-    F: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
-{
-    run_sweep_with_on(spec, workers, |point| (build(point), ())).0
 }
 
 #[cfg(test)]
@@ -1273,6 +1188,11 @@ mod tests {
         )
     }
 
+    /// The summaries-only sweep of `spec` with [`build`].
+    fn summaries(spec: &SweepSpec, workers: usize) -> SweepReport {
+        run_sweep_on(spec, workers, build, |_, _| ()).0
+    }
+
     #[test]
     fn grid_crosses_axes_and_labels_points() {
         let spec = demo_spec();
@@ -1303,8 +1223,8 @@ mod tests {
     #[test]
     fn report_is_identical_for_one_and_many_workers() {
         let spec = demo_spec();
-        let serial = run_sweep_on(&spec, 1, build);
-        let parallel = run_sweep_on(&spec, available_workers().max(4), build);
+        let serial = summaries(&spec, 1);
+        let parallel = summaries(&spec, available_workers().max(4));
         assert_eq!(serial, parallel);
         // Point order is preserved, not completion order.
         for (run, point) in serial.runs.iter().zip(spec.points()) {
@@ -1315,7 +1235,13 @@ mod tests {
     #[test]
     fn summaries_reflect_simulation_activity() {
         let spec = SweepSpec::new("one", SimTime::from_secs(30)).grid("harvest_uw", &[2_000.0]);
-        let report = run_sweep(&spec, |p| sampler(p.expect_param("harvest_uw"), 20));
+        let report = run_sweep_on(
+            &spec,
+            0,
+            |p| sampler(p.expect_param("harvest_uw"), 20),
+            |_, _| (),
+        )
+        .0;
         let s = &report.runs[0].summary;
         assert!(s.completions > 0);
         assert_eq!(s.attempts, s.completions + s.failures);
@@ -1399,7 +1325,7 @@ mod tests {
     #[test]
     fn empty_spec_yields_empty_report() {
         let spec = SweepSpec::new("empty", SimTime::from_secs(1));
-        let report = run_sweep(&spec, build);
+        let report = summaries(&spec, 0);
         assert!(report.runs.is_empty());
         assert_eq!(report.total_completions(), 0);
     }
@@ -1409,7 +1335,7 @@ mod tests {
         let spec = SweepSpec::new("lookup", SimTime::from_secs(5))
             .point("weak", &[("harvest_uw", 500.0), ("task_ms", 10.0)])
             .point("strong", &[("harvest_uw", 10_000.0), ("task_ms", 10.0)]);
-        let report = run_sweep(&spec, build);
+        let report = summaries(&spec, 0);
         assert!(report.get("weak").is_some());
         assert!(report.get("missing").is_none());
         let weak = &report.get("weak").unwrap().summary;
@@ -1420,11 +1346,17 @@ mod tests {
     #[test]
     fn worker_stats_account_for_every_point() {
         let spec = demo_spec();
-        let serial = run_sweep_on(&spec, 1, build);
+        let serial = summaries(&spec, 1);
         assert_eq!(serial.worker_stats.len(), 1);
         assert_eq!(serial.worker_stats[0].points, 9);
-        let parallel = run_sweep_on(&spec, 3, build);
+        let parallel = summaries(&spec, 3);
         assert_eq!(parallel.worker_stats.len(), 3);
+        // `0` resolves to every core, and any count is clamped to the
+        // number of points.
+        let all = summaries(&spec, 0);
+        assert_eq!(all.workers, available_workers().min(9));
+        assert_eq!(all.worker_stats.len(), all.workers);
+        assert_eq!(summaries(&spec, 64).workers, 9);
         let claimed: u64 = parallel.worker_stats.iter().map(|w| w.points).sum();
         assert_eq!(claimed, 9, "every point is claimed exactly once");
         for (i, w) in parallel.worker_stats.iter().enumerate() {
@@ -1440,7 +1372,7 @@ mod tests {
     #[test]
     fn utilization_distinguishes_zero_wall_from_idle() {
         let spec = demo_spec();
-        let mut report = run_sweep_on(&spec, 2, build);
+        let mut report = summaries(&spec, 2);
         // Sub-resolution wall clock but real busy time: full utilization,
         // not a silent 0.0.
         report.wall = Duration::ZERO;
@@ -1458,7 +1390,7 @@ mod tests {
     #[should_panic(expected = "double-counted")]
     fn utilization_rejects_double_counted_busy_time() {
         let spec = demo_spec();
-        let mut report = run_sweep_on(&spec, 1, build);
+        let mut report = summaries(&spec, 1);
         report.wall = Duration::from_millis(1);
         report.worker_stats = vec![WorkerStats {
             worker: 0,
@@ -1471,7 +1403,7 @@ mod tests {
     #[test]
     fn dropped_and_out_of_range_tallies_break_equality() {
         let spec = demo_spec();
-        let clean = run_sweep_on(&spec, 1, build);
+        let clean = summaries(&spec, 1);
         let mut truncated = clean.clone();
         assert_eq!(clean, truncated);
         truncated.dropped = 3;
@@ -1498,7 +1430,7 @@ mod tests {
             spec.points()[1].horizon_or(spec.horizon()),
             SimTime::from_secs(20)
         );
-        let report = run_sweep(&spec, build);
+        let report = summaries(&spec, 0);
         let default = &report.get("default").unwrap().summary;
         let long = &report.get("long").unwrap().summary;
         assert!(default.end >= SimTime::from_secs(5) && default.end < SimTime::from_secs(20));
@@ -1510,8 +1442,9 @@ mod tests {
     fn extract_observes_the_finished_simulator() {
         let spec = SweepSpec::new("extract", SimTime::from_secs(10))
             .grid("harvest_uw", &[2_000.0, 10_000.0]);
-        let (report, counts) = run_sweep_extract(
+        let (report, counts) = run_sweep_on(
             &spec,
+            0,
             |p| sampler(p.expect_param("harvest_uw"), 10),
             |sim, _point| sim.ctx().n.get(),
         );
@@ -1521,7 +1454,7 @@ mod tests {
             assert_eq!(run.summary.completions, *n);
             assert!(*n > 0);
         }
-        let serial = run_sweep_extract_on(
+        let serial = run_sweep_on(
             &spec,
             1,
             |p| sampler(p.expect_param("harvest_uw"), 10),
@@ -1532,11 +1465,23 @@ mod tests {
     }
 
     #[test]
-    fn map_points_parallelism_is_invisible() {
-        let spec = demo_spec();
-        let serial: Vec<u64> = map_points_on(&spec, 1, |p| p.seed ^ p.index as u64);
-        let parallel: Vec<u64> = map_points_on(&spec, 8, |p| p.seed ^ p.index as u64);
-        assert_eq!(serial, parallel);
+    fn map_on_parallelism_is_invisible() {
+        // Uneven costs: early items are the slowest, so with several
+        // workers they finish last — the output must still be in item
+        // order, not completion order.
+        let items: Vec<u64> = (0..24).collect();
+        let cost = |&i: &u64| {
+            let mut x = i;
+            for _ in 0..(24 - i) * 20_000 {
+                x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005) ^ i);
+            }
+            (i, x)
+        };
+        let expected: Vec<(u64, u64)> = items.iter().map(cost).collect();
+        for workers in [0, 1, 8] {
+            assert_eq!(map_on(&items, workers, cost), expected, "{workers} workers");
+        }
+        assert!(map_on(&[] as &[u64], 0, cost).is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use capy_manifest::{parse_manifest, run_manifest};
+//! use capy_manifest::{parse_manifest, run_manifest_on};
 //!
 //! let text = "\
 //! schema = capy-scenario/v1
@@ -72,7 +72,8 @@
 //! require_event = burst
 //! ";
 //! let manifest = parse_manifest(text).expect("parses");
-//! let result = run_manifest(&manifest, "smoke.capy").expect("compiles");
+//! // `0` workers = every core; only a `[fleet]` population uses them.
+//! let result = run_manifest_on(&manifest, "smoke.capy", 0).expect("compiles");
 //! assert!(result.passed, "{:?}", result.assertions);
 //! ```
 
@@ -97,7 +98,7 @@ pub use model::{
 };
 pub use parse::{parse_manifest, ManifestError};
 pub use run::{
-    error_result_json, result_path_for, run_batch, run_file, run_manifest, run_manifest_on,
-    validate_json, AssertionResult, BatchEntry, BatchOutcome, FleetResult, ScenarioResult,
-    EXIT_ASSERT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MANIFEST, EXIT_PASS, RESULT_SCHEMA,
+    error_result_json, result_path_for, run_batch, run_file, run_manifest_on, validate_json,
+    AssertionResult, BatchEntry, BatchOutcome, FleetResult, ScenarioResult, EXIT_ASSERT,
+    EXIT_INTERNAL, EXIT_LIMIT, EXIT_MANIFEST, EXIT_PASS, RESULT_SCHEMA,
 };

@@ -25,7 +25,7 @@ use capybara::fleet::{
     TemplateSpec, SURVIVAL_BUCKETS,
 };
 use capybara::sim::{RunOutcome, SimEvent};
-use capybara::sweep::{available_workers, map_points_on, RunSummary, SweepSpec, DEFAULT_BASE_SEED};
+use capybara::sweep::{map_on, RunSummary, DEFAULT_BASE_SEED};
 
 use crate::compile::{compile, compile_with, DeviceTweak, LeakedNames};
 use crate::json::JsonValue;
@@ -161,22 +161,10 @@ fn event_matches(kind: EventKind, event: &SimEvent) -> bool {
 
 /// Runs `manifest` to its limits and evaluates its assertions.
 /// `file` is recorded verbatim in the artifact. A manifest with a
-/// `[fleet]` stanza runs the whole population (on every available
-/// worker) and reports the aggregate.
-///
-/// # Errors
-///
-/// Returns [`ManifestError::Build`] when the scenario does not compile.
-pub fn run_manifest(
-    manifest: &ScenarioManifest,
-    file: &str,
-) -> Result<ScenarioResult, ManifestError> {
-    run_manifest_on(manifest, file, available_workers())
-}
-
-/// [`run_manifest`] with an explicit worker count for the fleet path
-/// (single-device scenarios ignore it). The result is bit-identical for
-/// any worker count.
+/// `[fleet]` stanza runs the whole population on `workers` threads
+/// (`0` = every core) and reports the aggregate; single-device
+/// scenarios ignore the count. The result is bit-identical for any
+/// worker count.
 ///
 /// # Errors
 ///
@@ -775,35 +763,29 @@ pub fn result_path_for(manifest_path: &Path, out_dir: Option<&Path>) -> PathBuf 
     dir.join(format!("{stem}.result.json"))
 }
 
-/// Loads, runs, and evaluates one manifest file (no artifact written).
+/// Loads, runs, and evaluates one manifest file (no artifact written);
+/// a `[fleet]` population runs on `workers` threads (`0` = every core).
 ///
 /// # Errors
 ///
 /// Returns a [`ManifestError`] when the file is unreadable, does not
 /// parse, or does not compile.
-pub fn run_file(path: &Path) -> Result<ScenarioResult, ManifestError> {
+pub fn run_file(path: &Path, workers: usize) -> Result<ScenarioResult, ManifestError> {
     let text = fs::read_to_string(path).map_err(|e| ManifestError::Build {
         message: format!("cannot read {}: {e}", path.display()),
     })?;
     let manifest = parse_manifest(&text)?;
-    run_manifest(&manifest, &path.display().to_string())
+    run_manifest_on(&manifest, &path.display().to_string(), workers)
 }
 
 /// Runs a batch of manifest files sharded over `workers` threads on the
-/// sweep engine and writes each artifact. Results come back in input
-/// order and each artifact is bit-identical for any worker count.
+/// sweep engine (`0` = every core) and writes each artifact; a
+/// `[fleet]` manifest also runs its population on `workers` threads.
+/// Results come back in input order and each artifact is bit-identical
+/// for any worker count.
 #[must_use]
 pub fn run_batch(paths: &[PathBuf], workers: usize, out_dir: Option<&Path>) -> BatchOutcome {
-    let mut spec =
-        SweepSpec::new("capy-run-batch", capy_units::SimTime::ZERO).base_seed(DEFAULT_BASE_SEED);
-    for (i, path) in paths.iter().enumerate() {
-        spec = spec.point(path.display().to_string(), &[("manifest", i as f64)]);
-    }
-
-    let results = map_points_on(&spec, workers.max(1), |point| {
-        let path = &paths[point.index];
-        run_file(path)
-    });
+    let results = map_on(paths, workers, |path| run_file(path, workers));
 
     let mut entries = Vec::with_capacity(paths.len());
     let mut batch_exit = EXIT_PASS;

@@ -12,7 +12,7 @@ use capybara_suite::device::peripherals::BleRadio;
 use capybara_suite::power::booster::OutputBooster;
 use capybara_suite::power::capacitor;
 use capybara_suite::prelude::*;
-use capybara_suite::sweep::{map_points, run_sweep, SweepSpec};
+use capybara_suite::sweep::{map_on, run_sweep_on, SweepSpec};
 
 struct SamplerCtx {
     n: NvVar<u64>,
@@ -47,7 +47,7 @@ fn main() {
         "c_uf",
         &[100.0, 330.0, 1_000.0, 3_300.0, 10_000.0, 33_000.0],
     );
-    let rows = map_points(&analytic, |point| {
+    let rows = map_on(analytic.points(), 0, |point| {
         let c_uf = point.expect_param("c_uf");
         let c = Farads::from_micro(c_uf);
         let (on_time, _) = capacitor::sustain_time(c, Ohms::ZERO, v_full, p_active, v_min);
@@ -87,33 +87,38 @@ fn main() {
     // table above.
     let measured = SweepSpec::new("design-space-measured", SimTime::from_secs(60))
         .grid("units", &[1.0, 2.0, 4.0, 8.0, 16.0]);
-    let report = run_sweep(&measured, |point| {
-        let units = point.expect_param("units") as usize;
-        let power = PowerSystem::builder()
-            .harvester(ConstantHarvester::new(
-                Watts::from_milli(5.0),
-                Volts::new(3.0),
-            ))
-            .bank(
-                Bank::builder("fixed")
-                    .with_n(parts::tantalum_330uf(), units)
-                    .build(),
-                SwitchKind::NormallyClosed,
-            )
-            .build();
-        Simulator::builder(Variant::Fixed, power, Mcu::msp430fr5969())
-            .mode("only", &[BankId(0)])
-            .task(
-                "sample",
-                TaskEnergy::Unannotated,
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(25))),
-                |ctx: &mut SamplerCtx| {
-                    ctx.n.update(|x| x + 1);
-                    Transition::Stay
-                },
-            )
-            .build(SamplerCtx { n: NvVar::new(0) })
-    });
+    let (report, _) = run_sweep_on(
+        &measured,
+        0,
+        |point| {
+            let units = point.expect_param("units") as usize;
+            let power = PowerSystem::builder()
+                .harvester(ConstantHarvester::new(
+                    Watts::from_milli(5.0),
+                    Volts::new(3.0),
+                ))
+                .bank(
+                    Bank::builder("fixed")
+                        .with_n(parts::tantalum_330uf(), units)
+                        .build(),
+                    SwitchKind::NormallyClosed,
+                )
+                .build();
+            Simulator::builder(Variant::Fixed, power, Mcu::msp430fr5969())
+                .mode("only", &[BankId(0)])
+                .task(
+                    "sample",
+                    TaskEnergy::Unannotated,
+                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(25))),
+                    |ctx: &mut SamplerCtx| {
+                        ctx.n.update(|x| x + 1);
+                        Transition::Stay
+                    },
+                )
+                .build(SamplerCtx { n: NvVar::new(0) })
+        },
+        |_, _| (),
+    );
     println!(
         "{:>8} {:>12} {:>10} {:>14} {:>12}",
         "units", "completions", "charges", "mean charge(s)", "charging(%)"

@@ -15,7 +15,6 @@
 use std::time::Instant;
 
 use capy_units::{SimDuration, SimTime, Volts, Watts};
-use capybara_suite::core::sweep::available_workers;
 use capybara_suite::prelude::*;
 
 /// One device of the population: a 4 mW panel (scaled by the device's
@@ -112,7 +111,7 @@ fn main() {
         relays.max(1)
     );
     let t0 = Instant::now();
-    let report = run_fleet(&spec, |point| simulate_device(&spec, point, horizon));
+    let report = run_fleet_on(&spec, 0, |point| simulate_device(&spec, point, horizon));
     let wall = t0.elapsed();
 
     let acc = &report.acc;
@@ -180,6 +179,6 @@ fn main() {
             report, serial,
             "parallel and serial fleet reports must be identical"
         );
-        println!("identical on {} vs 1 worker(s): OK", available_workers());
+        println!("identical on {} vs 1 worker(s): OK", report.workers);
     }
 }

@@ -14,7 +14,6 @@
 
 use capy_units::Watts;
 use capybara_suite::apps::adaptive::{compare_policies, TrackerScenario};
-use capybara_suite::sweep::available_workers;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -37,7 +36,7 @@ fn main() {
         ));
     }
 
-    let (cmp, oracle_reports) = compare_policies(&scenarios, available_workers());
+    let (cmp, oracle_reports) = compare_policies(&scenarios, 0);
 
     print!("{:<10}", "policy");
     for s in &cmp.scenarios {

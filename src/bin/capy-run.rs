@@ -10,7 +10,8 @@
 //! sorted by name). Every manifest is compiled, run to its limits, and
 //! judged by its assertions; a deterministic `<stem>.result.json`
 //! artifact is written next to each manifest (or into `--out-dir`).
-//! Batches shard across worker threads on the sweep engine, and every
+//! Batches shard across worker threads on the sweep engine, a `[fleet]`
+//! manifest runs its population on the same worker count, and every
 //! artifact is bit-identical for any worker count.
 //!
 //! Exit codes (the batch exits with the maximum across its manifests):
@@ -32,7 +33,8 @@ USAGE:
     capy-run --validate-json <file.json> [--schema NAME]
 
 OPTIONS:
-    --workers N          shard the batch over N threads (default: all cores)
+    --workers N          shard the batch, and each [fleet] population, over
+                         N threads (default: all cores)
     --out-dir DIR        write <stem>.result.json artifacts into DIR
                          (default: next to each manifest)
     --validate-json F    check that F is well-formed JSON; with --schema,

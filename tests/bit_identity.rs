@@ -19,7 +19,7 @@ use capybara_suite::apps::ta;
 use capybara_suite::power::harvester::Harvester;
 use capybara_suite::power::prelude::KernelTuning;
 use capybara_suite::prelude::*;
-use capybara_suite::sweep::{run_sweep_extract, RunSummary, SweepSpec};
+use capybara_suite::sweep::{run_sweep_on, RunSummary, SweepSpec};
 
 const SEED: u64 = 0xB171D;
 
@@ -110,8 +110,9 @@ fn variant_sweep_reports_bit_identical_across_tunings() {
         let spec = SweepSpec::new("bit-identity-ta", horizon)
             .base_seed(SEED)
             .axis("variant", &Variant::ALL);
-        run_sweep_extract(
+        run_sweep_on(
             &spec,
+            0,
             |point| {
                 let v = point.expect_axis::<Variant>("variant");
                 let mut sim = ta::build(v, events.clone(), SEED);

@@ -91,6 +91,20 @@ fn real_fleet_report_is_bit_identical_for_any_worker_count() {
     assert!(serial.availability() > 0.0 && serial.availability() <= 1.0);
 }
 
+#[test]
+fn fresh_run_equals_a_leg_without_carry() {
+    // The two public fleet entry points share one shard loop; a fresh
+    // run must stay exactly a leg with no wear carried in.
+    let spec = real_spec(97);
+    for workers in [1, 3] {
+        let fresh = run_fleet_on(&spec, workers, |p| simulate_device(&spec, p));
+        let (leg, wear) = run_fleet_leg_on(&spec, workers, None, |p, _| simulate_device(&spec, p));
+        assert_eq!(fresh, leg, "run and leg diverged on {workers} workers");
+        assert_eq!(fresh.workers, leg.workers);
+        assert_eq!(wear.devices(), spec.devices());
+    }
+}
+
 /// A cheap deterministic stand-in for a simulated device, rich enough
 /// to populate every accumulator field (including deaths).
 fn synthetic_outcome(point: &DevicePoint) -> DeviceOutcome {
