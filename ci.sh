@@ -77,12 +77,34 @@ run "$CAPY_RUN" --validate-json BENCH_sim_throughput.json --schema capybara-sim-
 # schedules of the mixed/trace fleet path. The checked-in perf artifact must also
 # carry the trace-driven fleet series (the schema validator above
 # rejects it without).
-FLEET_TRACE_TMP=$(mktemp -d)
-trap 'rm -rf "$FLEET_TRACE_TMP"' EXIT
-run "$CAPY_RUN" --workers 1 --out-dir "$FLEET_TRACE_TMP/w1" manifests/fleet_trace.capy
-run "$CAPY_RUN" --workers 8 --out-dir "$FLEET_TRACE_TMP/w8" manifests/fleet_trace.capy
-run cmp manifests/fleet_trace.result.json "$FLEET_TRACE_TMP/w1/fleet_trace.result.json"
-run cmp "$FLEET_TRACE_TMP/w1/fleet_trace.result.json" "$FLEET_TRACE_TMP/w8/fleet_trace.result.json"
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+run "$CAPY_RUN" --workers 1 --out-dir "$CI_TMP/w1" manifests/fleet_trace.capy
+run "$CAPY_RUN" --workers 8 --out-dir "$CI_TMP/w8" manifests/fleet_trace.capy
+run cmp manifests/fleet_trace.result.json "$CI_TMP/w1/fleet_trace.result.json"
+run cmp "$CI_TMP/w1/fleet_trace.result.json" "$CI_TMP/w8/fleet_trace.result.json"
+
+# Adversarial inputs: each must be refused with exit 3 (a typed manifest
+# or JSON error), never wrapped into a wrong run or crashed. The checked-in
+# manifest's [fleet] mix counts sum past u64::MAX; the JSON document,
+# generated here, nests 200,000 arrays deep.
+expect_exit() {
+    local want=$1
+    shift
+    echo "==> (expect exit $want) $*"
+    local got=0
+    "$@" || got=$?
+    if [[ "$got" != "$want" ]]; then
+        echo "ci.sh: expected exit $want, got $got" >&2
+        exit 1
+    fi
+}
+expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_overflow.capy
+{
+    head -c 200000 /dev/zero | tr '\0' '['
+    head -c 200000 /dev/zero | tr '\0' ']'
+} >"$CI_TMP/deep.json"
+expect_exit 3 "$CAPY_RUN" --validate-json "$CI_TMP/deep.json"
 
 if [[ "$QUICK" == "1" ]]; then
     echo "==> ci.sh: quick gate passed (benches skipped)"

@@ -10,10 +10,16 @@
 //! single static configuration across environments.
 //!
 //! A [`ReconfigPolicy`] observes the runtime at every task boundary of an
-//! intermittent variant ([`PolicyObservation`]: charge level, harvest
-//! power, the recorded [`SimEvent`] backlog, the persistent
-//! [`RuntimeState`]) and may override the task's static annotation before
-//! the planner runs. Policy-internal state lives in non-volatile cells
+//! intermittent variant ([`PolicyObservation`]: the recorded [`SimEvent`]
+//! backlog, the persistent [`RuntimeState`], and on request the charge
+//! level and harvest power) and may override the task's static annotation
+//! before the planner runs. The three power readings —
+//! [`PolicyObservation::rail_voltage`],
+//! [`PolicyObservation::full_voltage`] and
+//! [`PolicyObservation::harvest_power`] — are methods computed when a
+//! policy calls them, so a policy that reads none of them (the default
+//! [`StaticAnnotation`] among them) adds no power-system work to a step.
+//! Policy-internal state lives in non-volatile cells
 //! ([`NvVar`]) with the same commit/abort discipline as application
 //! state: the simulator commits the policy immediately after a decision
 //! is taken (a commit-equivalent point, like [`RuntimeState`] mutations)
@@ -41,11 +47,13 @@
 //! per-policy [`RunSummary`] deltas (event completions, charge time,
 //! reactivity) against any baseline.
 
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use capy_intermittent::nv::NvVar;
 use capy_intermittent::task::TaskId;
 use capy_power::harvester::Harvester;
+use capy_power::system::PowerSystem;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 
 use crate::annotation::TaskEnergy;
@@ -57,9 +65,33 @@ use crate::runtime::RuntimeState;
 use crate::sim::{SimContext, SimEvent, Simulator};
 use crate::sweep::{run_sweep_on, AxisValue, RunSummary, SweepPoint, SweepReport, SweepSpec};
 
+/// The power-system readings behind [`PolicyObservation`]'s methods,
+/// taken at the decision instant. The simulator lends its own
+/// [`PowerSystem`].
+pub(crate) trait RailProbe {
+    fn rail_voltage(&self, now: SimTime) -> Volts;
+    fn full_voltage(&self, now: SimTime) -> Volts;
+    fn harvest_power(&self, now: SimTime) -> Watts;
+}
+
+impl<H: Harvester> RailProbe for PowerSystem<H> {
+    fn rail_voltage(&self, now: SimTime) -> Volts {
+        PowerSystem::rail_voltage(self, now)
+    }
+    fn full_voltage(&self, now: SimTime) -> Volts {
+        PowerSystem::full_voltage(self, now)
+    }
+    fn harvest_power(&self, now: SimTime) -> Watts {
+        self.harvester().power_at(now)
+    }
+}
+
 /// What a policy sees at a task boundary, immediately before the runtime
 /// plans the pending task.
-#[derive(Debug)]
+///
+/// The fields are cheap copies or borrows. The power readings are
+/// methods, computed from the power system as it stands at the decision
+/// instant each time a policy calls one.
 pub struct PolicyObservation<'a> {
     /// Current simulated time.
     pub now: SimTime,
@@ -72,13 +104,8 @@ pub struct PolicyObservation<'a> {
     /// The full recorded timeline so far — the event backlog. Policies
     /// keep a non-volatile cursor into it rather than re-scanning.
     pub events: &'a [SimEvent],
-    /// Rail voltage right now (the charge level).
-    pub rail_voltage: Volts,
-    /// The voltage a full charge of the current configuration reaches.
-    pub full_voltage: Volts,
-    /// Instantaneous harvested power (the measurement an ADC on the
-    /// harvesting front-end would provide).
-    pub harvest_power: Watts,
+    /// The power system the readings come from.
+    pub(crate) rail: &'a dyn RailProbe,
     /// Number of registered energy modes.
     pub mode_count: usize,
     /// How many banks the degradation self-test has taken out of service
@@ -86,6 +113,41 @@ pub struct PolicyObservation<'a> {
     /// policy the mode table has been remapped and every tier offers less
     /// capacity than its design-time spec.
     pub failed_banks: usize,
+}
+
+impl PolicyObservation<'_> {
+    /// Rail voltage right now (the charge level).
+    #[must_use]
+    pub fn rail_voltage(&self) -> Volts {
+        self.rail.rail_voltage(self.now)
+    }
+
+    /// The voltage a full charge of the current configuration reaches.
+    #[must_use]
+    pub fn full_voltage(&self) -> Volts {
+        self.rail.full_voltage(self.now)
+    }
+
+    /// Instantaneous harvested power (the measurement an ADC on the
+    /// harvesting front-end would provide).
+    #[must_use]
+    pub fn harvest_power(&self) -> Watts {
+        self.rail.harvest_power(self.now)
+    }
+}
+
+impl fmt::Debug for PolicyObservation<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PolicyObservation")
+            .field("now", &self.now)
+            .field("task", &self.task)
+            .field("needs_charge", &self.needs_charge)
+            .field("state", &self.state)
+            .field("events", &self.events)
+            .field("mode_count", &self.mode_count)
+            .field("failed_banks", &self.failed_banks)
+            .finish_non_exhaustive()
+    }
 }
 
 /// An online reconfiguration policy.
@@ -373,7 +435,7 @@ impl ReconfigPolicy for EwmaAdaptive {
     }
 
     fn decide(&mut self, obs: &PolicyObservation<'_>, annotation: TaskEnergy) -> TaskEnergy {
-        let sample = obs.harvest_power.get();
+        let sample = obs.harvest_power().get();
         let ewma = match self.ewma.get() {
             Some(prev) => self.alpha * sample + (1.0 - self.alpha) * prev,
             None => sample,
@@ -1001,10 +1063,29 @@ mod tests {
     const M0: EnergyMode = EnergyMode(0);
     const M1: EnergyMode = EnergyMode(1);
 
+    /// Fixed readings: a 2.0 V rail under a 2.8 V ceiling, harvesting
+    /// the given power.
+    struct FixedRail(Watts);
+
+    /// A weak 100 µW source.
+    const WEAK: FixedRail = FixedRail(Watts::new(100e-6));
+
+    impl RailProbe for FixedRail {
+        fn rail_voltage(&self, _now: SimTime) -> Volts {
+            Volts::new(2.0)
+        }
+        fn full_voltage(&self, _now: SimTime) -> Volts {
+            Volts::new(2.8)
+        }
+        fn harvest_power(&self, _now: SimTime) -> Watts {
+            self.0
+        }
+    }
+
     fn obs<'a>(
         state: &'a RuntimeState,
         events: &'a [SimEvent],
-        harvest_uw: f64,
+        rail: &'a FixedRail,
     ) -> PolicyObservation<'a> {
         PolicyObservation {
             now: SimTime::from_secs(1),
@@ -1012,9 +1093,7 @@ mod tests {
             needs_charge: false,
             state,
             events,
-            rail_voltage: Volts::new(2.0),
-            full_voltage: Volts::new(2.8),
-            harvest_power: Watts::from_micro(harvest_uw),
+            rail,
             mode_count: 2,
             failed_banks: state.failed_banks().len(),
         }
@@ -1043,7 +1122,7 @@ mod tests {
                 exec: M0,
             },
         ] {
-            assert_eq!(p.decide(&obs(&state, &[], 100.0), a), a);
+            assert_eq!(p.decide(&obs(&state, &[], &WEAK), a), a);
         }
         p.commit();
         p.abort();
@@ -1053,7 +1132,7 @@ mod tests {
     fn pinned_overrides_capacity_annotations_only() {
         let state = RuntimeState::new(2);
         let mut p = Pinned::new(M1);
-        let o = obs(&state, &[], 100.0);
+        let o = obs(&state, &[], &WEAK);
         assert_eq!(
             p.decide(&o, TaskEnergy::Unannotated),
             TaskEnergy::Config(M1)
@@ -1084,7 +1163,7 @@ mod tests {
 
         // A slow on-path charge sheds a tier.
         let events = [charge_event(0, 60)];
-        let d = p.decide(&obs(&state, &events, 100.0), TaskEnergy::Config(M1));
+        let d = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
         p.commit();
         assert_eq!(d, TaskEnergy::Config(M0));
         assert_eq!(p.tier(), 0);
@@ -1095,7 +1174,7 @@ mod tests {
             charge_event(61, 62),
             charge_event(63, 64),
         ];
-        let d = p.decide(&obs(&state, &events, 100.0), TaskEnergy::Config(M1));
+        let d = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
         p.commit();
         assert_eq!(d, TaskEnergy::Config(M1));
         assert_eq!(p.tier(), 1);
@@ -1106,11 +1185,11 @@ mod tests {
         let state = RuntimeState::new(2);
         let mut p = ReactiveDownsize::new(vec![M0, M1], SimDuration::from_secs(10));
         let events = [charge_event(0, 60)];
-        let first = p.decide(&obs(&state, &events, 100.0), TaskEnergy::Config(M1));
+        let first = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
         p.abort(); // power failed before the decision took effect
         assert_eq!(p.tier(), 1, "aborted decision must not publish");
         // Re-deciding from the same observation reproduces the decision.
-        let second = p.decide(&obs(&state, &events, 100.0), TaskEnergy::Config(M1));
+        let second = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
         assert_eq!(first, second);
     }
 
@@ -1119,13 +1198,16 @@ mod tests {
         let state = RuntimeState::new(2);
         let mut p = EwmaAdaptive::new(vec![M0, M1], vec![Watts::from_micro(1_000.0)], 0.5);
         // Weak harvest: smallest tier.
-        let d = p.decide(&obs(&state, &[], 100.0), TaskEnergy::Unannotated);
+        let d = p.decide(&obs(&state, &[], &WEAK), TaskEnergy::Unannotated);
         p.commit();
         assert_eq!(d, TaskEnergy::Config(M0));
         // Strong harvest pulls the average over the threshold.
         let mut last = d;
         for _ in 0..8 {
-            last = p.decide(&obs(&state, &[], 10_000.0), TaskEnergy::Unannotated);
+            last = p.decide(
+                &obs(&state, &[], &FixedRail(Watts::from_micro(10_000.0))),
+                TaskEnergy::Unannotated,
+            );
             p.commit();
         }
         assert_eq!(last, TaskEnergy::Config(M1));
@@ -1136,7 +1218,10 @@ mod tests {
     fn ewma_abort_discards_the_sample() {
         let state = RuntimeState::new(2);
         let mut p = EwmaAdaptive::new(vec![M0, M1], vec![Watts::from_micro(1_000.0)], 0.5);
-        let _ = p.decide(&obs(&state, &[], 50_000.0), TaskEnergy::Unannotated);
+        let _ = p.decide(
+            &obs(&state, &[], &FixedRail(Watts::from_micro(50_000.0))),
+            TaskEnergy::Unannotated,
+        );
         p.abort();
         assert_eq!(p.average(), None, "aborted sample must not publish");
     }
@@ -1148,7 +1233,7 @@ mod tests {
         assert_eq!(o.len(), 2);
         assert!(!o.is_empty());
         assert_eq!(o.source(), "best");
-        let ob = obs(&state, &[], 100.0);
+        let ob = obs(&state, &[], &WEAK);
         assert_eq!(
             o.decide(&ob, TaskEnergy::Unannotated),
             TaskEnergy::Config(M1)
@@ -1170,7 +1255,7 @@ mod tests {
     fn oracle_cursor_survives_abort() {
         let state = RuntimeState::new(2);
         let mut o = Oracle::new(vec![TaskEnergy::Config(M1), TaskEnergy::Config(M0)], "best");
-        let ob = obs(&state, &[], 100.0);
+        let ob = obs(&state, &[], &WEAK);
         let first = o.decide(&ob, TaskEnergy::Unannotated);
         o.abort();
         // The un-committed cursor advance rolls back: same decision again.
@@ -1181,7 +1266,7 @@ mod tests {
     fn recorder_logs_committed_decisions_only() {
         let state = RuntimeState::new(2);
         let (mut r, log) = Recorder::new(Pinned::new(M1));
-        let ob = obs(&state, &[], 100.0);
+        let ob = obs(&state, &[], &WEAK);
         let _ = r.decide(&ob, TaskEnergy::Unannotated);
         r.abort();
         assert!(

@@ -396,9 +396,7 @@ pub struct Simulator<H, C> {
     degradation: bool,
     consecutive_failures: u32,
     /// The reconfiguration policy consulted at every task boundary.
-    /// `None` only transiently while a decision is in flight (the policy
-    /// is taken out so it can observe the simulator it belongs to).
-    policy: Option<Box<dyn ReconfigPolicy>>,
+    policy: Box<dyn ReconfigPolicy>,
     /// Reusable scratch buffer for `plan_into`, so the hot step loop does
     /// not allocate a fresh step vector per task attempt.
     plan_buf: Vec<Step>,
@@ -590,9 +588,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// [`SimulatorBuilder::policy`]).
     #[must_use]
     pub fn policy(&self) -> &dyn ReconfigPolicy {
-        self.policy
-            .as_deref()
-            .expect("policy present outside decisions")
+        &*self.policy
     }
 
     /// Enables or disables the graceful-degradation runtime (normally set
@@ -629,11 +625,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
             trace: self.trace.clone(),
             consecutive_failures: self.consecutive_failures,
             degradation: self.degradation,
-            policy: self
-                .policy
-                .as_ref()
-                .expect("policy present outside decisions")
-                .clone_box(),
+            policy: self.policy.clone_box(),
         }
     }
 
@@ -666,7 +658,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         self.trace = snap.trace.clone();
         self.consecutive_failures = snap.consecutive_failures;
         self.degradation = snap.degradation;
-        self.policy = Some(snap.policy.clone_box());
+        self.policy = snap.policy.clone_box();
     }
 
     /// Runs steps until `end` (simulated), the application stops, or the
@@ -1015,27 +1007,21 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// (like [`RuntimeState`] mutations), so the policy's non-volatile
     /// state commits as soon as the decision is taken.
     fn decide_energy(&mut self, task: TaskId, annotation: TaskEnergy) -> TaskEnergy {
-        let mut policy = self
-            .policy
-            .take()
-            .expect("policy present outside decisions");
-        let decided = {
-            let obs = PolicyObservation {
-                now: self.now,
-                task,
-                needs_charge: self.needs_charge,
-                state: &self.state,
-                events: &self.events,
-                rail_voltage: self.power.rail_voltage(self.now),
-                full_voltage: self.power.full_voltage(self.now),
-                harvest_power: self.power.harvester().power_at(self.now),
-                mode_count: self.modes.len(),
-                failed_banks: self.state.failed_banks().len(),
-            };
-            policy.decide(&obs, annotation)
+        // The observation borrows the fields the policy reads, disjoint
+        // from the policy itself; the power readings are computed only if
+        // the policy asks for them.
+        let obs = PolicyObservation {
+            now: self.now,
+            task,
+            needs_charge: self.needs_charge,
+            state: &self.state,
+            events: &self.events,
+            rail: &self.power,
+            mode_count: self.modes.len(),
+            failed_banks: self.state.failed_banks().len(),
         };
-        policy.commit();
-        self.policy = Some(policy);
+        let decided = self.policy.decide(&obs, annotation);
+        self.policy.commit();
         for mode in [decided.exec_mode(), decided.precharge_mode()]
             .into_iter()
             .flatten()
@@ -1059,9 +1045,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         // commit-equivalent point is discarded, exactly like application
         // NV state. (The engine commits decisions immediately, so this
         // matters for policies that stage across calls.)
-        if let Some(policy) = self.policy.as_mut() {
-            policy.abort();
-        }
+        self.policy.abort();
         self.on = false;
         self.needs_charge = true;
         self.events
@@ -1118,9 +1102,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         if self.machine.is_stopped() || self.stalled {
             return;
         }
-        if let Some(policy) = self.policy.as_mut() {
-            policy.abort();
-        }
+        self.policy.abort();
         self.ctx.abort_all();
         self.power.blackout(self.now);
         self.on = false;
@@ -1378,7 +1360,7 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
             harvest_during_operation: self.harvest_during_operation,
             degradation: self.degradation,
             consecutive_failures: 0,
-            policy: Some(self.policy.unwrap_or_else(|| Box::new(StaticAnnotation))),
+            policy: self.policy.unwrap_or_else(|| Box::new(StaticAnnotation)),
             plan_buf: Vec::with_capacity(4),
         })
     }
@@ -2304,5 +2286,126 @@ mod tests {
             aborts.load(Ordering::Relaxed) as usize >= brownouts,
             "policy.abort must run on each sleep brown-out"
         );
+    }
+
+    #[test]
+    fn observation_readings_match_the_power_system_at_the_decision_instant() {
+        use crate::fleet::{FleetHarvester, SharedEnvironment};
+        use std::sync::{Arc, Mutex};
+
+        type Reading = (SimTime, Volts, Volts, Watts);
+
+        /// Passes annotations through, recording what the three lazy
+        /// readings return at each decision.
+        struct ReadingRecorder(Arc<Mutex<Vec<Reading>>>);
+
+        impl ReconfigPolicy for ReadingRecorder {
+            fn name(&self) -> &'static str {
+                "reading-recorder"
+            }
+            fn decide(
+                &mut self,
+                obs: &PolicyObservation<'_>,
+                annotation: TaskEnergy,
+            ) -> TaskEnergy {
+                self.0.lock().unwrap().push((
+                    obs.now,
+                    obs.rail_voltage(),
+                    obs.full_voltage(),
+                    obs.harvest_power(),
+                ));
+                annotation
+            }
+            fn commit(&mut self) {}
+            fn abort(&mut self) {}
+            fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
+                Box::new(ReadingRecorder(Arc::clone(&self.0)))
+            }
+        }
+
+        // A one-minute orbit, 60% lit, with correlated 30% harvest dips.
+        let env = SharedEnvironment::orbital(SimDuration::from_secs(60), 0.6).with_dips(
+            3,
+            8,
+            SimDuration::from_secs(30),
+            SimDuration::from_secs(10),
+            0.3,
+        );
+        let full_sun = Watts::from_milli(10.0);
+        let harvester = FleetHarvester::new(
+            ConstantHarvester::new(full_sun, Volts::new(3.0)),
+            1.0,
+            env,
+            0.25,
+        );
+        let power = PowerSystem::builder()
+            .harvester(harvester)
+            .bank(
+                Bank::builder("small")
+                    .with(parts::ceramic_x5r_400uf())
+                    .build(),
+                SwitchKind::NormallyClosed,
+            )
+            .bank(
+                Bank::builder("big").with(parts::edlc_7_5mf()).build(),
+                SwitchKind::NormallyOpen,
+            )
+            .build();
+        let readings = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Simulator::builder(Variant::CapyR, power, Mcu::msp430fr5969())
+            .mode("small", &[BankId(0)])
+            .mode("big", &[BankId(1)])
+            .task(
+                "sample",
+                TaskEnergy::Config(EnergyMode(0)),
+                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                |c: &mut Counter| {
+                    c.n.update(|x| x + 1);
+                    Transition::To(TaskId(1))
+                },
+            )
+            .task(
+                "send",
+                TaskEnergy::Config(EnergyMode(1)),
+                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(50))),
+                |_| Transition::To(TaskId(0)),
+            )
+            .policy(Box::new(ReadingRecorder(Arc::clone(&readings))))
+            .build(counter());
+
+        // The decision is the first thing a step does, so the power
+        // system just before `step` is the one the policy observes.
+        let mut expected = Vec::new();
+        while sim.now() < SimTime::from_secs(300) {
+            let (now, power) = (sim.now(), sim.power());
+            expected.push((
+                now,
+                power.rail_voltage(now),
+                power.full_voltage(now),
+                power.harvester().power_at(now),
+            ));
+            assert_eq!(sim.step(), StepResult::Progress);
+        }
+        let readings = readings.lock().unwrap();
+        assert_eq!(readings.len(), expected.len(), "one reading per decision");
+        let bits = |r: &Reading| {
+            (
+                r.0,
+                r.1.get().to_bits(),
+                r.2.get().to_bits(),
+                r.3.get().to_bits(),
+            )
+        };
+        for (got, want) in readings.iter().zip(&expected) {
+            assert_eq!(bits(got), bits(want), "reading at {}", want.0);
+        }
+        // The decisions saw eclipse, a dip and full sun.
+        let harvest = |pred: fn(Watts, Watts) -> bool| expected.iter().any(|r| pred(r.3, full_sun));
+        assert!(harvest(|w, _| w == Watts::ZERO), "no decision in eclipse");
+        assert!(
+            harvest(|w, sun| w > Watts::ZERO && w < sun),
+            "no decision in a dip"
+        );
+        assert!(harvest(|w, sun| w == sun), "no decision in full sun");
     }
 }

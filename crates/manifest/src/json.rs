@@ -195,16 +195,24 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. Every artifact
+/// this workspace writes nests at most 4 deep; the bound exists so that
+/// adversarial input gets a [`JsonError`] instead of overflowing the
+/// recursive reader's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with line/column on any syntax violation.
+/// Returns a [`JsonError`] with line/column on any syntax violation, and
+/// on arrays or objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -218,6 +226,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -260,8 +270,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -270,6 +280,21 @@ impl Parser<'_> {
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -439,6 +464,25 @@ mod tests {
         let err = parse("{\n  \"a\": 1,\n  \"b\" 2\n}").expect_err("missing colon");
         assert_eq!(err.line, 3);
         assert!(err.message.contains("':'"), "{err}");
+    }
+
+    #[test]
+    fn rejects_arrays_nested_past_the_depth_bound() {
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let deep = 200_000;
+        let text = format!("{}{}", "[".repeat(deep), "]".repeat(deep));
+        let err = parse(&text).expect_err("too deep");
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.column, MAX_DEPTH + 1, "{err}");
+    }
+
+    #[test]
+    fn rejects_objects_nested_past_the_depth_bound() {
+        let nest = |n: usize| format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -900,6 +900,7 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                     }
                     "mix" => {
                         let mut templates: Vec<(String, u64)> = Vec::new();
+                        let mut total = 0u64;
                         for word in parse_list(value) {
                             let Some((task, count)) = word.split_once(':') else {
                                 return Err(bad_value(
@@ -926,6 +927,14 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                                     name: task.to_string(),
                                 });
                             }
+                            total = total.checked_add(count).ok_or_else(|| {
+                                bad_value(
+                                    line,
+                                    key,
+                                    value,
+                                    "template counts whose total fits in a 64-bit device count",
+                                )
+                            })?;
                             refs.push(NameRef {
                                 line,
                                 field: "mix",
@@ -1179,6 +1188,7 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                     ));
                 }
                 (Some((_, devices)), None) => (devices, Vec::new()),
+                // The parser checked that the counts sum without overflow.
                 (None, Some((_, mix))) => (mix.iter().map(|(_, n)| n).sum(), mix),
                 (None, None) => return Err(missing("fleet", "devices (or mix)")),
             };

@@ -46,6 +46,55 @@ pub struct Bank {
     cap_derate: f64,
     /// ESR growth factor (1.0 = as-built, 2.0 = doubled ESR).
     esr_scale: f64,
+    /// The electrical constants the kernel reads on every operation.
+    constants: BankConstants,
+}
+
+/// A bank's derived electrical constants. They are a pure function of
+/// the member specs (fixed at build) and the derating factors (changed
+/// only by [`Bank::set_derating`]), so they are stored rather than
+/// re-summed over the members on every kernel operation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BankConstants {
+    capacitance: Farads,
+    esr: Ohms,
+    leakage: Amps,
+    rated_voltage: Volts,
+}
+
+impl BankConstants {
+    /// Computes the constants from `members` under the given derating,
+    /// summing in member order.
+    fn derive(members: &[CapacitorSpec], cap_derate: f64, esr_scale: f64) -> Self {
+        let nominal: Farads = members.iter().map(CapacitorSpec::capacitance).sum();
+        Self {
+            capacitance: Farads::new(nominal.get() * cap_derate),
+            esr: scaled_parallel_esr(members, esr_scale),
+            leakage: members.iter().map(CapacitorSpec::leakage).sum(),
+            rated_voltage: members
+                .iter()
+                .map(CapacitorSpec::rated_voltage)
+                .fold(Volts::new(f64::INFINITY), Volts::min),
+        }
+    }
+}
+
+/// `esr_scale ×` the parallel ESR of `members` (`1/R = Σ 1/Rᵢ`). Members
+/// with zero ESR short the combination to zero.
+fn scaled_parallel_esr(members: &[CapacitorSpec], esr_scale: f64) -> Ohms {
+    let mut inv = 0.0f64;
+    for m in members {
+        let r = m.esr().get();
+        if r <= 0.0 {
+            return Ohms::ZERO;
+        }
+        inv += 1.0 / r;
+    }
+    if inv == 0.0 {
+        Ohms::ZERO
+    } else {
+        Ohms::new(esr_scale / inv)
+    }
 }
 
 impl Bank {
@@ -73,7 +122,7 @@ impl Bank {
     /// Total parallel capacitance, after any wear/fault derating.
     #[must_use]
     pub fn capacitance(&self) -> Farads {
-        Farads::new(self.nominal_capacitance().get() * self.cap_derate)
+        self.constants.capacitance
     }
 
     /// Total parallel capacitance as built, before derating — the design
@@ -88,19 +137,7 @@ impl Bank {
     /// zero.
     #[must_use]
     pub fn esr(&self) -> Ohms {
-        let mut inv = 0.0f64;
-        for m in &self.members {
-            let r = m.esr().get();
-            if r <= 0.0 {
-                return Ohms::ZERO;
-            }
-            inv += 1.0 / r;
-        }
-        if inv == 0.0 {
-            Ohms::ZERO
-        } else {
-            Ohms::new(self.esr_scale / inv)
-        }
+        self.constants.esr
     }
 
     /// Applies a wear/fault derating: effective capacitance becomes
@@ -112,6 +149,7 @@ impl Bank {
         let q = self.charge();
         self.cap_derate = cap_derate.clamp(0.0, 1.0);
         self.esr_scale = esr_scale.max(1.0);
+        self.constants = BankConstants::derive(&self.members, self.cap_derate, self.esr_scale);
         let c = self.capacitance().get();
         if c > 0.0 {
             self.set_voltage(Volts::new(q / c));
@@ -129,16 +167,13 @@ impl Bank {
     /// Total leakage current.
     #[must_use]
     pub fn leakage(&self) -> Amps {
-        self.members.iter().map(CapacitorSpec::leakage).sum()
+        self.constants.leakage
     }
 
     /// The lowest member voltage rating — the bank's safe charging limit.
     #[must_use]
     pub fn rated_voltage(&self) -> Volts {
-        self.members
-            .iter()
-            .map(CapacitorSpec::rated_voltage)
-            .fold(Volts::new(f64::INFINITY), Volts::min)
+        self.constants.rated_voltage
     }
 
     /// Total board volume in mm³.
@@ -234,6 +269,7 @@ impl BankBuilder {
         );
         Bank {
             name: self.name,
+            constants: BankConstants::derive(&self.members, 1.0, 1.0),
             members: self.members,
             state: CapacitorState::empty(),
             cap_derate: 1.0,
@@ -371,6 +407,132 @@ mod tests {
         // Fully dead bank: no capacitance, no stored charge.
         assert_eq!(bank.capacitance().get(), 0.0);
         assert_eq!(bank.voltage(), Volts::ZERO);
+    }
+
+    /// Asserts that the stored constants equal a recomputation from
+    /// `members()` and `derating()`, bit for bit, summing in member order
+    /// exactly as the accessors did before the constants were stored.
+    fn assert_constants_fresh(bank: &Bank) {
+        let (cap_derate, esr_scale) = bank.derating();
+        let members = bank.members();
+        let nominal: Farads = members.iter().map(CapacitorSpec::capacitance).sum();
+        let mut inv = 0.0f64;
+        let mut shorted = false;
+        for m in members {
+            let r = m.esr().get();
+            if r <= 0.0 {
+                shorted = true;
+                break;
+            }
+            inv += 1.0 / r;
+        }
+        let esr = if shorted || inv == 0.0 {
+            0.0
+        } else {
+            esr_scale / inv
+        };
+        let leakage: Amps = members.iter().map(CapacitorSpec::leakage).sum();
+        let rated = members
+            .iter()
+            .map(CapacitorSpec::rated_voltage)
+            .fold(Volts::new(f64::INFINITY), Volts::min);
+        let pairs = [
+            (
+                "capacitance",
+                bank.capacitance().get(),
+                nominal.get() * cap_derate,
+            ),
+            ("esr", bank.esr().get(), esr),
+            ("leakage", bank.leakage().get(), leakage.get()),
+            ("rated_voltage", bank.rated_voltage().get(), rated.get()),
+        ];
+        for (what, stored, fresh) in pairs {
+            assert_eq!(
+                stored.to_bits(),
+                fresh.to_bits(),
+                "{}: stored {what} {stored} != recomputed {fresh}",
+                bank.name()
+            );
+        }
+    }
+
+    fn random_bank(rng: &mut DetRng) -> Bank {
+        let catalog = [
+            parts::ceramic_x5r_22uf,
+            parts::ceramic_x5r_100uf,
+            parts::ceramic_x5r_400uf,
+            parts::tantalum_100uf,
+            parts::tantalum_1000uf,
+            parts::edlc_cph3225a,
+            parts::edlc_7_5mf,
+            parts::edlc_22_5mf,
+        ];
+        let mut builder = Bank::builder("random");
+        for _ in 0..rng.gen_range(1..4usize) {
+            let part = catalog[rng.gen_range(0..catalog.len())]();
+            builder = builder.with_n(part, rng.gen_range(1..4usize));
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn prop_stored_constants_track_every_derating_route() {
+        use crate::harvester::ConstantHarvester;
+        use crate::lifetime::WearModel;
+        use crate::switch::SwitchKind;
+        use crate::system::{HardwareFault, PowerSystem};
+        use capy_units::{SimTime, Watts};
+
+        let mut rng = DetRng::seed_from_u64(0xc0457);
+        let mut worn = 0;
+        for _ in 0..64 {
+            // Build, then `set_derating` directly (out-of-range factors
+            // exercise its clamps).
+            let mut bank = random_bank(&mut rng);
+            assert_constants_fresh(&bank);
+            bank.set_voltage(Volts::new(rng.gen_range(0.0..3.3)));
+            bank.set_derating(rng.gen_range(-0.2..1.2), rng.gen_range(0.5..3.0));
+            assert_constants_fresh(&bank);
+
+            // The power-system routes: wear carried into a leg, the wear
+            // model inside `charge_until`, and an injected fault.
+            let mut sys = PowerSystem::builder()
+                .harvester(ConstantHarvester::new(
+                    Watts::from_milli(10.0),
+                    Volts::new(3.0),
+                ))
+                .bank(random_bank(&mut rng), SwitchKind::NormallyClosed)
+                .bank(random_bank(&mut rng), SwitchKind::NormallyClosed)
+                .build();
+            let check = |sys: &PowerSystem<ConstantHarvester>| {
+                for i in 0..sys.bank_count() {
+                    assert_constants_fresh(sys.bank(BankId(i)).expect("in range"));
+                }
+            };
+            sys.set_wear_model(Some(WearModel::prototype()));
+            sys.seed_wear(&[rng.gen_range(0..400_000u64), rng.gen_range(0..400_000u64)]);
+            check(&sys);
+            let before: Vec<_> = (0..2)
+                .map(|i| sys.bank(BankId(i)).expect("in range").derating())
+                .collect();
+            let mut now = SimTime::ZERO;
+            sys.charge_until_full(&mut now).expect("charges");
+            check(&sys);
+            worn += (0..2)
+                .filter(|&i| sys.bank(BankId(i)).expect("in range").derating() != before[i])
+                .count();
+            let fault = HardwareFault::BankDegraded {
+                bank: BankId(rng.gen_range(0..2usize)),
+                cap_derate: rng.gen_range(0.0..1.0),
+                esr_scale: rng.gen_range(1.0..4.0),
+            };
+            sys.inject_fault(fault, now).expect("bank in range");
+            check(&sys);
+        }
+        assert!(
+            worn > 0,
+            "the charge_until wear route never moved a derating"
+        );
     }
 
     #[test]

@@ -227,8 +227,12 @@ pub struct PowerSystem<H> {
     output_booster: OutputBooster,
     banks: Vec<Slot>,
     /// Cached closed set used to detect implicit reconfiguration (latch
-    /// decay) between operations.
+    /// decay) between operations. It holds the switch states at
+    /// `synced_at`, and kernel work at that instant reads it instead of
+    /// re-evaluating every latch.
     closed_cache: Vec<bool>,
+    /// The instant of the last [`PowerSystem::sync`].
+    synced_at: SimTime,
     /// Cumulative energy delivered to loads, for efficiency accounting.
     delivered: Joules,
     /// Faults scheduled to strike at a future instant; applied (and
@@ -460,25 +464,13 @@ impl<H: Harvester> PowerSystem<H> {
     /// Total capacitance currently on the rail.
     #[must_use]
     pub fn rail_capacitance(&self, now: SimTime) -> Farads {
-        self.closed_slots(now).map(|s| s.bank.capacitance()).sum()
+        capacitance_of(self.closed_slots(now))
     }
 
     /// Combined ESR of the rail (parallel combination of closed banks).
     #[must_use]
     pub fn rail_esr(&self, now: SimTime) -> Ohms {
-        let mut inv = 0.0;
-        for s in self.closed_slots(now) {
-            let r = s.bank.esr().get();
-            if r <= 0.0 {
-                return Ohms::ZERO;
-            }
-            inv += 1.0 / r;
-        }
-        if inv == 0.0 {
-            Ohms::ZERO
-        } else {
-            Ohms::new(1.0 / inv)
-        }
+        esr_of(self.closed_slots(now))
     }
 
     /// The shared rail voltage (zero when no bank is connected).
@@ -487,20 +479,14 @@ impl<H: Harvester> PowerSystem<H> {
     /// at `now` so the closed set is equalized.
     #[must_use]
     pub fn rail_voltage(&self, now: SimTime) -> Volts {
-        self.closed_slots(now)
-            .map(|s| s.bank.voltage())
-            .fold(Volts::ZERO, Volts::max)
+        voltage_of(self.closed_slots(now))
     }
 
     /// The "full" voltage for the current configuration: the limiter clamp
     /// or the weakest connected bank rating, whichever is lower.
     #[must_use]
     pub fn full_voltage(&self, now: SimTime) -> Volts {
-        let rated = self
-            .closed_slots(now)
-            .map(|s| s.bank.rated_voltage())
-            .fold(Volts::new(f64::INFINITY), Volts::min);
-        self.limiter.clamp().min(rated)
+        self.limiter.clamp().min(rating_of(self.closed_slots(now)))
     }
 
     /// Total leakage of the connected banks.
@@ -554,6 +540,7 @@ impl<H: Harvester> PowerSystem<H> {
         if changed {
             self.rail_derived = None;
         }
+        self.synced_at = now;
         self.equalize(now);
     }
 
@@ -578,16 +565,16 @@ impl<H: Harvester> PowerSystem<H> {
         now: &mut SimTime,
     ) -> Result<ChargeOutcome, PowerError> {
         self.sync(*now);
-        if !self.banks.iter().any(|s| s.switch.state(*now).is_closed()) {
+        if !self.closed_cache.contains(&true) {
             return Err(PowerError::NoActiveBank);
         }
         let start = *now;
-        let target = target.min(self.full_voltage(*now));
+        let target = target.min(self.synced_full_voltage(*now));
         // Wear accounting: recharging a deeply-discharged bank completes
         // one charge-discharge cycle (relevant to EDLC lifetime, §5.2).
-        if self.rail_voltage(*now) < target * 0.6 {
+        if self.synced_rail_voltage(*now) < target * 0.6 {
             let wear_model = self.wear_model;
-            for bank in self.closed_slots_mut_at(*now) {
+            for bank in self.synced_banks_mut(*now) {
                 if bank.voltage() < target * 0.6 {
                     bank.record_cycle();
                     // Wear is physics, not bookkeeping: each deep cycle
@@ -605,7 +592,7 @@ impl<H: Harvester> PowerSystem<H> {
         // a handful.
         for _ in 0..100_000 {
             self.sync(*now);
-            let v = self.rail_voltage(*now);
+            let v = self.synced_rail_voltage(*now);
             if v >= target {
                 return Ok(ChargeOutcome::Reached(*now - start));
             }
@@ -683,7 +670,7 @@ impl<H: Harvester> PowerSystem<H> {
     pub fn charge_until_full(&mut self, now: &mut SimTime) -> Result<SimDuration, PowerError> {
         let target = {
             self.sync(*now);
-            self.full_voltage(*now)
+            self.synced_full_voltage(*now)
         };
         match self.charge_until(target, now)? {
             ChargeOutcome::Reached(d) => Ok(d),
@@ -707,7 +694,7 @@ impl<H: Harvester> PowerSystem<H> {
             return DrawOutcome::Failed(SimDuration::ZERO);
         }
         let esr = derived.esr;
-        let v0 = self.rail_voltage(*now);
+        let v0 = self.synced_rail_voltage(*now);
         let p_in = self.output_booster.input_power_for(load);
         let v_min = self.output_booster.min_operating_voltage();
 
@@ -743,7 +730,7 @@ impl<H: Harvester> PowerSystem<H> {
             return DrawOutcome::Failed(SimDuration::ZERO);
         }
         let esr = derived.esr;
-        let v0 = self.rail_voltage(*now);
+        let v0 = self.synced_rail_voltage(*now);
         let p_load = self.output_booster.input_power_for(load);
         let p_raw = self.harvester.power_at(*now);
         let hv = self.harvester.open_voltage(*now);
@@ -794,7 +781,7 @@ impl<H: Harvester> PowerSystem<H> {
     /// interesting for a reconfigurable array.
     pub fn blackout(&mut self, now: SimTime) {
         self.sync(now);
-        for bank in self.closed_slots_mut_at(now) {
+        for bank in self.synced_banks_mut(now) {
             bank.set_voltage(Volts::ZERO);
         }
     }
@@ -823,17 +810,50 @@ impl<H: Harvester> PowerSystem<H> {
         }
     }
 
+    /// The banks whose switches are closed at `now`, evaluating every
+    /// latch — for the public accessors, whose callers may pass any
+    /// instant.
     fn closed_slots(&self, now: SimTime) -> impl Iterator<Item = &Slot> {
         self.banks
             .iter()
             .filter(move |s| s.switch.state(now).is_closed())
     }
 
-    fn closed_slots_mut_at(&mut self, now: SimTime) -> impl Iterator<Item = &mut Bank> {
+    /// Kernel work reads the closed set cached by the operation's own
+    /// `sync` instead of re-evaluating every latch. That is exact only at
+    /// the synced instant: a latch may decay by any later one.
+    fn assert_synced(&self, now: SimTime) {
+        debug_assert_eq!(
+            now, self.synced_at,
+            "cached closed set read at {now}, but it was synced at {}",
+            self.synced_at
+        );
+    }
+
+    /// The banks closed at the synced instant `now`.
+    fn synced_slots(&self, now: SimTime) -> impl Iterator<Item = &Slot> {
+        self.assert_synced(now);
+        self.banks
+            .iter()
+            .zip(&self.closed_cache)
+            .filter_map(|(s, &closed)| closed.then_some(s))
+    }
+
+    /// Mutable access to the banks closed at the synced instant `now`.
+    fn synced_banks_mut(&mut self, now: SimTime) -> impl Iterator<Item = &mut Bank> {
+        self.assert_synced(now);
         self.banks
             .iter_mut()
-            .filter(move |s| s.switch.state(now).is_closed())
-            .map(|s| &mut s.bank)
+            .zip(&self.closed_cache)
+            .filter_map(|(s, &closed)| closed.then_some(&mut s.bank))
+    }
+
+    fn synced_rail_voltage(&self, now: SimTime) -> Volts {
+        voltage_of(self.synced_slots(now))
+    }
+
+    fn synced_full_voltage(&self, now: SimTime) -> Volts {
+        self.limiter.clamp().min(rating_of(self.synced_slots(now)))
     }
 
     fn equalize(&mut self, now: SimTime) {
@@ -844,7 +864,7 @@ impl<H: Harvester> PowerSystem<H> {
         let mut count = 0usize;
         let mut v_first = Volts::ZERO;
         let mut uniform = true;
-        for s in self.closed_slots(now) {
+        for s in self.synced_slots(now) {
             if count == 0 {
                 v_first = s.bank.voltage();
             } else if s.bank.voltage() != v_first {
@@ -858,29 +878,30 @@ impl<H: Harvester> PowerSystem<H> {
         // `share_charge` semantics, allocation-free: total charge over
         // total capacitance across the closed set, in bank order.
         let total_c: f64 = self
-            .closed_slots(now)
+            .synced_slots(now)
             .map(|s| s.bank.capacitance().get())
             .sum();
         let v = if total_c <= 0.0 {
             Volts::ZERO
         } else {
-            let total_q: f64 = self.closed_slots(now).map(|s| s.bank.charge()).sum();
+            let total_q: f64 = self.synced_slots(now).map(|s| s.bank.charge()).sum();
             Volts::new(total_q / total_c)
         };
-        for bank in self.closed_slots_mut_at(now) {
+        for bank in self.synced_banks_mut(now) {
             bank.set_voltage(v);
         }
     }
 
     fn set_rail_voltage(&mut self, now: SimTime, v: Volts) {
-        for bank in self.closed_slots_mut_at(now) {
+        for bank in self.synced_banks_mut(now) {
             bank.set_voltage(v);
         }
     }
 
     fn leak_open(&mut self, dt: SimDuration, now: SimTime) {
-        for slot in &mut self.banks {
-            if !slot.switch.state(now).is_closed() {
+        self.assert_synced(now);
+        for (slot, &closed) in self.banks.iter_mut().zip(&self.closed_cache) {
+            if !closed {
                 slot.bank.apply_leakage(dt);
             }
         }
@@ -910,10 +931,10 @@ impl<H: Harvester> PowerSystem<H> {
 
     fn compute_rail_derived(&self, now: SimTime) -> RailDerived {
         RailDerived {
-            capacitance: self.rail_capacitance(now),
-            esr: self.rail_esr(now),
-            leak_current: self.closed_slots(now).map(|s| s.bank.leakage().get()).sum(),
-            full_voltage: self.full_voltage(now),
+            capacitance: capacitance_of(self.synced_slots(now)),
+            esr: esr_of(self.synced_slots(now)),
+            leak_current: self.synced_slots(now).map(|s| s.bank.leakage().get()).sum(),
+            full_voltage: self.synced_full_voltage(now),
         }
     }
 
@@ -953,6 +974,43 @@ impl<H: Harvester> PowerSystem<H> {
             .min()
             .unwrap_or(SimTime::MAX)
     }
+}
+
+/// Total capacitance of a closed set.
+fn capacitance_of<'a>(closed: impl Iterator<Item = &'a Slot>) -> Farads {
+    closed.map(|s| s.bank.capacitance()).sum()
+}
+
+/// Parallel ESR of a closed set (`1/R = Σ 1/Rᵢ`); a zero-ESR bank shorts
+/// the combination to zero.
+fn esr_of<'a>(closed: impl Iterator<Item = &'a Slot>) -> Ohms {
+    let mut inv = 0.0;
+    for s in closed {
+        let r = s.bank.esr().get();
+        if r <= 0.0 {
+            return Ohms::ZERO;
+        }
+        inv += 1.0 / r;
+    }
+    if inv == 0.0 {
+        Ohms::ZERO
+    } else {
+        Ohms::new(1.0 / inv)
+    }
+}
+
+/// The shared voltage of a closed set (zero when it is empty).
+fn voltage_of<'a>(closed: impl Iterator<Item = &'a Slot>) -> Volts {
+    closed
+        .map(|s| s.bank.voltage())
+        .fold(Volts::ZERO, Volts::max)
+}
+
+/// The weakest rating in a closed set (infinite when it is empty).
+fn rating_of<'a>(closed: impl Iterator<Item = &'a Slot>) -> Volts {
+    closed
+        .map(|s| s.bank.rated_voltage())
+        .fold(Volts::new(f64::INFINITY), Volts::min)
 }
 
 impl<H: Harvester> PowerSystemBuilder<H> {
@@ -1031,6 +1089,7 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             output_booster: self.output_booster,
             banks: self.banks,
             closed_cache,
+            synced_at: SimTime::ZERO,
             delivered: Joules::ZERO,
             pending_faults: Vec::new(),
             wear_model: None,

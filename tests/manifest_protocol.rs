@@ -156,6 +156,7 @@ fn parse_emit_parse_round_trips_checked_in_manifests() {
         "manifests/temperature_alarm.capy",
         "manifests/fleet_smoke.capy",
         "manifests/fleet_trace.capy",
+        "manifests/adaptive_faults.capy",
     ] {
         let text = fs::read_to_string(repo_path(rel)).expect("checked-in manifest reads");
         let parsed = parse_manifest(&text).unwrap_or_else(|e| panic!("{rel}: {e}"));
@@ -183,6 +184,7 @@ fn batch_artifacts_identical_for_any_worker_count() {
         "manifests/quickstart.capy",
         "manifests/temperature_alarm.capy",
         "manifests/fleet_smoke.capy",
+        "manifests/adaptive_faults.capy",
     ]
     .iter()
     .map(|rel| {
@@ -228,6 +230,7 @@ fn checked_in_artifacts_match_fresh_runs() {
         "manifests/temperature_alarm",
         "manifests/fleet_smoke",
         "manifests/fleet_trace",
+        "manifests/adaptive_faults",
     ] {
         let manifest_path = repo_path(&format!("{rel}.capy"));
         let text = fs::read_to_string(&manifest_path).expect("manifest reads");
@@ -358,6 +361,21 @@ fn fleet_mix_rejects_bad_templates() {
             assert_eq!(name, "transmit");
         }
         other => panic!("expected UnknownName, got {other:?}"),
+    }
+}
+
+#[test]
+fn fleet_mix_total_overflow_is_a_bad_value() {
+    // The counts sum past u64::MAX: the device total must not wrap to a
+    // small fleet (3,071 devices here) and run.
+    let text =
+        fs::read_to_string(repo_path("tests/inputs/mix_overflow.capy")).expect("manifest reads");
+    match parse_manifest(&text).unwrap_err() {
+        ManifestError::BadValue { key, value, .. } => {
+            assert_eq!(key, "mix");
+            assert!(value.contains("18446744073709551615"), "{value}");
+        }
+        other => panic!("expected BadValue, got {other:?}"),
     }
 }
 
