@@ -2,7 +2,7 @@
 # Local CI: everything a PR must keep green.
 #
 #   ./ci.sh          run the full gate: build, tests, lints, formatting,
-#                    bench compile + end-to-end bench runs, the perf
+#                    bench compile + figure-bench goldens, the perf
 #                    trajectory artifact, and the manifests/ scenario
 #                    batch with schema-validated result.json artifacts
 #   ./ci.sh --quick  the fast inner loop: build, tests, clippy, fmt, and
@@ -85,9 +85,11 @@ run cmp manifests/fleet_trace.result.json "$CI_TMP/w1/fleet_trace.result.json"
 run cmp "$CI_TMP/w1/fleet_trace.result.json" "$CI_TMP/w8/fleet_trace.result.json"
 
 # Adversarial inputs: each must be refused with exit 3 (a typed manifest
-# or JSON error), never wrapped into a wrong run or crashed. The checked-in
-# manifest's [fleet] mix counts sum past u64::MAX; the JSON document,
-# generated here, nests 200,000 arrays deep.
+# or JSON error), never wrapped into a wrong run, run without bound, or
+# crashed. The checked-in manifests' [fleet] populations sum past
+# u64::MAX (mix_overflow) or past the 2^32-device cap (devices_over_cap,
+# mix_over_cap); the JSON document, generated here, nests 200,000 arrays
+# deep.
 expect_exit() {
     local want=$1
     shift
@@ -100,6 +102,8 @@ expect_exit() {
     fi
 }
 expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_overflow.capy
+expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/devices_over_cap.capy
+expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_over_cap.capy
 {
     head -c 200000 /dev/zero | tr '\0' '['
     head -c 200000 /dev/zero | tr '\0' ']'
@@ -118,12 +122,19 @@ run cargo run --release --example fleet -- --devices 100000
 run cargo bench --no-run --workspace
 run cargo run --release --example policy_compare -- --smoke
 run cargo run --release --example faults -- --smoke
-# The three formerly serial benches now run on the sweep engine; run
-# them end-to-end so a regression in their sweep drivers (not just a
-# compile rot) fails the gate.
-run cargo bench -p capy-bench --bench baseline_federated
-run cargo bench -p capy-bench --bench char_area
-run cargo bench -p capy-bench --bench capysat_case_study
+# Figure and ablation goldens: every bench except sim_throughput runs
+# end to end and must print its checked-in crates/bench/golden/<bench>.txt
+# exactly, apart from the `# sweep` trailer lines (wall time, worker
+# count). A bench without a golden fails the gate. A change that moves a
+# figure on purpose regenerates that bench's golden with the same pipeline.
+for src in crates/bench/benches/*.rs; do
+    bench=$(basename "$src" .rs)
+    [[ "$bench" == sim_throughput ]] && continue
+    golden=crates/bench/golden/$bench.txt
+    echo "==> cargo bench -p capy-bench --bench $bench | diff against $golden"
+    cargo bench -q -p capy-bench --bench "$bench" | grep -v '^# sweep' >"$CI_TMP/$bench.txt"
+    diff -u "$golden" "$CI_TMP/$bench.txt"
+done
 
 # Perf trajectory: the sim-kernel throughput bench must run and emit a
 # well-formed BENCH_sim_throughput.json at the repo root; the artifact

@@ -44,7 +44,7 @@ use capybara::policy::{
     PolicyComparison, ReactiveDownsize, ReconfigPolicy, Scenario, StaticAnnotation,
 };
 use capybara::sim::{SimContext, Simulator};
-use capybara::sweep::{SweepPoint, DEFAULT_BASE_SEED};
+use capybara::sweep::DEFAULT_BASE_SEED;
 use capybara::variant::Variant;
 
 /// The small (ceramic-only) energy mode — the task's static annotation.
@@ -93,13 +93,13 @@ pub fn lineup() -> Vec<NamedPolicy> {
 pub const STATIC_POLICIES: usize = 3;
 
 /// Fresh labeled policy instances for the oracle's offline first pass —
-/// the same lineup as [`lineup`], unwrapped.
+/// the same lineup as [`lineup`], unwrapped (no lineup factory reads
+/// its scenario index).
 #[must_use]
 pub fn candidates() -> Vec<(String, Box<dyn ReconfigPolicy>)> {
-    let probe = SweepPoint::probe("", &[]);
     lineup()
         .into_iter()
-        .map(|np| (np.label.to_string(), np.instantiate(&probe)))
+        .map(|np| (np.label.to_string(), np.instantiate(0)))
         .collect()
 }
 
@@ -123,8 +123,8 @@ impl SimContext for TrackerCtx {
 }
 
 /// One tracker scenario: the harvest trace's shape plus the task's work
-/// quantum. Fully encoded as sweep-point parameters so policy factories
-/// and build closures can reconstruct it inside worker threads.
+/// quantum. [`compare_policies`] hands it, unchanged, to every run of
+/// its column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerScenario {
     /// Strong-phase harvest power.
@@ -204,34 +204,6 @@ impl TrackerScenario {
         self.segments().1
     }
 
-    /// The scenario encoded as sweep-point parameters
-    /// (inverse of [`TrackerScenario::from_point`]).
-    #[must_use]
-    pub fn params(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("strong_w", self.strong.get()),
-            ("weak_w", self.weak.get()),
-            ("phase_us", self.phase.as_micros() as f64),
-            ("cycles", f64::from(self.cycles)),
-            ("work_us", self.work.as_micros() as f64),
-            ("seed", self.seed as f64),
-        ]
-    }
-
-    /// Reconstructs a scenario from a sweep point carrying
-    /// [`TrackerScenario::params`].
-    #[must_use]
-    pub fn from_point(point: &SweepPoint) -> Self {
-        Self {
-            strong: Watts::new(point.expect_param("strong_w")),
-            weak: Watts::new(point.expect_param("weak_w")),
-            phase: SimDuration::from_micros(point.expect_param("phase_us") as u64),
-            cycles: point.expect_param("cycles") as u32,
-            work: SimDuration::from_micros(point.expect_param("work_us") as u64),
-            seed: point.expect_param("seed") as u64,
-        }
-    }
-
     /// Builds the tracker simulator with `policy` installed.
     #[must_use]
     pub fn build(&self, policy: Box<dyn ReconfigPolicy>) -> Simulator<TraceHarvester, TrackerCtx> {
@@ -305,12 +277,12 @@ pub fn compare_policies(
     let oracles: Vec<Oracle> = oracle_reports.iter().map(|r| r.oracle.clone()).collect();
 
     let mut policies = lineup();
-    policies.push(NamedPolicy::new("oracle", move |point| {
-        Box::new(oracles[point.expect_axis_index("scenario")].clone())
+    policies.push(NamedPolicy::new("oracle", move |scenario| {
+        Box::new(oracles[scenario].clone())
     }));
-    let columns: Vec<Scenario> = scenarios
+    let columns: Vec<Scenario<TrackerScenario>> = scenarios
         .iter()
-        .map(|(label, sc)| Scenario::new(*label, &sc.params()).at_horizon(sc.horizon()))
+        .map(|(label, sc)| Scenario::new(*label, *sc).at_horizon(sc.horizon()))
         .collect();
     // Every column carries its own (jittered) horizon, so the spec-wide
     // default is never consulted.
@@ -321,7 +293,7 @@ pub fn compare_policies(
         &policies,
         &columns,
         workers,
-        |point, policy| TrackerScenario::from_point(point).build(policy),
+        |sc, policy| sc.build(policy),
     );
     (comparison, oracle_reports)
 }
@@ -332,11 +304,15 @@ mod tests {
     use capybara::sweep::available_workers;
 
     #[test]
-    fn scenario_round_trips_through_sweep_params() {
-        let sc = TrackerScenario::benchmark(42);
-        let params = sc.params();
-        let point = SweepPoint::probe("probe", &params);
-        assert_eq!(TrackerScenario::from_point(&point), sc);
+    fn policy_grid_runs_the_scenario_it_is_given() {
+        // A seed past 2^53 has no exact f64, so any round trip of the
+        // scenario through floating point would run a different trace.
+        let sc = TrackerScenario::benchmark((1 << 53) + 1);
+        let (cmp, _) = compare_policies(&[("big-seed", sc)], 0);
+        assert_eq!(cmp.policies[0], "static");
+        let direct = sc.run(Box::new(StaticAnnotation));
+        assert_eq!(cmp.completions(0, 0), direct.exec_stats().completions);
+        assert_eq!(cmp.summary(0, 0).end, direct.now());
         // Jitter is deterministic per seed and actually jitters.
         assert_eq!(sc.horizon(), sc.horizon());
         assert_ne!(

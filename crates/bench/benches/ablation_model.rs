@@ -34,20 +34,19 @@ fn main() {
     let spec = SweepSpec::new("ablation-model", grc::HORIZON)
         .base_seed(FIGURE_SEED)
         .axis("system", &SYSTEMS)
-        .grid("harvesting", &[0.0, 1.0]);
+        .axis("harvesting", &[false, true]);
     let events_ref = &events;
     let (report, rows) = run_sweep_on(
         &spec,
         0,
         |point| {
             let v = point.expect_axis::<Variant>("system");
-            let harvesting = point.expect_param("harvesting") > 0.5;
             grc::build_with_model(
                 v,
                 GrcVariant::Fast,
                 events_ref.clone(),
                 FIGURE_SEED,
-                harvesting,
+                point.expect_axis("harvesting"),
             )
         },
         |sim, _| {

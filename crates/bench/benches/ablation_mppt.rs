@@ -9,8 +9,8 @@
 use capy_bench::figure_header;
 use capy_power::capacitor;
 use capy_power::mppt::{harvested_power, PvCurve, Tracking};
-use capy_units::{Farads, SimDuration, SimTime, Volts};
-use capybara::sweep::{map_on, SweepSpec};
+use capy_units::{Farads, SimDuration, Volts};
+use capybara::sweep::map_on;
 
 /// One irradiance row: MPP / tracked / pinned power, plus the TA
 /// small-bank recharge times at the operating point (0.42 sun only).
@@ -31,12 +31,10 @@ fn main() {
         "irradiance", "MPP (uW)", "tracked (uW)", "pinned (uW)", "capture"
     );
     let small_bank = Farads::from_micro(400.0);
-    // Analytic per-irradiance evaluation, sharded over the grid like
-    // every other sweep (no simulator; [`map_on`] suffices).
-    let spec = SweepSpec::new("ablation-mppt", SimTime::ZERO)
-        .grid("irradiance", &[0.1, 0.25, 0.42, 0.7, 1.0]);
-    let rows = map_on(spec.points(), 0, |point| {
-        let irr = point.expect_param("irradiance");
+    // Analytic per-irradiance evaluation, sharded like every other
+    // sweep (no simulator; [`map_on`] suffices).
+    let irradiances = [0.1, 0.25, 0.42, 0.7, 1.0];
+    let rows = map_on(&irradiances, 0, |&irr| {
         // Two wings in series: double the voltage at the same current.
         let pv = PvCurve::new(PvCurve::trisolx(irr).i_sc, Volts::new(2.4), 10.0);
         let (_, p_mpp) = pv.mpp();
@@ -66,10 +64,10 @@ fn main() {
             recharge,
         }
     });
-    for (point, row) in spec.points().iter().zip(rows) {
+    for (irr, row) in irradiances.iter().zip(rows) {
         println!(
             "{:>12.2} {:>12.0} {:>14.0} {:>14.0} {:>11.0}%",
-            point.expect_param("irradiance"),
+            irr,
             row.p_mpp * 1e6,
             row.tracked * 1e6,
             row.pinned * 1e6,

@@ -101,12 +101,13 @@ fn main() {
     let _ = Watts::ZERO;
     let spec = SweepSpec::new("ablation-sleep-pacing", SimTime::from_secs(40 * 60))
         .base_seed(FIGURE_SEED)
-        .point("tight loop", &[("paced", 0.0)])
-        .point("1 s sleep pacing", &[("paced", 1.0)]);
+        .declare_axis("paced", &[false, true])
+        .point("tight loop", &[("paced", 0)])
+        .point("1 s sleep pacing", &[("paced", 1)]);
     let (report, rows) = run_sweep_on(
         &spec,
         0,
-        |point| build(point.expect_param("paced") > 0.5),
+        |point| build(point.expect_axis("paced")),
         |sim, _| gap_stats(&sim.ctx().samples),
     );
     for (run, (n, long_gaps, longest)) in report.runs.iter().zip(rows) {

@@ -38,10 +38,9 @@ const TA_EVENTS: usize = 50;
 const GRC_EVENTS: usize = 80;
 
 fn grid(name: &'static str, means: &[u64], variants: &[Variant]) -> SweepSpec {
-    let means: Vec<f64> = means.iter().map(|&m| m as f64).collect();
     SweepSpec::new(name, SimTime::ZERO)
         .base_seed(FIGURE_SEED)
-        .grid("mean_s", &means)
+        .axis("mean_s", means)
         .axis("variant", variants)
 }
 
@@ -61,7 +60,7 @@ fn main() {
         &ta_spec,
         0,
         |point| {
-            let mean_s = point.expect_param("mean_s") as u64;
+            let mean_s: u64 = point.expect_axis("mean_s");
             let v = point.expect_axis::<Variant>("variant");
             let events = poisson_events(
                 &mut DetRng::seed_from_u64(FIGURE_SEED ^ mean_s),
@@ -96,7 +95,7 @@ fn main() {
         &grc_spec,
         0,
         |point| {
-            let mean_s = point.expect_param("mean_s") as u64;
+            let mean_s: u64 = point.expect_axis("mean_s");
             let v = point.expect_axis::<Variant>("variant");
             let events = poisson_events(
                 &mut DetRng::seed_from_u64(FIGURE_SEED ^ (mean_s << 8)),

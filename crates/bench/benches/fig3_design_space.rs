@@ -9,18 +9,18 @@
 //! configurations to its right are not reactive (charging longer than
 //! necessary).
 //!
-//! The capacitance axis is a [`SweepSpec`] grid evaluated in parallel by
-//! the sweep engine's `map_on` (the per-point computation is analytic —
-//! no simulator — so the summary-producing `run_sweep_on` form does not
-//! apply); results are collected in point order, so output is identical
-//! for any worker count.
+//! The capacitance axis is evaluated in parallel by the sweep engine's
+//! `map_on` (the per-point computation is analytic — no simulator — so
+//! the summary-producing `run_sweep_on` form does not apply); results
+//! are collected in input order, so output is identical for any worker
+//! count.
 
 use capy_bench::figure_header;
 use capy_device::mcu::Mcu;
 use capy_power::booster::OutputBooster;
 use capy_power::capacitor;
-use capy_units::{Farads, Ohms, SimTime, Volts, Watts};
-use capybara::sweep::{map_on, SweepSpec};
+use capy_units::{Farads, Ohms, Volts, Watts};
+use capybara::sweep::map_on;
 
 fn main() {
     figure_header(
@@ -38,9 +38,7 @@ fn main() {
     let caps: Vec<f64> = (0..=24)
         .map(|i| 100.0 * 10f64.powf(f64::from(i) / 12.0))
         .collect();
-    let spec = SweepSpec::new("fig3", SimTime::ZERO).grid("c_uf", &caps);
-    let rows: Vec<(f64, f64, f64)> = map_on(spec.points(), 0, |point| {
-        let c_uf = point.expect_param("c_uf");
+    let rows: Vec<(f64, f64, f64)> = map_on(&caps, 0, |&c_uf| {
         let c = Farads::from_micro(c_uf);
         let (on_time, _) = capacitor::sustain_time(c, Ohms::ZERO, v_full, p, v_min);
         let mops = on_time.as_secs_f64() * mcu.ops_per_second() / 1e6;

@@ -40,7 +40,7 @@ fn main() {
 
     let spec = SweepSpec::new("input-power", horizon)
         .base_seed(FIGURE_SEED)
-        .grid("irradiance", &IRRADIANCES)
+        .axis("irradiance", &IRRADIANCES)
         .axis("variant", &VARIANTS);
 
     let events_ref = &events;
@@ -52,7 +52,7 @@ fn main() {
             let mut sim = ta::build(v, events_ref.clone(), FIGURE_SEED);
             sim.power_mut()
                 .harvester_mut()
-                .set_irradiance(point.expect_param("irradiance"));
+                .set_irradiance(point.expect_axis("irradiance"));
             sim
         },
         |sim, _| {

@@ -321,7 +321,7 @@ mod tests {
     use capy_apps::events::grc_schedule;
     use capy_units::rng::DetRng;
     use capy_units::SimDuration;
-    use capybara::sweep::{available_workers, SweepPoint};
+    use capybara::sweep::available_workers;
 
     const SEED: u64 = 0xCA9B_2018;
 
@@ -413,13 +413,5 @@ mod tests {
             orbit_run.summary.attempts
         );
         assert!(orbit_run.summary.completions > 0);
-    }
-
-    #[test]
-    fn probe_points_resolve_no_figure_axes() {
-        // The figure axes live on their specs, not on free-standing
-        // points.
-        let probe = SweepPoint::probe("probe", &[("panel", 0.0)]);
-        assert!(probe.axis::<Fig2Panel>("panel").is_err());
     }
 }

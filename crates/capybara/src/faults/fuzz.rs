@@ -19,7 +19,10 @@
 //! `DetRng::seed_from_u64(case.seed)` in a fixed draw order. The
 //! derivation never depends on other cases, worker scheduling, or wall
 //! time, so reports are bit-identical for any worker count (cases are
-//! sharded with [`map_on`]) and any case subset.
+//! sharded with [`map_on`]) and any case subset. The policy-grid fuzzer
+//! ([`fuzz_policy_grid_on`]) shards every `(policy, scenario, case)`
+//! triple the same way, each cell deriving its cases from
+//! `derive_seed(master_seed, cell)`.
 //!
 //! # Survivable faults only
 //!
@@ -43,7 +46,7 @@ use capy_units::SimTime;
 use super::{conservation_violation, FaultPlan, SurgeEffect};
 use crate::policy::{NamedPolicy, ReconfigPolicy, Scenario};
 use crate::sim::{validate_event_log, SimContext, Simulator, StepResult};
-use crate::sweep::{map_on, RunSummary, SweepPoint, SweepSpec};
+use crate::sweep::{map_on, RunSummary};
 
 /// Tuning knobs of the fault fuzzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,63 +442,38 @@ impl FuzzGrid {
 /// are independent and the whole grid reproduces from `master_seed`
 /// alone; the report is bit-identical for any worker count.
 ///
-/// `build` receives the sweep point (scenario axes, per-point seed) and
-/// a fresh policy instance, exactly as in
+/// `build` receives the scenario's value and a fresh policy instance,
+/// exactly as in
 /// [`run_policy_sweep_on`](crate::policy::run_policy_sweep_on);
 /// per-scenario horizons ([`Scenario::at_horizon`]) override
 /// [`FuzzOptions::horizon`].
-#[allow(clippy::too_many_arguments)]
-pub fn fuzz_policy_grid_on<H, C, F, V>(
-    name: &'static str,
+pub fn fuzz_policy_grid_on<T, H, C, F, V>(
     master_seed: u64,
     options: &FuzzOptions,
     policies: &[NamedPolicy],
-    scenarios: &[Scenario],
+    scenarios: &[Scenario<T>],
     workers: usize,
     build: F,
     invariant: V,
 ) -> FuzzGrid
 where
+    T: Sync,
     H: Harvester,
     C: SimContext,
-    F: Fn(&SweepPoint, Box<dyn ReconfigPolicy>) -> Simulator<H, C> + Sync,
+    F: Fn(&T, Box<dyn ReconfigPolicy>) -> Simulator<H, C> + Sync,
     V: Fn(&Simulator<H, C>) -> Result<(), String> + Sync,
 {
-    let mut spec = SweepSpec::new(name, options.horizon)
-        .base_seed(master_seed)
-        .declare_axis("policy", policies)
-        .declare_axis("scenario", scenarios);
-    for (pi, policy) in policies.iter().enumerate() {
-        for (si, scenario) in scenarios.iter().enumerate() {
-            for ci in 0..options.cases {
-                #[allow(clippy::cast_precision_loss)]
-                let mut params = vec![
-                    ("policy", pi as f64),
-                    ("scenario", si as f64),
-                    ("case", ci as f64),
-                ];
-                params.extend_from_slice(&scenario.params);
-                let label = format!("{}/{}#{ci}", policy.label, scenario.label);
-                spec = match scenario.horizon {
-                    Some(h) => spec.point_at(label, &params, h),
-                    None => spec.point(label, &params),
-                };
-            }
-        }
-    }
-    let outcomes = map_on(spec.points(), workers, |point| {
-        let policy = point.expect_axis::<NamedPolicy>("policy");
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let (pi, si, ci) = (
-            point.expect_param("policy") as usize,
-            point.expect_param("scenario") as usize,
-            point.expect_param("case") as usize,
-        );
+    let runs: Vec<(usize, usize, usize)> = (0..policies.len())
+        .flat_map(|pi| (0..scenarios.len()).map(move |si| (pi, si)))
+        .flat_map(|(pi, si)| (0..options.cases).map(move |ci| (pi, si, ci)))
+        .collect();
+    let outcomes = map_on(&runs, workers, |&(pi, si, ci)| {
+        let scenario = &scenarios[si];
         let cell_options = FuzzOptions {
-            horizon: scenarios[si].horizon.unwrap_or(options.horizon),
+            horizon: scenario.horizon.unwrap_or(options.horizon),
             ..options.clone()
         };
-        let build_sim = || build(point, policy.instantiate(point));
+        let build_sim = || build(&scenario.value, policies[pi].instantiate(si));
         let bank_count = build_sim().power().bank_count();
         let cell_seed = derive_seed(master_seed, (pi * scenarios.len() + si) as u64);
         let case = derive_case(cell_seed, ci, &cell_options, bank_count);
@@ -705,8 +683,8 @@ mod tests {
             }),
         ];
         let scenarios = [
-            Scenario::new("steady", &[]),
-            Scenario::new("short", &[]).at_horizon(SimTime::from_secs(3)),
+            Scenario::new("steady", ()),
+            Scenario::new("short", ()).at_horizon(SimTime::from_secs(3)),
         ];
         let options = FuzzOptions {
             cases: 4,
@@ -714,7 +692,6 @@ mod tests {
         };
         let run = |workers| {
             fuzz_policy_grid_on(
-                "fuzz-grid-test",
                 MASTER,
                 &options,
                 &policies,

@@ -126,8 +126,8 @@ pub mod prelude {
     pub use crate::mode::{EnergyMode, ModeTable};
     pub use crate::policy::{
         oracle_offline, run_fleet_policy_sweep_on, run_policy_sweep_on, EwmaAdaptive,
-        FleetPolicyComparison, FleetScenario, NamedPolicy, Oracle, Pinned, PolicyComparison,
-        PolicyObservation, ReactiveDownsize, ReconfigPolicy, Scenario, StaticAnnotation,
+        FleetPolicyComparison, NamedPolicy, Oracle, Pinned, PolicyComparison, PolicyObservation,
+        ReactiveDownsize, ReconfigPolicy, Scenario, StaticAnnotation,
     };
     pub use crate::provision::{provision_bank_units, ProvisioningReport};
     pub use crate::sim::{

@@ -45,7 +45,11 @@
 //! The policy-comparison harness ([`run_policy_sweep_on`]) runs a
 //! {policy × scenario} grid on the parallel sweep engine and exposes
 //! per-policy [`RunSummary`] deltas (event completions, charge time,
-//! reactivity) against any baseline.
+//! reactivity) against any baseline. Each [`Scenario`] column carries a
+//! typed value that the grid hands to the build function, and each
+//! [`NamedPolicy`] factory receives the column's index.
+//! [`run_fleet_policy_sweep_on`] runs the same grid with a whole fleet
+//! per cell and a `Scenario<SharedEnvironment>` per column.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -63,7 +67,7 @@ use crate::fleet::{
 use crate::mode::EnergyMode;
 use crate::runtime::RuntimeState;
 use crate::sim::{SimContext, SimEvent, Simulator};
-use crate::sweep::{run_sweep_on, AxisValue, RunSummary, SweepPoint, SweepReport, SweepSpec};
+use crate::sweep::{run_sweep_on, AxisValue, RunSummary, SweepReport, SweepSpec};
 
 /// The power-system readings behind [`PolicyObservation`]'s methods,
 /// taken at the decision instant. The simulator lends its own
@@ -667,10 +671,10 @@ where
 }
 
 /// A policy factory usable from sweep worker threads: builds a fresh
-/// policy for one sweep point (the point carries the scenario axes, so
+/// policy for one run of the grid, given the run's scenario index (so
 /// per-scenario policies such as a precomputed oracle can select the
 /// right instance).
-pub type PolicyFactory = Arc<dyn Fn(&SweepPoint) -> Box<dyn ReconfigPolicy> + Send + Sync>;
+pub type PolicyFactory = Arc<dyn Fn(usize) -> Box<dyn ReconfigPolicy> + Send + Sync>;
 
 /// A labeled policy column of the comparison grid.
 #[derive(Clone)]
@@ -681,11 +685,12 @@ pub struct NamedPolicy {
 }
 
 impl NamedPolicy {
-    /// Names a policy built fresh for every run by `factory`.
+    /// Names a policy built fresh for every run by `factory`, which
+    /// receives the run's scenario index.
     #[must_use]
     pub fn new(
         label: &'static str,
-        factory: impl Fn(&SweepPoint) -> Box<dyn ReconfigPolicy> + Send + Sync + 'static,
+        factory: impl Fn(usize) -> Box<dyn ReconfigPolicy> + Send + Sync + 'static,
     ) -> Self {
         Self {
             label,
@@ -693,10 +698,10 @@ impl NamedPolicy {
         }
     }
 
-    /// Builds a fresh policy instance for `point`.
+    /// Builds a fresh policy instance for a run on scenario `scenario`.
     #[must_use]
-    pub fn instantiate(&self, point: &SweepPoint) -> Box<dyn ReconfigPolicy> {
-        (self.factory)(point)
+    pub fn instantiate(&self, scenario: usize) -> Box<dyn ReconfigPolicy> {
+        (self.factory)(scenario)
     }
 }
 
@@ -714,26 +719,27 @@ impl AxisValue for NamedPolicy {
     }
 }
 
-/// A labeled environment/workload cell of the comparison grid (e.g. one
-/// input-power condition).
+/// A labeled column of a comparison grid: the typed value the runner
+/// hands to every cell of the column — an input-power level, a tracker
+/// trace, a fleet's [`SharedEnvironment`] — plus an optional horizon.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
+pub struct Scenario<T> {
     /// Column label in reports.
     pub label: String,
-    /// Scenario axes copied into every sweep point.
-    pub params: Vec<(&'static str, f64)>,
-    /// Per-scenario horizon, copied onto every sweep point of this
-    /// column. `None` runs the column to the sweep's spec-wide horizon.
+    /// The scenario itself, passed to the grid's build function.
+    pub value: T,
+    /// Per-scenario horizon for every run of this column. `None` runs
+    /// the column to the grid-wide horizon.
     pub horizon: Option<SimTime>,
 }
 
-impl Scenario {
-    /// Names a scenario with its parameter axes.
+impl<T> Scenario<T> {
+    /// Names a scenario carrying `value`.
     #[must_use]
-    pub fn new(label: impl Into<String>, params: &[(&'static str, f64)]) -> Self {
+    pub fn new(label: impl Into<String>, value: T) -> Self {
         Self {
             label: label.into(),
-            params: params.to_vec(),
+            value,
             horizon: None,
         }
     }
@@ -748,7 +754,7 @@ impl Scenario {
     }
 }
 
-impl AxisValue for Scenario {
+impl<T: Clone + Send + Sync + 'static> AxisValue for Scenario<T> {
     fn axis_label(&self) -> String {
         self.label.clone()
     }
@@ -830,41 +836,39 @@ impl PolicyComparison {
 }
 
 /// Runs the {policy × scenario} grid on the parallel sweep engine with
-/// `workers` threads (`0` = every core). `build` receives the sweep
-/// point (scenario axes, per-point seed) and a fresh policy instance
-/// and returns the simulator; the engine runs it to the scenario's
-/// horizon when set ([`Scenario::at_horizon`]), else to `horizon`.
-pub fn run_policy_sweep_on<H, C, F>(
+/// `workers` threads (`0` = every core). `build` receives the
+/// scenario's value and a fresh policy instance and returns the
+/// simulator; the engine runs it to the scenario's horizon when set
+/// ([`Scenario::at_horizon`]), else to `horizon`.
+pub fn run_policy_sweep_on<T, H, C, F>(
     name: &'static str,
     horizon: SimTime,
     base_seed: u64,
     policies: &[NamedPolicy],
-    scenarios: &[Scenario],
+    scenarios: &[Scenario<T>],
     workers: usize,
     build: F,
 ) -> PolicyComparison
 where
+    T: Clone + Send + Sync + 'static,
     H: Harvester,
     C: SimContext,
-    F: Fn(&SweepPoint, Box<dyn ReconfigPolicy>) -> Simulator<H, C> + Sync,
+    F: Fn(&T, Box<dyn ReconfigPolicy>) -> Simulator<H, C> + Sync,
 {
-    // The grid needs custom "{policy}/{scenario}" labels, extra
-    // scenario parameters, and per-scenario horizons, so the points are
-    // laid out explicitly; the typed axes are declared on the side and
-    // each point stores its row/column indices under the axis names.
+    // The grid needs custom "{policy}/{scenario}" labels and
+    // per-scenario horizons, so the points are laid out explicitly on
+    // axes declared on the side.
     let mut spec = SweepSpec::new(name, horizon)
         .base_seed(base_seed)
         .declare_axis("policy", policies)
         .declare_axis("scenario", scenarios);
     for (pi, policy) in policies.iter().enumerate() {
         for (si, scenario) in scenarios.iter().enumerate() {
-            #[allow(clippy::cast_precision_loss)]
-            let mut params = vec![("policy", pi as f64), ("scenario", si as f64)];
-            params.extend_from_slice(&scenario.params);
+            let indices = [("policy", pi), ("scenario", si)];
             let label = format!("{}/{}", policy.label, scenario.label);
             spec = match scenario.horizon {
-                Some(h) => spec.point_at(label, &params, h),
-                None => spec.point(label, &params),
+                Some(h) => spec.point_at(label, &indices, h),
+                None => spec.point(label, &indices),
             };
         }
     }
@@ -872,8 +876,9 @@ where
         &spec,
         workers,
         |point| {
-            let policy = point.expect_axis::<NamedPolicy>("policy");
-            build(point, policy.instantiate(point))
+            let policy = &policies[point.expect_axis_index("policy")];
+            let si = point.expect_axis_index("scenario");
+            build(&scenarios[si].value, policy.instantiate(si))
         },
         |_, _| (),
     );
@@ -881,45 +886,6 @@ where
         report,
         policies: policies.iter().map(|p| p.label).collect(),
         scenarios: scenarios.iter().map(|s| s.label.clone()).collect(),
-    }
-}
-
-/// A labeled fleet-wide condition of the fleet policy comparison: one
-/// [`SharedEnvironment`] every device of the fleet sees (correlated
-/// dips, eclipse cycle, recorded trace), plus an optional per-scenario
-/// horizon.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetScenario {
-    /// Column label in reports.
-    pub label: String,
-    /// The shared environment this scenario installs on the fleet.
-    pub env: SharedEnvironment,
-    /// Per-scenario horizon; `None` runs to the fleet spec's horizon.
-    pub horizon: Option<SimTime>,
-}
-
-impl FleetScenario {
-    /// Names a fleet scenario with its shared environment.
-    #[must_use]
-    pub fn new(label: impl Into<String>, env: SharedEnvironment) -> Self {
-        Self {
-            label: label.into(),
-            env,
-            horizon: None,
-        }
-    }
-
-    /// Runs this scenario's column to its own horizon.
-    #[must_use]
-    pub fn at_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-}
-
-impl AxisValue for FleetScenario {
-    fn axis_label(&self) -> String {
-        self.label.clone()
     }
 }
 
@@ -1002,43 +968,25 @@ impl FleetPolicyComparison {
 pub fn run_fleet_policy_sweep_on<F>(
     base: &FleetSpec,
     policies: &[NamedPolicy],
-    scenarios: &[FleetScenario],
+    scenarios: &[Scenario<SharedEnvironment>],
     workers: usize,
     device_fn: F,
 ) -> FleetPolicyComparison
 where
     F: Fn(&DevicePoint, &FleetSpec, Box<dyn ReconfigPolicy>) -> DeviceOutcome + Sync,
 {
-    let mut grid = SweepSpec::new(base.name(), base.horizon())
-        .base_seed(base.seed())
-        .declare_axis("policy", policies)
-        .declare_axis("scenario", scenarios);
-    for (pi, policy) in policies.iter().enumerate() {
+    let mut fleets = Vec::with_capacity(policies.len() * scenarios.len());
+    for policy in policies {
         for (si, scenario) in scenarios.iter().enumerate() {
-            #[allow(clippy::cast_precision_loss)]
-            let params = vec![("policy", pi as f64), ("scenario", si as f64)];
-            let label = format!("{}/{}", policy.label, scenario.label);
-            grid = match scenario.horizon {
-                Some(h) => grid.point_at(label, &params, h),
-                None => grid.point(label, &params),
-            };
-        }
-    }
-    let fleets = grid
-        .points()
-        .iter()
-        .map(|cell| {
-            let policy = cell.expect_axis::<NamedPolicy>("policy");
-            let scenario = cell.expect_axis::<FleetScenario>("scenario");
             let spec = base
                 .clone()
-                .environment(scenario.env.clone())
+                .environment(scenario.value.clone())
                 .at_horizon(scenario.horizon.unwrap_or_else(|| base.horizon()));
-            run_fleet_on(&spec, workers, |point| {
-                device_fn(point, &spec, policy.instantiate(cell))
-            })
-        })
-        .collect();
+            fleets.push(run_fleet_on(&spec, workers, |point| {
+                device_fn(point, &spec, policy.instantiate(si))
+            }));
+        }
+    }
     FleetPolicyComparison {
         fleets,
         policies: policies.iter().map(|p| p.label).collect(),
@@ -1382,12 +1330,11 @@ mod tests {
             }),
         ];
         let scenarios = [
-            Scenario::new("weak", &[("harvest_uw", 600.0)]),
-            Scenario::new("strong", &[("harvest_uw", 8_000.0)]),
+            Scenario::new("weak", 600.0),
+            Scenario::new("strong", 8_000.0),
         ];
-        let build = |point: &SweepPoint, policy: Box<dyn ReconfigPolicy>| {
-            sampler(point.expect_param("harvest_uw"), Some(policy))
-        };
+        let build =
+            |&harvest_uw: &f64, policy: Box<dyn ReconfigPolicy>| sampler(harvest_uw, Some(policy));
         let horizon = SimTime::from_secs(20);
         let serial = run_policy_sweep_on("policy-det", horizon, 7, &policies, &scenarios, 1, build);
         let parallel =

@@ -5,7 +5,7 @@
 //! capacitances, harvester strengths, event densities, and system
 //! variants (§6). This module gives that workload a first-class engine:
 //!
-//! * [`SweepSpec`] names a grid of labeled parameter points, each owning
+//! * [`SweepSpec`] names a grid of labeled points, each owning
 //!   a deterministic seed derived from the spec's base seed and the
 //!   point's index;
 //! * [`run_sweep_on`] builds one simulator per point, runs it to the
@@ -18,18 +18,17 @@
 //!   per core ([`available_workers`]);
 //! * [`RunSummary`] condenses each run's [`SimEvent`] log and execution
 //!   statistics into the repo's standard observability record;
-//! * **typed axes** ([`AxisValue`], [`SweepSpec::axis`]) let structured
-//!   values — system variants, mechanisms, policies — ride a grid
-//!   without the caller round-tripping them through `f64` indices:
-//!   the spec stores each value's index as an ordinary parameter (so
-//!   seed derivation and report identity are unchanged) and
+//! * **typed axes** ([`AxisValue`], [`SweepSpec::axis`]) are the one way
+//!   a point carries a parameter: the spec stores each axis's values once,
+//!   every point stores only its integer index on each axis (so seed
+//!   derivation and report identity never depend on the values), and
 //!   [`SweepPoint::axis`] recovers the value itself, with a labeled
 //!   [`AxisError`] instead of a raw slice-index panic on mistakes.
 //!
 //! # Determinism
 //!
 //! Results are **bit-identical regardless of worker count**. Each
-//! point's simulation depends only on the point itself (its parameters
+//! point's simulation depends only on the point itself (its axis values
 //! and its own seed — never on a shared generator), and aggregation is
 //! order-stable by point index. Wall-clock fields are carried for
 //! reporting but excluded from equality, so a [`SweepReport`] compares
@@ -39,10 +38,11 @@
 //! # use capybara::sweep::SweepSpec;
 //! # use capy_units::SimTime;
 //! let spec = SweepSpec::new("example", SimTime::from_secs(1))
-//!     .grid("c_uf", &[100.0, 330.0])
-//!     .grid("p_mw", &[1.0, 10.0]);
+//!     .axis("c_uf", &[100.0, 330.0])
+//!     .axis("p_mw", &[1.0, 10.0]);
 //! assert_eq!(spec.points().len(), 4);
 //! assert_ne!(spec.points()[0].seed, spec.points()[1].seed);
+//! assert_eq!(spec.points()[3].expect_axis::<f64>("p_mw"), 10.0);
 //! ```
 
 use std::any::Any;
@@ -63,17 +63,28 @@ use crate::variant::Variant;
 
 /// A value that can ride a typed sweep axis.
 ///
-/// Implementors are the structured quantities the evaluation varies —
-/// system [`Variant`]s, reconfiguration [`Mechanism`]s, policies,
-/// scenario descriptors. The value is stored once on the
-/// [`SweepSpec`]'s axis registry; each point carries only its *index*
-/// (as an ordinary `(name, f64)` parameter), so typed axes change
-/// neither seed derivation nor report identity.
+/// Implementors are the quantities the evaluation varies — system
+/// [`Variant`]s, reconfiguration [`Mechanism`]s, policies, scenario
+/// descriptors, and the plain numbers of the figure grids. The value is
+/// stored once on the [`SweepSpec`]'s axis registry; each point carries
+/// only its *index*, so the values affect neither seed derivation nor
+/// report identity.
 pub trait AxisValue: Clone + Send + Sync + 'static {
-    /// The label fragment this value contributes to a point's label
-    /// (what [`SweepSpec::grid`] would render as `"axis=value"`).
+    /// The label fragment this value contributes to a point's label.
     fn axis_label(&self) -> String;
 }
+
+macro_rules! display_axis_value {
+    ($($t:ty),*) => {$(
+        impl AxisValue for $t {
+            fn axis_label(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+
+display_axis_value!(bool, u64, usize, f64);
 
 impl AxisValue for Variant {
     fn axis_label(&self) -> String {
@@ -116,7 +127,7 @@ impl AxisTable {
         }
     }
 
-    /// The axis name (the parameter key its indices are stored under).
+    /// The axis name (the key each point stores its index under).
     #[must_use]
     pub fn name(&self) -> &'static str {
         self.name
@@ -173,24 +184,13 @@ pub enum AxisError {
         /// Every axis the spec does declare.
         declared: Vec<&'static str>,
     },
-    /// The axis is declared but the point carries no parameter with its
-    /// name (hand-built point, or [`SweepSpec::declare_axis`] without a
-    /// matching parameter).
-    MissingParam {
+    /// The axis is declared but the point carries no index on it (a
+    /// [`SweepSpec::point`] laid out without one).
+    MissingIndex {
         /// Label of the point the lookup ran against.
         point: String,
         /// The requested axis name.
         axis: String,
-    },
-    /// The point's parameter value is not a non-negative integer, so it
-    /// cannot be an index into the axis.
-    NotAnIndex {
-        /// Label of the point the lookup ran against.
-        point: String,
-        /// The requested axis name.
-        axis: String,
-        /// The offending parameter value.
-        value: f64,
     },
     /// The index is past the end of the declared values.
     OutOfRange {
@@ -227,13 +227,9 @@ impl fmt::Display for AxisError {
                 f,
                 "sweep point '{point}' has no typed axis '{axis}' (declared axes: {declared:?})"
             ),
-            Self::MissingParam { point, axis } => write!(
+            Self::MissingIndex { point, axis } => write!(
                 f,
-                "sweep point '{point}' declares axis '{axis}' but carries no '{axis}' parameter"
-            ),
-            Self::NotAnIndex { point, axis, value } => write!(
-                f,
-                "sweep point '{point}': axis '{axis}' parameter {value} is not an index"
+                "sweep point '{point}' carries no index on declared axis '{axis}'"
             ),
             Self::OutOfRange {
                 point,
@@ -260,15 +256,13 @@ impl fmt::Display for AxisError {
 
 impl std::error::Error for AxisError {}
 
-/// One labeled point of a parameter grid.
+/// One labeled point of a sweep grid.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Position in the spec (also the aggregation order).
     pub index: usize,
-    /// Human-readable label, e.g. `"c_uf=330 p_mw=1"`.
+    /// Human-readable label, e.g. `"CB-P 330"`.
     pub label: String,
-    /// Named parameter values.
-    pub params: Vec<(&'static str, f64)>,
     /// The point's own deterministic seed, derived from the spec's base
     /// seed and the point index. Thread this into every stochastic model
     /// the run uses.
@@ -278,6 +272,8 @@ pub struct SweepPoint {
     /// horizon — for grids whose points represent differently-sized
     /// missions (e.g. kill grids, scenario suites).
     pub horizon: Option<SimTime>,
+    /// The point's index on each typed axis, in crossing order.
+    indices: Vec<(&'static str, usize)>,
     /// The spec's typed-axis registry, shared by every point.
     axes: Arc<Vec<AxisTable>>,
 }
@@ -285,67 +281,27 @@ pub struct SweepPoint {
 impl PartialEq for SweepPoint {
     fn eq(&self, other: &Self) -> bool {
         // The axis registry is spec-level metadata — a lookup table for
-        // recovering typed values from the index parameters — and is
-        // excluded so report identity is exactly what it was before
-        // typed axes existed: index, label, params, seed, horizon.
+        // recovering typed values from the indices — and is excluded, so
+        // report identity is index, label, axis indices, seed, horizon.
         self.index == other.index
             && self.label == other.label
-            && self.params == other.params
+            && self.indices == other.indices
             && self.seed == other.seed
             && self.horizon == other.horizon
     }
 }
 
 impl SweepPoint {
-    /// A free-standing point (index 0, seed 0, no typed axes) — for
-    /// probing factories or builders outside any sweep, e.g. asking a
-    /// policy what it would do at a hypothetical parameter setting.
-    #[must_use]
-    pub fn probe(label: impl Into<String>, params: &[(&'static str, f64)]) -> Self {
-        Self {
-            index: 0,
-            label: label.into(),
-            params: params.to_vec(),
-            seed: 0,
-            horizon: None,
-            axes: Arc::new(Vec::new()),
-        }
-    }
-
-    /// The value of parameter `name`, if the point carries it.
-    #[must_use]
-    pub fn param(&self, name: &str) -> Option<f64> {
-        self.params
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Like [`SweepPoint::param`] but panicking with a clear message —
-    /// for sweep closures where a missing axis is a programming error.
-    /// The message lists the parameters the point *does* carry, so a
-    /// typo'd axis name is diagnosable from the panic alone.
-    #[must_use]
-    pub fn expect_param(&self, name: &str) -> f64 {
-        self.param(name).unwrap_or_else(|| {
-            let available: Vec<&'static str> = self.params.iter().map(|(n, _)| *n).collect();
-            panic!(
-                "sweep point '{}' has no parameter '{name}' (available: {available:?})",
-                self.label
-            )
-        })
-    }
-
     /// The value this point takes on typed axis `name`.
     ///
-    /// The point stores only the value's index (an ordinary parameter);
-    /// this recovers the value itself from the spec's axis registry.
+    /// The point stores only the value's index; this recovers the value
+    /// itself from the spec's axis registry.
     ///
     /// # Errors
     ///
     /// [`AxisError`] when the axis is undeclared, the point carries no
-    /// index for it, the index is out of range or not an integer, or
-    /// `T` is not the type the axis was declared with.
+    /// index for it, the index is out of range, or `T` is not the type
+    /// the axis was declared with.
     pub fn axis<T: AxisValue>(&self, name: &str) -> Result<T, AxisError> {
         let (idx, table) = self.axis_entry(name)?;
         let values =
@@ -395,21 +351,12 @@ impl SweepPoint {
                 declared: self.axes.iter().map(AxisTable::name).collect(),
             });
         };
-        let Some(raw) = self.param(name) else {
-            return Err(AxisError::MissingParam {
+        let Some(&(_, idx)) = self.indices.iter().find(|(n, _)| *n == name) else {
+            return Err(AxisError::MissingIndex {
                 point: self.label.clone(),
                 axis: name.to_string(),
             });
         };
-        if raw < 0.0 || raw.fract() != 0.0 || raw > usize::MAX as f64 {
-            return Err(AxisError::NotAnIndex {
-                point: self.label.clone(),
-                axis: name.to_string(),
-                value: raw,
-            });
-        }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let idx = raw as usize;
         if idx >= table.len() {
             return Err(AxisError::OutOfRange {
                 point: self.label.clone(),
@@ -429,8 +376,8 @@ impl SweepPoint {
     }
 }
 
-/// A named grid of parameter points plus the horizon each run simulates
-/// to.
+/// A named grid of points over typed axes plus the horizon each run
+/// simulates to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     name: &'static str,
@@ -444,8 +391,8 @@ pub struct SweepSpec {
 pub const DEFAULT_BASE_SEED: u64 = 0xCA9B_2018;
 
 impl SweepSpec {
-    /// Starts an empty spec; add points with [`SweepSpec::point`] or
-    /// [`SweepSpec::grid`].
+    /// Starts an empty spec; add points with [`SweepSpec::axis`] or
+    /// [`SweepSpec::point`].
     #[must_use]
     pub fn new(name: &'static str, horizon: SimTime) -> Self {
         Self {
@@ -461,150 +408,85 @@ impl SweepSpec {
     #[must_use]
     pub fn base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self.reseed();
+        for p in &mut self.points {
+            p.seed = derive_seed(seed, p.index as u64);
+        }
         self
     }
 
-    /// Appends one explicit point.
+    /// Appends one explicit point carrying `(axis, index)` pairs on axes
+    /// declared with [`SweepSpec::declare_axis`].
     #[must_use]
-    pub fn point(mut self, label: impl Into<String>, params: &[(&'static str, f64)]) -> Self {
-        let index = self.points.len();
-        self.points.push(SweepPoint {
-            index,
-            label: label.into(),
-            params: params.to_vec(),
-            seed: derive_seed(self.base_seed, index as u64),
-            horizon: None,
-            axes: Arc::clone(&self.axes),
-        });
-        self
+    pub fn point(self, label: impl Into<String>, indices: &[(&'static str, usize)]) -> Self {
+        self.push(label.into(), indices.to_vec(), None)
     }
 
     /// Appends one explicit point that runs to its own horizon instead
     /// of the spec's.
     #[must_use]
     pub fn point_at(
-        mut self,
+        self,
         label: impl Into<String>,
-        params: &[(&'static str, f64)],
+        indices: &[(&'static str, usize)],
         horizon: SimTime,
+    ) -> Self {
+        self.push(label.into(), indices.to_vec(), Some(horizon))
+    }
+
+    fn push(
+        mut self,
+        label: String,
+        indices: Vec<(&'static str, usize)>,
+        horizon: Option<SimTime>,
     ) -> Self {
         let index = self.points.len();
         self.points.push(SweepPoint {
             index,
-            label: label.into(),
-            params: params.to_vec(),
+            label,
             seed: derive_seed(self.base_seed, index as u64),
-            horizon: Some(horizon),
+            horizon,
+            indices,
             axes: Arc::clone(&self.axes),
         });
         self
     }
 
-    /// Crosses the existing points with a new axis: every current point
-    /// is replicated once per value of `axis`. On an empty spec this
-    /// creates one point per value. Labels compose as `"axis=value"`
-    /// fragments; seeds are re-derived from the final indices.
-    #[must_use]
-    pub fn grid(mut self, axis: &'static str, values: &[f64]) -> Self {
-        let fmt = |v: f64| {
-            if v == v.trunc() && v.abs() < 1e15 {
-                format!("{axis}={v:.0}")
-            } else {
-                format!("{axis}={v}")
-            }
-        };
-        if self.points.is_empty() {
-            for &v in values {
-                let index = self.points.len();
-                self.points.push(SweepPoint {
-                    index,
-                    label: fmt(v),
-                    params: vec![(axis, v)],
-                    seed: 0,
-                    horizon: None,
-                    axes: Arc::clone(&self.axes),
-                });
-            }
-        } else {
-            let base = std::mem::take(&mut self.points);
-            for p in &base {
-                for &v in values {
-                    let index = self.points.len();
-                    let mut params = p.params.clone();
-                    params.push((axis, v));
-                    self.points.push(SweepPoint {
-                        index,
-                        label: format!("{} {}", p.label, fmt(v)),
-                        params,
-                        seed: 0,
-                        horizon: p.horizon,
-                        axes: Arc::clone(&self.axes),
-                    });
-                }
-            }
-        }
-        self.reseed();
-        self
-    }
-
-    /// Crosses the existing points with a **typed** axis: every current
-    /// point is replicated once per value, exactly like
-    /// [`SweepSpec::grid`], but the values live on the spec's axis
-    /// registry and each point stores only its value's *index* as the
-    /// `name` parameter. Label fragments are the values'
-    /// [`AxisValue::axis_label`]s; seeds are re-derived from the final
-    /// indices, so a typed axis is bit-compatible with the equivalent
-    /// hand-indexed `point(label, &[(name, i as f64)])` construction.
+    /// Crosses the existing points with a typed axis: every current
+    /// point is replicated once per value (on an empty spec, one point
+    /// per value), keeping its horizon. The values live on the spec's
+    /// axis registry and each point stores only its value's index under
+    /// `name`. Labels compose the values' [`AxisValue::axis_label`]s,
+    /// space-separated; seeds derive from the final indices, so a typed
+    /// axis equals the hand-indexed [`SweepSpec::point`] layout.
     ///
     /// # Panics
     ///
     /// When an axis of the same name is already declared.
     #[must_use]
     pub fn axis<T: AxisValue>(mut self, name: &'static str, values: &[T]) -> Self {
-        let labels: Vec<String> = values.iter().map(AxisValue::axis_label).collect();
-        self.register_axis(AxisTable::new(name, values));
-        #[allow(clippy::cast_precision_loss)]
-        if self.points.is_empty() {
+        let table = AxisTable::new(name, values);
+        let labels = table.labels.clone();
+        self.register_axis(table);
+        let base = std::mem::take(&mut self.points);
+        if base.is_empty() {
             for (i, label) in labels.iter().enumerate() {
-                let index = self.points.len();
-                self.points.push(SweepPoint {
-                    index,
-                    label: label.clone(),
-                    params: vec![(name, i as f64)],
-                    seed: 0,
-                    horizon: None,
-                    axes: Arc::clone(&self.axes),
-                });
-            }
-        } else {
-            let base = std::mem::take(&mut self.points);
-            for p in &base {
-                for (i, label) in labels.iter().enumerate() {
-                    let index = self.points.len();
-                    let mut params = p.params.clone();
-                    params.push((name, i as f64));
-                    self.points.push(SweepPoint {
-                        index,
-                        label: format!("{} {label}", p.label),
-                        params,
-                        seed: 0,
-                        horizon: p.horizon,
-                        axes: Arc::clone(&self.axes),
-                    });
-                }
+                self = self.push(label.clone(), vec![(name, i)], None);
             }
         }
-        self.reseed();
+        for p in &base {
+            for (i, label) in labels.iter().enumerate() {
+                let mut indices = p.indices.clone();
+                indices.push((name, i));
+                self = self.push(format!("{} {label}", p.label), indices, p.horizon);
+            }
+        }
         self
     }
 
     /// Registers a typed axis **without** crossing it into the points —
     /// for specs that lay out their grid with explicit
-    /// [`SweepSpec::point`] calls (custom labels, per-point horizons,
-    /// extra parameters) and store each point's index themselves. The
-    /// points must carry a `name` parameter holding the value's index
-    /// for [`SweepPoint::axis`] to resolve it.
+    /// [`SweepSpec::point`] calls (custom labels, per-point horizons)
+    /// and give each point its index on the axis themselves.
     ///
     /// # Panics
     ///
@@ -629,12 +511,6 @@ impl SweepSpec {
         // this declaration.
         for p in &mut self.points {
             p.axes = Arc::clone(&self.axes);
-        }
-    }
-
-    fn reseed(&mut self) {
-        for p in &mut self.points {
-            p.seed = derive_seed(self.base_seed, p.index as u64);
         }
     }
 
@@ -1177,15 +1053,22 @@ mod tests {
 
     fn demo_spec() -> SweepSpec {
         SweepSpec::new("demo", SimTime::from_secs(10))
-            .grid("harvest_uw", &[500.0, 2_000.0, 10_000.0])
-            .grid("task_ms", &[5.0, 20.0, 80.0])
+            .axis("harvest_uw", &[500.0, 2_000.0, 10_000.0])
+            .axis("task_ms", &[5_u64, 20, 80])
     }
 
     fn build(point: &SweepPoint) -> Simulator<ConstantHarvester, Ctx> {
         sampler(
-            point.expect_param("harvest_uw"),
-            point.expect_param("task_ms") as u64,
+            point.expect_axis("harvest_uw"),
+            point.expect_axis("task_ms"),
         )
+    }
+
+    /// A spec of hand-laid points over `demo_spec`'s axes.
+    fn hand_spec(name: &'static str) -> SweepSpec {
+        SweepSpec::new(name, SimTime::from_secs(5))
+            .declare_axis("harvest_uw", &[500.0, 2_000.0, 10_000.0])
+            .declare_axis("task_ms", &[10_u64])
     }
 
     /// The summaries-only sweep of `spec` with [`build`].
@@ -1194,12 +1077,13 @@ mod tests {
     }
 
     #[test]
-    fn grid_crosses_axes_and_labels_points() {
+    fn axes_cross_and_label_points() {
         let spec = demo_spec();
         assert_eq!(spec.points().len(), 9);
-        assert_eq!(spec.points()[0].label, "harvest_uw=500 task_ms=5");
-        assert_eq!(spec.points()[8].label, "harvest_uw=10000 task_ms=80");
-        assert_eq!(spec.points()[4].expect_param("task_ms"), 20.0);
+        assert_eq!(spec.points()[0].label, "500 5");
+        assert_eq!(spec.points()[8].label, "10000 80");
+        assert_eq!(spec.points()[4].expect_axis::<u64>("task_ms"), 20);
+        assert_eq!(spec.points()[4].expect_axis::<f64>("harvest_uw"), 2_000.0);
         for (i, p) in spec.points().iter().enumerate() {
             assert_eq!(p.index, i);
         }
@@ -1234,11 +1118,11 @@ mod tests {
 
     #[test]
     fn summaries_reflect_simulation_activity() {
-        let spec = SweepSpec::new("one", SimTime::from_secs(30)).grid("harvest_uw", &[2_000.0]);
+        let spec = SweepSpec::new("one", SimTime::from_secs(30)).axis("harvest_uw", &[2_000.0]);
         let report = run_sweep_on(
             &spec,
             0,
-            |p| sampler(p.expect_param("harvest_uw"), 20),
+            |p| sampler(p.expect_axis("harvest_uw"), 20),
             |_, _| (),
         )
         .0;
@@ -1332,9 +1216,9 @@ mod tests {
 
     #[test]
     fn report_lookup_by_label() {
-        let spec = SweepSpec::new("lookup", SimTime::from_secs(5))
-            .point("weak", &[("harvest_uw", 500.0), ("task_ms", 10.0)])
-            .point("strong", &[("harvest_uw", 10_000.0), ("task_ms", 10.0)]);
+        let spec = hand_spec("lookup")
+            .point("weak", &[("harvest_uw", 0), ("task_ms", 0)])
+            .point("strong", &[("harvest_uw", 2), ("task_ms", 0)]);
         let report = summaries(&spec, 0);
         assert!(report.get("weak").is_some());
         assert!(report.get("missing").is_none());
@@ -1418,11 +1302,11 @@ mod tests {
 
     #[test]
     fn per_point_horizon_overrides_the_spec() {
-        let spec = SweepSpec::new("horizons", SimTime::from_secs(5))
-            .point("default", &[("harvest_uw", 2_000.0), ("task_ms", 10.0)])
+        let spec = hand_spec("horizons")
+            .point("default", &[("harvest_uw", 1), ("task_ms", 0)])
             .point_at(
                 "long",
-                &[("harvest_uw", 2_000.0), ("task_ms", 10.0)],
+                &[("harvest_uw", 1), ("task_ms", 0)],
                 SimTime::from_secs(20),
             );
         assert_eq!(spec.points()[0].horizon, None);
@@ -1441,11 +1325,11 @@ mod tests {
     #[test]
     fn extract_observes_the_finished_simulator() {
         let spec = SweepSpec::new("extract", SimTime::from_secs(10))
-            .grid("harvest_uw", &[2_000.0, 10_000.0]);
+            .axis("harvest_uw", &[2_000.0, 10_000.0]);
         let (report, counts) = run_sweep_on(
             &spec,
             0,
-            |p| sampler(p.expect_param("harvest_uw"), 10),
+            |p| sampler(p.expect_axis("harvest_uw"), 10),
             |sim, _point| sim.ctx().n.get(),
         );
         // The extract ran after the engine advanced to the horizon, so it
@@ -1457,7 +1341,7 @@ mod tests {
         let serial = run_sweep_on(
             &spec,
             1,
-            |p| sampler(p.expect_param("harvest_uw"), 10),
+            |p| sampler(p.expect_axis("harvest_uw"), 10),
             |sim, _point| sim.ctx().n.get(),
         );
         assert_eq!(serial.0, report);
@@ -1482,15 +1366,6 @@ mod tests {
             assert_eq!(map_on(&items, workers, cost), expected, "{workers} workers");
         }
         assert!(map_on(&[] as &[u64], 0, cost).is_empty());
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "has no parameter 'task_mss' (available: [\"harvest_uw\", \"task_ms\"])"
-    )]
-    fn expect_param_lists_available_parameters() {
-        let spec = demo_spec();
-        let _ = spec.points()[0].expect_param("task_mss");
     }
 
     #[test]
@@ -1524,13 +1399,14 @@ mod tests {
 
     #[test]
     fn typed_axis_is_bit_compatible_with_hand_indexed_points() {
-        // The typed construction must produce the same labels, params,
+        // The typed construction must produce the same labels, indices,
         // and seeds as the hand-indexed `.point(label, [(name, i)])`
-        // layout it replaces, so migrated benches keep their reports.
+        // layout.
         let typed = SweepSpec::new("compat", SimTime::from_secs(1)).axis("variant", &Variant::ALL);
-        let mut hand = SweepSpec::new("compat", SimTime::from_secs(1));
+        let mut hand =
+            SweepSpec::new("compat", SimTime::from_secs(1)).declare_axis("variant", &Variant::ALL);
         for (vi, v) in Variant::ALL.iter().enumerate() {
-            hand = hand.point(v.label(), &[("variant", vi as f64)]);
+            hand = hand.point(v.label(), &[("variant", vi)]);
         }
         assert_eq!(typed.points(), hand.points());
     }
@@ -1561,12 +1437,11 @@ mod tests {
             "{mismatch}"
         );
 
-        // A hand-built point can carry an out-of-range or non-index
-        // value; both must be labeled errors, not slice panics.
+        // A hand-built point can carry an out-of-range index or none at
+        // all; both must be labeled errors, not slice panics.
         let bad = SweepSpec::new("errs", SimTime::ZERO)
             .declare_axis("variant", &Variant::ALL)
-            .point("bad", &[("variant", 99.0)])
-            .point("frac", &[("variant", 0.5)])
+            .point("bad", &[("variant", 99)])
             .point("none", &[]);
         assert_eq!(
             bad.points()[0].axis::<Variant>("variant").unwrap_err(),
@@ -1579,11 +1454,7 @@ mod tests {
         );
         assert!(matches!(
             bad.points()[1].axis::<Variant>("variant").unwrap_err(),
-            AxisError::NotAnIndex { value, .. } if value == 0.5
-        ));
-        assert!(matches!(
-            bad.points()[2].axis::<Variant>("variant").unwrap_err(),
-            AxisError::MissingParam { .. }
+            AxisError::MissingIndex { .. }
         ));
     }
 
@@ -1592,7 +1463,7 @@ mod tests {
     fn expect_axis_panics_with_the_labeled_error() {
         let spec = SweepSpec::new("panic", SimTime::ZERO)
             .declare_axis("variant", &Variant::ALL)
-            .point("bad", &[("variant", 99.0)]);
+            .point("bad", &[("variant", 99)]);
         let _ = spec.points()[0].expect_axis::<Variant>("variant");
     }
 
@@ -1607,7 +1478,7 @@ mod tests {
     #[test]
     fn declared_axis_reaches_points_added_before_the_declaration() {
         let spec = SweepSpec::new("late", SimTime::ZERO)
-            .point("first", &[("variant", 1.0)])
+            .point("first", &[("variant", 1)])
             .declare_axis("variant", &Variant::ALL);
         assert_eq!(
             spec.points()[0].axis::<Variant>("variant").unwrap(),
@@ -1616,16 +1487,6 @@ mod tests {
         assert_eq!(spec.axes().len(), 1);
         assert_eq!(spec.axes()[0].name(), "variant");
         assert_eq!(spec.axes()[0].len(), Variant::ALL.len());
-    }
-
-    #[test]
-    fn probe_points_have_no_axes() {
-        let probe = SweepPoint::probe("p", &[("variant", 0.0)]);
-        assert!(matches!(
-            probe.axis::<Variant>("variant").unwrap_err(),
-            AxisError::UnknownAxis { ref declared, .. } if declared.is_empty()
-        ));
-        assert_eq!(probe.expect_param("variant"), 0.0);
     }
 
     #[test]

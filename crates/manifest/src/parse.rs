@@ -202,6 +202,11 @@ struct PolicyDraft {
     alpha: Option<(usize, f64)>,
 }
 
+/// The largest `[fleet]` population, whether given as `devices` or as a
+/// `mix` total: about 4,000× the largest fleet the repository runs, so
+/// no manifest can queue work without bound.
+const MAX_FLEET_DEVICES: u64 = 1 << 32;
+
 #[derive(Default)]
 struct FleetDraft {
     devices: Option<(usize, u64)>,
@@ -893,8 +898,13 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                 match key {
                     "devices" => {
                         let v = parse_u64(line, key, value)?;
-                        if v == 0 {
-                            return Err(bad_value(line, key, value, "a positive device count"));
+                        if v == 0 || v > MAX_FLEET_DEVICES {
+                            return Err(bad_value(
+                                line,
+                                key,
+                                value,
+                                &format!("a device count from 1 to {MAX_FLEET_DEVICES}"),
+                            ));
                         }
                         set_once(&mut draft.devices, (line, v), line, key)?;
                     }
@@ -927,14 +937,17 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                                     name: task.to_string(),
                                 });
                             }
-                            total = total.checked_add(count).ok_or_else(|| {
-                                bad_value(
+                            total = total.saturating_add(count);
+                            if total > MAX_FLEET_DEVICES {
+                                return Err(bad_value(
                                     line,
                                     key,
                                     value,
-                                    "template counts whose total fits in a 64-bit device count",
-                                )
-                            })?;
+                                    &format!(
+                                        "template counts totalling at most {MAX_FLEET_DEVICES}"
+                                    ),
+                                ));
+                            }
                             refs.push(NameRef {
                                 line,
                                 field: "mix",
@@ -1188,7 +1201,8 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                     ));
                 }
                 (Some((_, devices)), None) => (devices, Vec::new()),
-                // The parser checked that the counts sum without overflow.
+                // The parser checked that the counts sum to at most
+                // MAX_FLEET_DEVICES.
                 (None, Some((_, mix))) => (mix.iter().map(|(_, n)| n).sum(), mix),
                 (None, None) => return Err(missing("fleet", "devices (or mix)")),
             };

@@ -43,12 +43,8 @@ fn main() {
         "{:>12} {:>14} {:>16}",
         "C (µF)", "atomicity(kops)", "recharge @1mW (s)"
     );
-    let analytic = SweepSpec::new("design-space-analytic", SimTime::ZERO).grid(
-        "c_uf",
-        &[100.0, 330.0, 1_000.0, 3_300.0, 10_000.0, 33_000.0],
-    );
-    let rows = map_on(analytic.points(), 0, |point| {
-        let c_uf = point.expect_param("c_uf");
+    let caps_uf = [100.0, 330.0, 1_000.0, 3_300.0, 10_000.0, 33_000.0];
+    let rows = map_on(&caps_uf, 0, |&c_uf| {
         let c = Farads::from_micro(c_uf);
         let (on_time, _) = capacitor::sustain_time(c, Ohms::ZERO, v_full, p_active, v_min);
         let ops = on_time.as_secs_f64() * mcu.ops_per_second();
@@ -86,12 +82,11 @@ fn main() {
     // cost longer recharges — the measured numbers mirror the analytic
     // table above.
     let measured = SweepSpec::new("design-space-measured", SimTime::from_secs(60))
-        .grid("units", &[1.0, 2.0, 4.0, 8.0, 16.0]);
+        .axis("units", &[1_usize, 2, 4, 8, 16]);
     let (report, _) = run_sweep_on(
         &measured,
         0,
         |point| {
-            let units = point.expect_param("units") as usize;
             let power = PowerSystem::builder()
                 .harvester(ConstantHarvester::new(
                     Watts::from_milli(5.0),
@@ -99,7 +94,7 @@ fn main() {
                 ))
                 .bank(
                     Bank::builder("fixed")
-                        .with_n(parts::tantalum_330uf(), units)
+                        .with_n(parts::tantalum_330uf(), point.expect_axis("units"))
                         .build(),
                     SwitchKind::NormallyClosed,
                 )
@@ -126,8 +121,8 @@ fn main() {
     for run in &report.runs {
         let s = &run.summary;
         println!(
-            "{:>8.0} {:>12} {:>10} {:>14.2} {:>12.1}",
-            run.point.expect_param("units"),
+            "{:>8} {:>12} {:>10} {:>14.2} {:>12.1}",
+            run.point.expect_axis::<usize>("units"),
             s.completions,
             s.charges,
             s.mean_charge_time().as_secs_f64(),

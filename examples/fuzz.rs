@@ -81,12 +81,11 @@ fn main() {
         }),
     ];
     let scenarios = [
-        Scenario::new("10min", &[]),
-        Scenario::new("5min", &[]).at_horizon(SimTime::from_secs(300)),
+        Scenario::new("10min", ()),
+        Scenario::new("5min", ()).at_horizon(SimTime::from_secs(300)),
     ];
     let grid_options = FuzzOptions::smoke(if smoke { 2 } else { 12 }, HORIZON);
     let grid = fuzz_policy_grid_on(
-        "fuzz-policy-grid",
         MASTER_SEED,
         &grid_options,
         &policies,

@@ -415,8 +415,8 @@ fn fleet_policy_sweep_ranks_policies_and_pins_the_winner() {
         }),
     ];
     let scenarios = [
-        FleetScenario::new("steady", SharedEnvironment::steady()),
-        FleetScenario::new(
+        Scenario::new("steady", SharedEnvironment::steady()),
+        Scenario::new(
             "dips",
             SharedEnvironment::steady()
                 .with_dips(

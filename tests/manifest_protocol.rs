@@ -380,6 +380,40 @@ fn fleet_mix_total_overflow_is_a_bad_value() {
 }
 
 #[test]
+fn fleet_population_past_the_cap_is_a_bad_value() {
+    // fleet_smoke.capy with 2^64 - 1 devices, or a mix summing to
+    // 2^64 - 2 without overflowing: both would run without bound.
+    for (file, field) in [
+        ("tests/inputs/devices_over_cap.capy", "devices"),
+        ("tests/inputs/mix_over_cap.capy", "mix"),
+    ] {
+        let text = fs::read_to_string(repo_path(file)).expect("manifest reads");
+        match parse_manifest(&text).unwrap_err() {
+            ManifestError::BadValue { key, expected, .. } => {
+                assert_eq!(key, field, "{file}");
+                assert!(expected.contains("4294967296"), "{file}: {expected}");
+            }
+            other => panic!("{file}: expected BadValue, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn fleet_population_cap_is_two_to_the_32_devices() {
+    let fleet = |stanza: &str| minimal(|t| t.push_str(&format!("\n[fleet]\n{stanza}\n")));
+    let rejected_key = |stanza: &str| match parse_manifest(&fleet(stanza)).unwrap_err() {
+        ManifestError::BadValue { key, .. } => key,
+        other => panic!("{stanza}: expected BadValue, got {other:?}"),
+    };
+    for accepted in ["devices = 4294967296", "mix = sense:4294967295, alert:1"] {
+        let manifest = parse_manifest(&fleet(accepted)).expect(accepted);
+        assert_eq!(manifest.fleet.expect("fleet stanza").devices, 1 << 32);
+    }
+    assert_eq!(rejected_key("devices = 4294967297"), "devices");
+    assert_eq!(rejected_key("mix = sense:4294967295, alert:2"), "mix");
+}
+
+#[test]
 fn fleet_missing_population_names_both_keys() {
     let text = minimal(|t| t.push_str("\n[fleet]\npanel_jitter_pct = 5\n"));
     assert_eq!(
