@@ -88,8 +88,10 @@ run cmp "$CI_TMP/w1/fleet_trace.result.json" "$CI_TMP/w8/fleet_trace.result.json
 # or JSON error), never wrapped into a wrong run, run without bound, or
 # crashed. The checked-in manifests' [fleet] populations sum past
 # u64::MAX (mix_overflow) or past the 2^32-device cap (devices_over_cap,
-# mix_over_cap); the JSON document, generated here, nests 200,000 arrays
-# deep.
+# mix_over_cap); fault_out_of_range degrades a bank by a cap_derate
+# outside [0, 1]; dips_over_cap asks for more than 2^20 harvest dips and
+# dips_zero_gap for dips whose mean gap rounds to 0 µs. The JSON
+# document, generated here, nests 200,000 arrays deep.
 expect_exit() {
     local want=$1
     shift
@@ -104,6 +106,9 @@ expect_exit() {
 expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_overflow.capy
 expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/devices_over_cap.capy
 expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_over_cap.capy
+expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/fault_out_of_range.capy
+expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/dips_over_cap.capy
+expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/dips_zero_gap.capy
 {
     head -c 200000 /dev/zero | tr '\0' '['
     head -c 200000 /dev/zero | tr '\0' ']'

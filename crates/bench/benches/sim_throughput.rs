@@ -4,10 +4,10 @@
 //!
 //! Besides the familiar per-case lines, this bench writes
 //! `BENCH_sim_throughput.json` (path via `--out`, `--quick` for the CI
-//! mode): ns/iter per micro case, steps/s for the simulator cases under
-//! the optimized vs. baseline [`KernelTuning`], and points/s + worker
-//! utilization for the sweep case. CI runs the quick mode on every PR,
-//! so speedups (and regressions) accumulate as a recorded trajectory.
+//! mode): ns/iter per micro case, steps/s per simulator case, and
+//! points/s + worker utilization for the sweep case. CI runs the quick
+//! mode on every change, so speedups (and regressions) accumulate as a
+//! recorded trajectory.
 //!
 //! Self-contained timing harness (no external bench framework): each
 //! case is warmed up, then run for a fixed wall-time budget. Mean and
@@ -24,7 +24,7 @@ use capy_bench::FIGURE_SEED;
 use capy_device::load::TaskLoad;
 use capy_power::capacitor;
 use capy_power::harvester::Harvester;
-use capy_power::prelude::{Bank, ConstantHarvester, KernelTuning, PowerSystem};
+use capy_power::prelude::{Bank, ConstantHarvester, PowerSystem};
 use capy_units::{Farads, Ohms, SimDuration, SimTime, Volts, Watts};
 use capybara::faults::{explore_kill_grid, explore_kill_grid_replay, KillGridOptions};
 use capybara::fleet::{
@@ -94,9 +94,23 @@ impl SimStats {
     }
 }
 
-/// Runs `run_once` (build + simulate; returns the step count) repeatedly
-/// for ~`budget` and accumulates step-throughput statistics.
-fn bench_sim_case(budget: Duration, mut run_once: impl FnMut() -> u64) -> SimStats {
+/// Builds and runs a simulator scenario to `horizon` repeatedly for
+/// ~`budget` (after one warm-up run) and prints its step throughput.
+fn bench_sim<H, C>(
+    name: &str,
+    budget: Duration,
+    horizon: SimTime,
+    build: impl Fn() -> Simulator<H, C>,
+) -> SimStats
+where
+    H: Harvester,
+    C: SimContext,
+{
+    let run_once = || {
+        let mut sim = build();
+        sim.run_until(horizon);
+        sim.exec_stats().attempts
+    };
     let _ = black_box(run_once()); // warm-up
     let mut stats = SimStats {
         runs: 0,
@@ -114,46 +128,14 @@ fn bench_sim_case(budget: Duration, mut run_once: impl FnMut() -> u64) -> SimSta
             break;
         }
     }
-    stats
-}
-
-/// A/B-runs a simulator scenario under the optimized and baseline kernel
-/// tunings and prints both lines plus the speedup.
-fn bench_sim_ab<H, C>(
-    name: &str,
-    budget: Duration,
-    horizon: SimTime,
-    build: impl Fn() -> Simulator<H, C>,
-) -> (SimStats, SimStats)
-where
-    H: Harvester,
-    C: SimContext,
-{
-    let run_with = |tuning: KernelTuning| {
-        bench_sim_case(budget, || {
-            let mut sim = build();
-            sim.power_mut().set_tuning(tuning);
-            sim.run_until(horizon);
-            sim.exec_stats().attempts
-        })
-    };
-    let opt = run_with(KernelTuning::optimized());
-    let base = run_with(KernelTuning::baseline());
-    for (label, s) in [("optimized", &opt), ("baseline", &base)] {
-        println!(
-            "{:<40} {:>9} runs    {:>9} steps   {:>12.0} steps/s   {:>9.0} ns/step",
-            format!("{name} [{label}]"),
-            s.runs,
-            s.steps,
-            s.steps_per_sec(),
-            s.ns_per_step()
-        );
-    }
     println!(
-        "{name:<40} speedup {:.2}x steps/s (optimized vs baseline tuning)",
-        opt.steps_per_sec() / base.steps_per_sec().max(1e-9)
+        "{name:<40} {:>9} runs    {:>9} steps   {:>12.0} steps/s   {:>9.0} ns/step",
+        stats.runs,
+        stats.steps,
+        stats.steps_per_sec(),
+        stats.ns_per_step()
     );
-    (opt, base)
+    stats
 }
 
 // --- cases --------------------------------------------------------------
@@ -172,21 +154,13 @@ fn charge_bench_system() -> PowerSystem<ConstantHarvester> {
         .build()
 }
 
-fn bench_charge(budget: Duration) -> (Timing, Timing) {
-    let opt = charge_bench_system();
-    let mut base = charge_bench_system();
-    base.set_tuning(KernelTuning::baseline());
-    let t_opt = bench_function("power_system_charge_until_full", budget, || {
-        let mut sys = opt.clone();
+fn bench_charge(budget: Duration) -> Timing {
+    let sys = charge_bench_system();
+    bench_function("power_system_charge_until_full", budget, || {
+        let mut sys = sys.clone();
         let mut now = SimTime::ZERO;
         sys.charge_until_full(&mut now).expect("charges")
-    });
-    let t_base = bench_function("power_system_charge_until_full [base]", budget, || {
-        let mut sys = base.clone();
-        let mut now = SimTime::ZERO;
-        sys.charge_until_full(&mut now).expect("charges")
-    });
-    (t_opt, t_base)
+    })
 }
 
 fn bench_discharge(budget: Duration) -> (Timing, Timing) {
@@ -427,14 +401,14 @@ fn bench_fleet(name: &'static str, quick: bool, env: SharedEnvironment) -> Fleet
 
 fn json_timing(t: &Timing) -> String {
     format!(
-        "{{\"iters\": {}, \"mean_ns\": {:.1}, \"min_ns\": {}}}",
+        "\"iters\": {}, \"mean_ns\": {:.1}, \"min_ns\": {}",
         t.iters, t.mean_ns, t.min_ns
     )
 }
 
 fn json_sim(s: &SimStats) -> String {
     format!(
-        "{{\"runs\": {}, \"steps\": {}, \"wall_ms\": {:.2}, \"steps_per_sec\": {:.1}, \"ns_per_step\": {:.1}}}",
+        "\"runs\": {}, \"steps\": {}, \"wall_ms\": {:.2}, \"steps_per_sec\": {:.1}, \"ns_per_step\": {:.1}",
         s.runs,
         s.steps,
         s.wall.as_secs_f64() * 1e3,
@@ -480,13 +454,13 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
 
-    let (charge_opt, charge_base) = bench_charge(micro_budget);
+    let charge = bench_charge(micro_budget);
     let (deep, shallow) = bench_discharge(micro_budget);
     let ta_events = vec![SimTime::from_secs(15)];
-    let (ta_opt, ta_base) = bench_sim_ab("ta_minute_capy_p", sim_budget, ta_horizon, || {
+    let ta_minute = bench_sim("ta_minute_capy_p", sim_budget, ta_horizon, || {
         ta::build(Variant::CapyP, ta_events.clone(), 7)
     });
-    let (sleep_opt, sleep_base) = bench_sim_ab(
+    let sleeper = bench_sim(
         "duty_cycle_sleeper",
         sim_budget,
         sleeper_horizon,
@@ -516,47 +490,30 @@ fn main() {
         "  \"mode\": \"{}\",",
         if quick { "quick" } else { "full" }
     );
-    json.push_str(
-        "  \"baseline_semantics\": \"same kernel with KernelTuning::baseline() \
-         (rail cache and discharge memo disabled)\",\n",
-    );
     json.push_str("  \"cases\": [\n");
+    for (name, t) in [
+        ("power_system_charge_until_full", &charge),
+        ("esr_discharge_deep", &deep),
+        ("esr_discharge_shallow", &shallow),
+    ] {
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{name}\", \"kind\": \"micro\", {}}},",
+            json_timing(t)
+        );
+    }
     let _ = writeln!(
         json,
-        "    {{\"name\": \"power_system_charge_until_full\", \"kind\": \"micro\", \
-         \"optimized\": {}, \"baseline\": {}, \"speedup_mean\": {:.2}}},",
-        json_timing(&charge_opt),
-        json_timing(&charge_base),
-        charge_base.mean_ns / charge_opt.mean_ns.max(1e-9)
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"esr_discharge_deep\", \"kind\": \"micro\", \"optimized\": {}}},",
-        json_timing(&deep)
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"esr_discharge_shallow\", \"kind\": \"micro\", \"optimized\": {}}},",
-        json_timing(&shallow)
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"ta_minute_capy_p\", \"kind\": \"sim\", \"horizon_s\": {}, \
-         \"optimized\": {}, \"baseline\": {}, \"speedup_steps_per_sec\": {:.2}}},",
+        "    {{\"name\": \"ta_minute_capy_p\", \"kind\": \"sim\", \"horizon_s\": {}, {}}},",
         ta_horizon.as_secs_f64(),
-        json_sim(&ta_opt),
-        json_sim(&ta_base),
-        ta_opt.steps_per_sec() / ta_base.steps_per_sec().max(1e-9)
+        json_sim(&ta_minute)
     );
     let _ = writeln!(
         json,
         "    {{\"name\": \"duty_cycle_sleeper\", \"kind\": \"sim\", \"charge_heavy\": true, \
-         \"horizon_s\": {}, \"optimized\": {}, \"baseline\": {}, \
-         \"speedup_steps_per_sec\": {:.2}}},",
+         \"horizon_s\": {}, {}}},",
         sleeper_horizon.as_secs_f64(),
-        json_sim(&sleep_opt),
-        json_sim(&sleep_base),
-        sleep_opt.steps_per_sec() / sleep_base.steps_per_sec().max(1e-9)
+        json_sim(&sleeper)
     );
     let _ = writeln!(
         json,

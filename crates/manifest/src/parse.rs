@@ -8,6 +8,7 @@
 //! manifest is fixable without reading this source.
 
 use std::fmt;
+use std::ops::RangeBounds;
 
 use capy_power::switch::SwitchKind;
 use capybara::Variant;
@@ -17,6 +18,7 @@ use crate::model::{
     LimitsSpec, McuKind, ModeSpec, PartKind, PolicySpec, ScenarioManifest, TaskSpec, ThenSpec,
     SCHEMA,
 };
+use crate::run::dip_mean_gap;
 
 /// Everything that can be wrong with a manifest, with enough location
 /// detail to fix it. Parse-side variants carry 1-based line numbers;
@@ -207,6 +209,10 @@ struct PolicyDraft {
 /// no manifest can queue work without bound.
 const MAX_FLEET_DEVICES: u64 = 1 << 32;
 
+/// The most correlated harvest dips a `[fleet]` may ask for: 8 MiB of
+/// onsets, or a dip every 30 s for a year.
+const MAX_FLEET_DIPS: u32 = 1 << 20;
+
 #[derive(Default)]
 struct FleetDraft {
     devices: Option<(usize, u64)>,
@@ -216,7 +222,7 @@ struct FleetDraft {
     rate_jitter_pct: Option<f64>,
     eclipse_period_s: Option<f64>,
     eclipse_sunlit: Option<f64>,
-    dips: Option<u32>,
+    dips: Option<(usize, u32)>,
     dip_hold_s: Option<f64>,
     dip_factor: Option<f64>,
     shading: Option<f64>,
@@ -1002,7 +1008,7 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                     }
                     "dips" => {
                         let v = parse_u32(line, key, value)?;
-                        set_once(&mut draft.dips, v, line, key)?;
+                        set_once(&mut draft.dips, (line, v), line, key)?;
                     }
                     "dip_hold_s" => {
                         let v = parse_f64(line, key, value)?;
@@ -1214,6 +1220,22 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                     "no `eclipse_period_s` alongside a trace (both drive the shared light cycle)",
                 ));
             }
+            // The dip onsets spread across the horizon; a count whose mean
+            // gap rounds to zero microseconds has no schedule.
+            if let Some((line, dips)) = draft.dips {
+                let zero_gap = max_sim_seconds.is_some_and(|h| dip_mean_gap(h, dips).is_zero());
+                if dips > MAX_FLEET_DIPS || zero_gap {
+                    return Err(bad_value(
+                        line,
+                        "dips",
+                        &dips.to_string(),
+                        &format!(
+                            "at most {MAX_FLEET_DIPS} dips, with a mean gap across \
+                             `max_sim_seconds` of at least 1 µs"
+                        ),
+                    ));
+                }
+            }
             Some(FleetStanza {
                 devices,
                 mix,
@@ -1222,7 +1244,7 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                 rate_jitter_pct: draft.rate_jitter_pct.unwrap_or(0.0),
                 eclipse_period_s: draft.eclipse_period_s,
                 eclipse_sunlit: draft.eclipse_sunlit.unwrap_or(0.5),
-                dips: draft.dips.unwrap_or(0),
+                dips: draft.dips.map_or(0, |(_, n)| n),
                 dip_hold_s: draft.dip_hold_s.unwrap_or(0.0),
                 dip_factor: draft.dip_factor.unwrap_or(1.0),
                 shading: draft.shading.unwrap_or(0.0),
@@ -1384,15 +1406,31 @@ fn parse_fault(
         }),
         ["weak-latch", bank, factor] => Ok(FaultSpec::WeakLatch {
             bank: bank_ref(bank),
-            factor: parse_f64(line, "fault", factor)?,
+            factor: fault_number(line, factor, 1.0.., "a `weak-latch` factor of at least 1")?,
             at_s,
         }),
         ["degraded", bank, cap, esr] => Ok(FaultSpec::Degraded {
             bank: bank_ref(bank),
-            cap_derate: parse_f64(line, "fault", cap)?,
-            esr_scale: parse_f64(line, "fault", esr)?,
+            cap_derate: fault_number(line, cap, 0.0..=1.0, "a `degraded` cap_derate in [0, 1]")?,
+            esr_scale: fault_number(line, esr, 1.0.., "a `degraded` esr_scale of at least 1")?,
             at_s,
         }),
         _ => Err(bad_value(line, "fault", value, expected)),
     }
+}
+
+/// A `[faults]` number, checked against the range the kernel honours:
+/// outside it the kernel would clamp or ignore the value and run a
+/// different fault.
+fn fault_number(
+    line: usize,
+    value: &str,
+    range: impl RangeBounds<f64>,
+    expected: &str,
+) -> Result<f64, ManifestError> {
+    let v = parse_f64(line, "fault", value)?;
+    if !range.contains(&v) {
+        return Err(bad_value(line, "fault", value, expected));
+    }
+    Ok(v)
 }

@@ -334,17 +334,23 @@ fn fleet_environment(
             .map_err(|e| build_err(format!("trace {}: {e}", path.display())))?;
     }
     if stanza.dips > 0 {
-        let mean_gap = time(horizon_s / f64::from(stanza.dips + 1));
         env = env.with_dips(
             derive_seed(run_seed, 0xD19),
             stanza.dips as usize,
-            mean_gap,
+            dip_mean_gap(horizon_s, stanza.dips),
             time(stanza.dip_hold_s),
             stanza.dip_factor,
         );
     }
     env.shading(stanza.shading)
         .map_err(|e| build_err(e.to_string()))
+}
+
+/// The mean spacing of `dips` dip onsets spread across a `horizon_s`
+/// run, rounded to whole microseconds. The parser rejects a count whose
+/// gap rounds to zero.
+pub(crate) fn dip_mean_gap(horizon_s: f64, dips: u32) -> SimDuration {
+    SimDuration::from_micros((horizon_s / (f64::from(dips) + 1.0) * 1e6).round() as u64)
 }
 
 /// The fleet path of [`run_manifest_on`]: the manifest becomes the

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::mppt::{harvested_power, PvCurve, Tracking};
     pub use crate::switch::{BankSwitch, SwitchFault, SwitchKind, SwitchState};
     pub use crate::system::{
-        ChargeOutcome, DrawOutcome, HardwareFault, KernelTuning, PowerSystem, PowerSystemBuilder,
+        ChargeOutcome, DrawOutcome, HardwareFault, PowerSystem, PowerSystemBuilder,
     };
     pub use crate::technology::{parts, Technology};
     pub use crate::PowerError;

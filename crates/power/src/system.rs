@@ -103,54 +103,10 @@ impl DrawOutcome {
     }
 }
 
-/// Toggles for the kernel's gated memoization layers.
-///
-/// Both modes compute bitwise-identical results: every gated optimization
-/// is pure memoization — a cached value is exactly what recomputation
-/// would produce — which is what the bit-identity test suite asserts on
-/// the fig8/fig9/TA scenarios. [`KernelTuning::baseline`] exists so those
-/// tests (and A/B throughput benchmarks) can force the un-memoized paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelTuning {
-    /// Cache derived per-configuration rail quantities (capacitance, ESR,
-    /// leakage current, full voltage) between closed-set changes.
-    pub rail_cache: bool,
-    /// Memoize [`capacitor::discharge`] results keyed on the exact bit
-    /// patterns of the inputs (cyclic workloads repeat keys verbatim).
-    pub discharge_memo: bool,
-}
-
-impl KernelTuning {
-    /// All memoization layers enabled (the default).
-    #[must_use]
-    pub fn optimized() -> Self {
-        Self {
-            rail_cache: true,
-            discharge_memo: true,
-        }
-    }
-
-    /// All memoization layers disabled; every derived quantity is
-    /// recomputed from first principles on every operation.
-    #[must_use]
-    pub fn baseline() -> Self {
-        Self {
-            rail_cache: false,
-            discharge_memo: false,
-        }
-    }
-}
-
-impl Default for KernelTuning {
-    fn default() -> Self {
-        Self::optimized()
-    }
-}
-
 /// Derived rail quantities that are a pure function of the bank specs,
 /// their deratings, and the closed switch set — not of rail voltage or
-/// time. Invalidated on any closed-set change, hardware fault, wear
-/// derating, or tuning change (see DESIGN.md, "Kernel memoization").
+/// time. Invalidated on any closed-set change, hardware fault, or wear
+/// derating (see DESIGN.md, "Kernel memoization").
 #[derive(Debug, Clone, Copy)]
 struct RailDerived {
     capacitance: Farads,
@@ -158,6 +114,18 @@ struct RailDerived {
     /// Σ bank leakage current over the closed set, in amps.
     leak_current: f64,
     full_voltage: Volts,
+}
+
+impl RailDerived {
+    /// The raw bits of every field, for exact cache-hit checks.
+    fn bits(self) -> [u64; 4] {
+        [
+            self.capacitance.get().to_bits(),
+            self.esr.get().to_bits(),
+            self.leak_current.to_bits(),
+            self.full_voltage.get().to_bits(),
+        ]
+    }
 }
 
 const DISCHARGE_MEMO_CAPACITY: usize = 32;
@@ -169,8 +137,9 @@ const DISCHARGE_MEMO_MIN_DT: SimDuration = SimDuration::from_millis(100);
 
 /// Exact-key memo for [`capacitor::discharge`]: inputs are keyed on their
 /// raw bit patterns, so a hit returns the bitwise-identical `Discharge`
-/// the function would compute. Small and round-robin — cyclic workloads
-/// only ever touch a handful of distinct keys.
+/// the function would compute. The key covers every input, so no entry
+/// ever goes stale and the memo is never cleared. Small and round-robin —
+/// cyclic workloads only ever touch a handful of distinct keys.
 #[derive(Debug, Clone, Default)]
 struct DischargeMemo {
     entries: Vec<([u64; 6], Discharge)>,
@@ -208,10 +177,13 @@ impl DischargeMemo {
             self.cursor = (self.cursor + 1) % DISCHARGE_MEMO_CAPACITY;
         }
     }
+}
 
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.cursor = 0;
+/// The raw bits of a discharge result, for exact memo-hit checks.
+fn discharge_bits(d: Discharge) -> (Option<u64>, u64) {
+    match d {
+        Discharge::Sustained(v) => (None, v.get().to_bits()),
+        Discharge::Failed(t, v) => (Some(t.as_micros()), v.get().to_bits()),
     }
 }
 
@@ -244,8 +216,6 @@ pub struct PowerSystem<H> {
     /// Extra rail voltage required above the booster's startup threshold
     /// before a cold boot succeeds (brownout-prone supervisors).
     startup_margin: Volts,
-    /// Kernel memoization toggles; see [`KernelTuning`].
-    tuning: KernelTuning,
     /// Cached derived rail quantities (`None` = recompute on next use).
     rail_derived: Option<RailDerived>,
     /// Exact-key discharge memo; see [`DischargeMemo`].
@@ -425,20 +395,6 @@ impl<H: Harvester> PowerSystem<H> {
     /// (models cold-start brownout on marginal supervisors).
     pub fn set_startup_margin(&mut self, margin: Volts) {
         self.startup_margin = margin.max(Volts::ZERO);
-    }
-
-    /// Replaces the kernel tuning, dropping every memoized value so both
-    /// modes proceed from identical state.
-    pub fn set_tuning(&mut self, tuning: KernelTuning) {
-        self.tuning = tuning;
-        self.rail_derived = None;
-        self.discharge_memo.clear();
-    }
-
-    /// The active kernel tuning.
-    #[must_use]
-    pub fn tuning(&self) -> KernelTuning {
-        self.tuning
     }
 
     /// Cumulative number of analytic segments integrated by
@@ -859,8 +815,7 @@ impl<H: Harvester> PowerSystem<H> {
     fn equalize(&mut self, now: SimTime) {
         // Exact no-op early-out: with fewer than two closed banks, or with
         // every closed bank already at one voltage, redistribution has
-        // nothing to move. Shared by both tuning modes, so it cannot
-        // perturb optimized-vs-baseline bit-identity.
+        // nothing to move.
         let mut count = 0usize;
         let mut v_first = Volts::ZERO;
         let mut uniform = true;
@@ -913,15 +868,18 @@ impl<H: Harvester> PowerSystem<H> {
         }
     }
 
-    /// Derived rail quantities at `now`, memoized when the tuning allows.
-    /// The cached value is bitwise identical to recomputation: it is only
-    /// ever filled from `compute_rail_derived`, and every mutation that
-    /// can change an input (closed set, faults, wear derating) clears it.
+    /// Derived rail quantities at `now`, memoized. The cached value is
+    /// bitwise identical to recomputation: it is only ever filled from
+    /// `compute_rail_derived`, and every mutation that can change an input
+    /// (closed set, faults, wear derating) clears it. Debug builds check
+    /// every hit against a fresh recomputation.
     fn rail_derived_at(&mut self, now: SimTime) -> RailDerived {
-        if !self.tuning.rail_cache {
-            return self.compute_rail_derived(now);
-        }
         if let Some(d) = self.rail_derived {
+            debug_assert_eq!(
+                d.bits(),
+                self.compute_rail_derived(now).bits(),
+                "stale rail cache at {now}: {d:?}"
+            );
             return d;
         }
         let d = self.compute_rail_derived(now);
@@ -938,7 +896,8 @@ impl<H: Harvester> PowerSystem<H> {
         }
     }
 
-    /// [`capacitor::discharge`] through the exact-key memo (when enabled).
+    /// [`capacitor::discharge`] through the exact-key memo. Debug builds
+    /// check every hit against a fresh integration.
     #[allow(clippy::too_many_arguments)]
     fn discharge_memoized(
         &mut self,
@@ -954,11 +913,16 @@ impl<H: Harvester> PowerSystem<H> {
         // voltages rarely repeat anyway — only memoize draws long enough
         // for the loop to dominate. Gating by `dt` never changes results:
         // a hit is bitwise-exact whether or not a given call is cached.
-        if !self.tuning.discharge_memo || dt < DISCHARGE_MEMO_MIN_DT {
+        if dt < DISCHARGE_MEMO_MIN_DT {
             return capacitor::discharge(c, esr, v0, power, v_min, dt);
         }
         let key = DischargeMemo::key(c, esr, v0, power, v_min, dt);
         if let Some(hit) = self.discharge_memo.get(&key) {
+            debug_assert_eq!(
+                discharge_bits(hit),
+                discharge_bits(capacitor::discharge(c, esr, v0, power, v_min, dt)),
+                "stale discharge memo entry {hit:?}"
+            );
             return hit;
         }
         let out = capacitor::discharge(c, esr, v0, power, v_min, dt);
@@ -1094,7 +1058,6 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             pending_faults: Vec::new(),
             wear_model: None,
             startup_margin: Volts::ZERO,
-            tuning: KernelTuning::default(),
             rail_derived: None,
             discharge_memo: DischargeMemo::default(),
             charge_segments: 0,
@@ -1544,86 +1507,139 @@ mod tests {
     #[test]
     fn long_constant_harvest_charges_in_constant_segments() {
         // Crossing a multi-minute constant-harvest charge must cost O(1)
-        // analytic segments, not O(duration) — in both tuning modes, and
-        // with the same count (segmentation is tuning-independent).
-        let mut counts = Vec::new();
-        for tuning in [KernelTuning::optimized(), KernelTuning::baseline()] {
-            let weak = ConstantHarvester::new(Watts::from_micro(500.0), Volts::new(2.5));
-            let mut sys = PowerSystem::builder()
-                .harvester(weak)
-                .bank(big_bank(), SwitchKind::NormallyClosed)
-                .build();
-            sys.set_tuning(tuning);
-            let mut now = SimTime::ZERO;
-            let before = sys.charge_segments();
-            sys.charge_until_full(&mut now).unwrap();
-            let used = sys.charge_segments() - before;
-            assert!(
-                now > SimTime::from_secs(60),
-                "expected a long charge, now = {now}"
-            );
-            assert!(used <= 10, "segments = {used} under {tuning:?}");
-            counts.push(used);
-        }
-        assert_eq!(counts[0], counts[1]);
+        // analytic segments, not O(duration).
+        let weak = ConstantHarvester::new(Watts::from_micro(500.0), Volts::new(2.5));
+        let mut sys = PowerSystem::builder()
+            .harvester(weak)
+            .bank(big_bank(), SwitchKind::NormallyClosed)
+            .build();
+        let mut now = SimTime::ZERO;
+        let before = sys.charge_segments();
+        sys.charge_until_full(&mut now).unwrap();
+        let used = sys.charge_segments() - before;
+        assert!(
+            now > SimTime::from_secs(60),
+            "expected a long charge, now = {now}"
+        );
+        assert!(used <= 10, "segments = {used}");
     }
 
+    /// Every route that can change a cached rail quantity is followed by
+    /// more charges and draws. Had a route left the rail cache standing,
+    /// the next operation would serve a stale hit, and debug builds check
+    /// every hit against recomputation. Each charge-then-draw pass after
+    /// the first repeats a discharge-memo key, so memo hits are checked
+    /// along the way.
     #[test]
-    fn optimized_and_baseline_kernels_agree_bitwise() {
-        let mut opt = PowerSystem::builder()
-            .harvester(ten_mw())
-            .bank(small_bank(), SwitchKind::NormallyClosed)
-            .bank(big_bank(), SwitchKind::NormallyOpen)
-            .build();
-        let mut base = opt.clone();
-        opt.set_tuning(KernelTuning::optimized());
-        base.set_tuning(KernelTuning::baseline());
-        let mut ta = SimTime::ZERO;
-        let mut tb = SimTime::ZERO;
-        for _ in 0..5 {
-            assert_eq!(
-                opt.charge_until(Volts::new(2.5), &mut ta),
-                base.charge_until(Volts::new(2.5), &mut tb)
-            );
-            assert_eq!(
-                opt.draw(
-                    Watts::from_milli(8.0),
-                    SimDuration::from_millis(40),
-                    &mut ta
-                ),
-                base.draw(
-                    Watts::from_milli(8.0),
-                    SimDuration::from_millis(40),
-                    &mut tb
-                )
-            );
-            // Sleep-style micro-draw: from the second cycle on, the memo
-            // key repeats verbatim and the optimized side answers from
-            // cache — results must stay bitwise equal regardless.
-            assert_eq!(
-                opt.draw(Watts::from_micro(20.0), SimDuration::from_secs(2), &mut ta),
-                base.draw(Watts::from_micro(20.0), SimDuration::from_secs(2), &mut tb)
-            );
-            assert_eq!(ta, tb);
-            assert_eq!(
-                opt.rail_voltage(ta).get().to_bits(),
-                base.rail_voltage(tb).get().to_bits()
-            );
+    fn every_invalidation_route_is_followed_by_checked_hits() {
+        type Sys = PowerSystem<ConstantHarvester>;
+        type Route = fn(&mut Sys, &mut SimTime);
+        fn charge_and_draw(sys: &mut Sys, now: &mut SimTime) {
+            for _ in 0..2 {
+                sys.charge_until(Volts::new(2.5), now).unwrap();
+                let out = sys.draw(Watts::from_milli(1.0), SimDuration::from_millis(150), now);
+                assert!(out.is_complete());
+            }
         }
-        // Reconfiguration invalidates the derived cache on the optimized
-        // side; both must keep agreeing afterwards.
-        opt.command_switch(BankId(1), SwitchState::Closed, ta)
-            .unwrap();
-        base.command_switch(BankId(1), SwitchState::Closed, tb)
-            .unwrap();
-        assert_eq!(
-            opt.charge_until(Volts::new(1.8), &mut ta),
-            base.charge_until(Volts::new(1.8), &mut tb)
+        fn rail(sys: &Sys, now: SimTime) -> [u64; 2] {
+            [
+                sys.rail_capacitance(now).get().to_bits(),
+                sys.rail_esr(now).get().to_bits(),
+            ]
+        }
+        let routes: [(&str, Route); 5] = [
+            ("switch command", |sys, now| {
+                sys.command_switch(BankId(1), SwitchState::Closed, *now)
+                    .unwrap();
+            }),
+            // Unpowered for longer than the latch retention, the
+            // normally-open switch reverts.
+            ("latch decay", |sys, now| {
+                sys.idle(SimDuration::from_secs(600), now);
+            }),
+            // A deep discharge makes the next charge record a cycle, which
+            // the wear model turns into a derating.
+            ("wear inside charge_until", |sys, now| {
+                sys.set_wear_model(Some(WearModel {
+                    cap_fade_at_eol: 0.5,
+                    esr_growth_at_eol: 2.0,
+                }));
+                let _ = sys.draw(Watts::from_milli(10.0), SimDuration::from_secs(60), now);
+                sys.charge_until(Volts::new(2.5), now).unwrap();
+            }),
+            ("seed_wear", |sys, _| sys.seed_wear(&[250_000])),
+            ("scheduled fault", |sys, now| {
+                sys.schedule_fault(
+                    now.saturating_add(SimDuration::from_secs(1)),
+                    HardwareFault::BankDegraded {
+                        bank: BankId(0),
+                        cap_derate: 0.5,
+                        esr_scale: 3.0,
+                    },
+                );
+                sys.idle(SimDuration::from_secs(2), now);
+            }),
+        ];
+        let mut sys: Sys = PowerSystem::builder()
+            .harvester(ten_mw())
+            .bank(
+                Bank::builder("edlc").with(parts::edlc_7_5mf()).build(),
+                SwitchKind::NormallyClosed,
+            )
+            .bank(small_bank(), SwitchKind::NormallyOpen)
+            .build();
+        let mut now = SimTime::ZERO;
+        charge_and_draw(&mut sys, &mut now);
+        for (route, apply) in routes {
+            let before = rail(&sys, now);
+            apply(&mut sys, &mut now);
+            assert_ne!(rail(&sys, now), before, "{route} must move the rail");
+            charge_and_draw(&mut sys, &mut now);
+        }
+    }
+
+    /// The discharge memo is never cleared, so its key must cover every
+    /// input: a fault that changes only the ESR must not replay the
+    /// healthy bank's draw.
+    #[test]
+    fn discharge_memo_key_covers_the_esr() {
+        let mut sys = one_bank_system();
+        let mut now = SimTime::ZERO;
+        let (load, span) = (Watts::from_milli(8.0), SimDuration::from_millis(150));
+        sys.charge_until_full(&mut now).unwrap();
+        assert!(sys.draw(load, span, &mut now).is_complete());
+        let v_healthy = sys.rail_voltage(now);
+
+        sys.inject_fault(
+            HardwareFault::BankDegraded {
+                bank: BankId(0),
+                cap_derate: 1.0,
+                esr_scale: 4.0,
+            },
+            now,
+        )
+        .unwrap();
+        sys.charge_until_full(&mut now).unwrap();
+        let booster = sys.output_booster();
+        let expected = capacitor::discharge(
+            sys.rail_capacitance(now),
+            sys.rail_esr(now),
+            sys.rail_voltage(now),
+            booster.input_power_for(load),
+            booster.min_operating_voltage(),
+            span,
         );
-        assert_eq!(
-            opt.rail_voltage(ta).get().to_bits(),
-            base.rail_voltage(tb).get().to_bits()
+        assert!(sys.draw(load, span, &mut now).is_complete());
+        let v_degraded = sys.rail_voltage(now);
+
+        let Discharge::Sustained(v_expected) = expected else {
+            panic!("the reference draw must complete: {expected:?}");
+        };
+        assert_eq!(v_degraded.get().to_bits(), v_expected.get().to_bits());
+        assert_ne!(
+            v_degraded.get().to_bits(),
+            v_healthy.get().to_bits(),
+            "a 4x ESR must change the draw"
         );
-        assert_eq!(opt.energy_delivered(), base.energy_delivered());
     }
 }

@@ -13,7 +13,7 @@
 //! 3. **O(workers) memory**: the streaming accumulator's footprint is
 //!    constant in the device count.
 
-use capy_power::prelude::{KernelTuning, WearModel};
+use capy_power::prelude::WearModel;
 use capy_units::rng::{derive_seed, DetRng};
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 use capybara_suite::prelude::*;
@@ -255,8 +255,8 @@ fn random_trace(rng: &mut DetRng) -> Vec<(SimTime, f64)> {
 /// random traces (composed with correlated dips and spatial shading),
 /// `factor_at` must hold exactly constant on every
 /// `[t, valid_until(t))` window, and `charge_until` across the trace
-/// must cost O(1) analytic segments per constant interval — identical
-/// in both kernel tunings — never O(duration).
+/// must cost O(1) analytic segments per constant interval, never
+/// O(duration).
 #[test]
 fn trace_env_is_piecewise_constant_and_charges_in_bounded_segments() {
     let mut rng = DetRng::seed_from_u64(0x7A5E);
@@ -316,37 +316,30 @@ fn trace_env_is_piecewise_constant_and_charges_in_bounded_segments() {
             );
         }
 
-        // O(1) segments per constant interval, in both tunings, with
-        // the same count (segmentation is tuning-independent).
-        let mut counts = Vec::new();
-        for tuning in [KernelTuning::optimized(), KernelTuning::baseline()] {
-            let mut sys = PowerSystem::builder()
-                .harvester(FleetHarvester::new(
-                    ConstantHarvester::new(Watts::from_milli(1.0), Volts::new(3.0)),
-                    0.9,
-                    plain.clone(),
-                    placement,
-                ))
-                .bank(
-                    Bank::builder("store").with(parts::edlc_7_5mf()).build(),
-                    SwitchKind::NormallyClosed,
-                )
-                .build();
-            sys.set_tuning(tuning);
-            let mut now = SimTime::ZERO;
-            let before = sys.charge_segments();
-            sys.charge_until(Volts::new(2.7), &mut now)
-                .expect("trace ends at full sun, so the charge completes");
-            let used = sys.charge_segments() - before;
-            let budget = 4 * samples.len() as u64 + 8;
-            assert!(
-                used <= budget,
-                "case {case}: {used} segments for {} trace samples under {tuning:?}",
-                samples.len()
-            );
-            counts.push((used, now));
-        }
-        assert_eq!(counts[0], counts[1], "case {case}: tunings disagree");
+        // O(1) segments per constant interval.
+        let mut sys = PowerSystem::builder()
+            .harvester(FleetHarvester::new(
+                ConstantHarvester::new(Watts::from_milli(1.0), Volts::new(3.0)),
+                0.9,
+                plain.clone(),
+                placement,
+            ))
+            .bank(
+                Bank::builder("store").with(parts::edlc_7_5mf()).build(),
+                SwitchKind::NormallyClosed,
+            )
+            .build();
+        let mut now = SimTime::ZERO;
+        let before = sys.charge_segments();
+        sys.charge_until(Volts::new(2.7), &mut now)
+            .expect("trace ends at full sun, so the charge completes");
+        let used = sys.charge_segments() - before;
+        let budget = 4 * samples.len() as u64 + 8;
+        assert!(
+            used <= budget,
+            "case {case}: {used} segments for {} trace samples",
+            samples.len()
+        );
     }
 }
 

@@ -414,6 +414,51 @@ fn fleet_population_cap_is_two_to_the_32_devices() {
 }
 
 #[test]
+fn fleet_dips_cap_is_two_to_the_20() {
+    let fleet = |dips: &str| minimal(|t| t.push_str(&format!("\n[fleet]\ndevices = 4\n{dips}\n")));
+    let manifest = parse_manifest(&fleet("dips = 1048576")).expect("2^20 dips are accepted");
+    assert_eq!(manifest.fleet.expect("fleet stanza").dips, 1 << 20);
+    match parse_manifest(&fleet("dips = 1048577")).unwrap_err() {
+        ManifestError::BadValue { key, expected, .. } => {
+            assert_eq!(key, "dips");
+            assert!(expected.contains("1048576"), "{expected}");
+        }
+        other => panic!("expected BadValue, got {other:?}"),
+    }
+}
+
+#[test]
+fn fleet_dips_past_the_cap_or_with_a_zero_gap_are_bad_values() {
+    // fleet_smoke.capy with 2^32 - 1 dips (the count + 1 wrapped to 0
+    // and the onset schedule asked for 32 GiB), and with 300,000 dips
+    // over 0.1 s (the mean gap rounded to 0 µs and the run panicked).
+    for (file, fragment) in [
+        ("tests/inputs/dips_over_cap.capy", "1048576"),
+        ("tests/inputs/dips_zero_gap.capy", "1 µs"),
+    ] {
+        let text = fs::read_to_string(repo_path(file)).expect("manifest reads");
+        match parse_manifest(&text).unwrap_err() {
+            ManifestError::BadValue { key, expected, .. } => {
+                assert_eq!(key, "dips", "{file}");
+                assert!(expected.contains(fragment), "{file}: {expected}");
+            }
+            other => panic!("{file}: expected BadValue, got {other:?}"),
+        }
+    }
+    // 100,000 dips over 0.1 s leave a mean gap that rounds to 1 µs.
+    let text = fs::read_to_string(repo_path("tests/inputs/dips_zero_gap.capy")).expect("reads");
+    let text = text.replace("dips = 300000", "dips = 100000");
+    assert_eq!(
+        parse_manifest(&text)
+            .expect("a 1 µs gap")
+            .fleet
+            .unwrap()
+            .dips,
+        100_000
+    );
+}
+
+#[test]
 fn fleet_missing_population_names_both_keys() {
     let text = minimal(|t| t.push_str("\n[fleet]\npanel_jitter_pct = 5\n"));
     assert_eq!(
@@ -450,6 +495,55 @@ fn fleet_rejects_per_device_assertions() {
         }
         other => panic!("expected Build, got {other:?}"),
     }
+}
+
+// --- fault ranges ---
+
+#[test]
+fn out_of_range_fault_values_are_bad_values() {
+    let with_fault =
+        |fault: &str| minimal(|t| t.push_str(&format!("\n[faults]\nfault = {fault}\n")));
+    // Each would have run a different scenario: the kernel ignores a
+    // weak-latch factor below 1, clamps cap_derate into [0, 1] and
+    // raises an esr_scale below 1 to 1.
+    for (fault, bad, range) in [
+        ("weak-latch big 0 @ 30", "0", "at least 1"),
+        ("weak-latch big -5 @ 30", "-5", "at least 1"),
+        ("weak-latch big 0.99 @ 30", "0.99", "at least 1"),
+        ("degraded big -1 2 @ 60", "-1", "[0, 1]"),
+        ("degraded big 1.01 2 @ 60", "1.01", "[0, 1]"),
+        ("degraded big 0.5 -3 @ 60", "-3", "at least 1"),
+        ("degraded big 0.5 0.99 @ 60", "0.99", "at least 1"),
+    ] {
+        match parse_manifest(&with_fault(fault)).unwrap_err() {
+            ManifestError::BadValue {
+                key,
+                value,
+                expected,
+                ..
+            } => {
+                assert_eq!(key, "fault", "{fault}");
+                assert_eq!(value, bad, "{fault}");
+                assert!(expected.contains(range), "{fault}: {expected}");
+            }
+            other => panic!("{fault}: expected BadValue, got {other:?}"),
+        }
+    }
+    // The boundaries are in range.
+    for fault in [
+        "weak-latch big 1 @ 30",
+        "degraded big 0 1 @ 60",
+        "degraded big 1 1 @ 60",
+    ] {
+        let manifest = parse_manifest(&with_fault(fault)).expect(fault);
+        assert_eq!(manifest.faults.len(), 1, "{fault}");
+    }
+    let text = fs::read_to_string(repo_path("tests/inputs/fault_out_of_range.capy"))
+        .expect("manifest reads");
+    assert!(matches!(
+        parse_manifest(&text).unwrap_err(),
+        ManifestError::BadValue { key, .. } if key == "fault"
+    ));
 }
 
 // --- exit codes ---

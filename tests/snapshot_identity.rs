@@ -4,10 +4,8 @@
 //! *byte-for-byte* indistinguishable from an uninterrupted run: same
 //! event log, same run summary, same clocks, same final rail-voltage
 //! bits. These tests check that contract property-style — a seeded loop
-//! of snapshot points per scenario — across every `KernelTuning`
-//! combination (the PR 5 memo caches must either be captured or be pure
-//! memoization that reconverges bitwise), after `inject_power_failure`,
-//! and with an armed `FaultPlan` whose faults strike after the snapshot.
+//! of snapshot points per scenario — after `inject_power_failure`, and
+//! with an armed `FaultPlan` whose faults strike after the snapshot.
 
 use std::time::Duration;
 
@@ -16,31 +14,10 @@ use capy_units::{SimDuration, SimTime};
 use capybara_suite::apps::events::{fit_span, poisson_events};
 use capybara_suite::apps::ta;
 use capybara_suite::power::harvester::Harvester;
-use capybara_suite::power::prelude::KernelTuning;
 use capybara_suite::prelude::*;
 use capybara_suite::sweep::RunSummary;
 
 const SEED: u64 = 0x5AA9;
-
-/// All four `{rail_cache} × {discharge_memo}` combinations.
-const TUNINGS: [KernelTuning; 4] = [
-    KernelTuning {
-        rail_cache: false,
-        discharge_memo: false,
-    },
-    KernelTuning {
-        rail_cache: true,
-        discharge_memo: false,
-    },
-    KernelTuning {
-        rail_cache: false,
-        discharge_memo: true,
-    },
-    KernelTuning {
-        rail_cache: true,
-        discharge_memo: true,
-    },
-];
 
 fn ta_events() -> Vec<SimTime> {
     let mut ev = poisson_events(
@@ -73,50 +50,43 @@ fn assert_sims_identical<H: Harvester, C: SimContext>(
     );
 }
 
-/// The property: for each scenario under each tuning, run
-/// uninterrupted to the horizon; then for a seeded sample of snapshot
-/// instants, run to the instant, snapshot, keep running, restore into a
-/// *fresh* simulator, and run the restored copy to the horizon. Both
-/// the donor (which kept running past its snapshot) and the restored
-/// copy must be bit-identical to the uninterrupted run.
+/// The property: run the scenario uninterrupted to the horizon; then for
+/// a seeded sample of snapshot instants, run to the instant, snapshot,
+/// keep running, restore into a *fresh* simulator, and run the restored
+/// copy to the horizon. Both the donor (which kept running past its
+/// snapshot) and the restored copy must be bit-identical to the
+/// uninterrupted run.
 fn check_snapshot_identity<H, C>(build: impl Fn() -> Simulator<H, C>, horizon: SimTime, label: &str)
 where
     H: Harvester + Clone,
     C: SimContext + Clone,
 {
     let mut rng = DetRng::seed_from_u64(SEED);
-    for tuning in TUNINGS {
-        let with_tuning = || {
-            let mut sim = build();
-            sim.power_mut().set_tuning(tuning);
-            sim
-        };
-        let mut straight = with_tuning();
-        straight.run_until(horizon);
+    let mut straight = build();
+    straight.run_until(horizon);
 
-        for trial in 0..4 {
-            let cut = SimTime::from_micros(rng.gen_range(1..horizon.as_micros()));
-            let case = format!("{label}/tuning{tuning:?}/trial{trial}@{cut}");
+    for trial in 0..4 {
+        let cut = SimTime::from_micros(rng.gen_range(1..horizon.as_micros()));
+        let case = format!("{label}/trial{trial}@{cut}");
 
-            let mut donor = with_tuning();
-            donor.run_until(cut);
-            let snap = donor.snapshot();
-            assert_eq!(snap.now(), donor.now(), "{case}: snapshot clock");
+        let mut donor = build();
+        donor.run_until(cut);
+        let snap = donor.snapshot();
+        assert_eq!(snap.now(), donor.now(), "{case}: snapshot clock");
 
-            // Taking a snapshot must not perturb the donor.
-            donor.run_until(horizon);
-            assert_sims_identical(&donor, &straight, &format!("{case}/donor"));
+        // Taking a snapshot must not perturb the donor.
+        donor.run_until(horizon);
+        assert_sims_identical(&donor, &straight, &format!("{case}/donor"));
 
-            // Restoring into a fresh simulator resumes bit-identically.
-            let mut restored = with_tuning();
-            restored.restore(&snap);
-            restored.run_until(horizon);
-            assert_sims_identical(&restored, &straight, &format!("{case}/restored"));
-        }
+        // Restoring into a fresh simulator resumes bit-identically.
+        let mut restored = build();
+        restored.restore(&snap);
+        restored.run_until(horizon);
+        assert_sims_identical(&restored, &straight, &format!("{case}/restored"));
     }
 }
 
-/// Snapshot identity on the plain TA mission, all four tunings.
+/// Snapshot identity on the plain TA mission.
 #[test]
 fn snapshot_restore_is_bit_identical_on_ta() {
     let events = ta_events();
@@ -137,35 +107,28 @@ fn snapshot_restore_is_bit_identical_across_injected_kills() {
     let horizon = SimTime::from_secs(300);
     let build = || ta::build(Variant::CapyR, events.clone(), SEED);
     let mut rng = DetRng::seed_from_u64(SEED ^ 0xDEAD);
-    for tuning in TUNINGS {
-        let with_tuning = || {
-            let mut sim = build();
-            sim.power_mut().set_tuning(tuning);
-            sim
+    for trial in 0..3 {
+        let cut = SimTime::from_micros(rng.gen_range(1..horizon.as_micros() / 2));
+        let kill = SimTime::from_micros(rng.gen_range(cut.as_micros()..horizon.as_micros()));
+        let case = format!("kill/trial{trial}@{cut}->{kill}");
+
+        let run_from = |sim: &mut Simulator<_, _>| {
+            if sim.run_until(kill) == StepResult::Progress {
+                sim.inject_power_failure();
+                sim.run_until(horizon);
+            }
         };
-        for trial in 0..3 {
-            let cut = SimTime::from_micros(rng.gen_range(1..horizon.as_micros() / 2));
-            let kill = SimTime::from_micros(rng.gen_range(cut.as_micros()..horizon.as_micros()));
-            let case = format!("kill/tuning{tuning:?}/trial{trial}@{cut}->{kill}");
 
-            let run_from = |sim: &mut Simulator<_, _>| {
-                if sim.run_until(kill) == StepResult::Progress {
-                    sim.inject_power_failure();
-                    sim.run_until(horizon);
-                }
-            };
+        let mut donor = build();
+        donor.run_until(cut);
+        let snap = donor.snapshot();
+        run_from(&mut donor);
 
-            let mut donor = with_tuning();
-            donor.run_until(cut);
-            let snap = donor.snapshot();
-            run_from(&mut donor);
+        let mut restored = build();
+        restored.restore(&snap);
+        run_from(&mut restored);
 
-            let mut restored = with_tuning();
-            restored.restore(&snap);
-            run_from(&mut restored);
-
-            assert_sims_identical(&restored, &donor, &case);
-        }
+        assert_sims_identical(&restored, &donor, &case);
     }
 }
 
