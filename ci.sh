@@ -84,14 +84,11 @@ run "$CAPY_RUN" --workers 8 --out-dir "$CI_TMP/w8" manifests/fleet_trace.capy
 run cmp manifests/fleet_trace.result.json "$CI_TMP/w1/fleet_trace.result.json"
 run cmp "$CI_TMP/w1/fleet_trace.result.json" "$CI_TMP/w8/fleet_trace.result.json"
 
-# Adversarial inputs: each must be refused with exit 3 (a typed manifest
-# or JSON error), never wrapped into a wrong run, run without bound, or
-# crashed. The checked-in manifests' [fleet] populations sum past
-# u64::MAX (mix_overflow) or past the 2^32-device cap (devices_over_cap,
-# mix_over_cap); fault_out_of_range degrades a bank by a cap_derate
-# outside [0, 1]; dips_over_cap asks for more than 2^20 harvest dips and
-# dips_zero_gap for dips whose mean gap rounds to 0 µs. The JSON
-# document, generated here, nests 200,000 arrays deep.
+# Adversarial inputs: every checked-in tests/inputs/*.capy must be
+# refused with exit 3 (a typed manifest error), never wrapped into a
+# wrong run, run without bound, or crashed. Each runs on the release
+# capy-run and on a debug one, where integer overflow panics instead of
+# wrapping. The JSON document, generated here, nests 200,000 arrays deep.
 expect_exit() {
     local want=$1
     shift
@@ -103,12 +100,12 @@ expect_exit() {
         exit 1
     fi
 }
-expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_overflow.capy
-expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/devices_over_cap.capy
-expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/mix_over_cap.capy
-expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/fault_out_of_range.capy
-expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/dips_over_cap.capy
-expect_exit 3 "$CAPY_RUN" --out-dir "$CI_TMP/adversarial" tests/inputs/dips_zero_gap.capy
+run cargo build --bin capy-run
+for input in tests/inputs/*.capy; do
+    for capy_run in "$CAPY_RUN" target/debug/capy-run; do
+        expect_exit 3 "$capy_run" --out-dir "$CI_TMP/adversarial" "$input"
+    done
+done
 {
     head -c 200000 /dev/zero | tr '\0' '['
     head -c 200000 /dev/zero | tr '\0' ']'

@@ -176,7 +176,7 @@ pub struct DeviceTweak<'a> {
     pub entry: Option<&'static str>,
 }
 
-fn duration_ms(ms: f64) -> SimDuration {
+pub(crate) fn duration_ms(ms: f64) -> SimDuration {
     SimDuration::from_micros((ms * 1_000.0).round() as u64)
 }
 

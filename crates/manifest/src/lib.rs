@@ -93,8 +93,8 @@ pub use compile::{
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use model::{
     AssertionSpec, BankSpec, CmpOp, EnergySpec, EventKind, FaultSpec, FleetStanza, HarvesterSpec,
-    LimitsSpec, McuKind, ModeSpec, PartKind, PolicySpec, ScenarioManifest, TaskSpec, ThenSpec,
-    SCHEMA,
+    Keyword, LimitsSpec, McuKind, ModeSpec, PartKind, PolicySpec, ScenarioManifest, TaskSpec,
+    ThenSpec, SCHEMA,
 };
 pub use parse::{parse_manifest, ManifestError};
 pub use run::{

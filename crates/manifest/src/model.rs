@@ -69,10 +69,14 @@ pub enum McuKind {
     Cc2650,
 }
 
-impl McuKind {
-    /// The manifest keyword for this MCU.
-    #[must_use]
-    pub fn keyword(self) -> &'static str {
+impl Keyword for McuKind {
+    const ALL: &'static [Self] = &[
+        Self::Msp430fr5969,
+        Self::Msp430fr5969FullSpeed,
+        Self::Cc2650,
+    ];
+
+    fn keyword(self) -> &'static str {
         match self {
             Self::Msp430fr5969 => "msp430fr5969",
             Self::Msp430fr5969FullSpeed => "msp430fr5969-full-speed",
@@ -136,24 +140,22 @@ pub enum PartKind {
     Edlc22_5mf,
 }
 
-impl PartKind {
-    /// Every part, in catalog order (drives parse and docs).
-    pub const ALL: [PartKind; 10] = [
-        PartKind::CeramicX5r22uf,
-        PartKind::CeramicX5r100uf,
-        PartKind::CeramicX5r300uf,
-        PartKind::CeramicX5r400uf,
-        PartKind::Tantalum100uf,
-        PartKind::Tantalum330uf,
-        PartKind::Tantalum1000uf,
-        PartKind::EdlcCph3225a,
-        PartKind::Edlc7_5mf,
-        PartKind::Edlc22_5mf,
+/// The keyword is the `parts::` constructor name, listed in catalog order.
+impl Keyword for PartKind {
+    const ALL: &'static [Self] = &[
+        Self::CeramicX5r22uf,
+        Self::CeramicX5r100uf,
+        Self::CeramicX5r300uf,
+        Self::CeramicX5r400uf,
+        Self::Tantalum100uf,
+        Self::Tantalum330uf,
+        Self::Tantalum1000uf,
+        Self::EdlcCph3225a,
+        Self::Edlc7_5mf,
+        Self::Edlc22_5mf,
     ];
 
-    /// The manifest keyword (the `parts::` constructor name).
-    #[must_use]
-    pub fn keyword(self) -> &'static str {
+    fn keyword(self) -> &'static str {
         match self {
             Self::CeramicX5r22uf => "ceramic_x5r_22uf",
             Self::CeramicX5r100uf => "ceramic_x5r_100uf",
@@ -389,17 +391,19 @@ pub enum CmpOp {
     Eq,
 }
 
-impl CmpOp {
-    /// The operator's text form.
-    #[must_use]
-    pub fn symbol(self) -> &'static str {
+impl Keyword for CmpOp {
+    const ALL: &'static [Self] = &[Self::Ge, Self::Le, Self::Eq];
+
+    fn keyword(self) -> &'static str {
         match self {
             Self::Ge => ">=",
             Self::Le => "<=",
             Self::Eq => "==",
         }
     }
+}
 
+impl CmpOp {
     /// Applies the comparison.
     #[must_use]
     pub fn holds(self, lhs: u64, rhs: u64) -> bool {
@@ -426,23 +430,20 @@ pub enum EventKind {
     Stalled,
 }
 
-impl EventKind {
-    /// Every kind (drives parse and docs).
-    pub const ALL: [EventKind; 9] = [
-        EventKind::Boot,
-        EventKind::Charge,
-        EventKind::Precharge,
-        EventKind::Reconfigure,
-        EventKind::Burst,
-        EventKind::PowerFailure,
-        EventKind::BankFailed,
-        EventKind::ModeRemapped,
-        EventKind::Stalled,
+impl Keyword for EventKind {
+    const ALL: &'static [Self] = &[
+        Self::Boot,
+        Self::Charge,
+        Self::Precharge,
+        Self::Reconfigure,
+        Self::Burst,
+        Self::PowerFailure,
+        Self::BankFailed,
+        Self::ModeRemapped,
+        Self::Stalled,
     ];
 
-    /// The manifest keyword.
-    #[must_use]
-    pub fn keyword(self) -> &'static str {
+    fn keyword(self) -> &'static str {
         match self {
             Self::Boot => "boot",
             Self::Charge => "charge",
@@ -506,23 +507,103 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// The manifest keyword of a variant (lower-cased paper label).
-#[must_use]
-pub fn variant_keyword(v: Variant) -> &'static str {
-    match v {
-        Variant::Continuous => "pwr",
-        Variant::Fixed => "fixed",
-        Variant::CapyR => "cb-r",
-        Variant::CapyP => "cb-p",
+/// A closed set of manifest keywords: `ALL` lists every value once and
+/// `keyword` spells it. The parser looks a keyword up in `ALL`, `emit`
+/// prints `keyword`, and a bad value's diagnostic lists all of them.
+pub trait Keyword: Copy + 'static {
+    /// Every value, in the order a diagnostic lists them.
+    const ALL: &'static [Self];
+
+    /// The manifest spelling.
+    fn keyword(self) -> &'static str;
+}
+
+/// The keyword is the lower-cased paper label.
+impl Keyword for Variant {
+    const ALL: &'static [Self] = &Variant::ALL;
+
+    fn keyword(self) -> &'static str {
+        match self {
+            Variant::Continuous => "pwr",
+            Variant::Fixed => "fixed",
+            Variant::CapyR => "cb-r",
+            Variant::CapyP => "cb-p",
+        }
     }
 }
 
-/// The manifest keyword of a switch default.
-#[must_use]
-pub fn switch_keyword(kind: SwitchKind) -> &'static str {
-    match kind {
-        SwitchKind::NormallyOpen => "normally-open",
-        SwitchKind::NormallyClosed => "normally-closed",
+impl Keyword for SwitchKind {
+    const ALL: &'static [Self] = &[SwitchKind::NormallyOpen, SwitchKind::NormallyClosed];
+
+    fn keyword(self) -> &'static str {
+        match self {
+            SwitchKind::NormallyOpen => "normally-open",
+            SwitchKind::NormallyClosed => "normally-closed",
+        }
+    }
+}
+
+impl Keyword for bool {
+    const ALL: &'static [Self] = &[true, false];
+
+    fn keyword(self) -> &'static str {
+        if self {
+            "true"
+        } else {
+            "false"
+        }
+    }
+}
+
+/// The `[harvester] kind` of a [`HarvesterSpec`].
+#[derive(Clone, Copy)]
+pub(crate) enum HarvesterKind {
+    Dark,
+    Constant,
+    Regulated,
+    SquareWave,
+    SolarTrisolx,
+}
+
+impl Keyword for HarvesterKind {
+    const ALL: &'static [Self] = &[
+        Self::Dark,
+        Self::Constant,
+        Self::Regulated,
+        Self::SquareWave,
+        Self::SolarTrisolx,
+    ];
+
+    fn keyword(self) -> &'static str {
+        match self {
+            Self::Dark => "dark",
+            Self::Constant => "constant",
+            Self::Regulated => "regulated",
+            Self::SquareWave => "square-wave",
+            Self::SolarTrisolx => "solar-trisolx",
+        }
+    }
+}
+
+/// The `[policy] kind` of a [`PolicySpec`].
+#[derive(Clone, Copy)]
+pub(crate) enum PolicyKind {
+    Static,
+    Pinned,
+    Reactive,
+    Ewma,
+}
+
+impl Keyword for PolicyKind {
+    const ALL: &'static [Self] = &[Self::Static, Self::Pinned, Self::Reactive, Self::Ewma];
+
+    fn keyword(self) -> &'static str {
+        match self {
+            Self::Static => "static",
+            Self::Pinned => "pinned",
+            Self::Reactive => "reactive",
+            Self::Ewma => "ewma",
+        }
     }
 }
 
@@ -536,7 +617,7 @@ impl ScenarioManifest {
         let _ = writeln!(out, "schema = {SCHEMA}");
         let _ = writeln!(out, "name = {}", self.name);
         let _ = writeln!(out, "seed = {}", self.seed);
-        let _ = writeln!(out, "variant = {}", variant_keyword(self.variant));
+        let _ = writeln!(out, "variant = {}", self.variant.keyword());
         let _ = writeln!(out, "mcu = {}", self.mcu.keyword());
         if self.degradation {
             out.push_str("degradation = true\n");
@@ -547,9 +628,11 @@ impl ScenarioManifest {
 
         out.push_str("\n[harvester]\n");
         match &self.harvester {
-            HarvesterSpec::Dark => out.push_str("kind = dark\n"),
+            HarvesterSpec::Dark => {
+                let _ = writeln!(out, "kind = {}", HarvesterKind::Dark.keyword());
+            }
             HarvesterSpec::Constant { power_mw, voltage } => {
-                out.push_str("kind = constant\n");
+                let _ = writeln!(out, "kind = {}", HarvesterKind::Constant.keyword());
                 let _ = writeln!(out, "power_mw = {}", fmt_f64(*power_mw));
                 let _ = writeln!(out, "voltage = {}", fmt_f64(*voltage));
             }
@@ -557,7 +640,7 @@ impl ScenarioManifest {
                 max_power_mw,
                 voltage,
             } => {
-                out.push_str("kind = regulated\n");
+                let _ = writeln!(out, "kind = {}", HarvesterKind::Regulated.keyword());
                 let _ = writeln!(out, "max_power_mw = {}", fmt_f64(*max_power_mw));
                 let _ = writeln!(out, "voltage = {}", fmt_f64(*voltage));
             }
@@ -568,21 +651,23 @@ impl ScenarioManifest {
                 off_ms,
                 cycles,
             } => {
-                out.push_str("kind = square-wave\n");
+                let _ = writeln!(out, "kind = {}", HarvesterKind::SquareWave.keyword());
                 let _ = writeln!(out, "power_mw = {}", fmt_f64(*power_mw));
                 let _ = writeln!(out, "voltage = {}", fmt_f64(*voltage));
                 let _ = writeln!(out, "on_ms = {}", fmt_f64(*on_ms));
                 let _ = writeln!(out, "off_ms = {}", fmt_f64(*off_ms));
                 let _ = writeln!(out, "cycles = {cycles}");
             }
-            HarvesterSpec::SolarTrisolx => out.push_str("kind = solar-trisolx\n"),
+            HarvesterSpec::SolarTrisolx => {
+                let _ = writeln!(out, "kind = {}", HarvesterKind::SolarTrisolx.keyword());
+            }
         }
 
         for bank in &self.banks {
             let _ = writeln!(out, "\n[bank {}]", bank.name);
             let parts: Vec<&str> = bank.parts.iter().map(|p| p.keyword()).collect();
             let _ = writeln!(out, "parts = {}", parts.join(", "));
-            let _ = writeln!(out, "switch = {}", switch_keyword(bank.switch));
+            let _ = writeln!(out, "switch = {}", bank.switch.keyword());
         }
 
         for mode in &self.modes {
@@ -616,13 +701,15 @@ impl ScenarioManifest {
 
         out.push_str("\n[policy]\n");
         match &self.policy {
-            PolicySpec::Static => out.push_str("kind = static\n"),
+            PolicySpec::Static => {
+                let _ = writeln!(out, "kind = {}", PolicyKind::Static.keyword());
+            }
             PolicySpec::Pinned { mode } => {
-                out.push_str("kind = pinned\n");
+                let _ = writeln!(out, "kind = {}", PolicyKind::Pinned.keyword());
                 let _ = writeln!(out, "mode = {mode}");
             }
             PolicySpec::Reactive { ladder, timeout_ms } => {
-                out.push_str("kind = reactive\n");
+                let _ = writeln!(out, "kind = {}", PolicyKind::Reactive.keyword());
                 let _ = writeln!(out, "ladder = {}", ladder.join(", "));
                 let _ = writeln!(out, "timeout_ms = {}", fmt_f64(*timeout_ms));
             }
@@ -631,7 +718,7 @@ impl ScenarioManifest {
                 thresholds_mw,
                 alpha,
             } => {
-                out.push_str("kind = ewma\n");
+                let _ = writeln!(out, "kind = {}", PolicyKind::Ewma.keyword());
                 let _ = writeln!(out, "ladder = {}", ladder.join(", "));
                 let thresholds: Vec<String> = thresholds_mw.iter().map(|t| fmt_f64(*t)).collect();
                 let _ = writeln!(out, "thresholds_mw = {}", thresholds.join(", "));
@@ -737,13 +824,13 @@ impl ScenarioManifest {
             for a in &self.assertions {
                 let line = match a {
                     AssertionSpec::TaskCompletions { task, op, count } => {
-                        format!("completions = {task} {} {count}", op.symbol())
+                        format!("completions = {task} {} {count}", op.keyword())
                     }
                     AssertionSpec::TotalCompletions { op, count } => {
-                        format!("total_completions = {} {count}", op.symbol())
+                        format!("total_completions = {} {count}", op.keyword())
                     }
                     AssertionSpec::Failures { op, count } => {
-                        format!("failures = {} {count}", op.symbol())
+                        format!("failures = {} {count}", op.keyword())
                     }
                     AssertionSpec::RequireEvent(kind) => {
                         format!("require_event = {}", kind.keyword())

@@ -6,17 +6,23 @@
 //! (`schema = capy-scenario/v1`). Every diagnostic is a typed
 //! [`ManifestError`] carrying the offending line and field so a failing
 //! manifest is fixable without reading this source.
+//!
+//! Each key is declared once, in the `TOP` and `SECTIONS` tables,
+//! with its value type and that type's range or cap. One generic path
+//! finds a line's key among its section's entries, parses and checks
+//! the value, rejects a repeat, records the names the value references,
+//! and stores it; assembly then reads the typed values back out.
 
 use std::fmt;
-use std::ops::RangeBounds;
 
 use capy_power::switch::SwitchKind;
 use capybara::Variant;
 
+use crate::compile::duration_ms;
 use crate::model::{
-    AssertionSpec, BankSpec, CmpOp, EnergySpec, EventKind, FaultSpec, FleetStanza, HarvesterSpec,
-    LimitsSpec, McuKind, ModeSpec, PartKind, PolicySpec, ScenarioManifest, TaskSpec, ThenSpec,
-    SCHEMA,
+    fmt_f64, AssertionSpec, BankSpec, CmpOp, EnergySpec, EventKind, FaultSpec, FleetStanza,
+    HarvesterKind, HarvesterSpec, Keyword, LimitsSpec, McuKind, ModeSpec, PartKind, PolicyKind,
+    PolicySpec, ScenarioManifest, TaskSpec, ThenSpec, SCHEMA,
 };
 use crate::run::dip_mean_gap;
 
@@ -149,61 +155,6 @@ impl fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Section {
-    Top,
-    Harvester,
-    Bank(usize),
-    Mode(usize),
-    Task(usize),
-    Policy,
-    Faults,
-    Fleet,
-    Limits,
-    Assert,
-}
-
-#[derive(Default)]
-struct HarvesterDraft {
-    kind: Option<(usize, String)>,
-    power_mw: Option<f64>,
-    voltage: Option<f64>,
-    max_power_mw: Option<f64>,
-    on_ms: Option<f64>,
-    off_ms: Option<f64>,
-    cycles: Option<u32>,
-}
-
-struct BankDraft {
-    name: String,
-    parts: Option<Vec<PartKind>>,
-    switch: Option<SwitchKind>,
-}
-
-struct ModeDraft {
-    name: String,
-    banks: Option<Vec<String>>,
-}
-
-struct TaskDraft {
-    name: String,
-    energy: Option<EnergySpec>,
-    compute_ms: Option<f64>,
-    sleep_ms: Option<f64>,
-    repeat: Option<u64>,
-    then: Option<ThenSpec>,
-}
-
-#[derive(Default)]
-struct PolicyDraft {
-    kind: Option<(usize, String)>,
-    mode: Option<String>,
-    ladder: Option<Vec<String>>,
-    timeout_ms: Option<f64>,
-    thresholds_mw: Option<(usize, Vec<f64>)>,
-    alpha: Option<(usize, f64)>,
-}
-
 /// The largest `[fleet]` population, whether given as `devices` or as a
 /// `mix` total: about 4,000× the largest fleet the repository runs, so
 /// no manifest can queue work without bound.
@@ -211,22 +162,264 @@ const MAX_FLEET_DEVICES: u64 = 1 << 32;
 
 /// The most correlated harvest dips a `[fleet]` may ask for: 8 MiB of
 /// onsets, or a dip every 30 s for a year.
-const MAX_FLEET_DIPS: u32 = 1 << 20;
+const MAX_FLEET_DIPS: u64 = 1 << 20;
 
-#[derive(Default)]
-struct FleetDraft {
-    devices: Option<(usize, u64)>,
-    mix: Option<(usize, Vec<(String, u64)>)>,
-    trace: Option<(usize, String)>,
-    panel_jitter_pct: Option<f64>,
-    rate_jitter_pct: Option<f64>,
-    eclipse_period_s: Option<f64>,
-    eclipse_sunlit: Option<f64>,
-    dips: Option<(usize, u32)>,
-    dip_hold_s: Option<f64>,
-    dip_factor: Option<f64>,
-    shading: Option<f64>,
+/// The longest time any key may give, in seconds: a year-long horizon
+/// fits 30 times over, and sums of capped times stay far below the
+/// `u64` microseconds the kernel counts in.
+const MAX_TIME_S: f64 = 1e9;
+
+/// The most on/off cycles a `square-wave` harvester may ask for: 48 MiB
+/// of breakpoints.
+const MAX_SQUARE_WAVE_CYCLES: u64 = 1 << 20;
+
+/// The largest harvest power, or power threshold, in milliwatts: 1 kW,
+/// five orders of magnitude above the paper's harvesters.
+const MAX_POWER_MW: f64 = 1e6;
+
+/// The largest voltage a key may give: far above any part's rating.
+const MAX_VOLTS: f64 = 1e3;
+
+/// A finite number's accepted interval and unit.
+#[derive(Clone, Copy)]
+struct Range {
+    lo: f64,
+    lo_open: bool,
+    hi: f64,
+    unit: &'static str,
 }
+
+impl Range {
+    fn parse(self, at: &At<'_, '_>, value: &str) -> Result<f64, ManifestError> {
+        value
+            .parse::<f64>()
+            .ok()
+            .filter(|&v| {
+                v.is_finite() && (v > self.lo || (!self.lo_open && v == self.lo)) && v <= self.hi
+            })
+            .ok_or_else(|| at.bad(value, self))
+    }
+}
+
+impl fmt::Display for Range {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (lo, unit) = (fmt_f64(self.lo), self.unit);
+        if self.hi.is_infinite() {
+            write!(f, "a number of at least {lo}{unit}")
+        } else {
+            let open = if self.lo_open { '(' } else { '[' };
+            write!(f, "a number in {open}{lo}, {}]{unit}", fmt_f64(self.hi))
+        }
+    }
+}
+
+/// A key's value type, with its range where it has one.
+#[derive(Clone, Copy)]
+enum Ty {
+    /// A finite number.
+    Num(Range),
+    /// A comma-list of finite numbers.
+    Nums(Range),
+    /// An integer in `[lo, hi]`.
+    Int(u64, u64),
+    /// One of a [`Keyword`] set: [`lookup`] for that set.
+    Kw(fn(&str) -> Result<usize, String>),
+    /// Free text.
+    Text,
+    /// The name of a declared bank, mode, or task.
+    Ref(RefKind),
+    /// A non-empty comma-list of such names.
+    Refs(RefKind),
+    /// A structured value with a small parser of its own.
+    Form(Form),
+}
+
+type Form = for<'a> fn(&mut At<'_, 'a>, &'a str) -> Result<Value<'a>, ManifestError>;
+
+/// One key of a section: its name, its value type, and whether it may
+/// repeat.
+struct Key {
+    name: &'static str,
+    ty: Ty,
+    many: bool,
+}
+
+/// One kind of section: its header word, whether the header takes a
+/// name (a named section repeats under distinct names, an unnamed one
+/// appears at most once), and its keys.
+struct Section {
+    word: &'static str,
+    named: bool,
+    keys: &'static [Key],
+}
+
+const fn key(name: &'static str, ty: Ty) -> Key {
+    Key {
+        name,
+        ty,
+        many: false,
+    }
+}
+
+const fn many(name: &'static str, ty: Ty) -> Key {
+    Key {
+        many: true,
+        ..key(name, ty)
+    }
+}
+
+const fn range(lo: f64, hi: f64, unit: &'static str) -> Range {
+    Range {
+        lo,
+        lo_open: false,
+        hi,
+        unit,
+    }
+}
+
+const fn num(lo: f64, hi: f64, unit: &'static str) -> Ty {
+    Ty::Num(range(lo, hi, unit))
+}
+
+/// A number above `lo`, up to `hi`.
+const fn above(lo: f64, hi: f64, unit: &'static str) -> Ty {
+    Ty::Num(Range {
+        lo_open: true,
+        ..range(lo, hi, unit)
+    })
+}
+
+/// Milliseconds from `lo` up to the time cap.
+const fn ms(lo: f64) -> Ty {
+    num(lo, MAX_TIME_S * 1e3, " ms")
+}
+
+/// Seconds from `lo` up to the time cap.
+const fn secs(lo: f64) -> Ty {
+    num(lo, MAX_TIME_S, " s")
+}
+
+/// The keys before the first `[section]` header.
+static TOP: Section = Section {
+    word: "(top level)",
+    named: false,
+    keys: &[
+        key("schema", Ty::Text),
+        key("name", Ty::Text),
+        key("seed", Ty::Int(0, u64::MAX)),
+        key("variant", Ty::Kw(lookup::<Variant>)),
+        key("mcu", Ty::Kw(lookup::<McuKind>)),
+        key("degradation", Ty::Kw(lookup::<bool>)),
+        key("harvest_during_operation", Ty::Kw(lookup::<bool>)),
+    ],
+};
+
+/// Every `[section]`, in canonical emit order. A duration the kernel
+/// rounds to whole microseconds starts at 1 µs wherever zero is invalid.
+static SECTIONS: [Section; 9] = [
+    Section {
+        word: "harvester",
+        named: false,
+        keys: &[
+            key("kind", Ty::Kw(lookup::<HarvesterKind>)),
+            key("power_mw", num(0.0, MAX_POWER_MW, " mW")),
+            key("voltage", num(0.0, MAX_VOLTS, " V")),
+            key("max_power_mw", num(0.0, MAX_POWER_MW, " mW")),
+            key("on_ms", ms(0.001)),
+            key("off_ms", ms(0.001)),
+            key("cycles", Ty::Int(1, MAX_SQUARE_WAVE_CYCLES)),
+        ],
+    },
+    Section {
+        word: "bank",
+        named: true,
+        keys: &[
+            key("parts", Ty::Form(parts)),
+            key("switch", Ty::Kw(lookup::<SwitchKind>)),
+        ],
+    },
+    Section {
+        word: "mode",
+        named: true,
+        keys: &[key("banks", Ty::Refs(RefKind::Bank))],
+    },
+    Section {
+        word: "task",
+        named: true,
+        keys: &[
+            key("energy", Ty::Form(energy)),
+            key("compute_ms", ms(0.0)),
+            key("sleep_ms", ms(0.0)),
+            key("repeat", Ty::Int(1, u64::MAX)),
+            key("then", Ty::Form(then)),
+        ],
+    },
+    Section {
+        word: "policy",
+        named: false,
+        keys: &[
+            key("kind", Ty::Kw(lookup::<PolicyKind>)),
+            key("mode", Ty::Ref(RefKind::Mode)),
+            key("ladder", Ty::Refs(RefKind::Mode)),
+            key("timeout_ms", ms(0.0)),
+            key("thresholds_mw", Ty::Nums(range(0.0, MAX_POWER_MW, " mW"))),
+            key("alpha", above(0.0, 1.0, "")),
+        ],
+    },
+    Section {
+        word: "faults",
+        named: false,
+        keys: &[
+            many("fault", Ty::Form(fault)),
+            key("startup_margin_v", num(0.0, MAX_VOLTS, " V")),
+        ],
+    },
+    Section {
+        word: "fleet",
+        named: false,
+        keys: &[
+            key("devices", Ty::Int(1, MAX_FLEET_DEVICES)),
+            key("mix", Ty::Form(mix)),
+            key("trace", Ty::Text),
+            key("panel_jitter_pct", num(0.0, 100.0, "%")),
+            key("rate_jitter_pct", num(0.0, 100.0, "%")),
+            key("eclipse_period_s", secs(1e-6)),
+            key("eclipse_sunlit", num(0.0, 1.0, "")),
+            key("dips", Ty::Int(0, MAX_FLEET_DIPS)),
+            key("dip_hold_s", secs(0.0)),
+            key("dip_factor", num(0.0, 1.0, "")),
+            key("shading", num(0.0, 1.0, "")),
+        ],
+    },
+    Section {
+        word: "limits",
+        named: false,
+        keys: &[
+            key("max_sim_seconds", secs(1e-6)),
+            key("max_steps", Ty::Int(0, u64::MAX)),
+            key("no_progress_steps", Ty::Int(1, u64::MAX)),
+            // No budget above what the largest harvester delivers over
+            // the longest horizon.
+            key(
+                "max_energy_joules",
+                above(0.0, MAX_POWER_MW / 1e3 * MAX_TIME_S, " J"),
+            ),
+        ],
+    },
+    Section {
+        word: "assert",
+        named: false,
+        keys: &[
+            many("completions", Ty::Form(completions)),
+            many("total_completions", Ty::Form(total_completions)),
+            many("failures", Ty::Form(failures)),
+            many("require_event", Ty::Kw(lookup::<EventKind>)),
+            many("forbid_event", Ty::Kw(lookup::<EventKind>)),
+            many("final_mode", Ty::Ref(RefKind::Mode)),
+            many("min_availability", num(0.0, 1.0, "")),
+        ],
+    },
+];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RefKind {
@@ -237,95 +430,231 @@ enum RefKind {
 
 /// A deferred cross-reference: resolved against the declared names once
 /// the whole document is read, so forward references work.
-struct NameRef {
+struct NameRef<'a> {
     line: usize,
     field: &'static str,
-    name: String,
+    name: &'a str,
     kind: RefKind,
 }
 
-fn set_once<T>(
-    slot: &mut Option<T>,
-    value: T,
+/// The line a value sits on: where its diagnostics point, and where the
+/// names it references are recorded.
+struct At<'r, 'a> {
     line: usize,
-    key: &str,
-) -> Result<(), ManifestError> {
-    if slot.is_some() {
-        return Err(ManifestError::Duplicate {
-            line,
-            kind: "key",
-            name: key.to_string(),
-        });
-    }
-    *slot = Some(value);
-    Ok(())
+    key: &'static str,
+    refs: &'r mut Vec<NameRef<'a>>,
 }
 
-fn bad_value(line: usize, key: &str, value: &str, expected: &str) -> ManifestError {
+impl<'a> At<'_, 'a> {
+    fn bad(&self, value: &str, expected: impl fmt::Display) -> ManifestError {
+        bad_value(self.line, self.key, value, expected)
+    }
+
+    fn refer(&mut self, kind: RefKind, name: &'a str) -> &'a str {
+        self.refs.push(NameRef {
+            line: self.line,
+            field: self.key,
+            name,
+            kind,
+        });
+        name
+    }
+}
+
+/// A parsed value, borrowing from the manifest text until assembly needs
+/// an owned one.
+enum Value<'a> {
+    Num(f64),
+    Nums(Vec<f64>),
+    Int(u64),
+    Kw(usize),
+    Text(&'a str),
+    Names(Vec<&'a str>),
+    Parts(Vec<PartKind>),
+    Energy(EnergySpec),
+    Then(ThenSpec),
+    Mix(Vec<(String, u64)>),
+    Fault(FaultSpec),
+    Assert(AssertionSpec),
+}
+
+impl Ty {
+    fn parse<'a>(self, at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+        Ok(match self {
+            Ty::Num(range) => Value::Num(range.parse(at, value)?),
+            Ty::Nums(range) => Value::Nums(
+                list(value)
+                    .map(|v| range.parse(at, v))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Ty::Int(lo, hi) => Value::Int(int(at, value, lo, hi)?),
+            Ty::Kw(lookup) => Value::Kw(lookup(value).map_err(|expected| at.bad(value, expected))?),
+            Ty::Text => Value::Text(value),
+            Ty::Ref(kind) => Value::Text(at.refer(kind, value)),
+            Ty::Refs(kind) => {
+                let names: Vec<&str> = list(value).collect();
+                if names.is_empty() {
+                    let noun = match kind {
+                        RefKind::Bank => "bank",
+                        RefKind::Mode => "mode",
+                        RefKind::Task => "task",
+                    };
+                    return Err(at.bad(value, format_args!("at least one {noun} name")));
+                }
+                for name in &names {
+                    at.refer(kind, name);
+                }
+                Value::Names(names)
+            }
+            Ty::Form(form) => form(at, value)?,
+        })
+    }
+}
+
+/// Typed readers for assembly, one per value type that reads back as
+/// stored: each is `None` when the value has another type.
+macro_rules! readers {
+    ($($reader:ident: $variant:ident -> $ty:ty),* $(,)?) => {
+        impl Value<'_> {
+            $(fn $reader(self) -> Option<$ty> {
+                match self {
+                    Value::$variant(v) => Some(v),
+                    _ => None,
+                }
+            })*
+        }
+    };
+}
+
+readers! {
+    num: Num -> f64,
+    nums: Nums -> Vec<f64>,
+    parts: Parts -> Vec<PartKind>,
+    energy: Energy -> EnergySpec,
+    then: Then -> ThenSpec,
+    mix: Mix -> Vec<(String, u64)>,
+    fault: Fault -> FaultSpec,
+}
+
+/// The readers that convert as they read.
+impl Value<'_> {
+    fn int<T: TryFrom<u64>>(self) -> Option<T> {
+        match self {
+            Value::Int(n) => T::try_from(n).ok(),
+            _ => None,
+        }
+    }
+
+    fn kw<K: Keyword>(self) -> Option<K> {
+        match self {
+            Value::Kw(i) => K::ALL.get(i).copied(),
+            _ => None,
+        }
+    }
+
+    fn text(self) -> Option<String> {
+        match self {
+            Value::Text(text) => Some(text.to_string()),
+            _ => None,
+        }
+    }
+
+    fn names(self) -> Option<Vec<String>> {
+        match self {
+            Value::Names(names) => Some(names.into_iter().map(String::from).collect()),
+            _ => None,
+        }
+    }
+}
+
+fn mistyped(key: &str) -> ! {
+    unreachable!("`{key}` is read back as a type its table entry does not declare")
+}
+
+struct Slot<'a> {
+    key: &'static str,
+    line: usize,
+    value: Value<'a>,
+}
+
+/// One section as written: its values in document order.
+struct Stanza<'a> {
+    section: &'static Section,
+    name: &'a str,
+    slots: Vec<Slot<'a>>,
+}
+
+impl<'a> Stanza<'a> {
+    fn new(section: &'static Section, name: &'a str) -> Self {
+        Self {
+            section,
+            name,
+            slots: Vec::with_capacity(section.keys.len()),
+        }
+    }
+
+    /// The section as diagnostics name it: `harvester`, `bank small`.
+    fn label(&self) -> String {
+        if self.name.is_empty() {
+            self.section.word.to_string()
+        } else {
+            format!("{} {}", self.section.word, self.name)
+        }
+    }
+
+    fn set_once(
+        &mut self,
+        key: &'static Key,
+        line: usize,
+        value: Value<'a>,
+    ) -> Result<(), ManifestError> {
+        if !key.many && self.slots.iter().any(|s| s.key == key.name) {
+            return Err(ManifestError::Duplicate {
+                line,
+                kind: "key",
+                name: key.name.to_string(),
+            });
+        }
+        self.slots.push(Slot {
+            key: key.name,
+            line,
+            value,
+        });
+        Ok(())
+    }
+
+    /// Takes `key`'s value, and the line it was set on, out of the section.
+    fn get_at<T>(
+        &mut self,
+        key: &str,
+        pick: impl FnOnce(Value<'a>) -> Option<T>,
+    ) -> Option<(usize, T)> {
+        let i = self.slots.iter().position(|s| s.key == key)?;
+        let slot = self.slots.remove(i);
+        Some((slot.line, pick(slot.value).unwrap_or_else(|| mistyped(key))))
+    }
+
+    fn get<T>(&mut self, key: &str, pick: impl FnOnce(Value<'a>) -> Option<T>) -> Option<T> {
+        self.get_at(key, pick).map(|(_, v)| v)
+    }
+
+    /// [`Self::get`] for a key the section requires.
+    fn req<T>(
+        &mut self,
+        key: &str,
+        pick: impl FnOnce(Value<'a>) -> Option<T>,
+    ) -> Result<T, ManifestError> {
+        self.get(key, pick)
+            .ok_or_else(|| missing(&self.label(), key))
+    }
+}
+
+fn bad_value(line: usize, key: &str, value: &str, expected: impl fmt::Display) -> ManifestError {
     ManifestError::BadValue {
         line,
         key: key.to_string(),
         value: value.to_string(),
         expected: expected.to_string(),
-    }
-}
-
-fn parse_f64(line: usize, key: &str, value: &str) -> Result<f64, ManifestError> {
-    match value.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        _ => Err(bad_value(line, key, value, "a finite number")),
-    }
-}
-
-fn parse_u64(line: usize, key: &str, value: &str) -> Result<u64, ManifestError> {
-    value
-        .parse::<u64>()
-        .map_err(|_| bad_value(line, key, value, "a non-negative integer"))
-}
-
-fn parse_u32(line: usize, key: &str, value: &str) -> Result<u32, ManifestError> {
-    value
-        .parse::<u32>()
-        .map_err(|_| bad_value(line, key, value, "a non-negative integer"))
-}
-
-fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, ManifestError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(bad_value(line, key, value, "`true` or `false`")),
-    }
-}
-
-fn parse_list(value: &str) -> Vec<String> {
-    value
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn parse_part(line: usize, value: &str) -> Result<PartKind, ManifestError> {
-    PartKind::ALL
-        .into_iter()
-        .find(|p| p.keyword() == value)
-        .ok_or_else(|| bad_value(line, "parts", value, "a catalog part name"))
-}
-
-fn parse_event_kind(line: usize, key: &str, value: &str) -> Result<EventKind, ManifestError> {
-    EventKind::ALL
-        .into_iter()
-        .find(|k| k.keyword() == value)
-        .ok_or_else(|| bad_value(line, key, value, "a sim-event kind"))
-}
-
-fn parse_cmp_op(line: usize, key: &str, value: &str) -> Result<CmpOp, ManifestError> {
-    match value {
-        ">=" => Ok(CmpOp::Ge),
-        "<=" => Ok(CmpOp::Le),
-        "==" => Ok(CmpOp::Eq),
-        _ => Err(bad_value(line, key, value, "`>=`, `<=`, or `==`")),
     }
 }
 
@@ -336,6 +665,50 @@ fn missing(section: &str, field: &str) -> ManifestError {
     }
 }
 
+fn list(value: &str) -> impl Iterator<Item = &str> {
+    value.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
+fn int(at: &At<'_, '_>, value: &str, lo: u64, hi: u64) -> Result<u64, ManifestError> {
+    value
+        .parse::<u64>()
+        .ok()
+        .filter(|n| (lo..=hi).contains(n))
+        .ok_or_else(|| at.bad(value, format_args!("an integer in [{lo}, {hi}]")))
+}
+
+/// The index of `word` in `K::ALL`, or else the list of `K`'s keywords.
+fn lookup<K: Keyword>(word: &str) -> Result<usize, String> {
+    K::ALL
+        .iter()
+        .position(|k| k.keyword() == word)
+        .ok_or_else(|| {
+            let n = K::ALL.len();
+            K::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, k)| {
+                    let sep = if i == 0 {
+                        ""
+                    } else if i + 1 < n {
+                        ", "
+                    } else if n == 2 {
+                        " or "
+                    } else {
+                        ", or "
+                    };
+                    format!("{sep}`{}`", k.keyword())
+                })
+                .collect()
+        })
+}
+
+fn keyword<K: Keyword>(at: &At<'_, '_>, word: &str) -> Result<K, ManifestError> {
+    lookup::<K>(word)
+        .map(|i| K::ALL[i])
+        .map_err(|expected| at.bad(word, expected))
+}
+
 /// Parses a `capy-scenario/v1` document into its data model.
 ///
 /// # Errors
@@ -344,33 +717,12 @@ fn missing(section: &str, field: &str) -> ManifestError {
 /// cross-reference errors surface after the whole document reads
 /// cleanly.
 pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
-    let mut section = Section::Top;
     let mut saw_schema = false;
-
-    let mut name: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut variant: Option<Variant> = None;
-    let mut mcu: Option<McuKind> = None;
-    let mut degradation: Option<bool> = None;
-    let mut harvest_during_operation: Option<bool> = None;
-
-    let mut harvester: Option<HarvesterDraft> = None;
-    let mut banks: Vec<BankDraft> = Vec::new();
-    let mut modes: Vec<ModeDraft> = Vec::new();
-    let mut tasks: Vec<TaskDraft> = Vec::new();
-    let mut policy: Option<PolicyDraft> = None;
-    let mut saw_faults = false;
-    let mut faults: Vec<FaultSpec> = Vec::new();
-    let mut startup_margin_v: Option<f64> = None;
-    let mut fleet: Option<FleetDraft> = None;
-    let mut saw_limits = false;
-    let mut max_sim_seconds: Option<f64> = None;
-    let mut max_steps: Option<u64> = None;
-    let mut no_progress_steps: Option<u64> = None;
-    let mut max_energy_joules: Option<f64> = None;
-    let mut saw_assert = false;
-    let mut assertions: Vec<AssertionSpec> = Vec::new();
-
+    let mut top = Stanza::new(&TOP, "");
+    let mut sections: [Vec<Stanza>; 9] = Default::default();
+    // The section the following keys belong to: an index into
+    // `sections`, or `None` for the top level.
+    let mut current: Option<(usize, usize)> = None;
     let mut refs: Vec<NameRef> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
@@ -393,7 +745,6 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                         });
                     }
                     saw_schema = true;
-                    continue;
                 }
                 _ => return Err(missing("(document)", "schema")),
             }
@@ -407,147 +758,44 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
                 });
             };
             let mut words = header.split_whitespace();
-            let kind = words.next().unwrap_or("");
+            let word = words.next().unwrap_or("");
             let arg = words.next();
             if words.next().is_some() {
                 return Err(ManifestError::Syntax {
                     line,
-                    message: format!("section `[{kind}]` header has too many words"),
+                    message: format!("section `[{word}]` header has too many words"),
                 });
             }
-            section = match (kind, arg) {
-                ("harvester", None) => {
-                    if harvester.is_some() {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "section",
-                            name: "harvester".to_string(),
-                        });
-                    }
-                    harvester = Some(HarvesterDraft::default());
-                    Section::Harvester
-                }
-                ("bank", Some(bank_name)) => {
-                    if banks.iter().any(|b| b.name == bank_name) {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "bank",
-                            name: bank_name.to_string(),
-                        });
-                    }
-                    banks.push(BankDraft {
-                        name: bank_name.to_string(),
-                        parts: None,
-                        switch: None,
-                    });
-                    Section::Bank(banks.len() - 1)
-                }
-                ("mode", Some(mode_name)) => {
-                    if modes.iter().any(|m| m.name == mode_name) {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "mode",
-                            name: mode_name.to_string(),
-                        });
-                    }
-                    modes.push(ModeDraft {
-                        name: mode_name.to_string(),
-                        banks: None,
-                    });
-                    Section::Mode(modes.len() - 1)
-                }
-                ("task", Some(task_name)) => {
-                    if tasks.iter().any(|t| t.name == task_name) {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "task",
-                            name: task_name.to_string(),
-                        });
-                    }
-                    tasks.push(TaskDraft {
-                        name: task_name.to_string(),
-                        energy: None,
-                        compute_ms: None,
-                        sleep_ms: None,
-                        repeat: None,
-                        then: None,
-                    });
-                    Section::Task(tasks.len() - 1)
-                }
-                ("policy", None) => {
-                    if policy.is_some() {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "section",
-                            name: "policy".to_string(),
-                        });
-                    }
-                    policy = Some(PolicyDraft::default());
-                    Section::Policy
-                }
-                ("faults", None) => {
-                    if saw_faults {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "section",
-                            name: "faults".to_string(),
-                        });
-                    }
-                    saw_faults = true;
-                    Section::Faults
-                }
-                ("fleet", None) => {
-                    if fleet.is_some() {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "section",
-                            name: "fleet".to_string(),
-                        });
-                    }
-                    fleet = Some(FleetDraft::default());
-                    Section::Fleet
-                }
-                ("limits", None) => {
-                    if saw_limits {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "section",
-                            name: "limits".to_string(),
-                        });
-                    }
-                    saw_limits = true;
-                    Section::Limits
-                }
-                ("assert", None) => {
-                    if saw_assert {
-                        return Err(ManifestError::Duplicate {
-                            line,
-                            kind: "section",
-                            name: "assert".to_string(),
-                        });
-                    }
-                    saw_assert = true;
-                    Section::Assert
-                }
-                ("bank" | "mode" | "task", None) => {
-                    return Err(ManifestError::Syntax {
-                        line,
-                        message: format!("section `[{kind}]` requires a name: `[{kind} <name>]`"),
-                    });
-                }
-                ("harvester" | "policy" | "faults" | "fleet" | "limits" | "assert", Some(_)) => {
-                    return Err(ManifestError::Syntax {
-                        line,
-                        message: format!("section `[{kind}]` takes no name"),
-                    });
-                }
-                _ => {
-                    return Err(ManifestError::UnknownSection {
-                        line,
-                        section: header.to_string(),
-                    });
-                }
+            let Some(s) = SECTIONS.iter().position(|s| s.word == word) else {
+                return Err(ManifestError::UnknownSection {
+                    line,
+                    section: header.to_string(),
+                });
             };
+            let section = &SECTIONS[s];
+            if section.named != arg.is_some() {
+                let message = if section.named {
+                    format!("section `[{word}]` requires a name: `[{word} <name>]`")
+                } else {
+                    format!("section `[{word}]` takes no name")
+                };
+                return Err(ManifestError::Syntax { line, message });
+            }
+            let name = arg.unwrap_or("");
+            if sections[s].iter().any(|stanza| stanza.name == name) {
+                let (kind, name) = if section.named {
+                    (section.word, name)
+                } else {
+                    ("section", section.word)
+                };
+                return Err(ManifestError::Duplicate {
+                    line,
+                    kind,
+                    name: name.to_string(),
+                });
+            }
+            sections[s].push(Stanza::new(section, name));
+            current = Some((s, sections[s].len() - 1));
             continue;
         }
 
@@ -566,566 +814,24 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
             });
         }
 
-        match section {
-            Section::Top => match key {
-                "schema" => {
-                    return Err(ManifestError::Duplicate {
-                        line,
-                        kind: "key",
-                        name: "schema".to_string(),
-                    });
-                }
-                "name" => set_once(&mut name, value.to_string(), line, key)?,
-                "seed" => {
-                    let v = parse_u64(line, key, value)?;
-                    set_once(&mut seed, v, line, key)?;
-                }
-                "variant" => {
-                    let v = match value {
-                        "pwr" => Variant::Continuous,
-                        "fixed" => Variant::Fixed,
-                        "cb-r" => Variant::CapyR,
-                        "cb-p" => Variant::CapyP,
-                        _ => {
-                            return Err(bad_value(
-                                line,
-                                key,
-                                value,
-                                "`pwr`, `fixed`, `cb-r`, or `cb-p`",
-                            ));
-                        }
-                    };
-                    set_once(&mut variant, v, line, key)?;
-                }
-                "mcu" => {
-                    let v = match value {
-                        "msp430fr5969" => McuKind::Msp430fr5969,
-                        "msp430fr5969-full-speed" => McuKind::Msp430fr5969FullSpeed,
-                        "cc2650" => McuKind::Cc2650,
-                        _ => {
-                            return Err(bad_value(
-                                line,
-                                key,
-                                value,
-                                "`msp430fr5969`, `msp430fr5969-full-speed`, or `cc2650`",
-                            ));
-                        }
-                    };
-                    set_once(&mut mcu, v, line, key)?;
-                }
-                "degradation" => {
-                    let v = parse_bool(line, key, value)?;
-                    set_once(&mut degradation, v, line, key)?;
-                }
-                "harvest_during_operation" => {
-                    let v = parse_bool(line, key, value)?;
-                    set_once(&mut harvest_during_operation, v, line, key)?;
-                }
-                _ => {
-                    return Err(ManifestError::UnknownKey {
-                        line,
-                        section: "(top level)".to_string(),
-                        key: key.to_string(),
-                    });
-                }
-            },
-            Section::Harvester => {
-                let draft = harvester.as_mut().expect("in [harvester] section");
-                match key {
-                    "kind" => set_once(&mut draft.kind, (line, value.to_string()), line, key)?,
-                    "power_mw" => {
-                        let v = parse_f64(line, key, value)?;
-                        set_once(&mut draft.power_mw, v, line, key)?;
-                    }
-                    "voltage" => {
-                        let v = parse_f64(line, key, value)?;
-                        set_once(&mut draft.voltage, v, line, key)?;
-                    }
-                    "max_power_mw" => {
-                        let v = parse_f64(line, key, value)?;
-                        set_once(&mut draft.max_power_mw, v, line, key)?;
-                    }
-                    "on_ms" => {
-                        let v = parse_f64(line, key, value)?;
-                        set_once(&mut draft.on_ms, v, line, key)?;
-                    }
-                    "off_ms" => {
-                        let v = parse_f64(line, key, value)?;
-                        set_once(&mut draft.off_ms, v, line, key)?;
-                    }
-                    "cycles" => {
-                        let v = parse_u32(line, key, value)?;
-                        set_once(&mut draft.cycles, v, line, key)?;
-                    }
-                    _ => {
-                        return Err(ManifestError::UnknownKey {
-                            line,
-                            section: "harvester".to_string(),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-            }
-            Section::Bank(i) => {
-                let draft = &mut banks[i];
-                match key {
-                    "parts" => {
-                        let mut parts = Vec::new();
-                        for word in parse_list(value) {
-                            parts.push(parse_part(line, &word)?);
-                        }
-                        if parts.is_empty() {
-                            return Err(bad_value(line, key, value, "at least one part name"));
-                        }
-                        set_once(&mut draft.parts, parts, line, key)?;
-                    }
-                    "switch" => {
-                        let v = match value {
-                            "normally-open" => SwitchKind::NormallyOpen,
-                            "normally-closed" => SwitchKind::NormallyClosed,
-                            _ => {
-                                return Err(bad_value(
-                                    line,
-                                    key,
-                                    value,
-                                    "`normally-open` or `normally-closed`",
-                                ));
-                            }
-                        };
-                        set_once(&mut draft.switch, v, line, key)?;
-                    }
-                    _ => {
-                        return Err(ManifestError::UnknownKey {
-                            line,
-                            section: format!("bank {}", draft.name),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-            }
-            Section::Mode(i) => {
-                let draft = &mut modes[i];
-                match key {
-                    "banks" => {
-                        let names = parse_list(value);
-                        if names.is_empty() {
-                            return Err(bad_value(line, key, value, "at least one bank name"));
-                        }
-                        for n in &names {
-                            refs.push(NameRef {
-                                line,
-                                field: "banks",
-                                name: n.clone(),
-                                kind: RefKind::Bank,
-                            });
-                        }
-                        set_once(&mut draft.banks, names, line, key)?;
-                    }
-                    _ => {
-                        return Err(ManifestError::UnknownKey {
-                            line,
-                            section: format!("mode {}", draft.name),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-            }
-            Section::Task(i) => {
-                let draft = &mut tasks[i];
-                match key {
-                    "energy" => {
-                        let words: Vec<&str> = value.split_whitespace().collect();
-                        let spec = match words.as_slice() {
-                            ["unannotated"] => EnergySpec::Unannotated,
-                            ["config", mode] => {
-                                refs.push(NameRef {
-                                    line,
-                                    field: "energy",
-                                    name: (*mode).to_string(),
-                                    kind: RefKind::Mode,
-                                });
-                                EnergySpec::Config((*mode).to_string())
-                            }
-                            ["burst", mode] => {
-                                refs.push(NameRef {
-                                    line,
-                                    field: "energy",
-                                    name: (*mode).to_string(),
-                                    kind: RefKind::Mode,
-                                });
-                                EnergySpec::Burst((*mode).to_string())
-                            }
-                            ["preburst", burst, exec] => {
-                                for m in [burst, exec] {
-                                    refs.push(NameRef {
-                                        line,
-                                        field: "energy",
-                                        name: (*m).to_string(),
-                                        kind: RefKind::Mode,
-                                    });
-                                }
-                                EnergySpec::Preburst {
-                                    burst: (*burst).to_string(),
-                                    exec: (*exec).to_string(),
-                                }
-                            }
-                            _ => {
-                                return Err(bad_value(
-                                    line,
-                                    key,
-                                    value,
-                                    "`unannotated`, `config <mode>`, `burst <mode>`, \
-                                     or `preburst <burst> <exec>`",
-                                ));
-                            }
-                        };
-                        set_once(&mut draft.energy, spec, line, key)?;
-                    }
-                    "compute_ms" => {
-                        let v = parse_f64(line, key, value)?;
-                        if v < 0.0 {
-                            return Err(bad_value(line, key, value, "a non-negative duration"));
-                        }
-                        set_once(&mut draft.compute_ms, v, line, key)?;
-                    }
-                    "sleep_ms" => {
-                        let v = parse_f64(line, key, value)?;
-                        if v < 0.0 {
-                            return Err(bad_value(line, key, value, "a non-negative duration"));
-                        }
-                        set_once(&mut draft.sleep_ms, v, line, key)?;
-                    }
-                    "repeat" => {
-                        let v = parse_u64(line, key, value)?;
-                        if v == 0 {
-                            return Err(bad_value(line, key, value, "a positive count"));
-                        }
-                        set_once(&mut draft.repeat, v, line, key)?;
-                    }
-                    "then" => {
-                        let spec = match value {
-                            "stay" => ThenSpec::Stay,
-                            "stop" => ThenSpec::Stop,
-                            other => {
-                                refs.push(NameRef {
-                                    line,
-                                    field: "then",
-                                    name: other.to_string(),
-                                    kind: RefKind::Task,
-                                });
-                                ThenSpec::To(other.to_string())
-                            }
-                        };
-                        set_once(&mut draft.then, spec, line, key)?;
-                    }
-                    _ => {
-                        return Err(ManifestError::UnknownKey {
-                            line,
-                            section: format!("task {}", draft.name),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-            }
-            Section::Policy => {
-                let draft = policy.as_mut().expect("in [policy] section");
-                match key {
-                    "kind" => set_once(&mut draft.kind, (line, value.to_string()), line, key)?,
-                    "mode" => {
-                        refs.push(NameRef {
-                            line,
-                            field: "mode",
-                            name: value.to_string(),
-                            kind: RefKind::Mode,
-                        });
-                        set_once(&mut draft.mode, value.to_string(), line, key)?;
-                    }
-                    "ladder" => {
-                        let names = parse_list(value);
-                        if names.is_empty() {
-                            return Err(bad_value(line, key, value, "at least one mode name"));
-                        }
-                        for n in &names {
-                            refs.push(NameRef {
-                                line,
-                                field: "ladder",
-                                name: n.clone(),
-                                kind: RefKind::Mode,
-                            });
-                        }
-                        set_once(&mut draft.ladder, names, line, key)?;
-                    }
-                    "timeout_ms" => {
-                        let v = parse_f64(line, key, value)?;
-                        set_once(&mut draft.timeout_ms, v, line, key)?;
-                    }
-                    "thresholds_mw" => {
-                        let mut thresholds = Vec::new();
-                        for word in parse_list(value) {
-                            thresholds.push(parse_f64(line, key, &word)?);
-                        }
-                        set_once(&mut draft.thresholds_mw, (line, thresholds), line, key)?;
-                    }
-                    "alpha" => {
-                        let v = parse_f64(line, key, value)?;
-                        if !(v > 0.0 && v <= 1.0) {
-                            return Err(bad_value(line, key, value, "a factor in (0, 1]"));
-                        }
-                        set_once(&mut draft.alpha, (line, v), line, key)?;
-                    }
-                    _ => {
-                        return Err(ManifestError::UnknownKey {
-                            line,
-                            section: "policy".to_string(),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-            }
-            Section::Faults => match key {
-                "fault" => {
-                    let fault = parse_fault(line, value, &mut refs)?;
-                    faults.push(fault);
-                }
-                "startup_margin_v" => {
-                    let v = parse_f64(line, key, value)?;
-                    set_once(&mut startup_margin_v, v, line, key)?;
-                }
-                _ => {
-                    return Err(ManifestError::UnknownKey {
-                        line,
-                        section: "faults".to_string(),
-                        key: key.to_string(),
-                    });
-                }
-            },
-            Section::Fleet => {
-                let draft = fleet.as_mut().expect("fleet section implies a draft");
-                match key {
-                    "devices" => {
-                        let v = parse_u64(line, key, value)?;
-                        if v == 0 || v > MAX_FLEET_DEVICES {
-                            return Err(bad_value(
-                                line,
-                                key,
-                                value,
-                                &format!("a device count from 1 to {MAX_FLEET_DEVICES}"),
-                            ));
-                        }
-                        set_once(&mut draft.devices, (line, v), line, key)?;
-                    }
-                    "mix" => {
-                        let mut templates: Vec<(String, u64)> = Vec::new();
-                        let mut total = 0u64;
-                        for word in parse_list(value) {
-                            let Some((task, count)) = word.split_once(':') else {
-                                return Err(bad_value(
-                                    line,
-                                    key,
-                                    &word,
-                                    "`<task>:<count>` template entries",
-                                ));
-                            };
-                            let task = task.trim();
-                            let count = parse_u64(line, key, count.trim())?;
-                            if task.is_empty() || count == 0 {
-                                return Err(bad_value(
-                                    line,
-                                    key,
-                                    &word,
-                                    "a task name and a positive count",
-                                ));
-                            }
-                            if templates.iter().any(|(t, _)| t == task) {
-                                return Err(ManifestError::Duplicate {
-                                    line,
-                                    kind: "mix template",
-                                    name: task.to_string(),
-                                });
-                            }
-                            total = total.saturating_add(count);
-                            if total > MAX_FLEET_DEVICES {
-                                return Err(bad_value(
-                                    line,
-                                    key,
-                                    value,
-                                    &format!(
-                                        "template counts totalling at most {MAX_FLEET_DEVICES}"
-                                    ),
-                                ));
-                            }
-                            refs.push(NameRef {
-                                line,
-                                field: "mix",
-                                name: task.to_string(),
-                                kind: RefKind::Task,
-                            });
-                            templates.push((task.to_string(), count));
-                        }
-                        if templates.is_empty() {
-                            return Err(bad_value(
-                                line,
-                                key,
-                                value,
-                                "at least one `<task>:<count>` template",
-                            ));
-                        }
-                        set_once(&mut draft.mix, (line, templates), line, key)?;
-                    }
-                    "trace" => {
-                        set_once(&mut draft.trace, (line, value.to_string()), line, key)?;
-                    }
-                    "panel_jitter_pct" | "rate_jitter_pct" => {
-                        let v = parse_f64(line, key, value)?;
-                        if !(0.0..=100.0).contains(&v) {
-                            return Err(bad_value(line, key, value, "a percentage in [0, 100]"));
-                        }
-                        let slot = if key == "panel_jitter_pct" {
-                            &mut draft.panel_jitter_pct
-                        } else {
-                            &mut draft.rate_jitter_pct
-                        };
-                        set_once(slot, v, line, key)?;
-                    }
-                    "eclipse_period_s" => {
-                        let v = parse_f64(line, key, value)?;
-                        if v <= 0.0 {
-                            return Err(bad_value(line, key, value, "a positive duration"));
-                        }
-                        set_once(&mut draft.eclipse_period_s, v, line, key)?;
-                    }
-                    "eclipse_sunlit" | "dip_factor" | "shading" => {
-                        let v = parse_f64(line, key, value)?;
-                        if !(0.0..=1.0).contains(&v) {
-                            return Err(bad_value(line, key, value, "a fraction in [0, 1]"));
-                        }
-                        let slot = match key {
-                            "eclipse_sunlit" => &mut draft.eclipse_sunlit,
-                            "dip_factor" => &mut draft.dip_factor,
-                            _ => &mut draft.shading,
-                        };
-                        set_once(slot, v, line, key)?;
-                    }
-                    "dips" => {
-                        let v = parse_u32(line, key, value)?;
-                        set_once(&mut draft.dips, (line, v), line, key)?;
-                    }
-                    "dip_hold_s" => {
-                        let v = parse_f64(line, key, value)?;
-                        if v < 0.0 {
-                            return Err(bad_value(line, key, value, "a non-negative duration"));
-                        }
-                        set_once(&mut draft.dip_hold_s, v, line, key)?;
-                    }
-                    _ => {
-                        return Err(ManifestError::UnknownKey {
-                            line,
-                            section: "fleet".to_string(),
-                            key: key.to_string(),
-                        });
-                    }
-                }
-            }
-            Section::Limits => match key {
-                "max_sim_seconds" => {
-                    let v = parse_f64(line, key, value)?;
-                    if v <= 0.0 {
-                        return Err(bad_value(line, key, value, "a positive duration"));
-                    }
-                    set_once(&mut max_sim_seconds, v, line, key)?;
-                }
-                "max_steps" => {
-                    let v = parse_u64(line, key, value)?;
-                    set_once(&mut max_steps, v, line, key)?;
-                }
-                "no_progress_steps" => {
-                    let v = parse_u64(line, key, value)?;
-                    if v == 0 {
-                        return Err(bad_value(line, key, value, "a positive step count"));
-                    }
-                    set_once(&mut no_progress_steps, v, line, key)?;
-                }
-                "max_energy_joules" => {
-                    let v = parse_f64(line, key, value)?;
-                    if v <= 0.0 {
-                        return Err(bad_value(line, key, value, "a positive energy"));
-                    }
-                    set_once(&mut max_energy_joules, v, line, key)?;
-                }
-                _ => {
-                    return Err(ManifestError::UnknownKey {
-                        line,
-                        section: "limits".to_string(),
-                        key: key.to_string(),
-                    });
-                }
-            },
-            Section::Assert => match key {
-                "completions" => {
-                    let words: Vec<&str> = value.split_whitespace().collect();
-                    let [task, op, count] = words.as_slice() else {
-                        return Err(bad_value(line, key, value, "`<task> <op> <count>`"));
-                    };
-                    refs.push(NameRef {
-                        line,
-                        field: "completions",
-                        name: (*task).to_string(),
-                        kind: RefKind::Task,
-                    });
-                    assertions.push(AssertionSpec::TaskCompletions {
-                        task: (*task).to_string(),
-                        op: parse_cmp_op(line, key, op)?,
-                        count: parse_u64(line, key, count)?,
-                    });
-                }
-                "total_completions" | "failures" => {
-                    let words: Vec<&str> = value.split_whitespace().collect();
-                    let [op, count] = words.as_slice() else {
-                        return Err(bad_value(line, key, value, "`<op> <count>`"));
-                    };
-                    let op = parse_cmp_op(line, key, op)?;
-                    let count = parse_u64(line, key, count)?;
-                    assertions.push(if key == "failures" {
-                        AssertionSpec::Failures { op, count }
-                    } else {
-                        AssertionSpec::TotalCompletions { op, count }
-                    });
-                }
-                "require_event" => {
-                    assertions.push(AssertionSpec::RequireEvent(parse_event_kind(
-                        line, key, value,
-                    )?));
-                }
-                "forbid_event" => {
-                    assertions.push(AssertionSpec::ForbidEvent(parse_event_kind(
-                        line, key, value,
-                    )?));
-                }
-                "final_mode" => {
-                    refs.push(NameRef {
-                        line,
-                        field: "final_mode",
-                        name: value.to_string(),
-                        kind: RefKind::Mode,
-                    });
-                    assertions.push(AssertionSpec::FinalMode(value.to_string()));
-                }
-                "min_availability" => {
-                    let v = parse_f64(line, key, value)?;
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(bad_value(line, key, value, "a fraction in [0, 1]"));
-                    }
-                    assertions.push(AssertionSpec::MinAvailability(v));
-                }
-                _ => {
-                    return Err(ManifestError::UnknownKey {
-                        line,
-                        section: "assert".to_string(),
-                        key: key.to_string(),
-                    });
-                }
-            },
-        }
+        let stanza = match current {
+            Some((s, i)) => &mut sections[s][i],
+            None => &mut top,
+        };
+        let Some(entry) = stanza.section.keys.iter().find(|k| k.name == key) else {
+            return Err(ManifestError::UnknownKey {
+                line,
+                section: stanza.label(),
+                key: key.to_string(),
+            });
+        };
+        let mut at = At {
+            line,
+            key: entry.name,
+            refs: &mut refs,
+        };
+        let value = entry.ty.parse(&mut at, value)?;
+        stanza.set_once(entry, line, value)?;
     }
 
     if !saw_schema {
@@ -1134,34 +840,35 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
 
     // --- assemble, enforcing required fields ---
 
-    let name = name.ok_or_else(|| missing("(top level)", "name"))?;
-    let variant = variant.ok_or_else(|| missing("(top level)", "variant"))?;
+    let [harvester, banks, modes, tasks, policy, faults, fleet, limits, assert] = sections;
+    let name = top.req("name", Value::text)?;
+    let variant = top.req("variant", Value::kw)?;
 
-    let harvester = harvester.ok_or_else(|| missing("(document)", "[harvester]"))?;
-    let harvester = build_harvester(harvester)?;
+    let harvester = match harvester.into_iter().next() {
+        Some(stanza) => build_harvester(stanza)?,
+        None => return Err(missing("(document)", "[harvester]")),
+    };
 
     if banks.is_empty() {
         return Err(missing("(document)", "[bank]"));
     }
     let banks: Vec<BankSpec> = banks
         .into_iter()
-        .map(|d| {
-            let section = format!("bank {}", d.name);
+        .map(|mut b| {
             Ok(BankSpec {
-                parts: d.parts.ok_or_else(|| missing(&section, "parts"))?,
-                switch: d.switch.ok_or_else(|| missing(&section, "switch"))?,
-                name: d.name,
+                parts: b.req("parts", Value::parts)?,
+                switch: b.req("switch", Value::kw)?,
+                name: b.name.to_string(),
             })
         })
         .collect::<Result<_, ManifestError>>()?;
 
     let modes: Vec<ModeSpec> = modes
         .into_iter()
-        .map(|d| {
-            let section = format!("mode {}", d.name);
+        .map(|mut m| {
             Ok(ModeSpec {
-                banks: d.banks.ok_or_else(|| missing(&section, "banks"))?,
-                name: d.name,
+                banks: m.req("banks", Value::names)?,
+                name: m.name.to_string(),
             })
         })
         .collect::<Result<_, ManifestError>>()?;
@@ -1171,96 +878,67 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
     }
     let tasks: Vec<TaskSpec> = tasks
         .into_iter()
-        .map(|d| {
-            let section = format!("task {}", d.name);
+        .map(|mut t| {
             Ok(TaskSpec {
-                energy: d.energy.ok_or_else(|| missing(&section, "energy"))?,
-                compute_ms: d
-                    .compute_ms
-                    .ok_or_else(|| missing(&section, "compute_ms"))?,
-                sleep_ms: d.sleep_ms,
-                repeat: d.repeat,
-                then: d.then.ok_or_else(|| missing(&section, "then"))?,
-                name: d.name,
+                energy: t.req("energy", Value::energy)?,
+                compute_ms: t.req("compute_ms", Value::num)?,
+                sleep_ms: t.get("sleep_ms", Value::num),
+                repeat: t.get("repeat", Value::int),
+                then: t.req("then", Value::then)?,
+                name: t.name.to_string(),
             })
         })
         .collect::<Result<_, ManifestError>>()?;
 
-    let policy = match policy {
+    let policy = match policy.into_iter().next() {
         None => PolicySpec::Static,
-        Some(draft) => build_policy(draft)?,
+        Some(stanza) => build_policy(stanza)?,
     };
 
-    let fleet = match fleet {
-        None => None,
-        Some(draft) => {
-            // `devices` and `mix` both size the population; exactly one
-            // may appear. A trace and an eclipse period both drive the
-            // shared light cycle; at most one may appear.
-            let (devices, mix) = match (draft.devices, draft.mix) {
-                (Some((line, _)), Some(_)) => {
-                    return Err(bad_value(
-                        line,
-                        "devices",
-                        "devices",
-                        "either `devices` or `mix`, not both",
-                    ));
-                }
-                (Some((_, devices)), None) => (devices, Vec::new()),
-                // The parser checked that the counts sum to at most
-                // MAX_FLEET_DEVICES.
-                (None, Some((_, mix))) => (mix.iter().map(|(_, n)| n).sum(), mix),
-                (None, None) => return Err(missing("fleet", "devices (or mix)")),
-            };
-            if let (Some((line, trace)), Some(_)) = (&draft.trace, draft.eclipse_period_s) {
-                return Err(bad_value(
-                    *line,
-                    "trace",
-                    trace,
-                    "no `eclipse_period_s` alongside a trace (both drive the shared light cycle)",
-                ));
-            }
-            // The dip onsets spread across the horizon; a count whose mean
-            // gap rounds to zero microseconds has no schedule.
-            if let Some((line, dips)) = draft.dips {
-                let zero_gap = max_sim_seconds.is_some_and(|h| dip_mean_gap(h, dips).is_zero());
-                if dips > MAX_FLEET_DIPS || zero_gap {
-                    return Err(bad_value(
-                        line,
-                        "dips",
-                        &dips.to_string(),
-                        &format!(
-                            "at most {MAX_FLEET_DIPS} dips, with a mean gap across \
-                             `max_sim_seconds` of at least 1 µs"
-                        ),
-                    ));
-                }
-            }
-            Some(FleetStanza {
-                devices,
-                mix,
-                trace: draft.trace.map(|(_, file)| file),
-                panel_jitter_pct: draft.panel_jitter_pct.unwrap_or(0.0),
-                rate_jitter_pct: draft.rate_jitter_pct.unwrap_or(0.0),
-                eclipse_period_s: draft.eclipse_period_s,
-                eclipse_sunlit: draft.eclipse_sunlit.unwrap_or(0.5),
-                dips: draft.dips.map_or(0, |(_, n)| n),
-                dip_hold_s: draft.dip_hold_s.unwrap_or(0.0),
-                dip_factor: draft.dip_factor.unwrap_or(1.0),
-                shading: draft.shading.unwrap_or(0.0),
-            })
+    let (faults, startup_margin_v) = match faults.into_iter().next() {
+        None => (Vec::new(), None),
+        Some(mut stanza) => {
+            let margin = stanza.get("startup_margin_v", Value::num);
+            // Every other value of the section is a `fault`.
+            let faults = stanza.slots.into_iter();
+            (faults.filter_map(|s| s.value.fault()).collect(), margin)
         }
     };
 
-    if !saw_limits {
-        return Err(missing("(document)", "[limits]"));
-    }
-    let limits = LimitsSpec {
-        max_sim_seconds: max_sim_seconds.ok_or_else(|| missing("limits", "max_sim_seconds"))?,
-        max_steps,
-        no_progress_steps,
-        max_energy_joules,
+    // The fleet's dip schedule spreads across the horizon, but a missing
+    // `[limits]` is reported after the fleet's own errors.
+    let limits = match limits.into_iter().next() {
+        Some(mut l) => l
+            .req("max_sim_seconds", Value::num)
+            .map(|max_sim_seconds| LimitsSpec {
+                max_sim_seconds,
+                max_steps: l.get("max_steps", Value::int),
+                no_progress_steps: l.get("no_progress_steps", Value::int),
+                max_energy_joules: l.get("max_energy_joules", Value::num),
+            }),
+        None => Err(missing("(document)", "[limits]")),
     };
+    let horizon_s = limits.as_ref().ok().map(|l| l.max_sim_seconds);
+    let fleet = match fleet.into_iter().next() {
+        None => None,
+        Some(stanza) => Some(build_fleet(stanza, horizon_s)?),
+    };
+    let limits = limits?;
+
+    let assertions = assert
+        .into_iter()
+        .flat_map(|stanza| stanza.slots)
+        .map(|slot| match slot.value {
+            Value::Assert(spec) => spec,
+            Value::Kw(i) if slot.key == "require_event" => {
+                AssertionSpec::RequireEvent(EventKind::ALL[i])
+            }
+            Value::Kw(i) => AssertionSpec::ForbidEvent(EventKind::ALL[i]),
+            Value::Text(mode) => AssertionSpec::FinalMode(mode.to_string()),
+            Value::Num(frac) => AssertionSpec::MinAvailability(frac),
+            _ => mistyped(slot.key),
+        })
+        .collect();
 
     // --- resolve deferred cross-references ---
     for r in &refs {
@@ -1273,18 +951,20 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
             return Err(ManifestError::UnknownName {
                 line: r.line,
                 field: r.field,
-                name: r.name.clone(),
+                name: r.name.to_string(),
             });
         }
     }
 
     Ok(ScenarioManifest {
         name,
-        seed: seed.unwrap_or(0),
+        seed: top.get("seed", Value::int).unwrap_or(0),
         variant,
-        mcu: mcu.unwrap_or(McuKind::Msp430fr5969),
-        degradation: degradation.unwrap_or(false),
-        harvest_during_operation: harvest_during_operation.unwrap_or(false),
+        mcu: top.get("mcu", Value::kw).unwrap_or(McuKind::Msp430fr5969),
+        degradation: top.get("degradation", Value::kw).unwrap_or(false),
+        harvest_during_operation: top
+            .get("harvest_during_operation", Value::kw)
+            .unwrap_or(false),
         harvester,
         banks,
         modes,
@@ -1298,139 +978,395 @@ pub fn parse_manifest(text: &str) -> Result<ScenarioManifest, ManifestError> {
     })
 }
 
-fn build_harvester(draft: HarvesterDraft) -> Result<HarvesterSpec, ManifestError> {
-    let (kind_line, kind) = draft.kind.ok_or_else(|| missing("harvester", "kind"))?;
-    let need = |slot: Option<f64>, field: &str| slot.ok_or_else(|| missing("harvester", field));
-    match kind.as_str() {
-        "dark" => Ok(HarvesterSpec::Dark),
-        "constant" => Ok(HarvesterSpec::Constant {
-            power_mw: need(draft.power_mw, "power_mw")?,
-            voltage: need(draft.voltage, "voltage")?,
-        }),
-        "regulated" => Ok(HarvesterSpec::Regulated {
-            max_power_mw: need(draft.max_power_mw, "max_power_mw")?,
-            voltage: need(draft.voltage, "voltage")?,
-        }),
-        "square-wave" => Ok(HarvesterSpec::SquareWave {
-            power_mw: need(draft.power_mw, "power_mw")?,
-            voltage: need(draft.voltage, "voltage")?,
-            on_ms: need(draft.on_ms, "on_ms")?,
-            off_ms: need(draft.off_ms, "off_ms")?,
-            cycles: draft.cycles.ok_or_else(|| missing("harvester", "cycles"))?,
-        }),
-        "solar-trisolx" => Ok(HarvesterSpec::SolarTrisolx),
-        _ => Err(bad_value(
-            kind_line,
-            "kind",
-            &kind,
-            "`dark`, `constant`, `regulated`, `square-wave`, or `solar-trisolx`",
-        )),
-    }
-}
-
-fn build_policy(draft: PolicyDraft) -> Result<PolicySpec, ManifestError> {
-    let (kind_line, kind) = draft.kind.ok_or_else(|| missing("policy", "kind"))?;
-    match kind.as_str() {
-        "static" => Ok(PolicySpec::Static),
-        "pinned" => Ok(PolicySpec::Pinned {
-            mode: draft.mode.ok_or_else(|| missing("policy", "mode"))?,
-        }),
-        "reactive" => Ok(PolicySpec::Reactive {
-            ladder: draft.ladder.ok_or_else(|| missing("policy", "ladder"))?,
-            timeout_ms: draft
-                .timeout_ms
-                .ok_or_else(|| missing("policy", "timeout_ms"))?,
-        }),
-        "ewma" => {
-            let ladder = draft.ladder.ok_or_else(|| missing("policy", "ladder"))?;
-            let (t_line, thresholds_mw) = draft
-                .thresholds_mw
-                .ok_or_else(|| missing("policy", "thresholds_mw"))?;
-            if thresholds_mw.len() + 1 != ladder.len() {
+fn build_harvester(mut h: Stanza) -> Result<HarvesterSpec, ManifestError> {
+    Ok(match h.req("kind", Value::kw)? {
+        HarvesterKind::Dark => HarvesterSpec::Dark,
+        HarvesterKind::Constant => HarvesterSpec::Constant {
+            power_mw: h.req("power_mw", Value::num)?,
+            voltage: h.req("voltage", Value::num)?,
+        },
+        HarvesterKind::Regulated => HarvesterSpec::Regulated {
+            max_power_mw: h.req("max_power_mw", Value::num)?,
+            voltage: h.req("voltage", Value::num)?,
+        },
+        HarvesterKind::SquareWave => {
+            let power_mw = h.req("power_mw", Value::num)?;
+            let voltage = h.req("voltage", Value::num)?;
+            let on_ms = h.req("on_ms", Value::num)?;
+            let off_ms = h.req("off_ms", Value::num)?;
+            let Some((line, cycles)) = h.get_at("cycles", Value::int::<u32>) else {
+                return Err(missing("harvester", "cycles"));
+            };
+            // The kernel lays the wave out in whole microseconds, and
+            // all of it must fit under the time cap.
+            let period = duration_ms(on_ms) + duration_ms(off_ms);
+            if u128::from(cycles) * u128::from(period.as_micros()) > (MAX_TIME_S * 1e6) as u128 {
                 return Err(bad_value(
-                    t_line,
-                    "thresholds_mw",
-                    &format!("{} thresholds", thresholds_mw.len()),
-                    &format!("one threshold per ladder gap ({})", ladder.len() - 1),
+                    line,
+                    "cycles",
+                    &cycles.to_string(),
+                    format_args!("a wave of at most {MAX_TIME_S} s: cycles × (on_ms + off_ms)"),
                 ));
             }
-            let (_, alpha) = draft.alpha.ok_or_else(|| missing("policy", "alpha"))?;
-            Ok(PolicySpec::Ewma {
-                ladder,
-                thresholds_mw,
-                alpha,
-            })
+            HarvesterSpec::SquareWave {
+                power_mw,
+                voltage,
+                on_ms,
+                off_ms,
+                cycles,
+            }
         }
-        _ => Err(bad_value(
-            kind_line,
-            "kind",
-            &kind,
-            "`static`, `pinned`, `reactive`, or `ewma`",
-        )),
-    }
+        HarvesterKind::SolarTrisolx => HarvesterSpec::SolarTrisolx,
+    })
 }
 
-fn parse_fault(
-    line: usize,
-    value: &str,
-    refs: &mut Vec<NameRef>,
-) -> Result<FaultSpec, ManifestError> {
+fn build_policy(mut p: Stanza) -> Result<PolicySpec, ManifestError> {
+    Ok(match p.req("kind", Value::kw)? {
+        PolicyKind::Static => PolicySpec::Static,
+        PolicyKind::Pinned => PolicySpec::Pinned {
+            mode: p.req("mode", Value::text)?,
+        },
+        PolicyKind::Reactive => PolicySpec::Reactive {
+            ladder: p.req("ladder", Value::names)?,
+            timeout_ms: p.req("timeout_ms", Value::num)?,
+        },
+        PolicyKind::Ewma => {
+            let ladder = p.req("ladder", Value::names)?;
+            let Some((line, thresholds_mw)) = p.get_at("thresholds_mw", Value::nums) else {
+                return Err(missing("policy", "thresholds_mw"));
+            };
+            if thresholds_mw.len() + 1 != ladder.len() {
+                return Err(bad_value(
+                    line,
+                    "thresholds_mw",
+                    &format!("{} thresholds", thresholds_mw.len()),
+                    format_args!("one threshold per ladder gap ({})", ladder.len() - 1),
+                ));
+            }
+            PolicySpec::Ewma {
+                ladder,
+                thresholds_mw,
+                alpha: p.req("alpha", Value::num)?,
+            }
+        }
+    })
+}
+
+fn build_fleet(mut f: Stanza, horizon_s: Option<f64>) -> Result<FleetStanza, ManifestError> {
+    // `devices` and `mix` both size the population; exactly one may
+    // appear. A trace and an eclipse period both drive the shared light
+    // cycle; at most one may appear.
+    let (devices, mix) = match (f.get_at("devices", Value::int), f.get("mix", Value::mix)) {
+        (Some((line, _)), Some(_)) => {
+            return Err(bad_value(
+                line,
+                "devices",
+                "devices",
+                "either `devices` or `mix`, not both",
+            ));
+        }
+        (Some((_, devices)), None) => (devices, Vec::new()),
+        // The parser checked that the counts sum to at most
+        // MAX_FLEET_DEVICES.
+        (None, Some(mix)) => (mix.iter().map(|(_, n)| n).sum(), mix),
+        (None, None) => return Err(missing("fleet", "devices (or mix)")),
+    };
+    let trace = f.get_at("trace", Value::text);
+    let eclipse_period_s = f.get("eclipse_period_s", Value::num);
+    if let (Some((line, trace)), Some(_)) = (&trace, eclipse_period_s) {
+        return Err(bad_value(
+            *line,
+            "trace",
+            trace,
+            "no `eclipse_period_s` alongside a trace (both drive the shared light cycle)",
+        ));
+    }
+    // The dip onsets spread across the horizon; a count whose mean gap
+    // rounds to zero microseconds has no schedule.
+    let dips = f.get_at("dips", Value::int);
+    if let (Some((line, dips)), Some(horizon_s)) = (dips, horizon_s) {
+        if dip_mean_gap(horizon_s, dips).is_zero() {
+            return Err(bad_value(
+                line,
+                "dips",
+                &dips.to_string(),
+                "a mean gap across `max_sim_seconds` of at least 1 µs",
+            ));
+        }
+    }
+    let mut num = |key, default| f.get(key, Value::num).unwrap_or(default);
+    Ok(FleetStanza {
+        devices,
+        mix,
+        trace: trace.map(|(_, file)| file),
+        panel_jitter_pct: num("panel_jitter_pct", 0.0),
+        rate_jitter_pct: num("rate_jitter_pct", 0.0),
+        eclipse_period_s,
+        eclipse_sunlit: num("eclipse_sunlit", 0.5),
+        dips: dips.map_or(0, |(_, n)| n),
+        dip_hold_s: num("dip_hold_s", 0.0),
+        dip_factor: num("dip_factor", 1.0),
+        shading: num("shading", 0.0),
+    })
+}
+
+// --- the structured forms ---
+
+fn parts<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    let parts = list(value)
+        .map(|word| keyword::<PartKind>(at, word))
+        .collect::<Result<Vec<_>, _>>()?;
+    if parts.is_empty() {
+        return Err(at.bad(value, "at least one part name"));
+    }
+    Ok(Value::Parts(parts))
+}
+
+fn energy<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    let words: Vec<&str> = value.split_whitespace().collect();
+    let spec = match words[..] {
+        ["unannotated"] => EnergySpec::Unannotated,
+        ["config", mode] => EnergySpec::Config(at.refer(RefKind::Mode, mode).to_string()),
+        ["burst", mode] => EnergySpec::Burst(at.refer(RefKind::Mode, mode).to_string()),
+        ["preburst", burst, exec] => EnergySpec::Preburst {
+            burst: at.refer(RefKind::Mode, burst).to_string(),
+            exec: at.refer(RefKind::Mode, exec).to_string(),
+        },
+        _ => {
+            return Err(at.bad(
+                value,
+                "`unannotated`, `config <mode>`, `burst <mode>`, or `preburst <burst> <exec>`",
+            ));
+        }
+    };
+    Ok(Value::Energy(spec))
+}
+
+fn then<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    Ok(Value::Then(match value {
+        "stay" => ThenSpec::Stay,
+        "stop" => ThenSpec::Stop,
+        task => ThenSpec::To(at.refer(RefKind::Task, task).to_string()),
+    }))
+}
+
+/// A `[faults]` entry. Its numbers are checked against the ranges the
+/// kernel honours: outside them the kernel would clamp or ignore the
+/// value and run a different fault.
+fn fault<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
     let expected = "`stuck-open <bank> @ <s>`, `stuck-closed <bank> @ <s>`, \
                     `weak-latch <bank> <factor> @ <s>`, \
                     or `degraded <bank> <cap_derate> <esr_scale> @ <s>`";
-    let Some((head, at)) = value.split_once('@') else {
-        return Err(bad_value(line, "fault", value, expected));
+    let Some((head, when)) = value.split_once('@') else {
+        return Err(at.bad(value, expected));
     };
-    let at_s = parse_f64(line, "fault", at.trim())?;
-    if at_s < 0.0 {
-        return Err(bad_value(line, "fault", at.trim(), "a non-negative time"));
-    }
+    let at_s = range(0.0, MAX_TIME_S, " s").parse(at, when.trim())?;
+    let at_least_one = range(1.0, f64::INFINITY, "");
     let words: Vec<&str> = head.split_whitespace().collect();
-    let mut bank_ref = |bank: &str| {
-        refs.push(NameRef {
-            line,
-            field: "fault",
-            name: bank.to_string(),
-            kind: RefKind::Bank,
-        });
-        bank.to_string()
+    let spec = match words[..] {
+        ["stuck-open", bank] => FaultSpec::StuckOpen {
+            bank: at.refer(RefKind::Bank, bank).to_string(),
+            at_s,
+        },
+        ["stuck-closed", bank] => FaultSpec::StuckClosed {
+            bank: at.refer(RefKind::Bank, bank).to_string(),
+            at_s,
+        },
+        ["weak-latch", bank, factor] => FaultSpec::WeakLatch {
+            bank: at.refer(RefKind::Bank, bank).to_string(),
+            factor: at_least_one.parse(at, factor)?,
+            at_s,
+        },
+        ["degraded", bank, cap, esr] => FaultSpec::Degraded {
+            bank: at.refer(RefKind::Bank, bank).to_string(),
+            cap_derate: range(0.0, 1.0, "").parse(at, cap)?,
+            esr_scale: at_least_one.parse(at, esr)?,
+            at_s,
+        },
+        _ => return Err(at.bad(value, expected)),
     };
-    match words.as_slice() {
-        ["stuck-open", bank] => Ok(FaultSpec::StuckOpen {
-            bank: bank_ref(bank),
-            at_s,
-        }),
-        ["stuck-closed", bank] => Ok(FaultSpec::StuckClosed {
-            bank: bank_ref(bank),
-            at_s,
-        }),
-        ["weak-latch", bank, factor] => Ok(FaultSpec::WeakLatch {
-            bank: bank_ref(bank),
-            factor: fault_number(line, factor, 1.0.., "a `weak-latch` factor of at least 1")?,
-            at_s,
-        }),
-        ["degraded", bank, cap, esr] => Ok(FaultSpec::Degraded {
-            bank: bank_ref(bank),
-            cap_derate: fault_number(line, cap, 0.0..=1.0, "a `degraded` cap_derate in [0, 1]")?,
-            esr_scale: fault_number(line, esr, 1.0.., "a `degraded` esr_scale of at least 1")?,
-            at_s,
-        }),
-        _ => Err(bad_value(line, "fault", value, expected)),
-    }
+    Ok(Value::Fault(spec))
 }
 
-/// A `[faults]` number, checked against the range the kernel honours:
-/// outside it the kernel would clamp or ignore the value and run a
-/// different fault.
-fn fault_number(
-    line: usize,
-    value: &str,
-    range: impl RangeBounds<f64>,
-    expected: &str,
-) -> Result<f64, ManifestError> {
-    let v = parse_f64(line, "fault", value)?;
-    if !range.contains(&v) {
-        return Err(bad_value(line, "fault", value, expected));
+fn mix<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    let mut templates: Vec<(String, u64)> = Vec::new();
+    let mut total = 0u64;
+    for word in list(value) {
+        let Some((task, count)) = word.split_once(':') else {
+            return Err(at.bad(word, "`<task>:<count>` template entries"));
+        };
+        let task = task.trim();
+        let count = int(at, count.trim(), 0, u64::MAX)?;
+        if task.is_empty() || count == 0 {
+            return Err(at.bad(word, "a task name and a positive count"));
+        }
+        if templates.iter().any(|(t, _)| t == task) {
+            return Err(ManifestError::Duplicate {
+                line: at.line,
+                kind: "mix template",
+                name: task.to_string(),
+            });
+        }
+        total = total.saturating_add(count);
+        if total > MAX_FLEET_DEVICES {
+            return Err(at.bad(
+                value,
+                format_args!("template counts totalling at most {MAX_FLEET_DEVICES}"),
+            ));
+        }
+        templates.push((at.refer(RefKind::Task, task).to_string(), count));
     }
-    Ok(v)
+    if templates.is_empty() {
+        return Err(at.bad(value, "at least one `<task>:<count>` template"));
+    }
+    Ok(Value::Mix(templates))
+}
+
+fn completions<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    let words: Vec<&str> = value.split_whitespace().collect();
+    let [task, op, count] = words[..] else {
+        return Err(at.bad(value, "`<task> <op> <count>`"));
+    };
+    Ok(Value::Assert(AssertionSpec::TaskCompletions {
+        task: at.refer(RefKind::Task, task).to_string(),
+        op: keyword(at, op)?,
+        count: int(at, count, 0, u64::MAX)?,
+    }))
+}
+
+fn total_completions<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    let (op, count) = op_count(at, value)?;
+    Ok(Value::Assert(AssertionSpec::TotalCompletions { op, count }))
+}
+
+fn failures<'a>(at: &mut At<'_, 'a>, value: &'a str) -> Result<Value<'a>, ManifestError> {
+    let (op, count) = op_count(at, value)?;
+    Ok(Value::Assert(AssertionSpec::Failures { op, count }))
+}
+
+fn op_count(at: &At<'_, '_>, value: &str) -> Result<(CmpOp, u64), ManifestError> {
+    let words: Vec<&str> = value.split_whitespace().collect();
+    let [op, count] = words[..] else {
+        return Err(at.bad(value, "`<op> <count>`"));
+    };
+    Ok((keyword(at, op)?, int(at, count, 0, u64::MAX)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every declared key with its section's word, in table order.
+    fn declared() -> impl Iterator<Item = (&'static str, &'static Key)> {
+        std::iter::once(&TOP)
+            .chain(&SECTIONS)
+            .flat_map(|s| s.keys.iter().map(move |k| (s.word, k)))
+    }
+
+    fn check(key: &'static Key, value: &str) -> Result<(), ManifestError> {
+        let mut refs = Vec::new();
+        let mut at = At {
+            line: 1,
+            key: key.name,
+            refs: &mut refs,
+        };
+        key.ty.parse(&mut at, value).map(drop)
+    }
+
+    #[test]
+    fn every_numeric_key_accepts_its_bounds_and_refuses_the_nearest_value_outside() {
+        for (section, key) in declared() {
+            let name = format!("[{section}] {}", key.name);
+            let (inside, outside) = match key.ty {
+                Ty::Num(r) | Ty::Nums(r) => {
+                    assert!(r.lo.is_finite() && r.hi.is_finite(), "{name} has no range");
+                    let (lo_in, lo_out) = if r.lo_open {
+                        (r.lo.next_up(), r.lo)
+                    } else {
+                        (r.lo, r.lo.next_down())
+                    };
+                    let text = |v: f64| format!("{v:?}");
+                    (
+                        [text(lo_in), text(r.hi)],
+                        [text(lo_out), text(r.hi.next_up())],
+                    )
+                }
+                Ty::Int(lo, hi) => (
+                    [lo.to_string(), hi.to_string()],
+                    [
+                        (i128::from(lo) - 1).to_string(),
+                        (i128::from(hi) + 1).to_string(),
+                    ],
+                ),
+                _ => continue,
+            };
+            for value in inside {
+                assert_eq!(check(key, &value), Ok(()), "{name} = {value}");
+            }
+            for value in outside {
+                match check(key, &value) {
+                    Err(ManifestError::BadValue { key: named, .. }) if named == key.name => {}
+                    other => panic!("{name} = {value}: expected a BadValue, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_key_round_trips_through_a_fixture() {
+        let mut seen: Vec<(String, String)> = Vec::new();
+        for text in [
+            include_str!("../../../manifests/quickstart.capy"),
+            include_str!("../../../manifests/temperature_alarm.capy"),
+            include_str!("../../../manifests/fleet_smoke.capy"),
+            include_str!("../../../manifests/fleet_trace.capy"),
+            include_str!("../../../manifests/adaptive_faults.capy"),
+            include_str!("../../../tests/fixtures/kitchen_sink.capy"),
+            include_str!("../../../tests/fixtures/regulated_pinned.capy"),
+        ] {
+            let parsed = parse_manifest(text).expect("fixture parses");
+            let emitted = parsed.emit();
+            assert_eq!(parse_manifest(&emitted), Ok(parsed));
+            let mut section = TOP.word;
+            for line in emitted.lines() {
+                if let Some(header) = line.strip_prefix('[') {
+                    section = header.split([' ', ']']).next().unwrap_or_default();
+                } else if let Some((key, _)) = line.split_once(" = ") {
+                    seen.push((section.to_string(), key.to_string()));
+                }
+            }
+        }
+        for (section, key) in declared() {
+            assert!(
+                seen.contains(&(section.to_string(), key.name.to_string())),
+                "[{section}] {} is never round-tripped",
+                key.name
+            );
+        }
+    }
+
+    #[test]
+    fn design_grammar_table_lists_exactly_the_declared_keys() {
+        let design = include_str!("../../../DESIGN.md");
+        let grammar = &design[design.find("## 6f.").expect("DESIGN has §6f")..];
+        let mut section = "";
+        let mut documented = Vec::new();
+        for row in grammar
+            .lines()
+            .skip_while(|l| !l.starts_with("| section | key |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+        {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            if cells[1].contains("(top)") {
+                section = TOP.word;
+            } else if !cells[1].is_empty() {
+                let header = cells[1].trim_start_matches(['`', '[']);
+                section = header.split([' ', ']']).next().unwrap_or_default();
+            }
+            documented.push((section, cells[2].trim_matches('`')));
+        }
+        let declared: Vec<(&str, &str)> = declared().map(|(s, k)| (s, k.name)).collect();
+        assert_eq!(documented, declared);
+    }
 }

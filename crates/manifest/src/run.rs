@@ -29,7 +29,7 @@ use capybara::sweep::{map_on, RunSummary, DEFAULT_BASE_SEED};
 
 use crate::compile::{compile, compile_with, DeviceTweak, LeakedNames};
 use crate::json::JsonValue;
-use crate::model::{variant_keyword, AssertionSpec, EventKind, FleetStanza, ScenarioManifest};
+use crate::model::{AssertionSpec, EventKind, FleetStanza, Keyword, ScenarioManifest};
 use crate::parse::{parse_manifest, ManifestError};
 
 /// Exit code: ran to its outcome and every assertion held.
@@ -209,7 +209,7 @@ pub fn run_manifest_on(
             AssertionSpec::TaskCompletions { task, op, count } => {
                 let got = ctx.completions(task_index(task));
                 AssertionResult {
-                    check: format!("completions = {task} {} {count}", op.symbol()),
+                    check: format!("completions = {task} {} {count}", op.keyword()),
                     passed: op.holds(got, *count),
                     detail: format!("task `{task}` committed {got} completions"),
                 }
@@ -217,7 +217,7 @@ pub fn run_manifest_on(
             AssertionSpec::TotalCompletions { op, count } => {
                 let got = ctx.total_completions();
                 AssertionResult {
-                    check: format!("total_completions = {} {count}", op.symbol()),
+                    check: format!("total_completions = {} {count}", op.keyword()),
                     passed: op.holds(got, *count),
                     detail: format!("{got} completions committed in total"),
                 }
@@ -225,7 +225,7 @@ pub fn run_manifest_on(
             AssertionSpec::Failures { op, count } => {
                 let got = summary.failures;
                 AssertionResult {
-                    check: format!("failures = {} {count}", op.symbol()),
+                    check: format!("failures = {} {count}", op.keyword()),
                     passed: op.holds(got, *count),
                     detail: format!("{got} attempts were cut short by power failure"),
                 }
@@ -292,7 +292,7 @@ pub fn run_manifest_on(
         file: file.to_string(),
         seed: manifest.seed,
         run_seed: derive_seed(DEFAULT_BASE_SEED, manifest.seed),
-        variant: variant_keyword(manifest.variant),
+        variant: manifest.variant.keyword(),
         outcome: outcome_keyword(outcome),
         exit_code,
         passed: exit_code == EXIT_PASS,
@@ -497,18 +497,18 @@ fn run_fleet_manifest(
                     .expect("parser resolved task references");
                 let got = acc.task_completions.get(index).copied().unwrap_or(0);
                 AssertionResult {
-                    check: format!("completions = {task} {} {count}", op.symbol()),
+                    check: format!("completions = {task} {} {count}", op.keyword()),
                     passed: op.holds(got, *count),
                     detail: format!("task `{task}` committed {got} completions fleet-wide"),
                 }
             }
             AssertionSpec::TotalCompletions { op, count } => AssertionResult {
-                check: format!("total_completions = {} {count}", op.symbol()),
+                check: format!("total_completions = {} {count}", op.keyword()),
                 passed: op.holds(acc.completions, *count),
                 detail: format!("{} completions committed fleet-wide", acc.completions),
             },
             AssertionSpec::Failures { op, count } => AssertionResult {
-                check: format!("failures = {} {count}", op.symbol()),
+                check: format!("failures = {} {count}", op.keyword()),
                 passed: op.holds(acc.failures, *count),
                 detail: format!(
                     "{} attempts were cut short by power failure fleet-wide",
@@ -557,7 +557,7 @@ fn run_fleet_manifest(
         file: file.to_string(),
         seed: manifest.seed,
         run_seed,
-        variant: variant_keyword(manifest.variant),
+        variant: manifest.variant.keyword(),
         outcome: "fleet",
         exit_code,
         passed: exit_code == EXIT_PASS,

@@ -19,73 +19,7 @@ use capybara_suite::manifest::{
 /// harvester field in use, multiple banks/modes/tasks, sleep + repeat,
 /// a policy ladder, faults with margin, all limit kinds, and one of
 /// each assertion form.
-const KITCHEN_SINK: &str = "\
-schema = capy-scenario/v1
-name = kitchen-sink
-seed = 7
-variant = cb-p
-mcu = msp430fr5969
-degradation = true
-harvest_during_operation = true
-
-[harvester]
-kind = square-wave
-power_mw = 6.5
-voltage = 3
-on_ms = 1500
-off_ms = 500
-cycles = 400
-
-[bank small]
-parts = ceramic_x5r_300uf, ceramic_x5r_100uf
-switch = normally-closed
-
-[bank big]
-parts = edlc_7_5mf
-switch = normally-open
-
-[mode sense-mode]
-banks = small
-
-[mode radio-mode]
-banks = big
-
-[task sample]
-energy = preburst radio-mode sense-mode
-compute_ms = 5.5
-sleep_ms = 100
-repeat = 4
-then = send
-
-[task send]
-energy = burst radio-mode
-compute_ms = 80
-then = sample
-
-[policy]
-kind = reactive
-ladder = sense-mode, radio-mode
-timeout_ms = 5000
-
-[faults]
-fault = weak-latch big 8 @ 200
-fault = degraded small 0.7 1.5 @ 400
-startup_margin_v = 0.05
-
-[limits]
-max_sim_seconds = 600
-max_steps = 100000
-no_progress_steps = 50000
-max_energy_joules = 2.5
-
-[assert]
-completions = sample >= 1
-total_completions = >= 1
-failures = <= 100000
-require_event = boot
-forbid_event = bank-failed
-min_availability = 0.01
-";
+const KITCHEN_SINK: &str = include_str!("fixtures/kitchen_sink.capy");
 
 /// A minimal valid manifest, used as the base for error-injection
 /// tests.
@@ -544,6 +478,59 @@ fn out_of_range_fault_values_are_bad_values() {
         parse_manifest(&text).unwrap_err(),
         ManifestError::BadValue { key, .. } if key == "fault"
     ));
+}
+
+// --- value ranges ---
+
+#[test]
+fn out_of_range_harvester_policy_and_time_values_are_bad_values() {
+    // Each of these panicked, aborted, overflowed, or ran a different
+    // scenario with exit 0: the kernel would clamp a negative value or
+    // round a sub-microsecond duration, and a zero or huge duration broke
+    // its microsecond arithmetic. First the checked-in inputs, then
+    // values spliced into a base manifest.
+    let rejected_key = |what: &str, text: &str| match parse_manifest(text).unwrap_err() {
+        ManifestError::BadValue { key, .. } => key,
+        other => panic!("{what}: expected BadValue, got {other:?}"),
+    };
+    for (input, key) in [
+        ("square_wave_zero_on", "on_ms"),
+        ("square_wave_cycles_over_cap", "cycles"),
+        ("harvester_negative_voltage", "voltage"),
+        ("eclipse_under_a_microsecond", "eclipse_period_s"),
+        ("eclipse_period_over_cap", "eclipse_period_s"),
+        ("fleet_horizon_over_cap", "max_sim_seconds"),
+    ] {
+        let file = format!("tests/inputs/{input}.capy");
+        let text = fs::read_to_string(repo_path(&file)).expect("manifest reads");
+        assert_eq!(rejected_key(&file, &text), key, "{file}");
+    }
+    let faults = "manifests/adaptive_faults.capy";
+    let alarm = "manifests/temperature_alarm.capy";
+    let sink = "tests/fixtures/kitchen_sink.capy";
+    for (base, from, to, key) in [
+        (faults, "off_ms = 3000", "off_ms = 0", "off_ms"),
+        (faults, "on_ms = 2000", "on_ms = -100", "on_ms"),
+        (faults, "on_ms = 2000", "on_ms = 0.0004", "on_ms"),
+        (faults, "on_ms = 2000", "on_ms = 1e300", "on_ms"),
+        (faults, "cycles = 1000", "cycles = 0", "cycles"),
+        // Each phase fits under the time cap; 1,000 cycles of them do not.
+        (faults, "on_ms = 2000", "on_ms = 1000000000000", "cycles"),
+        (alarm, "power_mw = 4", "power_mw = -4", "power_mw"),
+        (
+            faults,
+            "[faults]",
+            "[faults]\nstartup_margin_v = -5",
+            "startup_margin_v",
+        ),
+        (sink, "timeout_ms = 5000", "timeout_ms = -500", "timeout_ms"),
+    ] {
+        let text = fs::read_to_string(repo_path(base)).expect("manifest reads");
+        assert!(text.contains(from), "{base} has `{from}`");
+        let what = format!("{base} with `{to}`");
+        let key_named = rejected_key(&what, &text.replacen(from, to, 1));
+        assert_eq!(key_named, key, "{what}");
+    }
 }
 
 // --- exit codes ---
