@@ -5,9 +5,9 @@
 #                    bench compile + figure-bench goldens, the perf
 #                    trajectory artifact, and the manifests/ scenario
 #                    batch with schema-validated result.json artifacts
-#   ./ci.sh --quick  the fast inner loop: build, tests, clippy, fmt, and
-#                    the capy-run smoke batch — skips the benches and
-#                    example smoke runs (minutes → seconds)
+#   ./ci.sh --quick  the fast inner loop: build, tests, clippy, fmt,
+#                    rustdoc, and the capy-run smoke batch — skips the
+#                    benches and example smoke runs (minutes → seconds)
 #
 # The bench compile check (`cargo bench --no-run`) keeps the
 # harness = false figure binaries from rotting — `cargo test` alone
@@ -31,6 +31,9 @@ run cargo build --release --workspace
 run cargo test -q --workspace
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all -- --check
+# Rustdoc: every intra-doc link must resolve, so a renamed or deleted
+# item cannot leave a dead link behind in the docs.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The benchmark package is a workspace of its own (so the benchmark can
 # build the repo's crates by path without joining this workspace), which

@@ -81,7 +81,8 @@ fn graph() -> TaskGraph<Done> {
 /// Chain-style: the task must run all units on one charge or restart.
 fn run_task_based(horizon: SimTime) -> (u32, u64, SimTime) {
     let mut power = power_system();
-    let mut machine = ExecutionMachine::new(graph());
+    let graph = graph();
+    let mut machine = ExecutionMachine::new(&graph);
     let mut ctx = Done(NvVar::new(0));
     let mut now = SimTime::ZERO;
     while now < horizon && !machine.is_stopped() {
@@ -97,8 +98,8 @@ fn run_task_based(horizon: SimTime) -> (u32, u64, SimTime) {
             completed_units += 1;
         }
         if completed_units == TASK_UNITS {
-            let t = machine.peek_body(&mut ctx);
-            machine.complete(&mut ctx, t);
+            let t = machine.peek_body(&graph, &mut ctx);
+            machine.complete(&graph, &mut ctx, t);
         } else {
             machine.fail(&mut ctx);
         }

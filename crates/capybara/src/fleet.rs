@@ -49,10 +49,9 @@
 //!    partitioned in the first place. (The streaming-vs-materialized
 //!    and fold-order tests pin this stronger property directly.)
 //!
-//! Cross-device latency quantiles come from a
-//! [`QuantileSketch`](capy_units::sketch::QuantileSketch) (≤ 3.2 %
-//! relative error, constant footprint); wear-out is tracked as a
-//! [`SURVIVAL_BUCKETS`]-bucket death histogram over the horizon.
+//! Cross-device latency quantiles come from a [`QuantileSketch`]
+//! (≤ 3.2 % relative error, constant footprint); wear-out is tracked as
+//! a [`SURVIVAL_BUCKETS`]-bucket death histogram over the horizon.
 
 use std::fmt;
 use std::sync::Arc;

@@ -192,6 +192,14 @@ pub trait ReconfigPolicy: Send + Sync {
     fn clone_box(&self) -> Box<dyn ReconfigPolicy>;
 }
 
+/// A boxed policy clones through [`ReconfigPolicy::clone_box`], so the
+/// simulator's state — policy included — derives `Clone`.
+impl Clone for Box<dyn ReconfigPolicy> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
 impl<P: ReconfigPolicy + ?Sized> ReconfigPolicy for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()

@@ -132,96 +132,54 @@ impl RuntimeState {
 /// `energy`, given the executing `variant`, the persistent `state`, and
 /// whether the previous attempt ended in a power failure (`needs_charge`).
 ///
-/// The returned steps are executed in order; the task body runs after the
-/// last one.
+/// The steps are executed in order, skipping `None`; the task body runs
+/// after the last one. No plan has more than two steps (a burst
+/// pre-charge, then the exec mode's charge), so the plan is a fixed-size
+/// value and the hot step loop never allocates for it.
 #[must_use]
 pub fn plan(
     variant: Variant,
     energy: TaskEnergy,
     state: &RuntimeState,
     needs_charge: bool,
-) -> Vec<Step> {
-    let mut steps = Vec::new();
-    plan_into(variant, energy, state, needs_charge, &mut steps);
-    steps
-}
-
-/// Allocation-free form of [`plan`]: clears `out` and appends the planned
-/// steps, so a caller in a hot loop can reuse one scratch buffer across
-/// simulation steps.
-pub fn plan_into(
-    variant: Variant,
-    energy: TaskEnergy,
-    state: &RuntimeState,
-    needs_charge: bool,
-    out: &mut Vec<Step>,
-) {
-    out.clear();
-    match variant {
+) -> [Option<Step>; 2] {
+    let single = |mode| [configure(mode, state, needs_charge), None];
+    match (variant, energy) {
         // The continuously-powered reference never touches the power
         // system.
-        Variant::Continuous => {}
+        (Variant::Continuous, _) => [None, None],
         // Fixed capacity: annotations are ignored; recover from failures
         // by charging the (only) configuration.
-        Variant::Fixed => {
-            if needs_charge {
-                out.push(Step::ChargeCurrent);
-            }
+        (Variant::Fixed, _) => single(None),
+        // Capy-R treats every annotation as `config(exec_mode)`:
+        // reconfigure and recharge on the critical path (§6: "Capy-R
+        // excludes burst task support and requires recharging after
+        // every energy mode reconfiguration").
+        (Variant::CapyR, _) => single(energy.exec_mode()),
+        // The pre-charged energy proved insufficient (provisioning is for
+        // the average case, §6.3): recharge the burst mode on the
+        // critical path and retry.
+        (Variant::CapyP, TaskEnergy::Burst(mode)) if needs_charge => {
+            [Some(Step::ConfigureAndCharge(mode)), None]
         }
-        Variant::CapyR => plan_capy_r(energy, state, needs_charge, out),
-        Variant::CapyP => plan_capy_p(energy, state, needs_charge, out),
+        (Variant::CapyP, TaskEnergy::Burst(mode)) => [Some(Step::ActivateBurst(mode)), None],
+        // After pre-charging, the array is configured for `burst`, so the
+        // exec mode always needs reconfiguration.
+        (Variant::CapyP, TaskEnergy::Preburst { burst, exec }) if !state.is_precharged(burst) => [
+            Some(Step::Precharge(burst)),
+            Some(Step::ConfigureAndCharge(exec)),
+        ],
+        (Variant::CapyP, _) => single(energy.exec_mode()),
     }
 }
 
-/// Capy-R treats every annotation as `config(exec_mode)`: reconfigure and
-/// recharge on the critical path (§6: "Capy-R excludes burst task support
-/// and requires recharging after every energy mode reconfiguration").
-fn plan_capy_r(energy: TaskEnergy, state: &RuntimeState, needs_charge: bool, out: &mut Vec<Step>) {
-    match energy.exec_mode() {
-        Some(mode) if state.current_mode() != Some(mode) => {
-            out.push(Step::ConfigureAndCharge(mode));
-        }
-        _ if needs_charge => out.push(Step::ChargeCurrent),
-        _ => {}
-    }
-}
-
-fn plan_capy_p(energy: TaskEnergy, state: &RuntimeState, needs_charge: bool, out: &mut Vec<Step>) {
-    match energy {
-        TaskEnergy::Burst(mode) => {
-            if needs_charge {
-                // The pre-charged energy proved insufficient (provisioning
-                // is for the average case, §6.3): recharge the burst mode
-                // on the critical path and retry.
-                out.push(Step::ConfigureAndCharge(mode));
-            } else {
-                out.push(Step::ActivateBurst(mode));
-            }
-        }
-        TaskEnergy::Preburst { burst, exec } => {
-            if !state.is_precharged(burst) {
-                out.push(Step::Precharge(burst));
-                // After pre-charging, the array is configured for `burst`,
-                // so the exec mode always needs reconfiguration.
-                out.push(Step::ConfigureAndCharge(exec));
-            } else if state.current_mode() != Some(exec) {
-                out.push(Step::ConfigureAndCharge(exec));
-            } else if needs_charge {
-                out.push(Step::ChargeCurrent);
-            }
-        }
-        TaskEnergy::Config(mode) => {
-            if state.current_mode() != Some(mode) {
-                out.push(Step::ConfigureAndCharge(mode));
-            } else if needs_charge {
-                out.push(Step::ChargeCurrent);
-            }
-        }
-        TaskEnergy::Unannotated => {
-            if needs_charge {
-                out.push(Step::ChargeCurrent);
-            }
-        }
+/// Reconfigures to `mode` and charges it unless the array already holds
+/// it; otherwise charges the current configuration only to recover from
+/// a failure.
+fn configure(mode: Option<EnergyMode>, state: &RuntimeState, needs_charge: bool) -> Option<Step> {
+    match mode {
+        Some(mode) if state.current_mode() != Some(mode) => Some(Step::ConfigureAndCharge(mode)),
+        _ => needs_charge.then_some(Step::ChargeCurrent),
     }
 }
 
@@ -256,9 +214,9 @@ impl std::error::Error for AnnotationError {}
 /// references a mode absent from `modes`.
 pub fn validate_annotations(
     modes: &ModeTable,
-    annotations: &[TaskEnergy],
+    annotations: impl IntoIterator<Item = TaskEnergy>,
 ) -> Result<(), AnnotationError> {
-    for (task, a) in annotations.iter().enumerate() {
+    for (task, a) in annotations.into_iter().enumerate() {
         for mode in [a.exec_mode(), a.precharge_mode()].into_iter().flatten() {
             if mode.0 >= modes.len() {
                 return Err(AnnotationError { task, mode });
@@ -274,6 +232,7 @@ mod tests {
 
     const M0: EnergyMode = EnergyMode(0);
     const M1: EnergyMode = EnergyMode(1);
+    const NOTHING: [Option<Step>; 2] = [None, None];
 
     fn state2() -> RuntimeState {
         RuntimeState::new(2)
@@ -282,16 +241,22 @@ mod tests {
     #[test]
     fn continuous_never_plans() {
         let s = state2();
-        assert!(plan(Variant::Continuous, TaskEnergy::Config(M0), &s, true).is_empty());
+        assert_eq!(
+            plan(Variant::Continuous, TaskEnergy::Config(M0), &s, true),
+            NOTHING
+        );
     }
 
     #[test]
     fn fixed_charges_only_after_failure() {
         let s = state2();
-        assert!(plan(Variant::Fixed, TaskEnergy::Burst(M1), &s, false).is_empty());
+        assert_eq!(
+            plan(Variant::Fixed, TaskEnergy::Burst(M1), &s, false),
+            NOTHING
+        );
         assert_eq!(
             plan(Variant::Fixed, TaskEnergy::Burst(M1), &s, true),
-            vec![Step::ChargeCurrent]
+            [Some(Step::ChargeCurrent), None]
         );
     }
 
@@ -300,14 +265,17 @@ mod tests {
         let mut s = state2();
         assert_eq!(
             plan(Variant::CapyR, TaskEnergy::Config(M0), &s, false),
-            vec![Step::ConfigureAndCharge(M0)]
+            [Some(Step::ConfigureAndCharge(M0)), None]
         );
         s.set_current_mode(M0);
-        assert!(plan(Variant::CapyR, TaskEnergy::Config(M0), &s, false).is_empty());
+        assert_eq!(
+            plan(Variant::CapyR, TaskEnergy::Config(M0), &s, false),
+            NOTHING
+        );
         // Burst degrades to config-with-recharge under Capy-R.
         assert_eq!(
             plan(Variant::CapyR, TaskEnergy::Burst(M1), &s, false),
-            vec![Step::ConfigureAndCharge(M1)]
+            [Some(Step::ConfigureAndCharge(M1)), None]
         );
     }
 
@@ -316,16 +284,18 @@ mod tests {
         let mut s = state2();
         s.set_current_mode(M0);
         // Preburst's exec mode is honoured, the burst pre-charge is not.
-        assert!(plan(
-            Variant::CapyR,
-            TaskEnergy::Preburst {
-                burst: M1,
-                exec: M0
-            },
-            &s,
-            false
-        )
-        .is_empty());
+        assert_eq!(
+            plan(
+                Variant::CapyR,
+                TaskEnergy::Preburst {
+                    burst: M1,
+                    exec: M0
+                },
+                &s,
+                false
+            ),
+            NOTHING
+        );
     }
 
     #[test]
@@ -335,7 +305,7 @@ mod tests {
         s.mark_precharged(M1);
         assert_eq!(
             plan(Variant::CapyP, TaskEnergy::Burst(M1), &s, false),
-            vec![Step::ActivateBurst(M1)]
+            [Some(Step::ActivateBurst(M1)), None]
         );
     }
 
@@ -344,7 +314,7 @@ mod tests {
         let s = state2();
         assert_eq!(
             plan(Variant::CapyP, TaskEnergy::Burst(M1), &s, true),
-            vec![Step::ConfigureAndCharge(M1)]
+            [Some(Step::ConfigureAndCharge(M1)), None]
         );
     }
 
@@ -361,7 +331,10 @@ mod tests {
                 &s,
                 false
             ),
-            vec![Step::Precharge(M1), Step::ConfigureAndCharge(M0)]
+            [
+                Some(Step::Precharge(M1)),
+                Some(Step::ConfigureAndCharge(M0))
+            ]
         );
     }
 
@@ -370,16 +343,18 @@ mod tests {
         let mut s = state2();
         s.mark_precharged(M1);
         s.set_current_mode(M0);
-        assert!(plan(
-            Variant::CapyP,
-            TaskEnergy::Preburst {
-                burst: M1,
-                exec: M0
-            },
-            &s,
-            false
-        )
-        .is_empty());
+        assert_eq!(
+            plan(
+                Variant::CapyP,
+                TaskEnergy::Preburst {
+                    burst: M1,
+                    exec: M0
+                },
+                &s,
+                false
+            ),
+            NOTHING
+        );
     }
 
     #[test]
@@ -411,17 +386,20 @@ mod tests {
     fn unannotated_keeps_configuration() {
         let mut s = state2();
         s.set_current_mode(M1);
-        assert!(plan(Variant::CapyP, TaskEnergy::Unannotated, &s, false).is_empty());
+        assert_eq!(
+            plan(Variant::CapyP, TaskEnergy::Unannotated, &s, false),
+            NOTHING
+        );
         assert_eq!(
             plan(Variant::CapyP, TaskEnergy::Unannotated, &s, true),
-            vec![Step::ChargeCurrent]
+            [Some(Step::ChargeCurrent), None]
         );
     }
 
     #[test]
     fn validation_catches_bad_mode() {
         let table = ModeTable::new();
-        let err = validate_annotations(&table, &[TaskEnergy::Config(M0)])
+        let err = validate_annotations(&table, [TaskEnergy::Config(M0)])
             .expect_err("empty table cannot satisfy any annotation");
         assert_eq!(err, AnnotationError { task: 0, mode: M0 });
         assert!(err.to_string().contains("unknown energy mode"));
@@ -432,7 +410,7 @@ mod tests {
         let mut table = ModeTable::new();
         table.add("only", &[capy_power::bank::BankId(0)]);
         assert_eq!(
-            validate_annotations(&table, &[TaskEnergy::Config(M0), TaskEnergy::Burst(M0)]),
+            validate_annotations(&table, [TaskEnergy::Config(M0), TaskEnergy::Burst(M0)]),
             Ok(())
         );
     }
@@ -464,7 +442,10 @@ mod tests {
                             if precharged {
                                 state.mark_precharged(M1);
                             }
-                            let steps = plan(variant, energy, &state, needs_charge);
+                            let steps: Vec<Step> = plan(variant, energy, &state, needs_charge)
+                                .into_iter()
+                                .flatten()
+                                .collect();
 
                             // 1. The continuous reference never plans.
                             if variant == Variant::Continuous {

@@ -19,11 +19,13 @@
 //!
 //! Everything is deterministic: same inputs, same schedule.
 
+use std::sync::Arc;
+
 use capy_device::load::TaskLoad;
 use capy_device::mcu::Mcu;
 use capy_intermittent::machine::{ExecStats, ExecutionMachine};
 use capy_intermittent::nv::NvState;
-use capy_intermittent::task::{TaskGraph, TaskId, Transition};
+use capy_intermittent::task::{TaskGraph, TaskGraphBuilder, TaskId, Transition};
 use capy_power::bank::BankId;
 use capy_power::harvester::Harvester;
 use capy_power::switch::SwitchState;
@@ -33,7 +35,7 @@ use capy_units::{Joules, SimDuration, SimTime, Volts};
 use crate::annotation::TaskEnergy;
 use crate::mode::{EnergyMode, ModeTable};
 use crate::policy::{PolicyObservation, ReconfigPolicy, StaticAnnotation};
-use crate::runtime::{plan_into, validate_annotations, RuntimeState, Step};
+use crate::runtime::{plan, validate_annotations, RuntimeState, Step};
 use crate::variant::Variant;
 
 /// Application context requirements: non-volatile commit/abort plus clock
@@ -360,60 +362,79 @@ const DEGRADATION_FAILURE_THRESHOLD: u32 = 3;
 /// capacitance to the rail is declared failed.
 const DEGRADATION_CAPACITANCE_FLOOR: f64 = 0.5;
 
+/// The simulated time the runtime's GPIO traffic costs per
+/// reconfiguration (paid at active power).
+const RECONFIG_OVERHEAD: SimDuration = SimDuration::from_micros(500);
+
 /// A task's load model: given the context and MCU, the phases the task
 /// draws.
-type LoadFn<C> = Box<dyn Fn(&C, &Mcu) -> TaskLoad + Send>;
-
-/// A task body as stored by the builder.
-type BodyFn<C> = Box<dyn FnMut(&mut C) -> Transition + Send>;
+type LoadFn<C> = Box<dyn Fn(&C, &Mcu) -> TaskLoad + Send + Sync>;
 
 struct TaskMeta<C> {
     energy: TaskEnergy,
     load: LoadFn<C>,
 }
 
-/// The intermittently-powered device simulator.
-///
-/// Construct with [`Simulator::builder`]; see the
-/// [crate-level example](crate) for an end-to-end application.
-pub struct Simulator<H, C> {
+/// What never changes after build: the variant, the MCU, the task graph
+/// (names and bodies) with each task's energy annotation and load, and
+/// whether harvesting continues during operation. Devices built from one
+/// scenario share it.
+struct Program<C> {
     variant: Variant,
-    power: PowerSystem<H>,
     mcu: Mcu,
-    machine: ExecutionMachine<C>,
-    metas: Vec<TaskMeta<C>>,
+    graph: TaskGraph<C>,
+    /// Per task, in [`TaskId`] order.
+    tasks: Vec<TaskMeta<C>>,
+    harvest_during_operation: bool,
+}
+
+/// Everything a run mutates. Cloning it is a snapshot and assigning it is
+/// a restore, so this field list is the only list of device state.
+#[derive(Clone)]
+struct State<H, C> {
+    power: PowerSystem<H>,
+    machine: ExecutionMachine,
     modes: ModeTable,
-    state: RuntimeState,
+    runtime: RuntimeState,
     ctx: C,
     now: SimTime,
     on: bool,
     needs_charge: bool,
     stalled: bool,
+    consecutive_failures: u32,
     events: Vec<SimEvent>,
     trace: Option<Vec<(SimTime, Volts)>>,
-    reconfig_overhead: SimDuration,
-    harvest_during_operation: bool,
     degradation: bool,
-    consecutive_failures: u32,
     /// The reconfiguration policy consulted at every task boundary.
     policy: Box<dyn ReconfigPolicy>,
-    /// Reusable scratch buffer for `plan_into`, so the hot step loop does
-    /// not allocate a fresh step vector per task attempt.
-    plan_buf: Vec<Step>,
+}
+
+/// The intermittently-powered device simulator: a shared, immutable
+/// program plus the state a run mutates.
+///
+/// Construct with [`Simulator::builder`]; see the
+/// [crate-level example](crate) for an end-to-end application. A clone
+/// shares the program and copies the state, so many devices can start
+/// from one built template.
+#[derive(Clone)]
+pub struct Simulator<H, C> {
+    program: Arc<Program<C>>,
+    state: State<H, C>,
 }
 
 /// Complete simulation state at one instant, captured by
 /// [`Simulator::snapshot`] and replayed by [`Simulator::restore`].
 ///
-/// A snapshot clones every piece of state a run mutates: the power
-/// system (bank charge, switch latches, pending faults, wear, kernel
-/// caches), the execution machine's data state, the mode table (remapped
-/// on degradation), the runtime state, the application context (with its
-/// non-volatile cells and any [`DetRng`] streams it owns), the event log
-/// and voltage trace, and the reconfiguration policy with its decision
-/// state. Task bodies and load closures are *not* captured — they stay
-/// with the live simulator, which is why restore targets a simulator
-/// built from the same scenario.
+/// A snapshot is a clone of everything a run mutates: the power system
+/// (bank charge, switch latches, pending faults, wear, kernel caches),
+/// the execution machine (task pointer, stop flag, statistics), the mode
+/// table (remapped on degradation), the runtime state, the application
+/// context (with its non-volatile cells and any [`DetRng`] streams it
+/// owns), the event log and voltage trace, and the reconfiguration policy
+/// with its decision state. The program — task bodies, loads and
+/// annotations — is not captured: it stays with the live simulator,
+/// which is why restore targets a simulator built from the same scenario.
+/// Task bodies are `Fn`, so no device state can hide in them.
 ///
 /// The contract is **bit identity**: `restore` followed by `run_until(h)`
 /// produces byte-for-byte the same events, summaries, and rail voltages
@@ -422,55 +443,20 @@ pub struct Simulator<H, C> {
 /// a stale-free clone is automatic.
 ///
 /// [`DetRng`]: capy_units::rng::DetRng
-pub struct SimSnapshot<H, C> {
-    power: PowerSystem<H>,
-    machine: capy_intermittent::machine::MachineSnapshot,
-    modes: ModeTable,
-    state: RuntimeState,
-    ctx: C,
-    now: SimTime,
-    on: bool,
-    needs_charge: bool,
-    stalled: bool,
-    events: Vec<SimEvent>,
-    trace: Option<Vec<(SimTime, Volts)>>,
-    consecutive_failures: u32,
-    degradation: bool,
-    policy: Box<dyn ReconfigPolicy>,
-}
+#[derive(Clone)]
+pub struct SimSnapshot<H, C>(State<H, C>);
 
 impl<H, C> SimSnapshot<H, C> {
     /// The simulated instant the snapshot was captured at.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.0.now
     }
 
     /// How many timeline events the captured run had recorded.
     #[must_use]
     pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-}
-
-impl<H: Clone, C: Clone> Clone for SimSnapshot<H, C> {
-    fn clone(&self) -> Self {
-        Self {
-            power: self.power.clone(),
-            machine: self.machine,
-            modes: self.modes.clone(),
-            state: self.state.clone(),
-            ctx: self.ctx.clone(),
-            now: self.now,
-            on: self.on,
-            needs_charge: self.needs_charge,
-            stalled: self.stalled,
-            events: self.events.clone(),
-            trace: self.trace.clone(),
-            consecutive_failures: self.consecutive_failures,
-            degradation: self.degradation,
-            policy: self.policy.clone_box(),
-        }
+        self.0.events.len()
     }
 }
 
@@ -481,9 +467,8 @@ pub struct SimulatorBuilder<H, C> {
     power: PowerSystem<H>,
     mcu: Mcu,
     modes: ModeTable,
-    names: Vec<&'static str>,
-    metas: Vec<TaskMeta<C>>,
-    bodies: Vec<BodyFn<C>>,
+    graph: TaskGraphBuilder<C>,
+    tasks: Vec<TaskMeta<C>>,
     entry: Option<&'static str>,
     record_trace: bool,
     harvest_during_operation: bool,
@@ -501,9 +486,8 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
             power,
             mcu,
             modes: ModeTable::new(),
-            names: Vec::new(),
-            metas: Vec::new(),
-            bodies: Vec::new(),
+            graph: TaskGraph::builder(),
+            tasks: Vec::new(),
             entry: None,
             record_trace: false,
             harvest_during_operation: false,
@@ -515,71 +499,71 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// The executing variant.
     #[must_use]
     pub fn variant(&self) -> Variant {
-        self.variant
+        self.program.variant
     }
 
     /// Shared access to the application context.
     #[must_use]
     pub fn ctx(&self) -> &C {
-        &self.ctx
+        &self.state.ctx
     }
 
     /// Mutable access to the application context (e.g. to install
     /// experiment stimuli between runs).
     pub fn ctx_mut(&mut self) -> &mut C {
-        &mut self.ctx
+        &mut self.state.ctx
     }
 
     /// The power system.
     #[must_use]
     pub fn power(&self) -> &PowerSystem<H> {
-        &self.power
+        &self.state.power
     }
 
     /// Mutable access to the power system (e.g. to vary irradiance).
     pub fn power_mut(&mut self) -> &mut PowerSystem<H> {
-        &mut self.power
+        &mut self.state.power
     }
 
     /// Execution statistics from the intermittent machine.
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
-        self.machine.stats()
+        self.state.machine.stats()
     }
 
     /// The recorded timeline events.
     #[must_use]
     pub fn events(&self) -> &[SimEvent] {
-        &self.events
+        &self.state.events
     }
 
     /// The recorded `(time, rail voltage)` trace, when enabled.
     #[must_use]
     pub fn trace(&self) -> Option<&[(SimTime, Volts)]> {
-        self.trace.as_deref()
+        self.state.trace.as_deref()
     }
 
     /// The runtime's persistent state (current mode, pre-charge flags).
     #[must_use]
     pub fn runtime_state(&self) -> &RuntimeState {
-        &self.state
+        &self.state.runtime
     }
 
     /// Mutable runtime state (for ablations, e.g. the pre-charge deficit).
     pub fn runtime_state_mut(&mut self) -> &mut RuntimeState {
-        &mut self.state
+        &mut self.state.runtime
     }
 
     /// The mode table.
     #[must_use]
     pub fn modes(&self) -> &ModeTable {
-        &self.modes
+        &self.state.modes
     }
 
     /// The installed reconfiguration policy
@@ -587,77 +571,56 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// [`SimulatorBuilder::policy`]).
     #[must_use]
     pub fn policy(&self) -> &dyn ReconfigPolicy {
-        &*self.policy
+        &*self.state.policy
     }
 
     /// Enables or disables the graceful-degradation runtime (normally set
     /// at build time via [`SimulatorBuilder::degradation`]; fault-injection
     /// harnesses flip it on when arming an already-built scenario).
     pub fn set_degradation(&mut self, enable: bool) {
-        self.degradation = enable;
+        self.state.degradation = enable;
     }
 
-    /// Captures the complete simulation state as a [`SimSnapshot`].
-    ///
-    /// Everything a run mutates is cloned — power system (including
-    /// kernel memo caches and pending faults), execution statistics,
-    /// mode table, runtime state, application context, event log, trace,
-    /// and the policy's decision state. See [`SimSnapshot`] for the bit
-    /// -identity contract.
+    /// Captures the complete simulation state as a [`SimSnapshot`]: a
+    /// clone of everything a run mutates. See [`SimSnapshot`] for the
+    /// bit-identity contract.
     #[must_use]
     pub fn snapshot(&self) -> SimSnapshot<H, C>
     where
         H: Clone,
         C: Clone,
     {
-        SimSnapshot {
-            power: self.power.clone(),
-            machine: self.machine.snapshot(),
-            modes: self.modes.clone(),
-            state: self.state.clone(),
-            ctx: self.ctx.clone(),
-            now: self.now,
-            on: self.on,
-            needs_charge: self.needs_charge,
-            stalled: self.stalled,
-            events: self.events.clone(),
-            trace: self.trace.clone(),
-            consecutive_failures: self.consecutive_failures,
-            degradation: self.degradation,
-            policy: self.policy.clone_box(),
-        }
+        SimSnapshot(self.state.clone())
     }
 
     /// Rewinds (or fast-forwards) this simulator to `snap`.
     ///
     /// The snapshot must come from a simulator built from the same
-    /// scenario: task bodies and load models are not part of the
-    /// snapshot, so restoring onto a different application pairs the
-    /// wrong closures with the captured state (the task-pointer check
-    /// catches grossly mismatched graphs).
+    /// scenario: the program — task bodies and load models — is not part
+    /// of the snapshot, so restoring onto a different application pairs
+    /// the wrong closures with the captured state.
     ///
     /// After `restore`, stepping is byte-for-byte identical to the
     /// captured run continuing uninterrupted.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the snapshot's task pointer does not exist in this
+    /// simulator's task graph (the snapshot came from a different
+    /// application).
     pub fn restore(&mut self, snap: &SimSnapshot<H, C>)
     where
         H: Clone,
         C: Clone,
     {
-        self.power = snap.power.clone();
-        self.machine.restore(snap.machine);
-        self.modes = snap.modes.clone();
-        self.state = snap.state.clone();
-        self.ctx = snap.ctx.clone();
-        self.now = snap.now;
-        self.on = snap.on;
-        self.needs_charge = snap.needs_charge;
-        self.stalled = snap.stalled;
-        self.events.clear();
-        self.events.extend_from_slice(&snap.events);
-        self.trace = snap.trace.clone();
-        self.consecutive_failures = snap.consecutive_failures;
-        self.degradation = snap.degradation;
-        self.policy = snap.policy.clone_box();
+        let current = snap.0.machine.current();
+        assert!(
+            current.0 < self.program.graph.len(),
+            "snapshot task pointer {} outside this graph ({} tasks)",
+            current.0,
+            self.program.graph.len()
+        );
+        self.state = snap.0.clone();
     }
 
     /// Runs steps until `end` (simulated), the application stops, or the
@@ -697,6 +660,34 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// `max_energy` are exceeded by at most one step's worth of work
     /// before they trip.
     pub fn run_limited(&mut self, limits: &RunLimits) -> RunOutcome {
+        self.state.run_limited(&self.program, limits)
+    }
+
+    /// Executes one task attempt (with whatever runtime actions precede
+    /// it).
+    pub fn step(&mut self) -> StepResult {
+        self.state.step(&self.program)
+    }
+
+    /// Forces a hard power failure at the current instant — the
+    /// fault-injection engine's kill primitive (see [`crate::faults`]).
+    ///
+    /// Every bank connected to the rail is drained to zero
+    /// ([`PowerSystem::blackout`]); disconnected banks keep their charge,
+    /// exactly like a real outage with latched switches. Uncommitted
+    /// application and policy state is discarded and the device must
+    /// recharge before the next attempt. A [`SimEvent::PowerFailure`]
+    /// naming the pending task is recorded. Calling this on a stopped or
+    /// stalled simulator is a no-op.
+    pub fn inject_power_failure(&mut self) {
+        self.state.inject_power_failure();
+    }
+}
+
+/// The engine: one task attempt and everything it triggers, on the
+/// state, against the program `p`.
+impl<H: Harvester, C: SimContext> State<H, C> {
+    fn run_limited(&mut self, p: &Program<C>, limits: &RunLimits) -> RunOutcome {
         let watchdog = limits.no_progress_steps.unwrap_or(STALL_STEP_BUDGET);
         let mut no_advance: u64 = 0;
         let mut steps: u64 = 0;
@@ -707,7 +698,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                 }
             }
             let before = self.now;
-            match self.step() {
+            match self.step(p) {
                 StepResult::Progress => {
                     steps += 1;
                     if self.now > before {
@@ -737,75 +728,61 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         }
     }
 
-    /// Executes one task attempt (with whatever runtime actions precede
-    /// it).
-    pub fn step(&mut self) -> StepResult {
+    fn step(&mut self, p: &Program<C>) -> StepResult {
         if self.machine.is_stopped() {
             return StepResult::Stopped;
         }
         if self.stalled {
             return StepResult::Stalled { steps: 1 };
         }
-        if self.variant == Variant::Continuous {
-            return self.step_continuous();
+        if p.variant == Variant::Continuous {
+            return self.step_continuous(p);
         }
 
         let task = self.machine.current();
-        let energy = self.decide_energy(task, self.metas[task.0].energy);
-        // Reuse the plan scratch buffer across steps; it is taken out for
-        // the duration of execution (step handlers borrow `self` mutably)
-        // and restored before every return.
-        let mut steps = std::mem::take(&mut self.plan_buf);
-        plan_into(
-            self.variant,
-            energy,
-            &self.state,
-            self.needs_charge,
-            &mut steps,
-        );
-        for i in 0..steps.len() {
-            let ok = match steps[i] {
-                Step::ConfigureAndCharge(mode) => self.configure_and_charge(mode, false),
+        let energy = self.decide_energy(task, p.tasks[task.0].energy);
+        let steps = plan(p.variant, energy, &self.runtime, self.needs_charge);
+        for step in steps.into_iter().flatten() {
+            let ok = match step {
+                Step::ConfigureAndCharge(mode) => self.configure_and_charge(p, mode, false),
                 Step::Precharge(mode) => {
-                    let ok = self.configure_and_charge(mode, true);
+                    let ok = self.configure_and_charge(p, mode, true);
                     if ok {
-                        self.state.mark_precharged(mode);
+                        self.runtime.mark_precharged(mode);
                     }
                     ok
                 }
                 Step::ActivateBurst(mode) => {
-                    self.reconfigure(mode);
+                    self.reconfigure(p, mode);
                     self.events
                         .push(SimEvent::BurstActivated { at: self.now, mode });
                     true
                 }
-                Step::ChargeCurrent => self.charge_current(),
+                Step::ChargeCurrent => self.charge_current(p),
             };
             if !ok {
-                self.plan_buf = steps;
                 return StepResult::Stalled { steps: 1 };
             }
         }
-        self.plan_buf = steps;
 
-        if !self.on && !self.ensure_on() {
+        if !self.on && !self.ensure_on(p) {
             return StepResult::Stalled { steps: 1 };
         }
 
         // Execute the task's load phases against the rail.
         self.machine.begin();
-        let load = (self.metas[task.0].load)(&self.ctx, &self.mcu);
+        let load = (p.tasks[task.0].load)(&self.ctx, &p.mcu);
         let regulated = self.power.output_booster().output_voltage();
         for phase in load.phases() {
             assert!(
                 phase.min_voltage() <= regulated,
                 "task '{}' phase '{}' needs {} but the output booster regulates {}",
-                self.machine.current_name(),
+                p.graph.name(task),
                 phase.label(),
                 phase.min_voltage(),
                 regulated
             );
-            let outcome = if self.harvest_during_operation {
+            let outcome = if p.harvest_during_operation {
                 self.power
                     .draw_with_harvesting(phase.power(), phase.duration(), &mut self.now)
             } else {
@@ -813,7 +790,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                     .draw(phase.power(), phase.duration(), &mut self.now)
             };
             if !outcome.is_complete() {
-                self.power_failed(task, energy);
+                self.power_failed(p, task, energy);
                 return StepResult::Progress;
             }
         }
@@ -821,13 +798,13 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 
         // The task completed on buffered energy: run its logic and commit.
         self.ctx.set_now(self.now);
-        let transition = self.machine.peek_body(&mut self.ctx);
-        self.machine.complete(&mut self.ctx, transition);
+        let transition = self.machine.peek_body(&p.graph, &mut self.ctx);
+        self.machine.complete(&p.graph, &mut self.ctx, transition);
         self.consecutive_failures = 0;
-        if let (TaskEnergy::Burst(mode), true) = (energy, self.variant.supports_burst()) {
+        if let (TaskEnergy::Burst(mode), true) = (energy, p.variant.supports_burst()) {
             // The burst's stored energy is spent; the next preburst task
             // must refill it.
-            self.state.consume_precharge(mode);
+            self.runtime.consume_precharge(mode);
         }
         if let Transition::Sleep { duration, .. } = transition {
             // The processor sleeps but the power system stays on; its
@@ -836,7 +813,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
             // power overhead of the power system that remains on").
             let outcome = self
                 .power
-                .draw(self.mcu.sleep_power(), duration, &mut self.now);
+                .draw(p.mcu.sleep_power(), duration, &mut self.now);
             if !outcome.is_complete() {
                 self.sleep_brownout();
             }
@@ -844,18 +821,18 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         StepResult::Progress
     }
 
-    fn step_continuous(&mut self) -> StepResult {
+    fn step_continuous(&mut self, p: &Program<C>) -> StepResult {
         if !self.on {
             self.on = true;
             self.events.push(SimEvent::Boot { at: self.now });
         }
         let task = self.machine.current();
         self.machine.begin();
-        let load = (self.metas[task.0].load)(&self.ctx, &self.mcu);
+        let load = (p.tasks[task.0].load)(&self.ctx, &p.mcu);
         self.now = self.now.saturating_add(load.duration());
         self.ctx.set_now(self.now);
-        let transition = self.machine.peek_body(&mut self.ctx);
-        self.machine.complete(&mut self.ctx, transition);
+        let transition = self.machine.peek_body(&p.graph, &mut self.ctx);
+        self.machine.complete(&p.graph, &mut self.ctx, transition);
         if let Transition::Sleep { duration, .. } = transition {
             self.now = self.now.saturating_add(duration);
         }
@@ -864,7 +841,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 
     /// Charges the current configuration to full and boots. Returns
     /// `false` on harvester stall.
-    fn charge_current(&mut self) -> bool {
+    fn charge_current(&mut self, p: &Program<C>) -> bool {
         self.on = false;
         let start = self.now;
         let from = self.power.rail_voltage(self.now);
@@ -877,7 +854,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                     to: self.power.rail_voltage(self.now),
                     precharge: false,
                 });
-                if !self.boot() {
+                if !self.boot(p) {
                     return false;
                 }
                 self.needs_charge = false;
@@ -888,7 +865,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                 // only configured bank): the self-test may recover a
                 // degraded configuration worth retrying.
                 if self.try_degrade() {
-                    return self.charge_current();
+                    return self.charge_current(p);
                 }
                 self.stall();
                 false
@@ -898,17 +875,17 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 
     /// Reconfigures to `mode` and charges it (to the pre-charge ceiling
     /// when `precharge`), then boots. Returns `false` on harvester stall.
-    fn configure_and_charge(&mut self, mode: EnergyMode, precharge: bool) -> bool {
-        if !self.ensure_on() {
+    fn configure_and_charge(&mut self, p: &Program<C>, mode: EnergyMode, precharge: bool) -> bool {
+        if !self.ensure_on(p) {
             return false;
         }
-        self.reconfigure(mode);
+        self.reconfigure(p, mode);
         self.on = false;
         let start = self.now;
         let from = self.power.rail_voltage(self.now);
         let mut target = self.power.full_voltage(self.now);
         if precharge {
-            target = (target - self.state.precharge_deficit()).max(Volts::ZERO);
+            target = (target - self.runtime.precharge_deficit()).max(Volts::ZERO);
         }
         match self.power.charge_until(target, &mut self.now) {
             Ok(ChargeOutcome::Reached(_)) => {
@@ -919,7 +896,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                     to: self.power.rail_voltage(self.now),
                     precharge,
                 });
-                if !self.boot() {
+                if !self.boot(p) {
                     return false;
                 }
                 self.needs_charge = false;
@@ -929,7 +906,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                 if self.try_degrade() {
                     // The mode table was remapped onto surviving banks;
                     // retry the same mode id against its new bank set.
-                    return self.configure_and_charge(mode, precharge);
+                    return self.configure_and_charge(p, mode, precharge);
                 }
                 self.stall();
                 false
@@ -939,13 +916,11 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 
     /// Issues the switch commands for `mode`: non-members open first, then
     /// members close (avoiding spurious charge-sharing through the rail).
-    fn reconfigure(&mut self, mode: EnergyMode) {
+    fn reconfigure(&mut self, p: &Program<C>, mode: EnergyMode) {
         // The runtime's GPIO traffic costs a sliver of active time.
-        let _ = self.power.draw(
-            self.mcu.active_power(),
-            self.reconfig_overhead,
-            &mut self.now,
-        );
+        let _ = self
+            .power
+            .draw(p.mcu.active_power(), RECONFIG_OVERHEAD, &mut self.now);
         for i in 0..self.power.bank_count() {
             if !self.modes.contains(mode, BankId(i)) {
                 let _ = self
@@ -960,7 +935,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
                     .command_switch(BankId(i), SwitchState::Closed, self.now);
             }
         }
-        self.state.set_current_mode(mode);
+        self.runtime.set_current_mode(mode);
         self.events
             .push(SimEvent::Reconfigure { at: self.now, mode });
         self.trace_point();
@@ -973,12 +948,12 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// the output booster ([`PowerSystem::can_boot`], which includes any
     /// injected brownout startup margin): the buffer is already at its
     /// charge target, so more charging cannot help and the run stalls.
-    fn boot(&mut self) -> bool {
+    fn boot(&mut self, p: &Program<C>) -> bool {
         if !self.power.can_boot(self.now) {
             self.stall();
             return false;
         }
-        let boot = self.mcu.boot_load();
+        let boot = p.mcu.boot_load();
         let _ = self
             .power
             .draw(boot.power(), boot.duration(), &mut self.now);
@@ -993,11 +968,11 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// Brings the device on-line if it is off, charging the *current*
     /// configuration first (a cold boot must run on the default/previous
     /// configuration before the runtime can issue any switch commands).
-    fn ensure_on(&mut self) -> bool {
+    fn ensure_on(&mut self, p: &Program<C>) -> bool {
         if self.on {
             return true;
         }
-        self.charge_current()
+        self.charge_current(p)
     }
 
     /// Consults the reconfiguration policy at the task boundary: the
@@ -1013,11 +988,11 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
             now: self.now,
             task,
             needs_charge: self.needs_charge,
-            state: &self.state,
+            state: &self.runtime,
             events: &self.events,
             rail: &self.power,
             mode_count: self.modes.len(),
-            failed_banks: self.state.failed_banks().len(),
+            failed_banks: self.runtime.failed_banks().len(),
         };
         let decided = self.policy.decide(&obs, annotation);
         self.policy.commit();
@@ -1028,7 +1003,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
             assert!(
                 mode.0 < self.modes.len(),
                 "policy '{}' chose unknown energy mode {mode} for task {}",
-                self.policy().name(),
+                self.policy.name(),
                 task.0
             );
         }
@@ -1064,10 +1039,10 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 
     /// A mid-task brown-out: the attempt is charged against the executing
     /// task, whose uncommitted work is rolled back for a retry.
-    fn power_failed(&mut self, task: TaskId, energy: TaskEnergy) {
+    fn power_failed(&mut self, p: &Program<C>, task: TaskId, energy: TaskEnergy) {
         self.machine.fail(&mut self.ctx);
-        if let (TaskEnergy::Burst(mode), true) = (energy, self.variant.supports_burst()) {
-            self.state.consume_precharge(mode);
+        if let (TaskEnergy::Burst(mode), true) = (energy, p.variant.supports_burst()) {
+            self.runtime.consume_precharge(mode);
         }
         self.power_failure_common(task);
     }
@@ -1081,23 +1056,14 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// consumed. The recorded [`SimEvent::PowerFailure`] names the *next*
     /// pending task, which is the one the reboot will resume into.
     ///
-    /// [`power_failure_common`]: Simulator::power_failure_common
+    /// [`power_failure_common`]: State::power_failure_common
     fn sleep_brownout(&mut self) {
         let task = self.machine.current();
         self.power_failure_common(task);
     }
 
-    /// Forces a hard power failure at the current instant — the
-    /// fault-injection engine's kill primitive (see [`crate::faults`]).
-    ///
-    /// Every bank connected to the rail is drained to zero
-    /// ([`PowerSystem::blackout`]); disconnected banks keep their charge,
-    /// exactly like a real outage with latched switches. Uncommitted
-    /// application and policy state is discarded and the device must
-    /// recharge before the next attempt. A [`SimEvent::PowerFailure`]
-    /// naming the pending task is recorded. Calling this on a stopped or
-    /// stalled simulator is a no-op.
-    pub fn inject_power_failure(&mut self) {
+    /// See [`Simulator::inject_power_failure`].
+    fn inject_power_failure(&mut self) {
         if self.machine.is_stopped() || self.stalled {
             return;
         }
@@ -1151,7 +1117,7 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         let mut newly_failed: Vec<BankId> = Vec::new();
         for i in 0..n {
             let id = BankId(i);
-            if self.state.is_bank_failed(id) {
+            if self.runtime.is_bank_failed(id) {
                 continue;
             }
             let _ = self.power.command_switch(id, SwitchState::Closed, self.now);
@@ -1167,14 +1133,14 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         }
         let found_new = !newly_failed.is_empty();
         for &id in &newly_failed {
-            self.state.mark_bank_failed(id);
+            self.runtime.mark_bank_failed(id);
             self.events.push(SimEvent::BankFailed {
                 at: self.now,
                 bank: id,
             });
         }
         if found_new {
-            let failed = self.state.failed_banks().to_vec();
+            let failed = self.runtime.failed_banks().to_vec();
             for mode in self.modes.remap_excluding(&failed) {
                 self.events
                     .push(SimEvent::ModeRemapped { at: self.now, mode });
@@ -1186,11 +1152,11 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         // runtime reconfigure and recharge from scratch.
         for i in 0..n {
             let id = BankId(i);
-            if !self.state.is_bank_failed(id) {
+            if !self.runtime.is_bank_failed(id) {
                 let _ = self.power.command_switch(id, SwitchState::Closed, self.now);
             }
         }
-        self.state.reset_configuration();
+        self.runtime.reset_configuration();
         self.needs_charge = true;
         found_new
     }
@@ -1218,20 +1184,22 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
 
     /// Adds a task: its name, energy annotation, load model, and body.
     /// Task ids are assigned in insertion order.
+    ///
+    /// The body is `Fn`: it keeps every piece of mutable device state in
+    /// the context `C`, where commit, abort and snapshots see it.
     #[must_use]
     pub fn task(
         mut self,
         name: &'static str,
         energy: TaskEnergy,
-        load: impl Fn(&C, &Mcu) -> TaskLoad + Send + 'static,
-        body: impl FnMut(&mut C) -> Transition + Send + 'static,
+        load: impl Fn(&C, &Mcu) -> TaskLoad + Send + Sync + 'static,
+        body: impl Fn(&mut C) -> Transition + Send + Sync + 'static,
     ) -> Self {
-        self.names.push(name);
-        self.metas.push(TaskMeta {
+        self.graph = self.graph.task(name, body);
+        self.tasks.push(TaskMeta {
             energy,
             load: Box::new(load),
         });
-        self.bodies.push(Box::new(body));
         self
     }
 
@@ -1303,7 +1271,7 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
     /// [`BuildError::UnknownMode`] when a task annotation references a
     /// mode missing from the table (see [`validate_annotations`]).
     pub fn try_build(self, ctx: C) -> Result<Simulator<H, C>, BuildError> {
-        if self.metas.is_empty() {
+        if self.tasks.is_empty() {
             return Err(BuildError::NoTasks);
         }
         if let Some(max) = self.modes.max_bank_index() {
@@ -1314,8 +1282,7 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
                 });
             }
         }
-        let annotations: Vec<TaskEnergy> = self.metas.iter().map(|m| m.energy).collect();
-        if let Err(e) = validate_annotations(&self.modes, &annotations) {
+        if let Err(e) = validate_annotations(&self.modes, self.tasks.iter().map(|t| t.energy)) {
             return Err(BuildError::UnknownMode {
                 task: e.task,
                 mode: e.mode.0,
@@ -1324,43 +1291,42 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
         }
 
         let entry = match self.entry {
-            Some(name) => match self.names.iter().position(|n| *n == name) {
-                Some(i) => TaskId(i),
-                None => return Err(BuildError::UnknownEntry { name }),
-            },
+            Some(name) => self
+                .graph
+                .find(name)
+                .ok_or(BuildError::UnknownEntry { name })?,
             None => TaskId(0),
         };
-        let mut graph_builder = TaskGraph::builder();
-        for (name, body) in self.names.iter().zip(self.bodies) {
-            graph_builder = graph_builder.task(name, body);
-        }
-        let graph = graph_builder.build(entry);
-
-        let state = RuntimeState::new(self.modes.len());
+        let graph = self.graph.build(entry);
+        let machine = ExecutionMachine::new(&graph);
+        let runtime = RuntimeState::new(self.modes.len());
         Ok(Simulator {
-            variant: self.variant,
-            power: self.power,
-            mcu: self.mcu,
-            machine: ExecutionMachine::new(graph),
-            metas: self.metas,
-            modes: self.modes,
-            state,
-            ctx,
-            now: SimTime::ZERO,
-            on: false,
-            needs_charge: true,
-            stalled: false,
-            // Pre-size the event log: even short runs log boots, charges,
-            // and reconfigurations every cycle, so the first few hundred
-            // pushes should never reallocate mid-step.
-            events: Vec::with_capacity(256),
-            trace: self.record_trace.then(Vec::new),
-            reconfig_overhead: SimDuration::from_micros(500),
-            harvest_during_operation: self.harvest_during_operation,
-            degradation: self.degradation,
-            consecutive_failures: 0,
-            policy: self.policy.unwrap_or_else(|| Box::new(StaticAnnotation)),
-            plan_buf: Vec::with_capacity(4),
+            program: Arc::new(Program {
+                variant: self.variant,
+                mcu: self.mcu,
+                graph,
+                tasks: self.tasks,
+                harvest_during_operation: self.harvest_during_operation,
+            }),
+            state: State {
+                power: self.power,
+                machine,
+                modes: self.modes,
+                runtime,
+                ctx,
+                now: SimTime::ZERO,
+                on: false,
+                needs_charge: true,
+                stalled: false,
+                consecutive_failures: 0,
+                // Pre-size the event log: even short runs log boots,
+                // charges, and reconfigurations every cycle, so the first
+                // few hundred pushes should never reallocate mid-step.
+                events: Vec::with_capacity(256),
+                trace: self.record_trace.then(Vec::new),
+                degradation: self.degradation,
+                policy: self.policy.unwrap_or_else(|| Box::new(StaticAnnotation)),
+            },
         })
     }
 }
@@ -1376,6 +1342,7 @@ mod tests {
     use capy_power::technology::parts;
     use capy_units::Watts;
 
+    #[derive(Clone)]
     struct Counter {
         n: NvVar<u64>,
         last_seen: SimTime,
@@ -1997,6 +1964,29 @@ mod tests {
     fn try_build_accepts_a_valid_graph() {
         let sim = one_task_builder().entry("t").try_build(counter());
         assert!(sim.is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this graph")]
+    fn restore_rejects_snapshots_from_a_larger_program() {
+        let mut two_tasks: Simulator<ConstantHarvester, Counter> =
+            Simulator::builder(Variant::Continuous, bench_power(), Mcu::msp430fr5969())
+                .task(
+                    "first",
+                    TaskEnergy::Unannotated,
+                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+                    |_c: &mut Counter| Transition::To(TaskId(1)),
+                )
+                .task(
+                    "second",
+                    TaskEnergy::Unannotated,
+                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+                    |_c: &mut Counter| Transition::Stay,
+                )
+                .build(counter());
+        two_tasks.step();
+        let snap = two_tasks.snapshot();
+        one_task_builder().build(counter()).restore(&snap);
     }
 
     mod event_log_validation {

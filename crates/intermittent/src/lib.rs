@@ -12,6 +12,7 @@
 //!   giving Chain's idempotent re-execution guarantee;
 //! * [`machine`] — the execution machine that tracks the current task
 //!   across reboots and applies commit-on-completion / abort-on-failure.
+//!   It holds data only; the graph it runs is passed by reference.
 //!
 //! # Example
 //!
@@ -35,19 +36,22 @@
 //!     .task("done", |_app: &mut App| Transition::Stop)
 //!     .build(TaskId(0));
 //!
+//! // The graph is the program; the machine and the context are the
+//! // device's state, and a copy of them is a checkpoint.
 //! let mut app = App { count: NvVar::new(0) };
-//! let mut machine = ExecutionMachine::new(graph);
+//! let mut machine = ExecutionMachine::new(&graph);
 //!
 //! // A power failure mid-task discards uncommitted writes.
 //! machine.begin();
-//! let _ = machine.peek_body(&mut app); // body runs, sets count = 1
-//! machine.fail(&mut app);              // ...but power fails before commit
+//! let _ = machine.peek_body(&graph, &mut app); // body runs, sets count = 1
+//! machine.fail(&mut app);                      // ...but power fails before commit
 //! assert_eq!(app.count.get(), 0);
 //!
 //! // A completed attempt commits and advances.
-//! let t = machine.run_current(&mut app).unwrap();
+//! let t = machine.run_current(&graph, &mut app).unwrap();
 //! assert_eq!(app.count.get(), 1);
 //! assert_eq!(t, Transition::To(TaskId(1)));
+//! assert_eq!(graph.name(machine.current()), "done");
 //! ```
 
 #![forbid(unsafe_code)]

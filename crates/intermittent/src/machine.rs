@@ -37,37 +37,25 @@ impl ExecStats {
     }
 }
 
-/// The machine's data state at one instant — everything except the task
-/// graph (whose bodies are closures and cannot be cloned). Captured by
-/// [`ExecutionMachine::snapshot`] and replayed onto the *same* graph by
-/// [`ExecutionMachine::restore`], so a simulator can checkpoint and
-/// resume at a task boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineSnapshot {
-    current: TaskId,
-    stopped: bool,
-    stats: ExecStats,
-}
-
-/// The per-device execution machine.
+/// The per-device execution machine: the task pointer, the stop flag and
+/// the statistics — data only. The task graph stays with its owner and
+/// is passed by reference where a body runs or a transition is checked,
+/// so copying the machine copies the device's whole execution state.
 ///
 /// See the [crate-level example](crate) for a full commit/abort round trip.
-#[derive(Debug)]
-pub struct ExecutionMachine<C> {
-    graph: TaskGraph<C>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecutionMachine {
     current: TaskId,
     stopped: bool,
     stats: ExecStats,
 }
 
-impl<C: NvState> ExecutionMachine<C> {
-    /// Creates a machine positioned at the graph's entry task.
+impl ExecutionMachine {
+    /// Creates a machine positioned at `graph`'s entry task.
     #[must_use]
-    pub fn new(graph: TaskGraph<C>) -> Self {
-        let current = graph.entry();
+    pub fn new<C>(graph: &TaskGraph<C>) -> Self {
         Self {
-            graph,
-            current,
+            current: graph.entry(),
             stopped: false,
             stats: ExecStats::default(),
         }
@@ -77,18 +65,6 @@ impl<C: NvState> ExecutionMachine<C> {
     #[must_use]
     pub fn current(&self) -> TaskId {
         self.current
-    }
-
-    /// The name of the task that will execute next.
-    #[must_use]
-    pub fn current_name(&self) -> &'static str {
-        self.graph.name(self.current)
-    }
-
-    /// The underlying task graph.
-    #[must_use]
-    pub fn graph(&self) -> &TaskGraph<C> {
-        &self.graph
     }
 
     /// `true` once a task has returned [`Transition::Stop`].
@@ -103,57 +79,36 @@ impl<C: NvState> ExecutionMachine<C> {
         self.stats
     }
 
-    /// Captures the machine's data state (task pointer, stop flag,
-    /// statistics). The task graph itself is not part of the snapshot —
-    /// bodies are closures owned by the live machine.
-    #[must_use]
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            current: self.current,
-            stopped: self.stopped,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a state previously captured by
-    /// [`ExecutionMachine::snapshot`] from a machine over the same graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot's task pointer does not exist in this
-    /// machine's graph (the snapshot came from a different application).
-    pub fn restore(&mut self, snap: MachineSnapshot) {
-        assert!(
-            snap.current.0 < self.graph.len(),
-            "snapshot task pointer {} outside this graph ({} tasks)",
-            snap.current.0,
-            self.graph.len()
-        );
-        self.current = snap.current;
-        self.stopped = snap.stopped;
-        self.stats = snap.stats;
-    }
-
     /// Records the start of an execution attempt.
     pub fn begin(&mut self) {
         self.stats.attempts += 1;
     }
 
-    /// Runs the current task's body *without* committing or advancing —
-    /// the simulator uses this to stage a task's effects before it knows
-    /// whether the energy buffer sustains the task to completion.
-    pub fn peek_body(&mut self, ctx: &mut C) -> Transition {
-        self.graph.run(self.current, ctx)
+    /// Runs the current task's body from `graph` *without* committing or
+    /// advancing — the simulator uses this to stage a task's effects
+    /// before it knows whether the energy buffer sustains the task to
+    /// completion.
+    pub fn peek_body<C>(&self, graph: &TaskGraph<C>, ctx: &mut C) -> Transition {
+        graph.run(self.current, ctx)
     }
 
     /// Commits application state and advances per `transition` — the task
     /// completed on buffered energy.
-    pub fn complete(&mut self, ctx: &mut C, transition: Transition) {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `transition` names a task outside `graph`.
+    pub fn complete<C: NvState>(
+        &mut self,
+        graph: &TaskGraph<C>,
+        ctx: &mut C,
+        transition: Transition,
+    ) {
         ctx.commit_all();
         self.stats.completions += 1;
         match transition {
             Transition::To(next) | Transition::Sleep { then: next, .. } => {
-                assert!(next.0 < self.graph.len(), "transition to unknown task");
+                assert!(next.0 < graph.len(), "transition to unknown task");
                 self.current = next;
             }
             Transition::Stay => {}
@@ -164,7 +119,7 @@ impl<C: NvState> ExecutionMachine<C> {
     /// Models a power failure mid-task: uncommitted writes are discarded
     /// and the task pointer stays put, so the next boot retries the same
     /// task (Chain's restart-at-current-task semantics).
-    pub fn fail(&mut self, ctx: &mut C) {
+    pub fn fail<C: NvState>(&mut self, ctx: &mut C) {
         ctx.abort_all();
         self.stats.failures += 1;
     }
@@ -177,13 +132,17 @@ impl<C: NvState> ExecutionMachine<C> {
     /// Convenience: attempt + body + commit in one call, for tests and
     /// continuously-powered execution where failure is impossible.
     /// Returns `None` once the machine has stopped.
-    pub fn run_current(&mut self, ctx: &mut C) -> Option<Transition> {
+    pub fn run_current<C: NvState>(
+        &mut self,
+        graph: &TaskGraph<C>,
+        ctx: &mut C,
+    ) -> Option<Transition> {
         if self.stopped {
             return None;
         }
         self.begin();
-        let t = self.peek_body(ctx);
-        self.complete(ctx, t);
+        let t = self.peek_body(graph, ctx);
+        self.complete(graph, ctx, t);
         Some(t)
     }
 }
@@ -221,33 +180,35 @@ mod tests {
 
     #[test]
     fn completes_advance_the_task_pointer() {
-        let mut m = ExecutionMachine::new(two_task_graph());
+        let graph = two_task_graph();
+        let mut m = ExecutionMachine::new(&graph);
         let mut ctx = Counter { n: NvVar::new(0) };
-        assert_eq!(m.current_name(), "ping");
-        m.run_current(&mut ctx);
-        assert_eq!(m.current_name(), "pong");
-        m.run_current(&mut ctx);
-        assert_eq!(m.current_name(), "ping");
+        assert_eq!(graph.name(m.current()), "ping");
+        m.run_current(&graph, &mut ctx);
+        assert_eq!(graph.name(m.current()), "pong");
+        m.run_current(&graph, &mut ctx);
+        assert_eq!(graph.name(m.current()), "ping");
         assert_eq!(ctx.n.get(), 11);
     }
 
     #[test]
     fn failure_retries_same_task_without_side_effects() {
-        let mut m = ExecutionMachine::new(two_task_graph());
+        let graph = two_task_graph();
+        let mut m = ExecutionMachine::new(&graph);
         let mut ctx = Counter { n: NvVar::new(0) };
         // Three failed attempts...
         for _ in 0..3 {
             m.begin();
-            let _ = m.peek_body(&mut ctx);
+            let _ = m.peek_body(&graph, &mut ctx);
             m.fail(&mut ctx);
             m.reboot();
         }
         assert_eq!(ctx.n.get(), 0, "failed attempts must not leak writes");
-        assert_eq!(m.current_name(), "ping");
+        assert_eq!(graph.name(m.current()), "ping");
         // ...then a successful one.
         m.begin();
-        let t = m.peek_body(&mut ctx);
-        m.complete(&mut ctx, t);
+        let t = m.peek_body(&graph, &mut ctx);
+        m.complete(&graph, &mut ctx, t);
         assert_eq!(ctx.n.get(), 1, "exactly-once despite retries");
         let s = m.stats();
         assert_eq!(s.attempts, 4);
@@ -262,10 +223,10 @@ mod tests {
         let graph: TaskGraph<()> = TaskGraph::builder()
             .task("once", |_| Transition::Stop)
             .build(TaskId(0));
-        let mut m = ExecutionMachine::new(graph);
-        assert_eq!(m.run_current(&mut ()), Some(Transition::Stop));
+        let mut m = ExecutionMachine::new(&graph);
+        assert_eq!(m.run_current(&graph, &mut ()), Some(Transition::Stop));
         assert!(m.is_stopped());
-        assert_eq!(m.run_current(&mut ()), None);
+        assert_eq!(m.run_current(&graph, &mut ()), None);
     }
 
     #[test]
@@ -273,9 +234,9 @@ mod tests {
         let graph: TaskGraph<()> = TaskGraph::builder()
             .task("poll", |_| Transition::Stay)
             .build(TaskId(0));
-        let mut m = ExecutionMachine::new(graph);
-        m.run_current(&mut ());
-        m.run_current(&mut ());
+        let mut m = ExecutionMachine::new(&graph);
+        m.run_current(&graph, &mut ());
+        m.run_current(&graph, &mut ());
         assert_eq!(m.current(), TaskId(0));
         assert_eq!(m.stats().completions, 2);
     }
@@ -286,40 +247,12 @@ mod tests {
         let graph: TaskGraph<()> = TaskGraph::builder()
             .task("bad", |_| Transition::To(TaskId(9)))
             .build(TaskId(0));
-        let mut m = ExecutionMachine::new(graph);
-        m.run_current(&mut ());
+        let mut m = ExecutionMachine::new(&graph);
+        m.run_current(&graph, &mut ());
     }
 
     #[test]
     fn waste_ratio_zero_without_attempts() {
         assert_eq!(ExecStats::default().waste_ratio(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_machine_state() {
-        let mut m = ExecutionMachine::new(two_task_graph());
-        let mut ctx = Counter { n: NvVar::new(0) };
-        m.run_current(&mut ctx);
-        let snap = m.snapshot();
-        m.run_current(&mut ctx);
-        m.run_current(&mut ctx);
-        assert_ne!(m.snapshot(), snap);
-        m.restore(snap);
-        assert_eq!(m.snapshot(), snap);
-        assert_eq!(m.current_name(), "pong");
-        assert_eq!(m.stats().completions, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside this graph")]
-    fn restore_rejects_foreign_snapshots() {
-        let big = ExecutionMachine::new(two_task_graph());
-        let mut snap = big.snapshot();
-        snap.current = TaskId(1);
-        let graph: TaskGraph<Counter> = TaskGraph::builder()
-            .task("only", |_| Transition::Stay)
-            .build(TaskId(0));
-        let mut small = ExecutionMachine::new(graph);
-        small.restore(snap);
     }
 }

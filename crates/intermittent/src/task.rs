@@ -39,8 +39,10 @@ pub enum Transition {
 }
 
 /// The body of a task: application logic that reads and writes the
-/// non-volatile context and names a successor.
-pub type TaskBody<C> = Box<dyn FnMut(&mut C) -> Transition + Send>;
+/// non-volatile context and names a successor. It is `Fn`, so every piece
+/// of mutable state lives in `C`, where commit, abort and snapshots see
+/// it; `Send + Sync` lets one graph serve many devices on many threads.
+pub type TaskBody<C> = Box<dyn Fn(&mut C) -> Transition + Send + Sync>;
 
 struct TaskDef<C> {
     name: &'static str,
@@ -107,7 +109,7 @@ impl<C> TaskGraph<C> {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn run(&mut self, id: TaskId, ctx: &mut C) -> Transition {
+    pub fn run(&self, id: TaskId, ctx: &mut C) -> Transition {
         (self.tasks[id.0].body)(ctx)
     }
 }
@@ -124,13 +126,19 @@ impl<C> TaskGraphBuilder<C> {
     pub fn task(
         mut self,
         name: &'static str,
-        body: impl FnMut(&mut C) -> Transition + Send + 'static,
+        body: impl Fn(&mut C) -> Transition + Send + Sync + 'static,
     ) -> Self {
         self.tasks.push(TaskDef {
             name,
             body: Box::new(body),
         });
         self
+    }
+
+    /// Looks up the id a task was added under, by name.
+    #[must_use]
+    pub fn find(&self, name: &str) -> Option<TaskId> {
+        self.tasks.iter().position(|t| t.name == name).map(TaskId)
     }
 
     /// Finishes the graph with the given entry task.
@@ -170,7 +178,7 @@ mod tests {
 
     #[test]
     fn run_invokes_body_with_context() {
-        let mut graph: TaskGraph<u32> = TaskGraph::builder()
+        let graph: TaskGraph<u32> = TaskGraph::builder()
             .task("incr", |c| {
                 *c += 1;
                 Transition::Stay

@@ -5,6 +5,8 @@
 //! APIs require via a bounded `Box::leak` per manifest — fine for a
 //! runner process, which compiles each scenario once.
 
+use std::mem;
+
 use capy_device::load::TaskLoad;
 use capy_device::mcu::Mcu;
 use capy_intermittent::nv::{NvState, NvVar};
@@ -29,7 +31,7 @@ use crate::parse::ManifestError;
 /// The harvester a manifest can declare: a closed enum dispatching to
 /// the concrete sources, so the compiled simulator has one concrete
 /// type.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ManifestHarvester {
     /// `kind = dark | constant`.
     Constant(ConstantHarvester),
@@ -78,16 +80,21 @@ impl Harvester for ManifestHarvester {
 
 /// The synthetic application context every compiled scenario runs: one
 /// non-volatile completion counter per task, committed and rolled back
-/// with the intermittent runtime like real application state.
-#[derive(Debug)]
+/// with the intermittent runtime like real application state, plus the
+/// device's task-rate scale, which divides every declared sleep.
+#[derive(Debug, Clone)]
 pub struct ManifestCtx {
     completions: Vec<NvVar<u64>>,
+    /// A faster fleet device (scale > 1) sleeps less; compute time is
+    /// the task's physics and does not scale.
+    rate_scale: f64,
 }
 
 impl ManifestCtx {
     fn new(tasks: usize) -> Self {
         Self {
             completions: (0..tasks).map(|_| NvVar::new(0)).collect(),
+            rate_scale: 1.0,
         }
     }
 
@@ -101,6 +108,13 @@ impl ManifestCtx {
     #[must_use]
     pub fn total_completions(&self) -> u64 {
         self.completions.iter().map(NvVar::get).sum()
+    }
+
+    /// The device's task-rate scale: every declared sleep is divided by
+    /// it (`1.0` outside a fleet).
+    #[must_use]
+    pub fn rate_scale(&self) -> f64 {
+        self.rate_scale
     }
 }
 
@@ -123,7 +137,10 @@ impl SimContext for ManifestCtx {
 }
 
 /// A compiled scenario: the simulator plus the manifest's limits ready
-/// for [`Simulator::run_limited`].
+/// for [`Simulator::run_limited`]. A clone shares the compiled program
+/// and copies the device state, so a fleet compiles each template once
+/// and stamps its devices from it.
+#[derive(Clone)]
 pub struct CompiledScenario {
     /// The ready-to-run simulator.
     pub sim: Simulator<ManifestHarvester, ManifestCtx>,
@@ -136,9 +153,8 @@ fn leak(s: &str) -> &'static str {
 }
 
 /// A manifest's names leaked to the `&'static str` the builder APIs
-/// require — **once per manifest**, so fleet runs compiling thousands of
-/// per-device simulators from one template do not grow the leak with the
-/// device count.
+/// require — **once per manifest**, so callers compiling many devices
+/// from one manifest do not grow the leak with the device count.
 pub struct LeakedNames {
     banks: Vec<&'static str>,
     modes: Vec<&'static str>,
@@ -246,9 +262,10 @@ pub fn compile(manifest: &ScenarioManifest) -> Result<CompiledScenario, Manifest
 }
 
 /// [`compile`] with the leak amortized across calls ([`LeakedNames`])
-/// and an optional per-device fleet perturbation: the harvester is
-/// wrapped in a [`FleetHarvester`] and declared sleeps scale by the
-/// reciprocal of the device's task rate.
+/// and an optional fleet device: the template for the tweak's entry
+/// task, then the device's stamp — its harvester wrapped in a
+/// [`FleetHarvester`] and its sleeps divided by its task rate. It is the
+/// device a [`CompiledFleet`](crate::CompiledFleet) stamps, bit for bit.
 ///
 /// # Errors
 ///
@@ -258,6 +275,39 @@ pub fn compile_with(
     manifest: &ScenarioManifest,
     names: &LeakedNames,
     tweak: Option<&DeviceTweak<'_>>,
+) -> Result<CompiledScenario, ManifestError> {
+    let mut compiled = template(manifest, names, tweak.and_then(|t| t.entry))?;
+    if let Some(t) = tweak {
+        stamp(&mut compiled.sim, t.env, t.point);
+    }
+    Ok(compiled)
+}
+
+/// Makes a device of a compiled template: wraps its harvester in the
+/// device's [`FleetHarvester`] and sets its task-rate scale. A template
+/// never steps, so the device starts with cold kernel caches either way.
+pub(crate) fn stamp(
+    sim: &mut Simulator<ManifestHarvester, ManifestCtx>,
+    env: &SharedEnvironment,
+    point: &DevicePoint,
+) {
+    let harvester = sim.power_mut().harvester_mut();
+    let inner = mem::replace(
+        harvester,
+        ManifestHarvester::Constant(ConstantHarvester::dark()),
+    );
+    let scaled = FleetHarvester::new(inner, point.panel_scale, env.clone(), point.placement);
+    *harvester = ManifestHarvester::Fleet(Box::new(scaled));
+    sim.ctx_mut().rate_scale = point.task_rate_scale;
+}
+
+/// Compiles the device-independent part of `manifest`, booting into
+/// `entry` (the first task when `None`): everything except a fleet
+/// device's [`stamp`]. Faults and the startup margin are armed here.
+pub(crate) fn template(
+    manifest: &ScenarioManifest,
+    names: &LeakedNames,
+    entry: Option<&'static str>,
 ) -> Result<CompiledScenario, ManifestError> {
     let bank_id = |name: &str| -> BankId {
         BankId(
@@ -287,16 +337,8 @@ pub fn compile_with(
         )
     };
 
-    let source = match tweak {
-        None => harvester(&manifest.harvester),
-        Some(t) => ManifestHarvester::Fleet(Box::new(FleetHarvester::new(
-            harvester(&manifest.harvester),
-            t.point.panel_scale,
-            t.env.clone(),
-            t.point.placement,
-        ))),
-    };
-    let mut power = capy_power::system::PowerSystem::builder().harvester(source);
+    let mut power =
+        capy_power::system::PowerSystem::builder().harvester(harvester(&manifest.harvester));
     for (i, spec) in manifest.banks.iter().enumerate() {
         let mut bank = Bank::builder(names.banks[i]);
         for &p in &spec.parts {
@@ -318,10 +360,6 @@ pub fn compile_with(
         builder = builder.mode(names.modes[i], &banks);
     }
 
-    // A faster device (rate scale > 1) paces itself with shorter sleeps;
-    // compute time is the task's physics and does not scale.
-    let rate_scale = tweak.map_or(1.0, |t| t.point.task_rate_scale);
-
     for (index, task) in manifest.tasks.iter().enumerate() {
         let energy = match &task.energy {
             EnergySpec::Unannotated => TaskEnergy::Unannotated,
@@ -341,16 +379,17 @@ pub fn compile_with(
             ThenSpec::Stop => Some(None),
             ThenSpec::To(name) => Some(Some(task_id(name))),
         };
-        let sleep = task.sleep_ms.map(|ms| duration_ms(ms / rate_scale));
+        let sleep_ms = task.sleep_ms;
         let repeat = task.repeat;
         let this = TaskId(index);
         // The synthetic body: count the completion, then take the
         // declared transition — every `repeat`-th time if counted,
-        // through a sleep if one is declared.
+        // through a sleep if one is declared, scaled by the device's rate.
         let body = move |ctx: &mut ManifestCtx| {
             ctx.completions[index].update(|c| c + 1);
             let advance = repeat.is_none_or(|r| ctx.completions[index].get().is_multiple_of(r));
             let target = if advance { then } else { None };
+            let sleep = sleep_ms.map(|ms| duration_ms(ms / ctx.rate_scale));
             match (target, sleep) {
                 (Some(None), _) => Transition::Stop,
                 (Some(Some(next)), None) => Transition::To(next),
@@ -367,7 +406,7 @@ pub fn compile_with(
         };
         builder = builder.task(names.tasks[index], energy, load, body);
     }
-    if let Some(entry) = tweak.and_then(|t| t.entry) {
+    if let Some(entry) = entry {
         builder = builder.entry(entry);
     }
 

@@ -99,6 +99,6 @@ pub use model::{
 pub use parse::{parse_manifest, ManifestError};
 pub use run::{
     error_result_json, result_path_for, run_batch, run_file, run_manifest_on, validate_json,
-    AssertionResult, BatchEntry, BatchOutcome, FleetResult, ScenarioResult, EXIT_ASSERT,
-    EXIT_INTERNAL, EXIT_LIMIT, EXIT_MANIFEST, EXIT_PASS, RESULT_SCHEMA,
+    AssertionResult, BatchEntry, BatchOutcome, CompiledFleet, FleetResult, ScenarioResult,
+    EXIT_ASSERT, EXIT_INTERNAL, EXIT_LIMIT, EXIT_MANIFEST, EXIT_PASS, RESULT_SCHEMA,
 };

@@ -8,7 +8,7 @@
 //! `parse(emit(parse(text)))` equals `parse(text)` for every valid
 //! manifest (the round-trip test of the protocol suite).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use capy_power::switch::SwitchKind;
 use capybara::Variant;
@@ -495,16 +495,32 @@ pub enum AssertionSpec {
     MinAvailability(f64),
 }
 
-/// Formats an `f64` exactly as both the emitter and `result.json` do:
+/// Displays an `f64` exactly as both the emitter and `result.json` do:
 /// integral values without a fraction, everything else via Rust's
-/// shortest round-trip representation.
-#[must_use]
-pub fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v}")
+/// shortest round-trip representation. It writes straight into the
+/// formatter, so no `String` is built per number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Num(pub f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v == v.trunc() && v.abs() < 1e15 {
+            write!(f, "{v:.0}")
+        } else {
+            write!(f, "{v}")
+        }
     }
+}
+
+/// Writes `key = a, b, c` and a newline into `out`.
+fn write_list<T: fmt::Display>(out: &mut String, key: &str, items: impl IntoIterator<Item = T>) {
+    let _ = write!(out, "{key} = ");
+    for (i, item) in items.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{item}");
+    }
+    out.push('\n');
 }
 
 /// A closed set of manifest keywords: `ALL` lists every value once and
@@ -633,16 +649,16 @@ impl ScenarioManifest {
             }
             HarvesterSpec::Constant { power_mw, voltage } => {
                 let _ = writeln!(out, "kind = {}", HarvesterKind::Constant.keyword());
-                let _ = writeln!(out, "power_mw = {}", fmt_f64(*power_mw));
-                let _ = writeln!(out, "voltage = {}", fmt_f64(*voltage));
+                let _ = writeln!(out, "power_mw = {}", Num(*power_mw));
+                let _ = writeln!(out, "voltage = {}", Num(*voltage));
             }
             HarvesterSpec::Regulated {
                 max_power_mw,
                 voltage,
             } => {
                 let _ = writeln!(out, "kind = {}", HarvesterKind::Regulated.keyword());
-                let _ = writeln!(out, "max_power_mw = {}", fmt_f64(*max_power_mw));
-                let _ = writeln!(out, "voltage = {}", fmt_f64(*voltage));
+                let _ = writeln!(out, "max_power_mw = {}", Num(*max_power_mw));
+                let _ = writeln!(out, "voltage = {}", Num(*voltage));
             }
             HarvesterSpec::SquareWave {
                 power_mw,
@@ -652,10 +668,10 @@ impl ScenarioManifest {
                 cycles,
             } => {
                 let _ = writeln!(out, "kind = {}", HarvesterKind::SquareWave.keyword());
-                let _ = writeln!(out, "power_mw = {}", fmt_f64(*power_mw));
-                let _ = writeln!(out, "voltage = {}", fmt_f64(*voltage));
-                let _ = writeln!(out, "on_ms = {}", fmt_f64(*on_ms));
-                let _ = writeln!(out, "off_ms = {}", fmt_f64(*off_ms));
+                let _ = writeln!(out, "power_mw = {}", Num(*power_mw));
+                let _ = writeln!(out, "voltage = {}", Num(*voltage));
+                let _ = writeln!(out, "on_ms = {}", Num(*on_ms));
+                let _ = writeln!(out, "off_ms = {}", Num(*off_ms));
                 let _ = writeln!(out, "cycles = {cycles}");
             }
             HarvesterSpec::SolarTrisolx => {
@@ -665,36 +681,36 @@ impl ScenarioManifest {
 
         for bank in &self.banks {
             let _ = writeln!(out, "\n[bank {}]", bank.name);
-            let parts: Vec<&str> = bank.parts.iter().map(|p| p.keyword()).collect();
-            let _ = writeln!(out, "parts = {}", parts.join(", "));
+            write_list(&mut out, "parts", bank.parts.iter().map(|p| p.keyword()));
             let _ = writeln!(out, "switch = {}", bank.switch.keyword());
         }
 
         for mode in &self.modes {
             let _ = writeln!(out, "\n[mode {}]", mode.name);
-            let _ = writeln!(out, "banks = {}", mode.banks.join(", "));
+            write_list(&mut out, "banks", &mode.banks);
         }
 
         for task in &self.tasks {
             let _ = writeln!(out, "\n[task {}]", task.name);
-            let energy = match &task.energy {
-                EnergySpec::Unannotated => "unannotated".to_string(),
-                EnergySpec::Config(m) => format!("config {m}"),
-                EnergySpec::Burst(m) => format!("burst {m}"),
-                EnergySpec::Preburst { burst, exec } => format!("preburst {burst} {exec}"),
+            let _ = match &task.energy {
+                EnergySpec::Unannotated => writeln!(out, "energy = unannotated"),
+                EnergySpec::Config(m) => writeln!(out, "energy = config {m}"),
+                EnergySpec::Burst(m) => writeln!(out, "energy = burst {m}"),
+                EnergySpec::Preburst { burst, exec } => {
+                    writeln!(out, "energy = preburst {burst} {exec}")
+                }
             };
-            let _ = writeln!(out, "energy = {energy}");
-            let _ = writeln!(out, "compute_ms = {}", fmt_f64(task.compute_ms));
+            let _ = writeln!(out, "compute_ms = {}", Num(task.compute_ms));
             if let Some(sleep) = task.sleep_ms {
-                let _ = writeln!(out, "sleep_ms = {}", fmt_f64(sleep));
+                let _ = writeln!(out, "sleep_ms = {}", Num(sleep));
             }
             if let Some(repeat) = task.repeat {
                 let _ = writeln!(out, "repeat = {repeat}");
             }
             let then = match &task.then {
-                ThenSpec::Stay => "stay".to_string(),
-                ThenSpec::Stop => "stop".to_string(),
-                ThenSpec::To(name) => name.clone(),
+                ThenSpec::Stay => "stay",
+                ThenSpec::Stop => "stop",
+                ThenSpec::To(name) => name,
             };
             let _ = writeln!(out, "then = {then}");
         }
@@ -710,8 +726,8 @@ impl ScenarioManifest {
             }
             PolicySpec::Reactive { ladder, timeout_ms } => {
                 let _ = writeln!(out, "kind = {}", PolicyKind::Reactive.keyword());
-                let _ = writeln!(out, "ladder = {}", ladder.join(", "));
-                let _ = writeln!(out, "timeout_ms = {}", fmt_f64(*timeout_ms));
+                write_list(&mut out, "ladder", ladder);
+                let _ = writeln!(out, "timeout_ms = {}", Num(*timeout_ms));
             }
             PolicySpec::Ewma {
                 ladder,
@@ -719,46 +735,48 @@ impl ScenarioManifest {
                 alpha,
             } => {
                 let _ = writeln!(out, "kind = {}", PolicyKind::Ewma.keyword());
-                let _ = writeln!(out, "ladder = {}", ladder.join(", "));
-                let thresholds: Vec<String> = thresholds_mw.iter().map(|t| fmt_f64(*t)).collect();
-                let _ = writeln!(out, "thresholds_mw = {}", thresholds.join(", "));
-                let _ = writeln!(out, "alpha = {}", fmt_f64(*alpha));
+                write_list(&mut out, "ladder", ladder);
+                write_list(
+                    &mut out,
+                    "thresholds_mw",
+                    thresholds_mw.iter().map(|&t| Num(t)),
+                );
+                let _ = writeln!(out, "alpha = {}", Num(*alpha));
             }
         }
 
         if !self.faults.is_empty() || self.startup_margin_v.is_some() {
             out.push_str("\n[faults]\n");
             for fault in &self.faults {
-                let line = match fault {
+                let _ = match fault {
                     FaultSpec::StuckOpen { bank, at_s } => {
-                        format!("stuck-open {bank} @ {}", fmt_f64(*at_s))
+                        writeln!(out, "fault = stuck-open {bank} @ {}", Num(*at_s))
                     }
                     FaultSpec::StuckClosed { bank, at_s } => {
-                        format!("stuck-closed {bank} @ {}", fmt_f64(*at_s))
+                        writeln!(out, "fault = stuck-closed {bank} @ {}", Num(*at_s))
                     }
-                    FaultSpec::WeakLatch { bank, factor, at_s } => {
-                        format!(
-                            "weak-latch {bank} {} @ {}",
-                            fmt_f64(*factor),
-                            fmt_f64(*at_s)
-                        )
-                    }
+                    FaultSpec::WeakLatch { bank, factor, at_s } => writeln!(
+                        out,
+                        "fault = weak-latch {bank} {} @ {}",
+                        Num(*factor),
+                        Num(*at_s)
+                    ),
                     FaultSpec::Degraded {
                         bank,
                         cap_derate,
                         esr_scale,
                         at_s,
-                    } => format!(
-                        "degraded {bank} {} {} @ {}",
-                        fmt_f64(*cap_derate),
-                        fmt_f64(*esr_scale),
-                        fmt_f64(*at_s)
+                    } => writeln!(
+                        out,
+                        "fault = degraded {bank} {} {} @ {}",
+                        Num(*cap_derate),
+                        Num(*esr_scale),
+                        Num(*at_s)
                     ),
                 };
-                let _ = writeln!(out, "fault = {line}");
             }
             if let Some(margin) = self.startup_margin_v {
-                let _ = writeln!(out, "startup_margin_v = {}", fmt_f64(margin));
+                let _ = writeln!(out, "startup_margin_v = {}", Num(margin));
             }
         }
 
@@ -769,37 +787,33 @@ impl ScenarioManifest {
             } else {
                 // `devices` is derived from the mix; emitting only the
                 // mix keeps parse(emit(m)) == m.
-                let templates: Vec<String> = fleet
-                    .mix
-                    .iter()
-                    .map(|(name, count)| format!("{name}:{count}"))
-                    .collect();
-                let _ = writeln!(out, "mix = {}", templates.join(", "));
+                out.push_str("mix = ");
+                for (i, (name, count)) in fleet.mix.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    let _ = write!(out, "{sep}{name}:{count}");
+                }
+                out.push('\n');
             }
             if let Some(trace) = &fleet.trace {
                 let _ = writeln!(out, "trace = {trace}");
             }
             if fleet.panel_jitter_pct != 0.0 {
-                let _ = writeln!(
-                    out,
-                    "panel_jitter_pct = {}",
-                    fmt_f64(fleet.panel_jitter_pct)
-                );
+                let _ = writeln!(out, "panel_jitter_pct = {}", Num(fleet.panel_jitter_pct));
             }
             if fleet.rate_jitter_pct != 0.0 {
-                let _ = writeln!(out, "rate_jitter_pct = {}", fmt_f64(fleet.rate_jitter_pct));
+                let _ = writeln!(out, "rate_jitter_pct = {}", Num(fleet.rate_jitter_pct));
             }
             if let Some(period) = fleet.eclipse_period_s {
-                let _ = writeln!(out, "eclipse_period_s = {}", fmt_f64(period));
-                let _ = writeln!(out, "eclipse_sunlit = {}", fmt_f64(fleet.eclipse_sunlit));
+                let _ = writeln!(out, "eclipse_period_s = {}", Num(period));
+                let _ = writeln!(out, "eclipse_sunlit = {}", Num(fleet.eclipse_sunlit));
             }
             if fleet.dips > 0 {
                 let _ = writeln!(out, "dips = {}", fleet.dips);
-                let _ = writeln!(out, "dip_hold_s = {}", fmt_f64(fleet.dip_hold_s));
-                let _ = writeln!(out, "dip_factor = {}", fmt_f64(fleet.dip_factor));
+                let _ = writeln!(out, "dip_hold_s = {}", Num(fleet.dip_hold_s));
+                let _ = writeln!(out, "dip_factor = {}", Num(fleet.dip_factor));
             }
             if fleet.shading != 0.0 {
-                let _ = writeln!(out, "shading = {}", fmt_f64(fleet.shading));
+                let _ = writeln!(out, "shading = {}", Num(fleet.shading));
             }
         }
 
@@ -807,7 +821,7 @@ impl ScenarioManifest {
         let _ = writeln!(
             out,
             "max_sim_seconds = {}",
-            fmt_f64(self.limits.max_sim_seconds)
+            Num(self.limits.max_sim_seconds)
         );
         if let Some(steps) = self.limits.max_steps {
             let _ = writeln!(out, "max_steps = {steps}");
@@ -816,34 +830,33 @@ impl ScenarioManifest {
             let _ = writeln!(out, "no_progress_steps = {steps}");
         }
         if let Some(joules) = self.limits.max_energy_joules {
-            let _ = writeln!(out, "max_energy_joules = {}", fmt_f64(joules));
+            let _ = writeln!(out, "max_energy_joules = {}", Num(joules));
         }
 
         if !self.assertions.is_empty() {
             out.push_str("\n[assert]\n");
             for a in &self.assertions {
-                let line = match a {
+                let _ = match a {
                     AssertionSpec::TaskCompletions { task, op, count } => {
-                        format!("completions = {task} {} {count}", op.keyword())
+                        writeln!(out, "completions = {task} {} {count}", op.keyword())
                     }
                     AssertionSpec::TotalCompletions { op, count } => {
-                        format!("total_completions = {} {count}", op.keyword())
+                        writeln!(out, "total_completions = {} {count}", op.keyword())
                     }
                     AssertionSpec::Failures { op, count } => {
-                        format!("failures = {} {count}", op.keyword())
+                        writeln!(out, "failures = {} {count}", op.keyword())
                     }
                     AssertionSpec::RequireEvent(kind) => {
-                        format!("require_event = {}", kind.keyword())
+                        writeln!(out, "require_event = {}", kind.keyword())
                     }
                     AssertionSpec::ForbidEvent(kind) => {
-                        format!("forbid_event = {}", kind.keyword())
+                        writeln!(out, "forbid_event = {}", kind.keyword())
                     }
-                    AssertionSpec::FinalMode(mode) => format!("final_mode = {mode}"),
+                    AssertionSpec::FinalMode(mode) => writeln!(out, "final_mode = {mode}"),
                     AssertionSpec::MinAvailability(frac) => {
-                        format!("min_availability = {}", fmt_f64(*frac))
+                        writeln!(out, "min_availability = {}", Num(*frac))
                     }
                 };
-                let _ = writeln!(out, "{line}");
             }
         }
         out

@@ -20,9 +20,9 @@ use capybara::Variant;
 
 use crate::compile::duration_ms;
 use crate::model::{
-    fmt_f64, AssertionSpec, BankSpec, CmpOp, EnergySpec, EventKind, FaultSpec, FleetStanza,
-    HarvesterKind, HarvesterSpec, Keyword, LimitsSpec, McuKind, ModeSpec, PartKind, PolicyKind,
-    PolicySpec, ScenarioManifest, TaskSpec, ThenSpec, SCHEMA,
+    AssertionSpec, BankSpec, CmpOp, EnergySpec, EventKind, FaultSpec, FleetStanza, HarvesterKind,
+    HarvesterSpec, Keyword, LimitsSpec, McuKind, ModeSpec, Num, PartKind, PolicyKind, PolicySpec,
+    ScenarioManifest, TaskSpec, ThenSpec, SCHEMA,
 };
 use crate::run::dip_mean_gap;
 
@@ -203,12 +203,12 @@ impl Range {
 
 impl fmt::Display for Range {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (lo, unit) = (fmt_f64(self.lo), self.unit);
+        let (lo, unit) = (Num(self.lo), self.unit);
         if self.hi.is_infinite() {
             write!(f, "a number of at least {lo}{unit}")
         } else {
             let open = if self.lo_open { '(' } else { '[' };
-            write!(f, "a number in {open}{lo}, {}]{unit}", fmt_f64(self.hi))
+            write!(f, "a number in {open}{lo}, {}]{unit}", Num(self.hi))
         }
     }
 }

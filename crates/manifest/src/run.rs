@@ -21,15 +21,15 @@ use std::time::Duration;
 use capy_units::rng::derive_seed;
 use capy_units::{Joules, SimDuration, SimTime};
 use capybara::fleet::{
-    parse_harvest_trace, run_fleet_on, DeviceOutcome, FleetReport, FleetSpec, SharedEnvironment,
-    TemplateSpec, SURVIVAL_BUCKETS,
+    parse_harvest_trace, run_fleet_on, DeviceOutcome, DevicePoint, FleetReport, FleetSpec,
+    SharedEnvironment, TemplateSpec, SURVIVAL_BUCKETS,
 };
 use capybara::sim::{RunOutcome, SimEvent};
 use capybara::sweep::{map_on, RunSummary, DEFAULT_BASE_SEED};
 
-use crate::compile::{compile, compile_with, DeviceTweak, LeakedNames};
+use crate::compile::{compile, stamp, template, CompiledScenario, LeakedNames};
 use crate::json::JsonValue;
-use crate::model::{AssertionSpec, EventKind, FleetStanza, Keyword, ScenarioManifest};
+use crate::model::{AssertionSpec, EventKind, FleetStanza, Keyword, Num, ScenarioManifest};
 use crate::parse::{parse_manifest, ManifestError};
 
 /// Exit code: ran to its outcome and every assertion held.
@@ -269,7 +269,7 @@ pub fn run_manifest_on(
                 }
             }
             AssertionSpec::MinAvailability(min) => AssertionResult {
-                check: format!("min_availability = {}", crate::model::fmt_f64(*min)),
+                check: format!("min_availability = {}", Num(*min)),
                 passed: availability >= *min,
                 detail: format!(
                     "device was available {:.1}% of simulated time",
@@ -353,8 +353,96 @@ pub(crate) fn dip_mean_gap(horizon_s: f64, dips: u32) -> SimDuration {
     SimDuration::from_micros((horizon_s / (f64::from(dips) + 1.0) * 1e6).round() as u64)
 }
 
-/// The fleet path of [`run_manifest_on`]: the manifest becomes the
-/// device template, each device compiles with its derived perturbation,
+/// A `[fleet]` manifest compiled once: the population's [`FleetSpec`]
+/// and one template per entry task (one for `devices =`, one per `mix`
+/// entry). A device is a clone of its template, stamped; it equals the
+/// device [`compile_with`](crate::compile_with) builds alone, bit for bit.
+pub struct CompiledFleet {
+    spec: FleetSpec,
+    templates: Vec<CompiledScenario>,
+}
+
+impl CompiledFleet {
+    /// Compiles `manifest`'s fleet; a `trace` file resolves against the
+    /// manifest's path `file`. Build errors surface here, before any
+    /// device runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ManifestError::Build`] when the manifest has no
+    /// `[fleet]` stanza, its trace cannot be read, or a template does not
+    /// compile.
+    pub fn new(manifest: &ScenarioManifest, file: &str) -> Result<Self, ManifestError> {
+        let Some(stanza) = &manifest.fleet else {
+            let message = "the manifest has no [fleet] stanza".to_string();
+            return Err(ManifestError::Build { message });
+        };
+        let run_seed = derive_seed(DEFAULT_BASE_SEED, manifest.seed);
+        let horizon = SimTime::from_micros((manifest.limits.max_sim_seconds * 1e6).round() as u64);
+        let env = fleet_environment(stanza, run_seed, manifest.limits.max_sim_seconds, file)?;
+        let names = LeakedNames::from_manifest(manifest);
+        let fleet_name: &'static str = Box::leak(manifest.name.clone().into_boxed_str());
+
+        // A mix template's entry task gives its name to the template, so a
+        // device's template index maps straight to its boot task.
+        let entries: Vec<&'static str> = stanza
+            .mix
+            .iter()
+            .map(|(task, _)| {
+                let index = manifest
+                    .tasks
+                    .iter()
+                    .position(|t| t.name == *task)
+                    .expect("parser resolved mix references");
+                names.task(index)
+            })
+            .collect();
+        let spec = if stanza.mix.is_empty() {
+            FleetSpec::new(fleet_name, stanza.devices, horizon)
+        } else {
+            let templates = entries
+                .iter()
+                .zip(&stanza.mix)
+                .map(|(&name, (_, count))| TemplateSpec::new(name, *count))
+                .collect();
+            FleetSpec::mixed(fleet_name, horizon, templates)
+        }
+        .fleet_seed(run_seed)
+        .panel_jitter(stanza.panel_jitter_pct / 100.0)
+        .rate_jitter(stanza.rate_jitter_pct / 100.0)
+        .environment(env);
+
+        // Perturbations never add modes or annotations, so a template
+        // that compiles compiles for every device.
+        let templates = if entries.is_empty() {
+            vec![template(manifest, &names, None)?]
+        } else {
+            entries
+                .iter()
+                .map(|&entry| template(manifest, &names, Some(entry)))
+                .collect::<Result<_, _>>()?
+        };
+        Ok(Self { spec, templates })
+    }
+
+    /// The population: its size, horizon, environment and devices.
+    #[must_use]
+    pub fn spec(&self) -> &FleetSpec {
+        &self.spec
+    }
+
+    /// The device at `point`, ready to run: a clone of its template with
+    /// the device's panel scale, placement and task rate stamped on.
+    #[must_use]
+    pub fn device(&self, point: &DevicePoint) -> CompiledScenario {
+        let mut device = self.templates[point.template].clone();
+        stamp(&mut device.sim, self.spec.env(), point);
+        device
+    }
+}
+
+/// The fleet path of [`run_manifest_on`]: the manifest compiles once
+/// ([`CompiledFleet`]), every device runs from a clone of its template,
 /// and only the streamed aggregate survives. Count assertions evaluate
 /// against the population totals; event and final-mode assertions have
 /// no aggregate meaning and are rejected.
@@ -379,68 +467,10 @@ fn run_fleet_manifest(
         }
     }
 
-    let run_seed = derive_seed(DEFAULT_BASE_SEED, manifest.seed);
-    let horizon = SimTime::from_micros((manifest.limits.max_sim_seconds * 1e6).round() as u64);
-    let env = fleet_environment(stanza, run_seed, manifest.limits.max_sim_seconds, file)?;
-    let names = LeakedNames::from_manifest(manifest);
-    let fleet_name: &'static str = Box::leak(manifest.name.clone().into_boxed_str());
-
-    // A mix template's entry task gives its name to the template, so a
-    // device's template index maps straight to its boot task.
-    let entries: Vec<&'static str> = stanza
-        .mix
-        .iter()
-        .map(|(task, _)| {
-            let index = manifest
-                .tasks
-                .iter()
-                .position(|t| t.name == *task)
-                .expect("parser resolved mix references");
-            names.task(index)
-        })
-        .collect();
-    let spec = if stanza.mix.is_empty() {
-        FleetSpec::new(fleet_name, stanza.devices, horizon)
-    } else {
-        let templates = entries
-            .iter()
-            .zip(&stanza.mix)
-            .map(|(&name, (_, count))| TemplateSpec::new(name, *count))
-            .collect();
-        FleetSpec::mixed(fleet_name, horizon, templates)
-    }
-    .fleet_seed(run_seed)
-    .panel_jitter(stanza.panel_jitter_pct / 100.0)
-    .rate_jitter(stanza.rate_jitter_pct / 100.0)
-    .environment(env.clone());
-
-    // Surface build errors before fanning out: if the template compiles
-    // for one device it compiles for all (perturbations never add modes
-    // or annotations).
-    let probe = spec.device(0);
-    compile_with(
-        manifest,
-        &names,
-        Some(&DeviceTweak {
-            env: &env,
-            point: &probe,
-            entry: entries.get(probe.template).copied(),
-        }),
-    )?;
-
-    let report: FleetReport = run_fleet_on(&spec, workers, |point| {
-        let compiled = compile_with(
-            manifest,
-            &names,
-            Some(&DeviceTweak {
-                env: &env,
-                point,
-                entry: entries.get(point.template).copied(),
-            }),
-        )
-        .expect("the probe device compiled");
-        let mut sim = compiled.sim;
-        let _ = sim.run_limited(&compiled.limits);
+    let compiled = CompiledFleet::new(manifest, file)?;
+    let report: FleetReport = run_fleet_on(compiled.spec(), workers, |point| {
+        let CompiledScenario { mut sim, limits } = compiled.device(point);
+        let _ = sim.run_limited(&limits);
         let completions = (0..manifest.tasks.len())
             .map(|i| sim.ctx().completions(i))
             .collect();
@@ -469,7 +499,7 @@ fn run_fleet_manifest(
         failures: acc.failures,
         reboots: acc.reboots,
         delivered_energy: Joules::new(acc.delivered_nanojoules as f64 / 1e9),
-        end: horizon,
+        end: compiled.spec().horizon(),
         wall: Duration::ZERO,
     };
 
@@ -516,7 +546,7 @@ fn run_fleet_manifest(
                 ),
             },
             AssertionSpec::MinAvailability(min) => AssertionResult {
-                check: format!("min_availability = {}", crate::model::fmt_f64(*min)),
+                check: format!("min_availability = {}", Num(*min)),
                 passed: availability >= *min,
                 detail: format!(
                     "fleet was available {:.1}% of simulated device time",
@@ -556,7 +586,7 @@ fn run_fleet_manifest(
         name: manifest.name.clone(),
         file: file.to_string(),
         seed: manifest.seed,
-        run_seed,
+        run_seed: derive_seed(DEFAULT_BASE_SEED, manifest.seed),
         variant: manifest.variant.keyword(),
         outcome: "fleet",
         exit_code,

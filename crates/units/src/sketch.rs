@@ -1,7 +1,7 @@
 //! A mergeable streaming quantile sketch over integer microsecond
 //! values.
 //!
-//! Fleet-scale aggregation ([`capybara::fleet`] in the main crate) folds
+//! Fleet-scale aggregation (`capybara::fleet` in the main crate) folds
 //! millions of per-device latencies into one bounded structure per
 //! worker and merges the per-worker results. Two properties make that
 //! sound:

@@ -10,9 +10,12 @@
 use std::fs;
 use std::path::PathBuf;
 
+use capybara_suite::core::sim::SimEvent;
+use capybara_suite::fleet::{DeviceOutcome, FleetHarvester};
 use capybara_suite::manifest::{
-    parse_manifest, run_batch, run_manifest_on, validate_json, ManifestError, EXIT_ASSERT,
-    EXIT_LIMIT, EXIT_PASS, RESULT_SCHEMA,
+    compile, compile_with, parse_manifest, run_batch, run_manifest_on, validate_json,
+    CompiledFleet, CompiledScenario, DeviceTweak, LeakedNames, ManifestError, ManifestHarvester,
+    EXIT_ASSERT, EXIT_LIMIT, EXIT_PASS, RESULT_SCHEMA,
 };
 
 /// A scenario exercising nearly every grammar production: every
@@ -231,6 +234,111 @@ fn trace_fleet_artifact_identical_for_any_worker_count() {
             parallel.to_json().pretty(),
             "trace fleet artifact must be byte-identical on {workers} workers"
         );
+    }
+}
+
+/// Runs one compiled device to its limits and returns what a fleet
+/// keeps of it, plus the whole event log.
+fn run_device(device: CompiledScenario, tasks: usize) -> (DeviceOutcome, Vec<SimEvent>) {
+    let CompiledScenario { mut sim, limits } = device;
+    let _ = sim.run_limited(&limits);
+    let completions = (0..tasks).map(|i| sim.ctx().completions(i)).collect();
+    let outcome = DeviceOutcome::from_sim(&sim).with_task_completions(completions);
+    (outcome, sim.events().to_vec())
+}
+
+/// Every device of `text`'s fleet, stamped from one shared template in
+/// reverse index order, equals the same device compiled alone by
+/// `compile_with`: the events, the `DeviceOutcome` and the per-task
+/// completions, bit for bit.
+///
+/// The stamp itself is checked against its definition too, since
+/// `compile_with` stamps the same way: the device's harvester is the
+/// manifest's, wrapped for the device's panel scale, environment and
+/// placement, and its context carries the device's task-rate scale.
+fn assert_stamped_devices_match_compiled_alone(text: &str, label: &str) {
+    let manifest = parse_manifest(text).expect("parses");
+    let fleet = CompiledFleet::new(&manifest, label).expect("compiles");
+    let names = LeakedNames::from_manifest(&manifest);
+    let unstamped = compile(&manifest).expect("compiles").sim;
+    let mixed = manifest.fleet.as_ref().is_some_and(|f| !f.mix.is_empty());
+    let spec = fleet.spec();
+    for index in (0..spec.devices()).rev() {
+        let point = spec.device(index);
+        let case = format!("{label} device {index}");
+        let stamped = fleet.device(&point);
+        let harvester = ManifestHarvester::Fleet(Box::new(FleetHarvester::new(
+            unstamped.power().harvester().clone(),
+            point.panel_scale,
+            spec.env().clone(),
+            point.placement,
+        )));
+        assert!(
+            *stamped.sim.power().harvester() == harvester,
+            "{case}: harvester not stamped"
+        );
+        assert_eq!(
+            stamped.sim.ctx().rate_scale().to_bits(),
+            point.task_rate_scale.to_bits(),
+            "{case}: rate scale not stamped"
+        );
+
+        let tweak = DeviceTweak {
+            env: spec.env(),
+            point: &point,
+            entry: mixed.then(|| spec.templates()[point.template].name()),
+        };
+        let alone = compile_with(&manifest, &names, Some(&tweak)).expect("compiles alone");
+        let tasks = manifest.tasks.len();
+        let (stamped_outcome, stamped_events) = run_device(stamped, tasks);
+        let (alone_outcome, alone_events) = run_device(alone, tasks);
+        assert_eq!(stamped_events, alone_events, "{case}: events diverge");
+        assert_eq!(stamped_outcome, alone_outcome, "{case}: outcomes diverge");
+        assert_eq!(
+            stamped_outcome.summary.delivered_energy.get().to_bits(),
+            alone_outcome.summary.delivered_energy.get().to_bits(),
+            "{case}: delivered energy bits diverge"
+        );
+    }
+}
+
+/// `manifest`'s text with its `[assert]` section (the last one) replaced
+/// by a `[fleet]` stanza.
+fn spliced_fleet(manifest: &str, devices: u64) -> String {
+    let text = fs::read_to_string(repo_path(manifest)).expect("manifest reads");
+    let (head, _) = text.split_once("[assert]").expect("the manifest asserts");
+    format!(
+        "{head}[fleet]\ndevices = {devices}\npanel_jitter_pct = 20\nrate_jitter_pct = 30\n\
+         dips = 2\ndip_hold_s = 5\ndip_factor = 0.3\nshading = 0.2\n"
+    )
+}
+
+#[test]
+fn stamped_fleet_devices_equal_devices_compiled_alone() {
+    // One template, an eclipse and dips.
+    let path = repo_path("manifests/fleet_smoke.capy");
+    let text = fs::read_to_string(&path).expect("manifest reads");
+    assert_stamped_devices_match_compiled_alone(&text, &path.display().to_string());
+
+    // Two mix templates and a recorded trace, cut to 512 devices.
+    let path = repo_path("manifests/fleet_trace.capy");
+    let text = fs::read_to_string(&path)
+        .expect("manifest reads")
+        .replace("mix = sense:7168, relay:3072", "mix = sense:358, relay:154");
+    assert!(
+        text.contains("relay:154"),
+        "fleet_trace.capy changed its mix"
+    );
+    assert_stamped_devices_match_compiled_alone(&text, &path.display().to_string());
+
+    // Faults, EWMA state, degradation remaps, a square-wave harvester,
+    // harvest during operation, and `repeat`.
+    for manifest in [
+        "manifests/adaptive_faults.capy",
+        "manifests/temperature_alarm.capy",
+    ] {
+        let text = spliced_fleet(manifest, 24);
+        assert_stamped_devices_match_compiled_alone(&text, manifest);
     }
 }
 

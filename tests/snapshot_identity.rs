@@ -4,15 +4,20 @@
 //! *byte-for-byte* indistinguishable from an uninterrupted run: same
 //! event log, same run summary, same clocks, same final rail-voltage
 //! bits. These tests check that contract property-style — a seeded loop
-//! of snapshot points per scenario — after `inject_power_failure`, and
-//! with an armed `FaultPlan` whose faults strike after the snapshot.
+//! of snapshot points per scenario — on the TA mission under Capy-R and
+//! Capy-P and on every checked-in single-device manifest, after
+//! `inject_power_failure`, and with an armed `FaultPlan` whose faults
+//! strike after the snapshot.
 
+use std::fs;
+use std::path::Path;
 use std::time::Duration;
 
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
 use capybara_suite::apps::events::{fit_span, poisson_events};
 use capybara_suite::apps::ta;
+use capybara_suite::manifest::{compile, parse_manifest};
 use capybara_suite::power::harvester::Harvester;
 use capybara_suite::prelude::*;
 use capybara_suite::sweep::RunSummary;
@@ -86,15 +91,52 @@ where
     }
 }
 
-/// Snapshot identity on the plain TA mission.
+/// Snapshot identity on the plain TA mission, on Capy-R and on Capy-P,
+/// whose burst and pre-burst path the kill grid resumes from snapshots.
 #[test]
 fn snapshot_restore_is_bit_identical_on_ta() {
     let events = ta_events();
-    check_snapshot_identity(
-        || ta::build(Variant::CapyR, events.clone(), SEED),
-        SimTime::from_secs(300),
-        "ta",
-    );
+    for variant in [Variant::CapyR, Variant::CapyP] {
+        check_snapshot_identity(
+            || ta::build(variant, events.clone(), SEED),
+            SimTime::from_secs(300),
+            &format!("ta/{variant:?}"),
+        );
+    }
+}
+
+/// Snapshot identity on every checked-in single-device manifest, as
+/// `compile` builds it: the manifest context, policies, faults and
+/// harvesters all survive a snapshot.
+#[test]
+fn snapshot_restore_is_bit_identical_on_checked_in_manifests() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("manifests");
+    let mut paths: Vec<_> = fs::read_dir(&dir)
+        .expect("manifests/ reads")
+        .map(|entry| entry.expect("entry reads").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "capy"))
+        .collect();
+    paths.sort();
+    let mut checked = 0;
+    for path in paths {
+        let text = fs::read_to_string(&path).expect("manifest reads");
+        let manifest = parse_manifest(&text).expect("manifest parses");
+        if manifest.fleet.is_some() {
+            continue;
+        }
+        let horizon = compile(&manifest)
+            .expect("manifest compiles")
+            .limits
+            .max_sim
+            .expect("every manifest has a horizon");
+        check_snapshot_identity(
+            || compile(&manifest).expect("manifest compiles").sim,
+            horizon,
+            &path.display().to_string(),
+        );
+        checked += 1;
+    }
+    assert!(checked >= 3, "only {checked} single-device manifests found");
 }
 
 /// Snapshot identity when power failures are injected: the donor and
