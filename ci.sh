@@ -25,6 +25,33 @@ run() {
     "$@"
 }
 
+# Rust line counts, the size figures CHANGES.md reports: every .rs file
+# under crates/, src/, examples/ and tests/, per crate or top directory.
+# Test code is everything in a tests/ directory plus each file from its
+# first top-level #[cfg(test)] on. Informational only: no threshold.
+rust_lines() {
+    echo "==> rust lines (non-test / test)"
+    find crates src examples tests -name '*.rs' -not -path '*/target/*' | sort | awk '
+    {
+        file = $0
+        n = split(file, part, "/")
+        unit = (part[1] == "crates") ? part[1] "/" part[2] : part[1]
+        in_test = (file ~ /(^|\/)tests\//)
+        while ((getline line < file) > 0) {
+            if (!in_test && line ~ /^#\[cfg\(test\)\]/) in_test = 1
+            if (in_test) { test[unit]++; all_test++ } else { code[unit]++; all_code++ }
+            units[unit] = 1
+        }
+        close(file)
+    }
+    END {
+        for (u in units) printf "    %-20s %6d / %6d\n", u, code[u], test[u] | "sort"
+        close("sort")
+        printf "    %-20s %6d / %6d\n", "total", all_code, all_test
+    }'
+}
+rust_lines
+
 # The root manifest is both the facade package and the workspace, so
 # every step pins --workspace: without it cargo only covers the facade.
 run cargo build --release --workspace

@@ -26,7 +26,7 @@ use capy_units::{SimDuration, SimTime};
 use capybara::annotation::TaskEnergy;
 use capybara::mode::EnergyMode;
 use capybara::policy::ReconfigPolicy;
-use capybara::sim::{SimContext, SimEvent, Simulator, SimulatorBuilder};
+use capybara::sim::{SimContext, Simulator, SimulatorBuilder};
 use capybara::variant::Variant;
 
 use crate::env::PendulumRig;
@@ -94,8 +94,6 @@ pub struct CsrReport {
     pub horizon: SimTime,
     /// Execution statistics.
     pub exec: ExecStats,
-    /// The simulator's timeline.
-    pub sim_events: Vec<SimEvent>,
 }
 
 fn power_system(variant: Variant) -> PowerSystem<RegulatedSupply> {
@@ -256,7 +254,6 @@ pub fn run_for(variant: Variant, events: Vec<SimTime>, seed: u64, horizon: SimTi
         events,
         horizon,
         exec: sim.exec_stats(),
-        sim_events: sim.events().to_vec(),
     }
 }
 

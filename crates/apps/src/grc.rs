@@ -36,7 +36,7 @@ use capy_units::{SimDuration, SimTime};
 use capybara::annotation::TaskEnergy;
 use capybara::mode::EnergyMode;
 use capybara::policy::ReconfigPolicy;
-use capybara::sim::{SimContext, SimEvent, Simulator, SimulatorBuilder};
+use capybara::sim::{SimContext, Simulator, SimulatorBuilder};
 use capybara::variant::Variant;
 
 use crate::env::PendulumRig;
@@ -176,8 +176,6 @@ pub struct GrcReport {
     pub horizon: SimTime,
     /// Execution statistics.
     pub exec: ExecStats,
-    /// The simulator's timeline.
-    pub sim_events: Vec<SimEvent>,
 }
 
 impl GrcReport {
@@ -472,7 +470,6 @@ pub fn run_for(
         events,
         horizon,
         exec: sim.exec_stats(),
-        sim_events: sim.events().to_vec(),
     }
 }
 

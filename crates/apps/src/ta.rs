@@ -34,7 +34,7 @@ use capy_units::{SimDuration, SimTime};
 use capybara::annotation::TaskEnergy;
 use capybara::mode::EnergyMode;
 use capybara::policy::ReconfigPolicy;
-use capybara::sim::{SimContext, SimEvent, Simulator, SimulatorBuilder};
+use capybara::sim::{SimContext, Simulator, SimulatorBuilder};
 use capybara::variant::Variant;
 
 use crate::env::HeatsinkRig;
@@ -124,10 +124,6 @@ pub struct TaReport {
     pub horizon: SimTime,
     /// Execution statistics.
     pub exec: ExecStats,
-    /// The simulator's timeline (charges, failures, boots, …).
-    pub sim_events: Vec<SimEvent>,
-    /// Per-bank deep-cycle counts after the run (wear accounting, §5.2).
-    pub bank_cycles: Vec<(&'static str, u64)>,
 }
 
 /// Builds the TA power system for `variant`.
@@ -284,15 +280,6 @@ pub fn run(variant: Variant, events: Vec<SimTime>, seed: u64) -> TaReport {
 pub fn run_for(variant: Variant, events: Vec<SimTime>, seed: u64, horizon: SimTime) -> TaReport {
     let mut sim = build(variant, events.clone(), seed);
     sim.run_until(horizon);
-    let bank_cycles = (0..sim.power().bank_count())
-        .map(|i| {
-            let bank = sim
-                .power()
-                .bank(capy_power::bank::BankId(i))
-                .expect("index in range");
-            (bank.name(), bank.cycles())
-        })
-        .collect();
     let ctx = sim.ctx();
     TaReport {
         variant,
@@ -301,8 +288,6 @@ pub fn run_for(variant: Variant, events: Vec<SimTime>, seed: u64, horizon: SimTi
         events,
         horizon,
         exec: sim.exec_stats(),
-        sim_events: sim.events().to_vec(),
-        bank_cycles,
     }
 }
 

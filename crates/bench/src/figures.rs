@@ -9,6 +9,8 @@
 //! evaluation target. The bench binaries are thin printers over the
 //! rows these functions return.
 
+use std::time::Duration;
+
 use capy_apps::federated::FederatedGrc;
 use capy_apps::grc::{self, GrcVariant};
 use capy_apps::metrics::accuracy_fractions;
@@ -126,20 +128,20 @@ pub fn baseline_federated_sweep(
                 } else {
                     Variant::Fixed
                 };
-                let rep = grc::run_for(variant, GrcVariant::Fast, events.to_vec(), seed, horizon);
-                let acc = accuracy_fractions(&rep.classify());
-                let mut summary = RunSummary::from_events(&rep.sim_events);
-                summary.attempts = rep.exec.attempts;
-                summary.completions = rep.exec.completions;
-                summary.failures = rep.exec.failures;
-                summary.reboots = rep.exec.reboots;
-                summary.end = horizon;
+                let mut sim = grc::build(variant, GrcVariant::Fast, events.to_vec(), seed);
+                sim.run_until(horizon);
+                let ctx = sim.ctx();
+                let acc = accuracy_fractions(&grc::classify_run(
+                    events.len(),
+                    &ctx.packets,
+                    &ctx.attempts,
+                ));
                 let row = BaselineRow {
                     correct: acc.correct,
                     sampled: 1.0 - acc.missed,
                     mcu_work: None,
                 };
-                (summary, row)
+                (RunSummary::from_sim(&sim, Duration::ZERO), row)
             }
         }
     })

@@ -537,61 +537,20 @@ pub struct DevicePoint {
     pub task_rate_scale: f64,
 }
 
-/// One template of a fleet mix: a named device class with its own
-/// count and jitter amplitudes. The caller's device closure dispatches
-/// on [`DevicePoint::template`] to give each class its own mode table,
-/// tasks, and policy.
+/// One template of a fleet mix: a named device class and its count.
+/// The caller's device closure dispatches on [`DevicePoint::template`]
+/// to give each class its own mode table, tasks, and policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplateSpec {
     name: &'static str,
     count: u64,
-    panel_jitter: f64,
-    rate_jitter: f64,
 }
 
 impl TemplateSpec {
-    /// A template named `name` contributing `count` devices, with no
-    /// jitter.
+    /// A template named `name` contributing `count` devices.
     #[must_use]
     pub fn new(name: &'static str, count: u64) -> Self {
-        Self {
-            name,
-            count,
-            panel_jitter: 0.0,
-            rate_jitter: 0.0,
-        }
-    }
-
-    /// Sets this template's relative panel-scale jitter (`0.1` →
-    /// scales uniform in `[0.9, 1.1)`).
-    ///
-    /// # Panics
-    ///
-    /// When `jitter` is outside `[0, 1]`.
-    #[must_use]
-    pub fn panel_jitter(mut self, jitter: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&jitter),
-            "panel jitter {jitter} outside [0, 1]"
-        );
-        self.panel_jitter = jitter;
-        self
-    }
-
-    /// Sets this template's relative task-rate jitter (`0.1` → rate
-    /// scales uniform in `[0.9, 1.1)`).
-    ///
-    /// # Panics
-    ///
-    /// When `jitter` is outside `[0, 1]`.
-    #[must_use]
-    pub fn rate_jitter(mut self, jitter: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&jitter),
-            "rate jitter {jitter} outside [0, 1]"
-        );
-        self.rate_jitter = jitter;
-        self
+        Self { name, count }
     }
 
     /// The template's name.
@@ -619,6 +578,8 @@ pub struct FleetSpec {
     horizon: SimTime,
     env: SharedEnvironment,
     mix: Vec<TemplateSpec>,
+    panel_jitter: f64,
+    rate_jitter: f64,
 }
 
 impl FleetSpec {
@@ -644,6 +605,8 @@ impl FleetSpec {
             horizon,
             env: SharedEnvironment::steady(),
             mix: templates,
+            panel_jitter: 0.0,
+            rate_jitter: 0.0,
         }
     }
 
@@ -654,36 +617,35 @@ impl FleetSpec {
         self
     }
 
-    /// Sets the relative panel-scale jitter of **every** template (the
-    /// homogeneous-fleet convenience; build the [`TemplateSpec`]s
-    /// directly for per-template amplitudes).
+    /// Sets the fleet's relative panel-scale jitter (`0.1` → scales
+    /// uniform in `[0.9, 1.1)`).
     ///
     /// # Panics
     ///
     /// When `jitter` is outside `[0, 1]`.
     #[must_use]
     pub fn panel_jitter(mut self, jitter: f64) -> Self {
-        self.mix = self
-            .mix
-            .into_iter()
-            .map(|t| t.panel_jitter(jitter))
-            .collect();
+        assert!(
+            (0.0..=1.0).contains(&jitter),
+            "panel jitter {jitter} outside [0, 1]"
+        );
+        self.panel_jitter = jitter;
         self
     }
 
-    /// Sets the relative task-rate jitter of **every** template (see
-    /// [`Self::panel_jitter`]).
+    /// Sets the fleet's relative task-rate jitter (`0.1` → rate scales
+    /// uniform in `[0.9, 1.1)`).
     ///
     /// # Panics
     ///
     /// When `jitter` is outside `[0, 1]`.
     #[must_use]
     pub fn rate_jitter(mut self, jitter: f64) -> Self {
-        self.mix = self
-            .mix
-            .into_iter()
-            .map(|t| t.rate_jitter(jitter))
-            .collect();
+        assert!(
+            (0.0..=1.0).contains(&jitter),
+            "rate jitter {jitter} outside [0, 1]"
+        );
+        self.rate_jitter = jitter;
         self
     }
 
@@ -757,20 +719,19 @@ impl FleetSpec {
     }
 
     /// Derives device `index` — a pure function of
-    /// `(fleet_seed, index)` plus the owning template's jitter
-    /// amplitudes; independent of the fleet's total size, horizon, and
-    /// name, so growing a fleet (or appending templates) never
-    /// reshuffles the devices already in it.
+    /// `(fleet_seed, index)` plus the fleet's jitter amplitudes;
+    /// independent of the fleet's total size, horizon, and name, so
+    /// growing a fleet (or appending templates) never reshuffles the
+    /// devices already in it.
     #[must_use]
     pub fn device(&self, index: u64) -> DevicePoint {
         let template = self.template_of(index);
-        let t = &self.mix[template];
         let seed = derive_seed(self.fleet_seed, index);
         let mut rng = DetRng::seed_from_u64(seed);
         // Draw order is part of the protocol: placement, panel, rate.
         let placement = rng.gen_f64();
-        let panel_scale = 1.0 + t.panel_jitter * (2.0 * rng.gen_f64() - 1.0);
-        let task_rate_scale = 1.0 + t.rate_jitter * (2.0 * rng.gen_f64() - 1.0);
+        let panel_scale = 1.0 + self.panel_jitter * (2.0 * rng.gen_f64() - 1.0);
+        let task_rate_scale = 1.0 + self.rate_jitter * (2.0 * rng.gen_f64() - 1.0);
         DevicePoint {
             index,
             seed,
@@ -823,17 +784,10 @@ impl DeviceOutcome {
         let mut latencies = Vec::new();
         let mut death = None;
         for e in sim.events() {
-            match e {
-                SimEvent::Charge {
-                    start,
-                    end,
-                    precharge: false,
-                    ..
-                } => latencies.push(*end - *start),
-                SimEvent::BankFailed { at, .. } | SimEvent::Stalled { at } if death.is_none() => {
-                    death = Some(*at);
-                }
-                _ => {}
+            if let Some(pause) = e.on_path_pause() {
+                latencies.push(pause);
+            } else if let SimEvent::BankFailed { at, .. } | SimEvent::Stalled { at } = e {
+                death = death.or(Some(*at));
             }
         }
         Self {
@@ -1797,11 +1751,12 @@ mod tests {
             "mixed",
             SimTime::from_secs(60),
             vec![
-                TemplateSpec::new("sensor", 3).panel_jitter(0.2),
-                TemplateSpec::new("relay", 2).rate_jitter(0.1),
+                TemplateSpec::new("sensor", 3),
+                TemplateSpec::new("relay", 2),
             ],
         )
-        .fleet_seed(42);
+        .fleet_seed(42)
+        .panel_jitter(0.2);
         assert_eq!(spec.devices(), 5);
         assert_eq!(spec.templates().len(), 2);
         for i in 0..3 {
@@ -1810,22 +1765,23 @@ mod tests {
         for i in 3..5 {
             assert_eq!(spec.device(i).template, 1);
         }
-        // Template 0 has panel jitter only; template 1 rate jitter only.
-        let sensor = spec.device(1);
-        let relay = spec.device(4);
-        assert_eq!(sensor.task_rate_scale, 1.0);
-        assert_eq!(relay.panel_scale, 1.0);
+        // The fleet has panel jitter only, and every template draws it.
+        for i in [1, 4] {
+            assert_ne!(spec.device(i).panel_scale, 1.0);
+            assert_eq!(spec.device(i).task_rate_scale, 1.0);
+        }
         // Appending a template never reshuffles existing devices.
         let grown = FleetSpec::mixed(
             "mixed-grown",
             SimTime::from_secs(600),
             vec![
-                TemplateSpec::new("sensor", 3).panel_jitter(0.2),
-                TemplateSpec::new("relay", 2).rate_jitter(0.1),
+                TemplateSpec::new("sensor", 3),
+                TemplateSpec::new("relay", 2),
                 TemplateSpec::new("camera", 100),
             ],
         )
-        .fleet_seed(42);
+        .fleet_seed(42)
+        .panel_jitter(0.2);
         for i in 0..5 {
             assert_eq!(spec.device(i), grown.device(i));
         }

@@ -10,15 +10,17 @@
 //! single static configuration across environments.
 //!
 //! A [`ReconfigPolicy`] observes the runtime at every task boundary of an
-//! intermittent variant ([`PolicyObservation`]: the recorded [`SimEvent`]
-//! backlog, the persistent [`RuntimeState`], and on request the charge
-//! level and harvest power) and may override the task's static annotation
-//! before the planner runs. The three power readings —
+//! intermittent variant ([`PolicyObservation`]: the on-path charge pauses
+//! that ended since its last decision, the persistent [`RuntimeState`],
+//! and on request the charge level and harvest power) and may override
+//! the task's static annotation before the planner runs. The pauses and
+//! the three power readings — [`PolicyObservation::charge_pauses`],
 //! [`PolicyObservation::rail_voltage`],
 //! [`PolicyObservation::full_voltage`] and
 //! [`PolicyObservation::harvest_power`] — are methods computed when a
 //! policy calls them, so a policy that reads none of them (the default
-//! [`StaticAnnotation`] among them) adds no power-system work to a step.
+//! [`StaticAnnotation`] among them) adds no work to a step. The
+//! simulator keeps the event log as its output; no policy reads it.
 //! Policy-internal state lives in non-volatile cells
 //! ([`NvVar`]) with the same commit/abort discipline as application
 //! state: the simulator commits the policy immediately after a decision
@@ -105,9 +107,9 @@ pub struct PolicyObservation<'a> {
     pub needs_charge: bool,
     /// The runtime's persistent state (current mode, pre-charge flags).
     pub state: &'a RuntimeState,
-    /// The full recorded timeline so far — the event backlog. Policies
-    /// keep a non-volatile cursor into it rather than re-scanning.
-    pub events: &'a [SimEvent],
+    /// The events recorded since the last committed decision, which
+    /// [`Self::charge_pauses`] reads.
+    pub(crate) since_decision: &'a [SimEvent],
     /// The power system the readings come from.
     pub(crate) rail: &'a dyn RailProbe,
     /// Number of registered energy modes.
@@ -120,6 +122,15 @@ pub struct PolicyObservation<'a> {
 }
 
 impl PolicyObservation<'_> {
+    /// The on-path charge pauses ([`SimEvent::on_path_pause`]) that ended
+    /// since the last committed decision, oldest first. Burst pre-charges
+    /// are off the critical path and not offered.
+    pub fn charge_pauses(&self) -> impl Iterator<Item = SimDuration> + '_ {
+        self.since_decision
+            .iter()
+            .filter_map(SimEvent::on_path_pause)
+    }
+
     /// Rail voltage right now (the charge level).
     #[must_use]
     pub fn rail_voltage(&self) -> Volts {
@@ -147,7 +158,7 @@ impl fmt::Debug for PolicyObservation<'_> {
             .field("task", &self.task)
             .field("needs_charge", &self.needs_charge)
             .field("state", &self.state)
-            .field("events", &self.events)
+            .field("charge_pauses", &self.charge_pauses().collect::<Vec<_>>())
             .field("mode_count", &self.mode_count)
             .field("failed_banks", &self.failed_banks)
             .finish_non_exhaustive()
@@ -281,23 +292,25 @@ impl ReconfigPolicy for Pinned {
 /// Sheds capacity when on-path charges run long, regrows it after a
 /// streak of fast charges.
 ///
-/// The policy watches the event backlog for completed on-path `Charge`
-/// pauses. A pause longer than the timeout is a *charge-timeout miss*:
-/// the configured buffer is too large for current conditions, so the
-/// policy steps one tier down the mode ladder. A run of
-/// `recover_after` consecutive within-timeout charges steps one tier
-/// back up. Tier, streak, and the backlog cursor are non-volatile.
+/// At each decision the policy reads the on-path charge pauses that
+/// ended since its last one ([`PolicyObservation::charge_pauses`]). A
+/// pause longer than the timeout is a *charge-timeout miss*: the
+/// configured buffer is too large for current conditions, so the policy
+/// steps one tier down the mode ladder. A run of 8 consecutive
+/// within-timeout charges steps one tier back up. Tier and streak are
+/// non-volatile.
 #[derive(Debug, Clone)]
 pub struct ReactiveDownsize {
     ladder: Vec<EnergyMode>,
     timeout: SimDuration,
-    recover_after: u32,
     tier: NvVar<usize>,
     fast_streak: NvVar<u32>,
-    seen: NvVar<usize>,
 }
 
 impl ReactiveDownsize {
+    /// Consecutive fast charges that regrow one tier.
+    const RECOVER_AFTER: u32 = 8;
+
     /// A policy over `ladder` (smallest mode first) that sheds a tier
     /// whenever an on-path charge exceeds `timeout`. Starts at the top
     /// tier and regrows after 8 consecutive fast charges.
@@ -315,18 +328,9 @@ impl ReactiveDownsize {
         Self {
             ladder,
             timeout,
-            recover_after: 8,
             tier: NvVar::new(top),
             fast_streak: NvVar::new(0),
-            seen: NvVar::new(0),
         }
-    }
-
-    /// Overrides how many consecutive fast charges regrow one tier.
-    #[must_use]
-    pub fn with_recovery(mut self, charges: u32) -> Self {
-        self.recover_after = charges.max(1);
-        self
     }
 
     /// The committed tier index (0 = smallest).
@@ -344,43 +348,31 @@ impl ReconfigPolicy for ReactiveDownsize {
     fn decide(&mut self, obs: &PolicyObservation<'_>, annotation: TaskEnergy) -> TaskEnergy {
         let mut tier = self.tier.get();
         let mut streak = self.fast_streak.get();
-        let seen = self.seen.get().min(obs.events.len());
-        for e in &obs.events[seen..] {
-            if let SimEvent::Charge {
-                start,
-                end,
-                precharge: false,
-                ..
-            } = e
-            {
-                if *end - *start > self.timeout {
-                    tier = tier.saturating_sub(1);
+        for pause in obs.charge_pauses() {
+            if pause > self.timeout {
+                tier = tier.saturating_sub(1);
+                streak = 0;
+            } else {
+                streak += 1;
+                if streak >= Self::RECOVER_AFTER {
+                    tier = (tier + 1).min(self.ladder.len() - 1);
                     streak = 0;
-                } else {
-                    streak += 1;
-                    if streak >= self.recover_after {
-                        tier = (tier + 1).min(self.ladder.len() - 1);
-                        streak = 0;
-                    }
                 }
             }
         }
         self.tier.set(tier);
         self.fast_streak.set(streak);
-        self.seen.set(obs.events.len());
         override_capacity(annotation, self.ladder[tier])
     }
 
     fn commit(&mut self) {
         self.tier.commit();
         self.fast_streak.commit();
-        self.seen.commit();
     }
 
     fn abort(&mut self) {
         self.tier.abort();
         self.fast_streak.abort();
-        self.seen.abort();
     }
 
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
@@ -1040,7 +1032,7 @@ mod tests {
 
     fn obs<'a>(
         state: &'a RuntimeState,
-        events: &'a [SimEvent],
+        since_decision: &'a [SimEvent],
         rail: &'a FixedRail,
     ) -> PolicyObservation<'a> {
         PolicyObservation {
@@ -1048,7 +1040,7 @@ mod tests {
             task: TaskId(0),
             needs_charge: false,
             state,
-            events,
+            since_decision,
             rail,
             mode_count: 2,
             failed_banks: state.failed_banks().len(),
@@ -1113,8 +1105,7 @@ mod tests {
     #[test]
     fn reactive_downsizes_on_slow_charge_and_recovers() {
         let state = RuntimeState::new(2);
-        let mut p =
-            ReactiveDownsize::new(vec![M0, M1], SimDuration::from_secs(10)).with_recovery(2);
+        let mut p = ReactiveDownsize::new(vec![M0, M1], SimDuration::from_secs(10));
         assert_eq!(p.tier(), 1, "starts at the top tier");
 
         // A slow on-path charge sheds a tier.
@@ -1124,13 +1115,14 @@ mod tests {
         assert_eq!(d, TaskEnergy::Config(M0));
         assert_eq!(p.tier(), 0);
 
-        // Two fast charges regrow it.
-        let events = [
-            charge_event(0, 60),
-            charge_event(61, 62),
-            charge_event(63, 64),
-        ];
-        let d = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
+        // Seven fast charges hold the tier; the eighth regrows it.
+        let fast: Vec<SimEvent> = (0..8)
+            .map(|i| charge_event(61 + 2 * i, 62 + 2 * i))
+            .collect();
+        let d = p.decide(&obs(&state, &fast[..7], &WEAK), TaskEnergy::Config(M1));
+        p.commit();
+        assert_eq!(d, TaskEnergy::Config(M0));
+        let d = p.decide(&obs(&state, &fast[7..], &WEAK), TaskEnergy::Config(M1));
         p.commit();
         assert_eq!(d, TaskEnergy::Config(M1));
         assert_eq!(p.tier(), 1);

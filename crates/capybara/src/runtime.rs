@@ -32,6 +32,11 @@ pub enum Step {
     ChargeCurrent,
 }
 
+/// Pre-charge ceiling deficit: the switch circuit "can pre-charge a bank
+/// only to a strictly lower voltage than it can charge a bank to (by
+/// approximately 0.3 V)" (§6.4).
+pub const PRECHARGE_DEFICIT: Volts = Volts::new(0.3);
+
 /// Persistent (conceptually non-volatile) runtime state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeState {
@@ -40,10 +45,6 @@ pub struct RuntimeState {
     current: Option<EnergyMode>,
     /// Which modes hold a pre-charged burst.
     precharged: Vec<bool>,
-    /// Pre-charge ceiling deficit: the switch circuit "can pre-charge a
-    /// bank only to a strictly lower voltage than it can charge a bank to
-    /// (by approximately 0.3 V)" (§6.4).
-    precharge_deficit: Volts,
     /// Banks the degradation self-test has taken out of service, in
     /// ascending order. Non-volatile: a failed bank stays failed across
     /// reboots and long outages.
@@ -57,20 +58,8 @@ impl RuntimeState {
         Self {
             current: None,
             precharged: vec![false; mode_count],
-            precharge_deficit: Volts::new(0.3),
             failed: Vec::new(),
         }
-    }
-
-    /// Overrides the pre-charge ceiling deficit (for ablation studies).
-    pub fn set_precharge_deficit(&mut self, deficit: Volts) {
-        self.precharge_deficit = deficit;
-    }
-
-    /// The pre-charge ceiling deficit.
-    #[must_use]
-    pub fn precharge_deficit(&self) -> Volts {
-        self.precharge_deficit
     }
 
     /// The currently configured mode.

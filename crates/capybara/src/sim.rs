@@ -35,7 +35,7 @@ use capy_units::{Joules, SimDuration, SimTime, Volts};
 use crate::annotation::TaskEnergy;
 use crate::mode::{EnergyMode, ModeTable};
 use crate::policy::{PolicyObservation, ReconfigPolicy, StaticAnnotation};
-use crate::runtime::{plan, validate_annotations, RuntimeState, Step};
+use crate::runtime::{plan, validate_annotations, RuntimeState, Step, PRECHARGE_DEFICIT};
 use crate::variant::Variant;
 
 /// Application context requirements: non-volatile commit/abort plus clock
@@ -132,6 +132,22 @@ impl SimEvent {
             | Self::BankFailed { at, .. }
             | Self::ModeRemapped { at, .. } => *at,
             Self::Charge { end, .. } => *end,
+        }
+    }
+
+    /// How long the device waited out an on-path charge pause: `Some`
+    /// for a [`SimEvent::Charge`] that was not a burst pre-charge,
+    /// `None` for every other event.
+    #[must_use]
+    pub fn on_path_pause(&self) -> Option<SimDuration> {
+        match self {
+            Self::Charge {
+                start,
+                end,
+                precharge: false,
+                ..
+            } => Some(*end - *start),
+            _ => None,
         }
     }
 }
@@ -366,6 +382,10 @@ const DEGRADATION_CAPACITANCE_FLOOR: f64 = 0.5;
 /// reconfiguration (paid at active power).
 const RECONFIG_OVERHEAD: SimDuration = SimDuration::from_micros(500);
 
+/// Events a run's log has room for before its first push: even short
+/// runs log boots, charges and reconfigurations every cycle.
+const EVENT_LOG_PRESIZE: usize = 256;
+
 /// A task's load model: given the context and MCU, the phases the task
 /// draws.
 type LoadFn<C> = Box<dyn Fn(&C, &Mcu) -> TaskLoad + Send + Sync>;
@@ -403,6 +423,9 @@ struct State<H, C> {
     stalled: bool,
     consecutive_failures: u32,
     events: Vec<SimEvent>,
+    /// The log length when the last policy decision committed: the
+    /// observation offers the policy only the events after it.
+    decided_at: usize,
     trace: Option<Vec<(SimTime, Volts)>>,
     degradation: bool,
     /// The reconfiguration policy consulted at every task boundary.
@@ -555,11 +578,6 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         &self.state.runtime
     }
 
-    /// Mutable runtime state (for ablations, e.g. the pre-charge deficit).
-    pub fn runtime_state_mut(&mut self) -> &mut RuntimeState {
-        &mut self.state.runtime
-    }
-
     /// The mode table.
     #[must_use]
     pub fn modes(&self) -> &ModeTable {
@@ -688,6 +706,11 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 /// state, against the program `p`.
 impl<H: Harvester, C: SimContext> State<H, C> {
     fn run_limited(&mut self, p: &Program<C>, limits: &RunLimits) -> RunOutcome {
+        // A built device and one stamped from a template's empty log both
+        // start here with no room, so both get the same pre-size.
+        if self.events.capacity() == 0 {
+            self.events.reserve_exact(EVENT_LOG_PRESIZE);
+        }
         let watchdog = limits.no_progress_steps.unwrap_or(STALL_STEP_BUDGET);
         let mut no_advance: u64 = 0;
         let mut steps: u64 = 0;
@@ -885,7 +908,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         let from = self.power.rail_voltage(self.now);
         let mut target = self.power.full_voltage(self.now);
         if precharge {
-            target = (target - self.runtime.precharge_deficit()).max(Volts::ZERO);
+            target = (target - PRECHARGE_DEFICIT).max(Volts::ZERO);
         }
         match self.power.charge_until(target, &mut self.now) {
             Ok(ChargeOutcome::Reached(_)) => {
@@ -976,10 +999,11 @@ impl<H: Harvester, C: SimContext> State<H, C> {
     }
 
     /// Consults the reconfiguration policy at the task boundary: the
-    /// policy sees the runtime state and event backlog and may override
-    /// the static annotation. The decision point is commit-equivalent
-    /// (like [`RuntimeState`] mutations), so the policy's non-volatile
-    /// state commits as soon as the decision is taken.
+    /// policy sees the runtime state and the charge pauses since its last
+    /// decision and may override the static annotation. The decision
+    /// point is commit-equivalent (like [`RuntimeState`] mutations), so
+    /// the policy's non-volatile state commits as soon as the decision is
+    /// taken, and the next observation starts from here.
     fn decide_energy(&mut self, task: TaskId, annotation: TaskEnergy) -> TaskEnergy {
         // The observation borrows the fields the policy reads, disjoint
         // from the policy itself; the power readings are computed only if
@@ -989,13 +1013,14 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             task,
             needs_charge: self.needs_charge,
             state: &self.runtime,
-            events: &self.events,
+            since_decision: &self.events[self.decided_at..],
             rail: &self.power,
             mode_count: self.modes.len(),
             failed_banks: self.runtime.failed_banks().len(),
         };
         let decided = self.policy.decide(&obs, annotation);
         self.policy.commit();
+        self.decided_at = self.events.len();
         for mode in [decided.exec_mode(), decided.precharge_mode()]
             .into_iter()
             .flatten()
@@ -1319,10 +1344,8 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
                 needs_charge: true,
                 stalled: false,
                 consecutive_failures: 0,
-                // Pre-size the event log: even short runs log boots,
-                // charges, and reconfigurations every cycle, so the first
-                // few hundred pushes should never reallocate mid-step.
-                events: Vec::with_capacity(256),
+                events: Vec::new(),
+                decided_at: 0,
                 trace: self.record_trace.then(Vec::new),
                 degradation: self.degradation,
                 policy: self.policy.unwrap_or_else(|| Box::new(StaticAnnotation)),
@@ -2148,14 +2171,6 @@ mod tests {
             second * 2 < first,
             "dim phase {second} should complete far less than bright {first}"
         );
-    }
-
-    #[test]
-    fn precharge_deficit_is_tunable() {
-        let mut sim = sampling_sim(Variant::CapyP);
-        sim.runtime_state_mut()
-            .set_precharge_deficit(Volts::new(0.0));
-        assert_eq!(sim.runtime_state().precharge_deficit(), Volts::new(0.0));
     }
 
     #[test]

@@ -276,7 +276,8 @@ pub fn compile_with(
     names: &LeakedNames,
     tweak: Option<&DeviceTweak<'_>>,
 ) -> Result<CompiledScenario, ManifestError> {
-    let mut compiled = template(manifest, names, tweak.and_then(|t| t.entry))?;
+    let entry = tweak.and_then(|t| t.entry);
+    let mut compiled = template(manifest, names, entry, policy(manifest)?)?;
     if let Some(t) = tweak {
         stamp(&mut compiled.sim, t.env, t.point);
     }
@@ -301,13 +302,66 @@ pub(crate) fn stamp(
     sim.ctx_mut().rate_scale = point.task_rate_scale;
 }
 
-/// Compiles the device-independent part of `manifest`, booting into
-/// `entry` (the first task when `None`): everything except a fleet
-/// device's [`stamp`]. Faults and the startup margin are armed here.
+fn mode_id(manifest: &ScenarioManifest, name: &str) -> EnergyMode {
+    EnergyMode(
+        manifest
+            .modes
+            .iter()
+            .position(|m| m.name == name)
+            .expect("parser resolved mode references"),
+    )
+}
+
+/// The reconfiguration policy `manifest` declares.
+///
+/// # Errors
+///
+/// Returns [`ManifestError::Build`] when `ewma` thresholds do not
+/// strictly ascend.
+pub(crate) fn policy(
+    manifest: &ScenarioManifest,
+) -> Result<Box<dyn ReconfigPolicy>, ManifestError> {
+    let tiers = |ladder: &[String]| ladder.iter().map(|m| mode_id(manifest, m)).collect();
+    Ok(match &manifest.policy {
+        PolicySpec::Static => Box::new(StaticAnnotation),
+        PolicySpec::Pinned { mode } => Box::new(Pinned::new(mode_id(manifest, mode))),
+        PolicySpec::Reactive { ladder, timeout_ms } => Box::new(ReactiveDownsize::new(
+            tiers(ladder),
+            duration_ms(*timeout_ms),
+        )),
+        PolicySpec::Ewma {
+            ladder,
+            thresholds_mw,
+            alpha,
+        } => {
+            // EwmaAdaptive::new panics on non-ascending thresholds;
+            // report that as a manifest problem instead.
+            if !thresholds_mw.windows(2).all(|w| w[0] < w[1]) {
+                return Err(ManifestError::Build {
+                    message: "ewma thresholds_mw must strictly ascend".to_string(),
+                });
+            }
+            Box::new(EwmaAdaptive::new(
+                tiers(ladder),
+                thresholds_mw
+                    .iter()
+                    .map(|t| Watts::from_milli(*t))
+                    .collect(),
+                *alpha,
+            ))
+        }
+    })
+}
+
+/// Compiles the device-independent part of `manifest` around `policy`,
+/// booting into `entry` (the first task when `None`): everything except
+/// a fleet device's [`stamp`]. Faults and the startup margin are armed
+/// here.
 pub(crate) fn template(
     manifest: &ScenarioManifest,
     names: &LeakedNames,
     entry: Option<&'static str>,
+    policy: Box<dyn ReconfigPolicy>,
 ) -> Result<CompiledScenario, ManifestError> {
     let bank_id = |name: &str| -> BankId {
         BankId(
@@ -316,15 +370,6 @@ pub(crate) fn template(
                 .iter()
                 .position(|b| b.name == name)
                 .expect("parser resolved bank references"),
-        )
-    };
-    let mode_id = |name: &str| -> EnergyMode {
-        EnergyMode(
-            manifest
-                .modes
-                .iter()
-                .position(|m| m.name == name)
-                .expect("parser resolved mode references"),
         )
     };
     let task_id = |name: &str| -> TaskId {
@@ -363,11 +408,11 @@ pub(crate) fn template(
     for (index, task) in manifest.tasks.iter().enumerate() {
         let energy = match &task.energy {
             EnergySpec::Unannotated => TaskEnergy::Unannotated,
-            EnergySpec::Config(m) => TaskEnergy::Config(mode_id(m)),
-            EnergySpec::Burst(m) => TaskEnergy::Burst(mode_id(m)),
+            EnergySpec::Config(m) => TaskEnergy::Config(mode_id(manifest, m)),
+            EnergySpec::Burst(m) => TaskEnergy::Burst(mode_id(manifest, m)),
             EnergySpec::Preburst { burst, exec } => TaskEnergy::Preburst {
-                burst: mode_id(burst),
-                exec: mode_id(exec),
+                burst: mode_id(manifest, burst),
+                exec: mode_id(manifest, exec),
             },
         };
         let compute = duration_ms(task.compute_ms);
@@ -409,36 +454,6 @@ pub(crate) fn template(
     if let Some(entry) = entry {
         builder = builder.entry(entry);
     }
-
-    let policy: Box<dyn ReconfigPolicy> = match &manifest.policy {
-        PolicySpec::Static => Box::new(StaticAnnotation),
-        PolicySpec::Pinned { mode } => Box::new(Pinned::new(mode_id(mode))),
-        PolicySpec::Reactive { ladder, timeout_ms } => Box::new(ReactiveDownsize::new(
-            ladder.iter().map(|m| mode_id(m)).collect(),
-            duration_ms(*timeout_ms),
-        )),
-        PolicySpec::Ewma {
-            ladder,
-            thresholds_mw,
-            alpha,
-        } => {
-            // EwmaAdaptive::new panics on non-ascending thresholds;
-            // report that as a manifest problem instead.
-            if !thresholds_mw.windows(2).all(|w| w[0] < w[1]) {
-                return Err(ManifestError::Build {
-                    message: "ewma thresholds_mw must strictly ascend".to_string(),
-                });
-            }
-            Box::new(EwmaAdaptive::new(
-                ladder.iter().map(|m| mode_id(m)).collect(),
-                thresholds_mw
-                    .iter()
-                    .map(|t| Watts::from_milli(*t))
-                    .collect(),
-                *alpha,
-            ))
-        }
-    };
 
     let mut sim = builder
         .policy(policy)
@@ -484,4 +499,137 @@ pub(crate) fn template(
     };
 
     Ok(CompiledScenario { sim, limits })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use capy_apps::adaptive::{reactive_policy, TrackerScenario};
+    use capy_apps::ta;
+    use capybara::policy::PolicyObservation;
+    use capybara::sim::SimEvent;
+    use capybara::Variant;
+
+    use super::*;
+    use crate::parse::parse_manifest;
+
+    /// The pauses each decision was offered, with the decision instant.
+    type Offers = Arc<Mutex<Vec<(SimTime, Vec<SimDuration>)>>>;
+
+    /// Wraps a policy and records the charge pauses every observation
+    /// offers it; the decisions are the wrapped policy's.
+    struct PauseProbe {
+        inner: Box<dyn ReconfigPolicy>,
+        offers: Offers,
+    }
+
+    impl PauseProbe {
+        fn wrap(inner: Box<dyn ReconfigPolicy>) -> (Box<dyn ReconfigPolicy>, Offers) {
+            let offers = Offers::default();
+            let probe = Self {
+                inner,
+                offers: Arc::clone(&offers),
+            };
+            (Box::new(probe), offers)
+        }
+    }
+
+    impl ReconfigPolicy for PauseProbe {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn decide(&mut self, obs: &PolicyObservation<'_>, annotation: TaskEnergy) -> TaskEnergy {
+            let pauses = obs.charge_pauses().collect();
+            self.offers.lock().unwrap().push((obs.now, pauses));
+            self.inner.decide(obs, annotation)
+        }
+        fn commit(&mut self) {
+            self.inner.commit();
+        }
+        fn abort(&mut self) {
+            self.inner.abort();
+        }
+        fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
+            Box::new(Self {
+                inner: self.inner.clone_box(),
+                offers: Arc::clone(&self.offers),
+            })
+        }
+    }
+
+    /// The offered pauses, concatenated, are the log's on-path charge
+    /// pauses in order, apart from those that ended after the last
+    /// decision; each was offered no earlier than it ended.
+    fn assert_offers_match_log(label: &str, offers: &Offers, log: &[SimEvent]) {
+        let on_path: Vec<(SimDuration, SimTime)> = log
+            .iter()
+            .filter_map(|e| match *e {
+                SimEvent::Charge {
+                    start,
+                    end,
+                    precharge: false,
+                    ..
+                } => Some((end - start, end)),
+                _ => None,
+            })
+            .collect();
+        let offers = offers.lock().unwrap();
+        let mut next = 0;
+        for (now, pauses) in offers.iter() {
+            for &pause in pauses {
+                let Some(&(want, end)) = on_path.get(next) else {
+                    panic!("{label}: pause {next} offered at {now} is not on the log");
+                };
+                assert_eq!(pause, want, "{label}: pause {next} offered at {now}");
+                assert!(
+                    end <= *now,
+                    "{label}: pause {next} ends at {end}, after {now}"
+                );
+                next += 1;
+            }
+        }
+        let last = offers.last().map(|&(now, _)| now).expect("decisions ran");
+        for (i, &(_, end)) in on_path.iter().enumerate().skip(next) {
+            assert!(
+                end >= last,
+                "{label}: pause {i} ended at {end} but was never offered"
+            );
+        }
+        assert!(next > 1, "{label}: too few pauses were offered ({next})");
+    }
+
+    #[test]
+    fn observation_offers_each_on_path_pause_once_after_it_ends() {
+        let alarms: Vec<SimTime> = (1..=4).map(|i| SimTime::from_secs(i * 140)).collect();
+        for variant in [Variant::CapyR, Variant::CapyP] {
+            let (probe, offers) = PauseProbe::wrap(Box::new(StaticAnnotation));
+            let mut sim = ta::build_with_policy(variant, alarms.clone(), 7, probe);
+            sim.run_until(SimTime::from_secs(600));
+            assert_offers_match_log(&format!("TA {variant:?}"), &offers, sim.events());
+        }
+
+        let tracker = TrackerScenario::benchmark(3);
+        let (probe, offers) = PauseProbe::wrap(Box::new(reactive_policy()));
+        let sim = tracker.run(probe);
+        assert_offers_match_log("tracker", &offers, sim.events());
+
+        // adaptive_faults runs the degradation self-test, so one step can
+        // recharge more than once.
+        for file in ["quickstart", "adaptive_faults"] {
+            let path = format!("{}/../../manifests/{file}.capy", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(path).expect("manifest reads");
+            let manifest = parse_manifest(&text).expect("manifest parses");
+            let names = LeakedNames::from_manifest(&manifest);
+            let (probe, offers) = PauseProbe::wrap(policy(&manifest).expect("policy builds"));
+            let CompiledScenario { mut sim, limits } =
+                template(&manifest, &names, None, probe).expect("compiles");
+            sim.run_limited(&limits);
+            assert_offers_match_log(file, &offers, sim.events());
+            // The probe only watches: the run is the manifest's own.
+            let mut plain = compile(&manifest).expect("compiles");
+            plain.sim.run_limited(&plain.limits);
+            assert_eq!(sim.events(), plain.sim.events(), "{file}");
+        }
+    }
 }

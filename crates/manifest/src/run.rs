@@ -24,10 +24,10 @@ use capybara::fleet::{
     parse_harvest_trace, run_fleet_on, DeviceOutcome, DevicePoint, FleetReport, FleetSpec,
     SharedEnvironment, TemplateSpec, SURVIVAL_BUCKETS,
 };
-use capybara::sim::{RunOutcome, SimEvent};
+use capybara::sim::RunOutcome;
 use capybara::sweep::{map_on, RunSummary, DEFAULT_BASE_SEED};
 
-use crate::compile::{compile, stamp, template, CompiledScenario, LeakedNames};
+use crate::compile::{compile, policy, stamp, template, CompiledScenario, LeakedNames};
 use crate::json::JsonValue;
 use crate::model::{AssertionSpec, EventKind, FleetStanza, Keyword, Num, ScenarioManifest};
 use crate::parse::{parse_manifest, ManifestError};
@@ -132,31 +132,152 @@ fn outcome_keyword(outcome: RunOutcome) -> &'static str {
     }
 }
 
-fn event_matches(kind: EventKind, event: &SimEvent) -> bool {
-    matches!(
-        (kind, event),
-        (EventKind::Boot, SimEvent::Boot { .. })
-            | (
-                EventKind::Charge,
-                SimEvent::Charge {
-                    precharge: false,
-                    ..
-                }
-            )
-            | (
-                EventKind::Precharge,
-                SimEvent::Charge {
-                    precharge: true,
-                    ..
-                }
-            )
-            | (EventKind::Reconfigure, SimEvent::Reconfigure { .. })
-            | (EventKind::Burst, SimEvent::BurstActivated { .. })
-            | (EventKind::PowerFailure, SimEvent::PowerFailure { .. })
-            | (EventKind::BankFailed, SimEvent::BankFailed { .. })
-            | (EventKind::ModeRemapped, SimEvent::ModeRemapped { .. })
-            | (EventKind::Stalled, SimEvent::Stalled { .. })
-    )
+/// How many `kind` events the run recorded, as its summary counted
+/// them (a run stalls at most once).
+fn event_count(summary: &RunSummary, kind: EventKind) -> u64 {
+    match kind {
+        EventKind::Boot => summary.boots,
+        EventKind::Charge => summary.charges,
+        EventKind::Precharge => summary.precharges,
+        EventKind::Reconfigure => summary.reconfigurations,
+        EventKind::Burst => summary.bursts,
+        EventKind::PowerFailure => summary.power_failures,
+        EventKind::BankFailed => summary.bank_failures,
+        EventKind::ModeRemapped => summary.mode_remaps,
+        EventKind::Stalled => u64::from(summary.stalled),
+    }
+}
+
+/// A finished run reduced to what the assertions read. The device and
+/// the fleet path both end here, so one evaluator, one exit-code rule
+/// and one [`ScenarioResult`] serve them.
+struct Finished<'a> {
+    /// The terminal outcome's protocol keyword.
+    outcome: &'static str,
+    /// Whether an execution limit tripped.
+    limit: bool,
+    summary: RunSummary,
+    availability: f64,
+    task_completions: Vec<(String, u64)>,
+    /// A device's final energy mode; `None` before its first
+    /// reconfiguration, and for a fleet, whose runner refuses
+    /// `final_mode` before running.
+    final_mode: Option<&'a str>,
+    /// A fleet's aggregate, whose counts are totals over its devices;
+    /// `None` for one device.
+    fleet: Option<FleetResult>,
+}
+
+impl Finished<'_> {
+    fn check(&self, assertion: &AssertionSpec) -> AssertionResult {
+        let fleet = self.fleet.is_some();
+        let wide = if fleet { " fleet-wide" } else { "" };
+        let (check, passed, detail) = match assertion {
+            AssertionSpec::TaskCompletions { task, op, count } => {
+                let got = self
+                    .task_completions
+                    .iter()
+                    .find(|(name, _)| name == task)
+                    .map_or(0, |&(_, n)| n);
+                (
+                    format!("completions = {task} {} {count}", op.keyword()),
+                    op.holds(got, *count),
+                    format!("task `{task}` committed {got} completions{wide}"),
+                )
+            }
+            AssertionSpec::TotalCompletions { op, count } => {
+                let got = self.summary.completions;
+                (
+                    format!("total_completions = {} {count}", op.keyword()),
+                    op.holds(got, *count),
+                    if fleet {
+                        format!("{got} completions committed fleet-wide")
+                    } else {
+                        format!("{got} completions committed in total")
+                    },
+                )
+            }
+            AssertionSpec::Failures { op, count } => {
+                let got = self.summary.failures;
+                (
+                    format!("failures = {} {count}", op.keyword()),
+                    op.holds(got, *count),
+                    format!("{got} attempts were cut short by power failure{wide}"),
+                )
+            }
+            AssertionSpec::RequireEvent(kind) => {
+                let got = event_count(&self.summary, *kind);
+                (
+                    format!("require_event = {}", kind.keyword()),
+                    got > 0,
+                    format!("{got} `{}` events on the timeline", kind.keyword()),
+                )
+            }
+            AssertionSpec::ForbidEvent(kind) => {
+                let got = event_count(&self.summary, *kind);
+                (
+                    format!("forbid_event = {}", kind.keyword()),
+                    got == 0,
+                    format!("{got} `{}` events on the timeline", kind.keyword()),
+                )
+            }
+            AssertionSpec::FinalMode(mode) => (
+                format!("final_mode = {mode}"),
+                self.final_mode == Some(mode.as_str()),
+                format!(
+                    "final mode is {}",
+                    self.final_mode
+                        .map_or_else(|| "(none)".to_string(), |m| format!("`{m}`"))
+                ),
+            ),
+            AssertionSpec::MinAvailability(min) => {
+                let percent = self.availability * 100.0;
+                (
+                    format!("min_availability = {}", Num(*min)),
+                    self.availability >= *min,
+                    if fleet {
+                        format!("fleet was available {percent:.1}% of simulated device time")
+                    } else {
+                        format!("device was available {percent:.1}% of simulated time")
+                    },
+                )
+            }
+        };
+        AssertionResult {
+            check,
+            passed,
+            detail,
+        }
+    }
+
+    /// Evaluates `manifest`'s assertions in order and assembles the
+    /// result: a tripped limit exits 2 whatever the assertions say.
+    fn into_result(self, manifest: &ScenarioManifest, file: &str) -> ScenarioResult {
+        let assertions: Vec<AssertionResult> =
+            manifest.assertions.iter().map(|a| self.check(a)).collect();
+        let exit_code = if self.limit {
+            EXIT_LIMIT
+        } else if assertions.iter().any(|a| !a.passed) {
+            EXIT_ASSERT
+        } else {
+            EXIT_PASS
+        };
+        ScenarioResult {
+            name: manifest.name.clone(),
+            file: file.to_string(),
+            seed: manifest.seed,
+            run_seed: derive_seed(DEFAULT_BASE_SEED, manifest.seed),
+            variant: manifest.variant.keyword(),
+            outcome: self.outcome,
+            exit_code,
+            passed: exit_code == EXIT_PASS,
+            summary: self.summary,
+            availability: self.availability,
+            task_completions: self.task_completions,
+            assertions,
+            fleet: self.fleet,
+        }
+    }
 }
 
 /// Runs `manifest` to its limits and evaluates its assertions.
@@ -184,124 +305,24 @@ pub fn run_manifest_on(
     // Wall time is deliberately zeroed: the artifact must be
     // bit-identical across reruns and hosts.
     let summary = RunSummary::from_sim(&sim, Duration::ZERO);
-    let availability = 1.0 - summary.charge_fraction();
-    let ctx = sim.ctx();
-
-    let task_completions: Vec<(String, u64)> = manifest
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.name.clone(), ctx.completions(i)))
+    let task_completions = (0..)
+        .zip(&manifest.tasks)
+        .map(|(i, t)| (t.name.clone(), sim.ctx().completions(i)))
         .collect();
-
-    let task_index = |name: &str| -> usize {
-        manifest
-            .tasks
-            .iter()
-            .position(|t| t.name == name)
-            .expect("parser resolved task references")
-    };
-
-    let assertions: Vec<AssertionResult> = manifest
-        .assertions
-        .iter()
-        .map(|a| match a {
-            AssertionSpec::TaskCompletions { task, op, count } => {
-                let got = ctx.completions(task_index(task));
-                AssertionResult {
-                    check: format!("completions = {task} {} {count}", op.keyword()),
-                    passed: op.holds(got, *count),
-                    detail: format!("task `{task}` committed {got} completions"),
-                }
-            }
-            AssertionSpec::TotalCompletions { op, count } => {
-                let got = ctx.total_completions();
-                AssertionResult {
-                    check: format!("total_completions = {} {count}", op.keyword()),
-                    passed: op.holds(got, *count),
-                    detail: format!("{got} completions committed in total"),
-                }
-            }
-            AssertionSpec::Failures { op, count } => {
-                let got = summary.failures;
-                AssertionResult {
-                    check: format!("failures = {} {count}", op.keyword()),
-                    passed: op.holds(got, *count),
-                    detail: format!("{got} attempts were cut short by power failure"),
-                }
-            }
-            AssertionSpec::RequireEvent(kind) => {
-                let got = sim
-                    .events()
-                    .iter()
-                    .filter(|e| event_matches(*kind, e))
-                    .count();
-                AssertionResult {
-                    check: format!("require_event = {}", kind.keyword()),
-                    passed: got > 0,
-                    detail: format!("{got} `{}` events on the timeline", kind.keyword()),
-                }
-            }
-            AssertionSpec::ForbidEvent(kind) => {
-                let got = sim
-                    .events()
-                    .iter()
-                    .filter(|e| event_matches(*kind, e))
-                    .count();
-                AssertionResult {
-                    check: format!("forbid_event = {}", kind.keyword()),
-                    passed: got == 0,
-                    detail: format!("{got} `{}` events on the timeline", kind.keyword()),
-                }
-            }
-            AssertionSpec::FinalMode(mode) => {
-                let current = sim
-                    .runtime_state()
-                    .current_mode()
-                    .map(|m| manifest.modes[m.0].name.as_str());
-                AssertionResult {
-                    check: format!("final_mode = {mode}"),
-                    passed: current == Some(mode.as_str()),
-                    detail: format!(
-                        "final mode is {}",
-                        current.map_or_else(|| "(none)".to_string(), |m| format!("`{m}`"))
-                    ),
-                }
-            }
-            AssertionSpec::MinAvailability(min) => AssertionResult {
-                check: format!("min_availability = {}", Num(*min)),
-                passed: availability >= *min,
-                detail: format!(
-                    "device was available {:.1}% of simulated time",
-                    availability * 100.0
-                ),
-            },
-        })
-        .collect();
-
-    let exit_code = if outcome.is_limit() {
-        EXIT_LIMIT
-    } else if assertions.iter().any(|a| !a.passed) {
-        EXIT_ASSERT
-    } else {
-        EXIT_PASS
-    };
-
-    Ok(ScenarioResult {
-        name: manifest.name.clone(),
-        file: file.to_string(),
-        seed: manifest.seed,
-        run_seed: derive_seed(DEFAULT_BASE_SEED, manifest.seed),
-        variant: manifest.variant.keyword(),
+    let final_mode = sim
+        .runtime_state()
+        .current_mode()
+        .map(|m| manifest.modes[m.0].name.as_str());
+    Ok(Finished {
         outcome: outcome_keyword(outcome),
-        exit_code,
-        passed: exit_code == EXIT_PASS,
+        limit: outcome.is_limit(),
+        availability: 1.0 - summary.charge_fraction(),
         summary,
-        availability,
         task_completions,
-        assertions,
+        final_mode,
         fleet: None,
-    })
+    }
+    .into_result(manifest, file))
 }
 
 /// Builds the shared environment a `[fleet]` stanza describes. Dip
@@ -414,12 +435,13 @@ impl CompiledFleet {
 
         // Perturbations never add modes or annotations, so a template
         // that compiles compiles for every device.
+        let policy = policy(manifest)?;
         let templates = if entries.is_empty() {
-            vec![template(manifest, &names, None)?]
+            vec![template(manifest, &names, None, policy)?]
         } else {
             entries
                 .iter()
-                .map(|&entry| template(manifest, &names, Some(entry)))
+                .map(|&entry| template(manifest, &names, Some(entry), policy.clone()))
                 .collect::<Result<_, _>>()?
         };
         Ok(Self { spec, templates })
@@ -444,27 +466,27 @@ impl CompiledFleet {
 /// The fleet path of [`run_manifest_on`]: the manifest compiles once
 /// ([`CompiledFleet`]), every device runs from a clone of its template,
 /// and only the streamed aggregate survives. Count assertions evaluate
-/// against the population totals; event and final-mode assertions have
-/// no aggregate meaning and are rejected.
+/// against the population totals; event and final-mode assertions are
+/// per-device and rejected before anything runs.
 fn run_fleet_manifest(
     manifest: &ScenarioManifest,
     stanza: &FleetStanza,
     file: &str,
     workers: usize,
 ) -> Result<ScenarioResult, ManifestError> {
-    for a in &manifest.assertions {
-        if matches!(
+    if manifest.assertions.iter().any(|a| {
+        matches!(
             a,
             AssertionSpec::RequireEvent(_)
                 | AssertionSpec::ForbidEvent(_)
                 | AssertionSpec::FinalMode(_)
-        ) {
-            return Err(ManifestError::Build {
-                message: "event and final-mode assertions are per-device; a [fleet] scenario \
-                          supports only count and availability assertions"
-                    .to_string(),
-            });
-        }
+        )
+    }) {
+        return Err(ManifestError::Build {
+            message: "event and final-mode assertions are per-device; a [fleet] scenario \
+                      supports only count and availability assertions"
+                .to_string(),
+        });
     }
 
     let compiled = CompiledFleet::new(manifest, file)?;
@@ -477,7 +499,6 @@ fn run_fleet_manifest(
         DeviceOutcome::from_sim(&sim).with_task_completions(completions)
     });
     let acc = &report.acc;
-    let availability = acc.availability();
 
     // The aggregate in RunSummary clothing, so the artifact's `summary`
     // object keeps its shape: counters are population totals, `end` is
@@ -503,68 +524,13 @@ fn run_fleet_manifest(
         wall: Duration::ZERO,
     };
 
-    let task_completions: Vec<(String, u64)> = manifest
-        .tasks
-        .iter()
-        .enumerate()
+    let task_completions = (0..)
+        .zip(&manifest.tasks)
         .map(|(i, t)| {
-            (
-                t.name.clone(),
-                acc.task_completions.get(i).copied().unwrap_or(0),
-            )
+            let got = acc.task_completions.get(i).copied().unwrap_or(0);
+            (t.name.clone(), got)
         })
         .collect();
-
-    let assertions: Vec<AssertionResult> = manifest
-        .assertions
-        .iter()
-        .map(|a| match a {
-            AssertionSpec::TaskCompletions { task, op, count } => {
-                let index = manifest
-                    .tasks
-                    .iter()
-                    .position(|t| t.name == *task)
-                    .expect("parser resolved task references");
-                let got = acc.task_completions.get(index).copied().unwrap_or(0);
-                AssertionResult {
-                    check: format!("completions = {task} {} {count}", op.keyword()),
-                    passed: op.holds(got, *count),
-                    detail: format!("task `{task}` committed {got} completions fleet-wide"),
-                }
-            }
-            AssertionSpec::TotalCompletions { op, count } => AssertionResult {
-                check: format!("total_completions = {} {count}", op.keyword()),
-                passed: op.holds(acc.completions, *count),
-                detail: format!("{} completions committed fleet-wide", acc.completions),
-            },
-            AssertionSpec::Failures { op, count } => AssertionResult {
-                check: format!("failures = {} {count}", op.keyword()),
-                passed: op.holds(acc.failures, *count),
-                detail: format!(
-                    "{} attempts were cut short by power failure fleet-wide",
-                    acc.failures
-                ),
-            },
-            AssertionSpec::MinAvailability(min) => AssertionResult {
-                check: format!("min_availability = {}", Num(*min)),
-                passed: availability >= *min,
-                detail: format!(
-                    "fleet was available {:.1}% of simulated device time",
-                    availability * 100.0
-                ),
-            },
-            AssertionSpec::RequireEvent(_)
-            | AssertionSpec::ForbidEvent(_)
-            | AssertionSpec::FinalMode(_) => unreachable!("rejected above"),
-        })
-        .collect();
-
-    let exit_code = if assertions.iter().any(|a| !a.passed) {
-        EXIT_ASSERT
-    } else {
-        EXIT_PASS
-    };
-
     let fleet = FleetResult {
         devices: acc.devices,
         dead_devices: acc.dead_devices,
@@ -581,22 +547,16 @@ fn run_fleet_manifest(
         mix: stanza.mix.clone(),
         trace: stanza.trace.clone(),
     };
-
-    Ok(ScenarioResult {
-        name: manifest.name.clone(),
-        file: file.to_string(),
-        seed: manifest.seed,
-        run_seed: derive_seed(DEFAULT_BASE_SEED, manifest.seed),
-        variant: manifest.variant.keyword(),
+    Ok(Finished {
         outcome: "fleet",
-        exit_code,
-        passed: exit_code == EXIT_PASS,
+        limit: false,
         summary,
-        availability,
+        availability: acc.availability(),
         task_completions,
-        assertions,
+        final_mode: None,
         fleet: Some(fleet),
-    })
+    }
+    .into_result(manifest, file))
 }
 
 impl ScenarioResult {
@@ -930,5 +890,67 @@ pub fn validate_json(text: &str, schema: Option<&str>) -> Result<(), String> {
             Ok(())
         }
         _ => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use capybara::sim::SimEvent;
+
+    use super::*;
+    use crate::model::Keyword;
+
+    /// The reference for [`event_count`]: a walk of the log.
+    fn walk(kind: EventKind, log: &[SimEvent]) -> u64 {
+        let matches = |e: &&SimEvent| match (kind, e) {
+            (EventKind::Boot, SimEvent::Boot { .. })
+            | (EventKind::Reconfigure, SimEvent::Reconfigure { .. })
+            | (EventKind::Burst, SimEvent::BurstActivated { .. })
+            | (EventKind::PowerFailure, SimEvent::PowerFailure { .. })
+            | (EventKind::BankFailed, SimEvent::BankFailed { .. })
+            | (EventKind::ModeRemapped, SimEvent::ModeRemapped { .. })
+            | (EventKind::Stalled, SimEvent::Stalled { .. }) => true,
+            (EventKind::Charge, SimEvent::Charge { precharge, .. }) => !precharge,
+            (EventKind::Precharge, SimEvent::Charge { precharge, .. }) => *precharge,
+            _ => false,
+        };
+        log.iter().filter(matches).count() as u64
+    }
+
+    #[test]
+    fn event_counts_equal_a_walk_of_the_log_for_every_device_manifest() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<PathBuf> = ["manifests", "tests/fixtures"]
+            .iter()
+            .flat_map(|dir| fs::read_dir(root.join(dir)).expect("directory reads"))
+            .map(|entry| entry.expect("entry reads").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "capy"))
+            .collect();
+        files.sort();
+        let mut devices = 0;
+        for file in &files {
+            let text = fs::read_to_string(file).expect("manifest reads");
+            let manifest = parse_manifest(&text).expect("manifest parses");
+            if manifest.fleet.is_some() {
+                continue;
+            }
+            let CompiledScenario { mut sim, limits } = compile(&manifest).expect("compiles");
+            sim.run_limited(&limits);
+            let summary = RunSummary::from_sim(&sim, Duration::ZERO);
+            for &kind in EventKind::ALL {
+                assert_eq!(
+                    event_count(&summary, kind),
+                    walk(kind, sim.events()),
+                    "{}: `{}` events",
+                    file.display(),
+                    kind.keyword()
+                );
+            }
+            // `total_completions` reads the summary; the tasks' own
+            // counters must agree with it.
+            assert_eq!(summary.completions, sim.ctx().total_completions());
+            devices += 1;
+        }
+        assert!(devices >= 5, "only {devices} device manifests found");
     }
 }

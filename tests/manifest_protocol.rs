@@ -529,13 +529,19 @@ fn unreadable_trace_is_a_build_error() {
 #[test]
 fn fleet_rejects_per_device_assertions() {
     let text = fs::read_to_string(repo_path("manifests/fleet_smoke.capy")).expect("manifest reads");
-    let text = text.replace("min_availability = 0.2", "require_event = boot");
-    let manifest = parse_manifest(&text).expect("parses");
-    match run_manifest_on(&manifest, "m.capy", 0).unwrap_err() {
-        ManifestError::Build { message } => {
-            assert!(message.contains("per-device"), "{message}");
+    for assertion in [
+        "require_event = boot",
+        "forbid_event = stalled",
+        "final_mode = sense-mode",
+    ] {
+        let text = text.replace("min_availability = 0.2", assertion);
+        let manifest = parse_manifest(&text).expect("parses");
+        match run_manifest_on(&manifest, "m.capy", 0).unwrap_err() {
+            ManifestError::Build { message } => {
+                assert!(message.contains("per-device"), "{assertion}: {message}");
+            }
+            other => panic!("{assertion}: expected Build, got {other:?}"),
         }
-        other => panic!("expected Build, got {other:?}"),
     }
 }
 
