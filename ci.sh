@@ -56,6 +56,10 @@ rust_lines
 # every step pins --workspace: without it cargo only covers the facade.
 run cargo build --release --workspace
 run cargo test -q --workspace
+# Cycle skipping again in release: capy-run and the benchmark run
+# release code, where the debug-only re-check after each skipped jump
+# is off, so the skip-versus-step identity must hold without it.
+run cargo test --release -q --test cycle_skip
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all -- --check
 # Rustdoc: every intra-doc link must resolve, so a renamed or deleted

@@ -229,7 +229,7 @@ impl TrackerScenario {
             .task(
                 "track",
                 TaskEnergy::Config(M_SMALL),
-                move |_, mcu| TaskLoad::new().then(mcu.compute_for(work)),
+                move |mcu| TaskLoad::new().then(mcu.compute_for(work)),
                 |ctx: &mut TrackerCtx| {
                     ctx.readings.update(|n| n + 1);
                     Transition::Stay

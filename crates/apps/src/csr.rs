@@ -190,7 +190,7 @@ fn assemble(
                 burst: M_REPORT,
                 exec: M_SAMPLE,
             },
-            |_, mcu| {
+            |mcu| {
                 Magnetometer::new()
                     .sample()
                     .plus_power(mcu.active_power())
@@ -213,7 +213,7 @@ fn assemble(
         .task(
             "report",
             TaskEnergy::Burst(M_REPORT),
-            |_, mcu| {
+            |mcu| {
                 ProximitySensor::new()
                     .burst(DISTANCE_SAMPLES)
                     .chain(Led::new().flash(SimDuration::from_millis(250)))

@@ -259,7 +259,7 @@ fn mode_banks(variant: Variant) -> (Vec<BankId>, Vec<BankId>) {
     }
 }
 
-fn sense_load(_ctx: &GrcCtx, mcu: &Mcu) -> TaskLoad {
+fn sense_load(mcu: &Mcu) -> TaskLoad {
     Phototransistor::new()
         .sample()
         .plus_power(mcu.active_power())
@@ -367,7 +367,7 @@ fn assemble(
         GrcVariant::Fast => builder.task(
             "gesture_tx",
             TaskEnergy::Burst(M_HIGH),
-            |_, mcu| {
+            |mcu| {
                 Apds9960::new()
                     .recognize_gesture()
                     .chain(BleRadio::cc2650().tx_packet_warm(8))
@@ -399,7 +399,7 @@ fn assemble(
             .task(
                 "gesture",
                 TaskEnergy::Burst(M_HIGH),
-                |_, mcu| {
+                |mcu| {
                     Apds9960::new()
                         .recognize_gesture()
                         .plus_power(mcu.active_power())
@@ -424,7 +424,7 @@ fn assemble(
             .task(
                 "radio_tx",
                 TaskEnergy::Config(M_HIGH),
-                |_, mcu| {
+                |mcu| {
                     BleRadio::cc2650()
                         .tx_packet(8)
                         .plus_power(mcu.active_power())

@@ -210,7 +210,7 @@ fn assemble(
         .task(
             "sense",
             TaskEnergy::Config(M_SAMPLE),
-            |_, mcu| {
+            |mcu| {
                 Tmp36::new()
                     .sample()
                     .plus_power(mcu.active_power())
@@ -230,7 +230,7 @@ fn assemble(
                 burst: M_ALARM,
                 exec: M_SAMPLE,
             },
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(3))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(3))),
             |ctx: &mut TaCtx| {
                 let out_of_band = ctx.rig.out_of_band_at(ctx.now);
                 let excursion = ctx.rig.excursion_at(ctx.now);
@@ -246,7 +246,7 @@ fn assemble(
         .task(
             "alarm",
             TaskEnergy::Burst(M_ALARM),
-            |_, mcu| {
+            |mcu| {
                 BleRadio::cc2650()
                     .tx_packet(25)
                     .plus_power(mcu.active_power())

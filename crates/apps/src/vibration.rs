@@ -204,7 +204,7 @@ pub fn build(variant: Variant, events: Vec<SimTime>) -> Simulator<SolarPanel, Vi
                 burst: M_UPLOAD,
                 exec: M_SAMPLE,
             },
-            |_, mcu| {
+            |mcu| {
                 Accelerometer::new()
                     .sample()
                     .plus_power(mcu.active_power())
@@ -228,7 +228,7 @@ pub fn build(variant: Variant, events: Vec<SimTime>) -> Simulator<SolarPanel, Vi
         .task(
             "analyze",
             TaskEnergy::Config(M_SAMPLE),
-            |_, mcu| {
+            |mcu| {
                 // A windowed magnitude scan: ~50 ms of compute.
                 capy_device::load::TaskLoad::new()
                     .then(mcu.compute_for(SimDuration::from_millis(50)))
@@ -263,7 +263,7 @@ pub fn build(variant: Variant, events: Vec<SimTime>) -> Simulator<SolarPanel, Vi
         .task(
             "upload",
             TaskEnergy::Burst(M_UPLOAD),
-            |_, mcu| {
+            |mcu| {
                 BleRadio::cc2650()
                     .tx_packet(25)
                     .plus_power(mcu.active_power())

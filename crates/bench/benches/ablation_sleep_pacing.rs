@@ -52,7 +52,7 @@ fn build(paced: bool) -> Simulator<SolarPanel, Ctx> {
         .task(
             "sample",
             TaskEnergy::Unannotated,
-            |_, mcu| {
+            |mcu| {
                 capy_device::peripherals::Tmp36::new()
                     .sample()
                     .plus_power(mcu.active_power())

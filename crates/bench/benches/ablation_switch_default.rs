@@ -64,7 +64,7 @@ fn build(kind: SwitchKind) -> Simulator<TraceHarvester, Ctx> {
             "atomic_op",
             TaskEnergy::Config(EnergyMode(1)),
             // An atomic operation only the big bank can sustain.
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(5))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(5))),
             |c: &mut Ctx| {
                 c.completions.update(|n| n + 1);
                 Transition::Stay

@@ -94,7 +94,7 @@ fn build_panel(panel: Fig2Panel) -> Simulator<ConstantHarvester, Fig2Ctx> {
         .task(
             "sample",
             TaskEnergy::Unannotated,
-            |_, mcu| {
+            |mcu| {
                 Tmp36::new()
                     .sample()
                     .plus_power(mcu.active_power())
@@ -114,7 +114,7 @@ fn build_panel(panel: Fig2Panel) -> Simulator<ConstantHarvester, Fig2Ctx> {
         .task(
             "radio_tx",
             TaskEnergy::Unannotated,
-            |_, mcu| {
+            |mcu| {
                 BleRadio::cc2650()
                     .tx_packet(25)
                     .plus_power(mcu.active_power())

@@ -210,7 +210,7 @@ fn build_sleeper() -> Simulator<ConstantHarvester, ()> {
         .task(
             "duty-cycle",
             TaskEnergy::Unannotated,
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
             |_c: &mut ()| Transition::Sleep {
                 duration: SimDuration::from_secs(1_000),
                 then: TaskId(0),
@@ -366,7 +366,7 @@ fn bench_fleet(name: &'static str, quick: bool, env: SharedEnvironment) -> Fleet
             .task(
                 "duty-cycle",
                 TaskEnergy::Unannotated,
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
                 move |_c: &mut ()| Transition::Sleep {
                     duration: sleep,
                     then: TaskId(0),

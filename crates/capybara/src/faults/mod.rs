@@ -781,7 +781,7 @@ mod tests {
             .task(
                 "sample",
                 TaskEnergy::Config(EnergyMode(0)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
                 |c: &mut Ctx| {
                     c.n.update(|x| x + 1);
                     Transition::Stay

@@ -56,13 +56,13 @@
 //!     .task(
 //!         "sense",
 //!         TaskEnergy::Config(EnergyMode(0)),
-//!         |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+//!         |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
 //!         |_app: &mut App| Transition::To(TaskId(1)),
 //!     )
 //!     .task(
 //!         "alert",
 //!         TaskEnergy::Burst(EnergyMode(1)),
-//!         |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(50))),
+//!         |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(50))),
 //!         |app: &mut App| {
 //!             app.alerts.update(|n| n + 1);
 //!             Transition::Stop

@@ -9,6 +9,7 @@
 //! banks that implements it.
 
 use capy_power::bank::BankId;
+use capy_units::cycle::CycleKey;
 
 /// A software-visible energy-mode identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,6 +129,19 @@ impl ModeTable {
             .iter()
             .flat_map(|m| m.banks.iter().map(|b| b.0))
             .max()
+    }
+
+    /// Writes the table into a steady-state key: each mode's bank set
+    /// (a degradation remap changes it; names never change).
+    pub fn cycle_key(&self, key: &mut CycleKey) {
+        let Self { modes } = self;
+        key.word(modes.len() as u64);
+        for ModeDef { name: _, banks } in modes {
+            key.word(banks.len() as u64);
+            for bank in banks {
+                key.word(bank.0 as u64);
+            }
+        }
     }
 
     /// Remaps every mode onto the banks that survive losing `failed`:

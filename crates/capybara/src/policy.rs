@@ -60,6 +60,7 @@ use capy_intermittent::nv::NvVar;
 use capy_intermittent::task::TaskId;
 use capy_power::harvester::Harvester;
 use capy_power::system::PowerSystem;
+use capy_units::cycle::CycleKey;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 
 use crate::annotation::TaskEnergy;
@@ -201,6 +202,18 @@ pub trait ReconfigPolicy: Send + Sync {
     /// capture policy state; restoring the clone must reproduce the
     /// original's future decisions bit for bit.
     fn clone_box(&self) -> Box<dyn ReconfigPolicy>;
+
+    /// Writes the decision state into a steady-state key (see
+    /// [`capy_units::cycle`]) as words only, and returns `true`. A policy
+    /// may declare a key only if its decisions depend on nothing but that
+    /// state, the annotation and the observation's readings other than
+    /// [`PolicyObservation::now`]. The default declares none and returns
+    /// `false`; a simulator whose policy declares no key never skips a
+    /// cycle.
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        let _ = key;
+        false
+    }
 }
 
 /// A boxed policy clones through [`ReconfigPolicy::clone_box`], so the
@@ -226,6 +239,9 @@ impl<P: ReconfigPolicy + ?Sized> ReconfigPolicy for Box<P> {
     }
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         (**self).clone_box()
+    }
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        (**self).cycle_key(key)
     }
 }
 
@@ -257,6 +273,9 @@ impl ReconfigPolicy for StaticAnnotation {
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         Box::new(*self)
     }
+    fn cycle_key(&self, _key: &mut CycleKey) -> bool {
+        true
+    }
 }
 
 /// Pins every capacity-constrained task to one energy mode — the "what if
@@ -286,6 +305,10 @@ impl ReconfigPolicy for Pinned {
     fn abort(&mut self) {}
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         Box::new(*self)
+    }
+    fn cycle_key(&self, _key: &mut CycleKey) -> bool {
+        // The pinned mode is fixed at construction.
+        true
     }
 }
 
@@ -378,6 +401,18 @@ impl ReconfigPolicy for ReactiveDownsize {
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         Box::new(self.clone())
     }
+
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        let Self {
+            ladder: _,
+            timeout: _,
+            tier,
+            fast_streak,
+        } = self;
+        tier.cycle_words(key, |&t, k| k.word(t as u64));
+        fast_streak.cycle_words(key, |&s, k| k.word(u64::from(s)));
+        true
+    }
 }
 
 /// Picks the capacity tier from an EWMA of the harvested input power.
@@ -464,6 +499,23 @@ impl ReconfigPolicy for EwmaAdaptive {
 
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         Box::new(self.clone())
+    }
+
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        let Self {
+            ladder: _,
+            thresholds: _,
+            alpha: _,
+            ewma,
+        } = self;
+        ewma.cycle_words(key, |&e, k| match e {
+            Some(avg) => {
+                k.word(1);
+                k.bits(avg);
+            }
+            None => k.word(0),
+        });
+        true
     }
 }
 
@@ -1272,7 +1324,7 @@ mod tests {
             .task(
                 "sample",
                 TaskEnergy::Config(M0),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                 |c: &mut Ctx| {
                     c.n.update(|x| x + 1);
                     Transition::Stay

@@ -8,6 +8,7 @@
 //! [`RuntimeState`] that are only mutated at commit-equivalent points.
 
 use capy_power::bank::BankId;
+use capy_units::cycle::CycleKey;
 use capy_units::Volts;
 
 use crate::annotation::TaskEnergy;
@@ -113,6 +114,25 @@ impl RuntimeState {
     pub fn mark_bank_failed(&mut self, bank: BankId) {
         if let Err(pos) = self.failed.binary_search(&bank) {
             self.failed.insert(pos, bank);
+        }
+    }
+
+    /// Writes the runtime state into a steady-state key: every field
+    /// decides the plan, so every field is a word.
+    pub fn cycle_key(&self, key: &mut CycleKey) {
+        let Self {
+            current,
+            precharged,
+            failed,
+        } = self;
+        key.word(current.map_or(0, |m| m.0 as u64 + 1));
+        key.word(precharged.len() as u64);
+        for &p in precharged {
+            key.word(u64::from(p));
+        }
+        key.word(failed.len() as u64);
+        for bank in failed {
+            key.word(bank.0 as u64);
         }
     }
 }

@@ -30,6 +30,7 @@ use capy_power::bank::BankId;
 use capy_power::harvester::Harvester;
 use capy_power::switch::SwitchState;
 use capy_power::system::{ChargeOutcome, PowerSystem};
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::{Joules, SimDuration, SimTime, Volts};
 
 use crate::annotation::TaskEnergy;
@@ -38,13 +39,36 @@ use crate::policy::{PolicyObservation, ReconfigPolicy, StaticAnnotation};
 use crate::runtime::{plan, validate_annotations, RuntimeState, Step, PRECHARGE_DEFICIT};
 use crate::variant::Variant;
 
+mod skip;
+
+pub use skip::SkipStats;
+
 /// Application context requirements: non-volatile commit/abort plus clock
-/// observation.
+/// observation, and optionally a steady-state key that lets a run skip
+/// repeating cycles.
 pub trait SimContext: NvState {
     /// Called with the current simulated time immediately before each task
     /// body runs, so sensor reads inside the body observe the environment
     /// at the right instant.
     fn set_now(&mut self, now: SimTime);
+
+    /// Writes everything the task bodies read into a steady-state key
+    /// (see [`capy_units::cycle`]) and returns `true`: what decides a
+    /// body's transition as words, what only accumulates as counters. A
+    /// context may declare a key only if its bodies do not read the clock
+    /// [`SimContext::set_now`] passes. The default declares none and
+    /// returns `false`; a simulator whose context declares no key never
+    /// skips a cycle.
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        let _ = key;
+        false
+    }
+
+    /// Advances the counters and instants [`SimContext::cycle_key`]
+    /// wrote, in the same order, by whole cycles.
+    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        let _ = adv;
+    }
 }
 
 impl SimContext for () {
@@ -132,6 +156,33 @@ impl SimEvent {
             | Self::BankFailed { at, .. }
             | Self::ModeRemapped { at, .. } => *at,
             Self::Charge { end, .. } => *end,
+        }
+    }
+
+    /// The same event `by` later: every instant it carries moves.
+    #[must_use]
+    pub(crate) fn shifted(self, by: SimDuration) -> Self {
+        match self {
+            Self::Boot { at } => Self::Boot { at: at + by },
+            Self::Reconfigure { at, mode } => Self::Reconfigure { at: at + by, mode },
+            Self::Charge {
+                start,
+                end,
+                from,
+                to,
+                precharge,
+            } => Self::Charge {
+                start: start + by,
+                end: end + by,
+                from,
+                to,
+                precharge,
+            },
+            Self::BurstActivated { at, mode } => Self::BurstActivated { at: at + by, mode },
+            Self::PowerFailure { at, task } => Self::PowerFailure { at: at + by, task },
+            Self::Stalled { at } => Self::Stalled { at: at + by },
+            Self::BankFailed { at, bank } => Self::BankFailed { at: at + by, bank },
+            Self::ModeRemapped { at, mode } => Self::ModeRemapped { at: at + by, mode },
         }
     }
 
@@ -386,13 +437,13 @@ const RECONFIG_OVERHEAD: SimDuration = SimDuration::from_micros(500);
 /// runs log boots, charges and reconfigurations every cycle.
 const EVENT_LOG_PRESIZE: usize = 256;
 
-/// A task's load model: given the context and MCU, the phases the task
-/// draws.
-type LoadFn<C> = Box<dyn Fn(&C, &Mcu) -> TaskLoad + Send + Sync>;
+/// A task's load model: given the MCU, the phases the task draws. Loads
+/// never read the context; only task bodies do.
+type LoadFn = Box<dyn Fn(&Mcu) -> TaskLoad + Send + Sync>;
 
-struct TaskMeta<C> {
+struct TaskMeta {
     energy: TaskEnergy,
-    load: LoadFn<C>,
+    load: LoadFn,
 }
 
 /// What never changes after build: the variant, the MCU, the task graph
@@ -404,7 +455,7 @@ struct Program<C> {
     mcu: Mcu,
     graph: TaskGraph<C>,
     /// Per task, in [`TaskId`] order.
-    tasks: Vec<TaskMeta<C>>,
+    tasks: Vec<TaskMeta>,
     harvest_during_operation: bool,
 }
 
@@ -430,6 +481,8 @@ struct State<H, C> {
     degradation: bool,
     /// The reconfiguration policy consulted at every task boundary.
     policy: Box<dyn ReconfigPolicy>,
+    /// How much steady-state cycle skipping the runs did.
+    skips: SkipStats,
 }
 
 /// The intermittently-powered device simulator: a shared, immutable
@@ -491,7 +544,7 @@ pub struct SimulatorBuilder<H, C> {
     mcu: Mcu,
     modes: ModeTable,
     graph: TaskGraphBuilder<C>,
-    tasks: Vec<TaskMeta<C>>,
+    tasks: Vec<TaskMeta>,
     entry: Option<&'static str>,
     record_trace: bool,
     harvest_during_operation: bool,
@@ -558,6 +611,13 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
         self.state.machine.stats()
+    }
+
+    /// How much steady-state cycle skipping the runs have done so far
+    /// (see [`Simulator::run_limited`]).
+    #[must_use]
+    pub fn skip_stats(&self) -> SkipStats {
+        self.state.skips
     }
 
     /// The recorded timeline events.
@@ -677,6 +737,12 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// a step is never cut short mid-attempt, so `max_steps` and
     /// `max_energy` are exceeded by at most one step's worth of work
     /// before they trip.
+    ///
+    /// When the context and the policy both declare a steady-state key
+    /// ([`SimContext::cycle_key`], [`ReconfigPolicy::cycle_key`]), the run
+    /// advances whole repeating cycles at once instead of stepping them,
+    /// with results identical bit for bit to stepping (see
+    /// [`Simulator::skip_stats`]).
     pub fn run_limited(&mut self, limits: &RunLimits) -> RunOutcome {
         self.state.run_limited(&self.program, limits)
     }
@@ -711,6 +777,18 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         if self.events.capacity() == 0 {
             self.events.reserve_exact(EVENT_LOG_PRESIZE);
         }
+        let mut skipper = skip::Skipper::new();
+        let outcome = self.run_steps(p, limits, &mut skipper);
+        skipper.finish(&mut self.power);
+        outcome
+    }
+
+    fn run_steps(
+        &mut self,
+        p: &Program<C>,
+        limits: &RunLimits,
+        skipper: &mut skip::Skipper,
+    ) -> RunOutcome {
         let watchdog = limits.no_progress_steps.unwrap_or(STALL_STEP_BUDGET);
         let mut no_advance: u64 = 0;
         let mut steps: u64 = 0;
@@ -743,6 +821,9 @@ impl<H: Harvester, C: SimContext> State<H, C> {
                         if delivered > max {
                             return RunOutcome::EnergyBudget { delivered };
                         }
+                    }
+                    if steps >= skipper.from {
+                        steps += self.cycle_boundary(skipper, limits, steps);
                     }
                 }
                 StepResult::Stopped => return RunOutcome::Stopped,
@@ -794,7 +875,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
 
         // Execute the task's load phases against the rail.
         self.machine.begin();
-        let load = (p.tasks[task.0].load)(&self.ctx, &p.mcu);
+        let load = (p.tasks[task.0].load)(&p.mcu);
         let regulated = self.power.output_booster().output_voltage();
         for phase in load.phases() {
             assert!(
@@ -851,7 +932,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         }
         let task = self.machine.current();
         self.machine.begin();
-        let load = (p.tasks[task.0].load)(&self.ctx, &p.mcu);
+        let load = (p.tasks[task.0].load)(&p.mcu);
         self.now = self.now.saturating_add(load.duration());
         self.ctx.set_now(self.now);
         let transition = self.machine.peek_body(&p.graph, &mut self.ctx);
@@ -1210,14 +1291,16 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
     /// Adds a task: its name, energy annotation, load model, and body.
     /// Task ids are assigned in insertion order.
     ///
+    /// The load sees only the MCU; it is evaluated before every attempt.
     /// The body is `Fn`: it keeps every piece of mutable device state in
-    /// the context `C`, where commit, abort and snapshots see it.
+    /// the context `C`, where commit, abort, snapshots and the context's
+    /// steady-state key see it.
     #[must_use]
     pub fn task(
         mut self,
         name: &'static str,
         energy: TaskEnergy,
-        load: impl Fn(&C, &Mcu) -> TaskLoad + Send + Sync + 'static,
+        load: impl Fn(&Mcu) -> TaskLoad + Send + Sync + 'static,
         body: impl Fn(&mut C) -> Transition + Send + Sync + 'static,
     ) -> Self {
         self.graph = self.graph.task(name, body);
@@ -1349,6 +1432,7 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
                 trace: self.record_trace.then(Vec::new),
                 degradation: self.degradation,
                 policy: self.policy.unwrap_or_else(|| Box::new(StaticAnnotation)),
+                skips: SkipStats::default(),
             },
         })
     }
@@ -1419,7 +1503,7 @@ mod tests {
             .task(
                 "sample",
                 TaskEnergy::Config(EnergyMode(0)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                 |c: &mut Counter| {
                     c.n.update(|x| x + 1);
                     Transition::Stay
@@ -1490,13 +1574,13 @@ mod tests {
                         burst: EnergyMode(1),
                         exec: EnergyMode(0),
                     },
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
                     |_c: &mut Counter| Transition::To(TaskId(1)),
                 )
                 .task(
                     "burst",
                     TaskEnergy::Burst(EnergyMode(1)),
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(100))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(100))),
                     |c: &mut Counter| {
                         c.n.update(|x| x + 1);
                         Transition::Stop
@@ -1542,7 +1626,7 @@ mod tests {
                         burst: EnergyMode(1),
                         exec: EnergyMode(0),
                     },
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
                     |_c: &mut Counter| Transition::Stop,
                 )
                 .build(counter());
@@ -1574,7 +1658,7 @@ mod tests {
                 .task(
                     "burst",
                     TaskEnergy::Burst(EnergyMode(1)),
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(100))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(100))),
                     |c: &mut Counter| {
                         c.n.update(|x| x + 1);
                         Transition::Stop
@@ -1607,7 +1691,7 @@ mod tests {
                 .task(
                     "sample",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .build(counter());
@@ -1645,7 +1729,7 @@ mod tests {
                 .task(
                     "spin",
                     TaskEnergy::Unannotated,
-                    |_, _| TaskLoad::new(),
+                    |_| TaskLoad::new(),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .build(counter());
@@ -1721,7 +1805,7 @@ mod tests {
                 .task(
                     "spin",
                     TaskEnergy::Unannotated,
-                    |_, _| TaskLoad::new(),
+                    |_| TaskLoad::new(),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .build(counter());
@@ -1768,7 +1852,7 @@ mod tests {
                 .task(
                     "sample",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .build(counter());
@@ -1803,7 +1887,7 @@ mod tests {
                 .task(
                     "sense",
                     TaskEnergy::Config(EnergyMode(1)),
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                     |c: &mut Counter| {
                         c.n.update(|x| x + 1);
                         Transition::Stay
@@ -1855,7 +1939,7 @@ mod tests {
                 .task(
                     "sense",
                     TaskEnergy::Config(EnergyMode(1)),
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .degradation(true)
@@ -1896,7 +1980,7 @@ mod tests {
                 .task(
                     "sample",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .record_trace(true)
@@ -1921,7 +2005,7 @@ mod tests {
                 .task(
                     "t",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
                     |_c: &mut Counter| Transition::Stop,
                 )
                 .build(counter());
@@ -1935,7 +2019,7 @@ mod tests {
                 .task(
                     "t",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
                     |_c: &mut Counter| Transition::Stop,
                 )
                 .entry("nope")
@@ -1946,7 +2030,7 @@ mod tests {
         Simulator::builder(Variant::Fixed, bench_power(), Mcu::msp430fr5969()).task(
             "t",
             TaskEnergy::Unannotated,
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
             |_c: &mut Counter| Transition::Stop,
         )
     }
@@ -1997,13 +2081,13 @@ mod tests {
                 .task(
                     "first",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
                     |_c: &mut Counter| Transition::To(TaskId(1)),
                 )
                 .task(
                     "second",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(1))),
                     |_c: &mut Counter| Transition::Stay,
                 )
                 .build(counter());
@@ -2182,7 +2266,7 @@ mod tests {
                 .task(
                     "paced",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
                     |c: &mut Counter| {
                         c.n.update(|x| x + 1);
                         Transition::Sleep {
@@ -2211,7 +2295,7 @@ mod tests {
                 .task(
                     "oversleep",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
                     |c: &mut Counter| {
                         c.n.update(|x| x + 1);
                         Transition::Sleep {
@@ -2264,7 +2348,7 @@ mod tests {
                 .task(
                     "oversleep",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
                     |c: &mut Counter| {
                         c.n.update(|x| x + 1);
                         Transition::Sleep {
@@ -2362,7 +2446,7 @@ mod tests {
             .task(
                 "sample",
                 TaskEnergy::Config(EnergyMode(0)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                 |c: &mut Counter| {
                     c.n.update(|x| x + 1);
                     Transition::To(TaskId(1))
@@ -2371,7 +2455,7 @@ mod tests {
             .task(
                 "send",
                 TaskEnergy::Config(EnergyMode(1)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(50))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(50))),
                 |_| Transition::To(TaskId(0)),
             )
             .policy(Box::new(ReadingRecorder(Arc::clone(&readings))))

@@ -1040,9 +1040,7 @@ mod tests {
             .task(
                 "sample",
                 TaskEnergy::Config(EnergyMode(0)),
-                move |_, mcu| {
-                    TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(task_ms)))
-                },
+                move |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(task_ms))),
                 |c: &mut Ctx| {
                     c.n.update(|x| x + 1);
                     Transition::Stay

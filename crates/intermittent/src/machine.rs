@@ -9,6 +9,8 @@
 //! uncommitted writes and leaving the task pointer unchanged, so the next
 //! boot retries the same task.
 
+use capy_units::cycle::{CycleAdvance, CycleKey};
+
 use crate::nv::NvState;
 use crate::task::{TaskGraph, TaskId, Transition};
 
@@ -127,6 +129,46 @@ impl ExecutionMachine {
     /// Records a power-on boot.
     pub fn reboot(&mut self) {
         self.stats.reboots += 1;
+    }
+
+    /// Writes the machine into a steady-state key: the task pointer and
+    /// stop flag as words, every statistic as a counter.
+    pub fn cycle_key(&self, key: &mut CycleKey) {
+        let Self {
+            current,
+            stopped,
+            stats:
+                ExecStats {
+                    attempts,
+                    completions,
+                    failures,
+                    reboots,
+                },
+        } = self;
+        key.word(current.0 as u64);
+        key.word(u64::from(*stopped));
+        for count in [attempts, completions, failures, reboots] {
+            key.counter(*count);
+        }
+    }
+
+    /// Advances the statistics as [`ExecutionMachine::cycle_key`] keyed
+    /// them.
+    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        let Self {
+            current: _,
+            stopped: _,
+            stats:
+                ExecStats {
+                    attempts,
+                    completions,
+                    failures,
+                    reboots,
+                },
+        } = self;
+        for count in [attempts, completions, failures, reboots] {
+            adv.counter(count);
+        }
     }
 
     /// Convenience: attempt + body + commit in one call, for tests and

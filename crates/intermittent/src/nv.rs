@@ -8,6 +8,8 @@
 //! [`NvState::commit_all`] on task completion and [`NvState::abort_all`]
 //! on power failure.
 
+use capy_units::cycle::{CycleAdvance, CycleKey};
+
 /// A value held in non-volatile memory (FRAM on the prototype) with
 /// commit/abort semantics at task granularity.
 ///
@@ -43,6 +45,18 @@ impl<T: Clone> NvVar<T> {
         &self.committed
     }
 
+    /// Writes this variable into a steady-state key as words: the
+    /// committed value through `write`, whether a write is staged, and
+    /// the staged value through `write`.
+    pub fn cycle_words(&self, key: &mut CycleKey, write: impl Fn(&T, &mut CycleKey)) {
+        let Self { committed, working } = self;
+        write(committed, key);
+        key.word(u64::from(working.is_some()));
+        if let Some(w) = working {
+            write(w, key);
+        }
+    }
+
     /// Writes a new (uncommitted) value.
     pub fn set(&mut self, value: T) {
         self.working = Some(value);
@@ -70,6 +84,29 @@ impl<T: Clone> NvVar<T> {
     #[must_use]
     pub fn is_dirty(&self) -> bool {
         self.working.is_some()
+    }
+}
+
+impl NvVar<u64> {
+    /// Writes this variable into a steady-state key as a counter: whether
+    /// a write is staged as a word, the committed and any staged value as
+    /// counters.
+    pub fn cycle_counter(&self, key: &mut CycleKey) {
+        let Self { committed, working } = self;
+        key.word(u64::from(working.is_some()));
+        key.counter(*committed);
+        if let Some(w) = working {
+            key.counter(*w);
+        }
+    }
+
+    /// Advances the values as [`NvVar::cycle_counter`] keyed them.
+    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        let Self { committed, working } = self;
+        adv.counter(committed);
+        if let Some(w) = working {
+            adv.counter(w);
+        }
     }
 }
 

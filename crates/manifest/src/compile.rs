@@ -16,6 +16,7 @@ use capy_power::harvester::{
     ConstantHarvester, Harvester, RegulatedSupply, SolarPanel, TraceHarvester,
 };
 use capy_power::technology::parts;
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::{Joules, SimDuration, SimTime, Volts, Watts};
 use capybara::faults::FaultPlan;
 use capybara::fleet::{DevicePoint, FleetHarvester, SharedEnvironment};
@@ -84,16 +85,38 @@ impl Harvester for ManifestHarvester {
 /// device's task-rate scale, which divides every declared sleep.
 #[derive(Debug, Clone)]
 pub struct ManifestCtx {
-    completions: Vec<NvVar<u64>>,
+    completions: Vec<Completions>,
     /// A faster fleet device (scale > 1) sleeps less; compute time is
     /// the task's physics and does not scale.
     rate_scale: f64,
 }
 
+/// One task's completion counter and its declared `repeat`: the body
+/// takes its transition on every `repeat`-th completion.
+#[derive(Debug, Clone)]
+struct Completions {
+    count: NvVar<u64>,
+    repeat: Option<u64>,
+}
+
+impl Completions {
+    /// Whether the count that just completed takes the declared
+    /// transition.
+    fn advances(&self) -> bool {
+        self.repeat
+            .is_none_or(|r| self.count.get().is_multiple_of(r))
+    }
+}
+
 impl ManifestCtx {
-    fn new(tasks: usize) -> Self {
+    fn new(repeats: impl Iterator<Item = Option<u64>>) -> Self {
         Self {
-            completions: (0..tasks).map(|_| NvVar::new(0)).collect(),
+            completions: repeats
+                .map(|repeat| Completions {
+                    count: NvVar::new(0),
+                    repeat,
+                })
+                .collect(),
             rate_scale: 1.0,
         }
     }
@@ -101,13 +124,13 @@ impl ManifestCtx {
     /// Committed completions of task `index` (manifest order).
     #[must_use]
     pub fn completions(&self, index: usize) -> u64 {
-        self.completions[index].get()
+        self.completions[index].count.get()
     }
 
     /// Committed completions across every task.
     #[must_use]
     pub fn total_completions(&self) -> u64 {
-        self.completions.iter().map(NvVar::get).sum()
+        self.completions.iter().map(|c| c.count.get()).sum()
     }
 
     /// The device's task-rate scale: every declared sleep is divided by
@@ -121,19 +144,46 @@ impl ManifestCtx {
 impl NvState for ManifestCtx {
     fn commit_all(&mut self) {
         for c in &mut self.completions {
-            c.commit();
+            c.count.commit();
         }
     }
 
     fn abort_all(&mut self) {
         for c in &mut self.completions {
-            c.abort();
+            c.count.abort();
         }
     }
 }
 
 impl SimContext for ManifestCtx {
     fn set_now(&mut self, _now: SimTime) {}
+
+    /// A body reads its task's count only through `count % repeat`, and
+    /// the rate scale: those are the words, and the counts are counters.
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        let Self {
+            completions,
+            rate_scale,
+        } = self;
+        for Completions { count, repeat } in completions {
+            count.cycle_counter(key);
+            if let Some(r) = *repeat {
+                count.cycle_words(key, |&c, k| k.word(c.checked_rem(r).unwrap_or(c)));
+            }
+        }
+        key.bits(*rate_scale);
+        true
+    }
+
+    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        let Self {
+            completions,
+            rate_scale: _,
+        } = self;
+        for Completions { count, repeat: _ } in completions {
+            count.advance_cycles(adv);
+        }
+    }
 }
 
 /// A compiled scenario: the simulator plus the manifest's limits ready
@@ -416,8 +466,7 @@ pub(crate) fn template(
             },
         };
         let compute = duration_ms(task.compute_ms);
-        let load =
-            move |_ctx: &ManifestCtx, mcu: &Mcu| TaskLoad::new().then(mcu.compute_for(compute));
+        let load = move |mcu: &Mcu| TaskLoad::new().then(mcu.compute_for(compute));
 
         let then = match &task.then {
             ThenSpec::Stay => None,
@@ -425,15 +474,14 @@ pub(crate) fn template(
             ThenSpec::To(name) => Some(Some(task_id(name))),
         };
         let sleep_ms = task.sleep_ms;
-        let repeat = task.repeat;
         let this = TaskId(index);
         // The synthetic body: count the completion, then take the
         // declared transition — every `repeat`-th time if counted,
         // through a sleep if one is declared, scaled by the device's rate.
         let body = move |ctx: &mut ManifestCtx| {
-            ctx.completions[index].update(|c| c + 1);
-            let advance = repeat.is_none_or(|r| ctx.completions[index].get().is_multiple_of(r));
-            let target = if advance { then } else { None };
+            let completions = &mut ctx.completions[index];
+            completions.count.update(|c| c + 1);
+            let target = if completions.advances() { then } else { None };
             let sleep = sleep_ms.map(|ms| duration_ms(ms / ctx.rate_scale));
             match (target, sleep) {
                 (Some(None), _) => Transition::Stop,
@@ -459,7 +507,7 @@ pub(crate) fn template(
         .policy(policy)
         .degradation(manifest.degradation)
         .harvest_during_operation(manifest.harvest_during_operation)
-        .try_build(ManifestCtx::new(manifest.tasks.len()))
+        .try_build(ManifestCtx::new(manifest.tasks.iter().map(|t| t.repeat)))
         .map_err(|e| ManifestError::Build {
             message: e.to_string(),
         })?;

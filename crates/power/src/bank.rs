@@ -6,6 +6,7 @@
 //! modes can be met by activating some subset of the banks") and is the
 //! granularity at which the runtime reconfigures capacity.
 
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::{Amps, Farads, Joules, Ohms, SimDuration, Volts};
 
 use crate::capacitor::{self, CapacitorSpec, CapacitorState};
@@ -229,6 +230,38 @@ impl Bank {
     pub fn apply_leakage(&mut self, dt: SimDuration) {
         let v = capacitor::leak(self.capacitance(), self.voltage(), self.leakage(), dt);
         self.state.set_voltage(v);
+    }
+
+    /// Writes this bank into a steady-state key: its charge state (see
+    /// [`CapacitorState::cycle_key`]; `wear` says whether a wear model
+    /// turns cycle counts into deratings) and its derating bits. Name and
+    /// members are fixed at build, and the constants derive from them
+    /// and the derating.
+    pub fn cycle_key(&self, wear: bool, key: &mut CycleKey) {
+        let Self {
+            name: _,
+            members: _,
+            state,
+            cap_derate,
+            esr_scale,
+            constants: _,
+        } = self;
+        state.cycle_key(wear, key);
+        key.bits(*cap_derate);
+        key.bits(*esr_scale);
+    }
+
+    /// Advances this bank as [`Bank::cycle_key`] keyed it.
+    pub fn advance_cycles(&mut self, wear: bool, adv: &mut CycleAdvance<'_>) {
+        let Self {
+            name: _,
+            members: _,
+            state,
+            cap_derate: _,
+            esr_scale: _,
+            constants: _,
+        } = self;
+        state.advance_cycles(wear, adv);
     }
 }
 

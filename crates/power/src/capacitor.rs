@@ -13,6 +13,7 @@
 //!   which bounds both long-term energy retention and the latch-switch
 //!   retention time (§6.5).
 
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::{Amps, Farads, Joules, Ohms, SimDuration, Volts, Watts};
 
 use crate::technology::Technology;
@@ -220,6 +221,28 @@ impl CapacitorState {
     /// whose wear history was recorded by an earlier mission leg.
     pub fn seed_cycles(&mut self, cycles: u64) {
         self.cycles = cycles;
+    }
+
+    /// Writes this state into a steady-state key: the voltage bits, and
+    /// the cycle count as a word when `wear` makes it feed the derating
+    /// or as a counter otherwise.
+    pub fn cycle_key(&self, wear: bool, key: &mut CycleKey) {
+        let Self { voltage, cycles } = self;
+        key.bits(voltage.get());
+        if wear {
+            key.word(*cycles);
+        } else {
+            key.counter(*cycles);
+        }
+    }
+
+    /// Advances the cycle count as [`CapacitorState::cycle_key`] keyed
+    /// it; the voltage is keyed, so it already repeats.
+    pub fn advance_cycles(&mut self, wear: bool, adv: &mut CycleAdvance<'_>) {
+        let Self { voltage: _, cycles } = self;
+        if !wear {
+            adv.counter(cycles);
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 //!   maximum capacity is active; first charge is slow but the first
 //!   execution attempt is guaranteed to have enough energy.
 
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::{Amps, Farads, SimDuration, SimTime, SquareMm, Volts};
 
 /// Which default the switch falls back to when its latch capacitor decays.
@@ -203,6 +204,13 @@ impl BankSwitch {
         self.retention
     }
 
+    /// The last instant the latch was known full (a command or a powered
+    /// refresh).
+    #[must_use]
+    pub fn last_refresh(&self) -> SimTime {
+        self.last_refresh
+    }
+
     /// Commands the switch into `state` at time `now` (the MCU charges or
     /// discharges the latch through the GPIO interface circuit).
     pub fn command(&mut self, state: SwitchState, now: SimTime) {
@@ -266,6 +274,50 @@ impl BankSwitch {
         } else {
             self.last_refresh.saturating_add(self.effective_retention())
         }
+    }
+
+    /// Writes this switch into a steady-state key at `now`: its kind,
+    /// commanded state, fault, retention and latch age. Past the
+    /// effective retention the age only says that the latch has decayed,
+    /// so it saturates one microsecond beyond it.
+    pub fn cycle_key(&self, now: SimTime, key: &mut CycleKey) {
+        let Self {
+            kind,
+            commanded,
+            last_refresh,
+            retention,
+            fault,
+        } = self;
+        key.word(u64::from(kind.default_state().is_closed()));
+        key.word(u64::from(commanded.is_closed()));
+        match fault {
+            None => key.word(0),
+            Some(SwitchFault::StuckOpen) => key.word(1),
+            Some(SwitchFault::StuckClosed) => key.word(2),
+            Some(SwitchFault::WeakLatch { factor }) => {
+                key.word(3);
+                key.bits(*factor);
+            }
+        }
+        key.span(*retention);
+        let decayed = self
+            .effective_retention()
+            .saturating_add(SimDuration::from_micros(1));
+        key.span(now.saturating_since(*last_refresh).min(decayed));
+    }
+
+    /// Advances this switch as [`BankSwitch::cycle_key`] keyed it: the
+    /// latch refresh instant moves with the cycle if the cycle refreshed
+    /// it.
+    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        let Self {
+            kind: _,
+            commanded: _,
+            last_refresh,
+            retention: _,
+            fault: _,
+        } = self;
+        adv.instant(last_refresh);
     }
 }
 

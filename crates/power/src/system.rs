@@ -19,6 +19,7 @@
 //! therefore lossy) redistribution whenever the closed set changes —
 //! including implicit changes when an unpowered switch's latch decays.
 
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::{Farads, Joules, Ohms, SimDuration, SimTime, Volts, Watts};
 
 use crate::bank::{Bank, BankId};
@@ -207,6 +208,9 @@ pub struct PowerSystem<H> {
     synced_at: SimTime,
     /// Cumulative energy delivered to loads, for efficiency accounting.
     delivered: Joules,
+    /// While a steady-state cycle is being recorded, every addition to
+    /// `delivered`, in order, so a cycle skip can replay them.
+    deliveries: Option<Vec<Joules>>,
     /// Faults scheduled to strike at a future instant; applied (and
     /// drained) by [`PowerSystem::sync`] once their time arrives.
     pending_faults: Vec<(SimTime, HardwareFault)>,
@@ -663,7 +667,7 @@ impl<H: Harvester> PowerSystem<H> {
         self.leak_open(survived, *now);
         *now = now.saturating_add(survived);
         self.refresh_switches(*now);
-        self.delivered += load * survived;
+        self.deliver(load * survived);
         outcome
     }
 
@@ -710,7 +714,7 @@ impl<H: Harvester> PowerSystem<H> {
         self.leak_open(survived, *now);
         *now = now.saturating_add(survived);
         self.refresh_switches(*now);
-        self.delivered += load * survived;
+        self.deliver(load * survived);
         outcome
     }
 
@@ -742,7 +746,162 @@ impl<H: Harvester> PowerSystem<H> {
         }
     }
 
+    // --- steady-state cycles ---------------------------------------------
+
+    /// Writes this power system into a steady-state key at `now` (see
+    /// [`capy_units::cycle`]). Every field is one of:
+    ///
+    /// * **keyed**: each bank and switch, and the number of pending
+    ///   faults (a fault that strikes inside a cycle changes it);
+    /// * **an instant** the advance shifts: `synced_at`;
+    /// * **an accumulator**: `charge_segments` is a counter, and
+    ///   `delivered` is replayed addition by addition from the tape
+    ///   [`PowerSystem::record_deliveries`] keeps;
+    /// * **an exact cache**: `closed_cache`, `rail_derived` and the
+    ///   discharge memo, whose hits equal recomputation at any instant;
+    /// * **fixed** during a run: the harvester (whose segment bounds a
+    ///   skip, see [`PowerSystem::steady_until`]), the distribution
+    ///   circuits, the wear model and the startup margin.
+    pub fn cycle_key(&self, now: SimTime, key: &mut CycleKey) {
+        let Self {
+            harvester: _,
+            limiter: _,
+            input_booster: _,
+            bypass: _,
+            output_booster: _,
+            banks,
+            closed_cache: _,
+            synced_at: _,
+            delivered: _,
+            deliveries: _,
+            pending_faults,
+            wear_model,
+            startup_margin: _,
+            rail_derived: _,
+            discharge_memo: _,
+            charge_segments,
+        } = self;
+        let wear = wear_model.is_some();
+        for Slot { bank, switch } in banks {
+            bank.cycle_key(wear, key);
+            switch.cycle_key(now, key);
+        }
+        key.word(pending_faults.len() as u64);
+        key.counter(*charge_segments);
+    }
+
+    /// Advances this power system as [`PowerSystem::cycle_key`] keyed
+    /// it. `delivered` is not touched here: replay it first with
+    /// [`PowerSystem::replay_deliveries`], which decides how many cycles
+    /// the energy budget allows.
+    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        let Self {
+            harvester: _,
+            limiter: _,
+            input_booster: _,
+            bypass: _,
+            output_booster: _,
+            banks,
+            closed_cache: _,
+            synced_at,
+            delivered: _,
+            deliveries: _,
+            pending_faults: _,
+            wear_model,
+            startup_margin: _,
+            rail_derived: _,
+            discharge_memo: _,
+            charge_segments,
+        } = self;
+        let wear = wear_model.is_some();
+        for Slot { bank, switch } in banks {
+            bank.advance_cycles(wear, adv);
+            switch.advance_cycles(adv);
+        }
+        adv.counter(charge_segments);
+        adv.instant(synced_at);
+    }
+
+    /// The instant a cycle that began at `since` can repeat unchanged
+    /// until, as seen at `now`: the end of the harvester's current
+    /// segment, the earliest pending fault, and the decay deadline of any
+    /// latch the cycle did not refresh (a latch it refreshes decays at
+    /// the same point of every repetition, which its keyed age covers).
+    #[must_use]
+    pub fn steady_until(&self, now: SimTime, since: SimTime) -> SimTime {
+        let faults = self.pending_faults.iter().map(|&(at, _)| at);
+        let latches = self
+            .banks
+            .iter()
+            .map(|s| &s.switch)
+            .filter(|sw| sw.last_refresh() < since)
+            .map(BankSwitch::decay_deadline)
+            .filter(|&t| t > now);
+        faults
+            .chain(latches)
+            .fold(self.harvester.valid_until(now), SimTime::min)
+    }
+
+    /// Starts recording every addition to the delivered-energy total
+    /// into `tape` (cleared first) until [`PowerSystem::take_deliveries`].
+    pub fn record_deliveries(&mut self, mut tape: Vec<Joules>) {
+        tape.clear();
+        self.deliveries = Some(tape);
+    }
+
+    /// How many additions have been recorded since
+    /// [`PowerSystem::record_deliveries`] (0 when not recording).
+    #[must_use]
+    pub fn deliveries_recorded(&self) -> usize {
+        self.deliveries.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Stops recording and returns the tape (empty when not recording).
+    pub fn take_deliveries(&mut self) -> Vec<Joules> {
+        self.deliveries.take().unwrap_or_default()
+    }
+
+    /// Replays a recorded cycle's deliveries up to `cycles` times, in
+    /// order, so the total keeps the bits stepping would give.
+    /// `step_ends[i]` is the tape length after the cycle's step `i`.
+    /// With a `budget`, a repetition in which some step would leave the
+    /// total above it is not applied, nor any after it, because stepping
+    /// stops at that step. Returns the repetitions applied.
+    pub fn replay_deliveries(
+        &mut self,
+        tape: &[Joules],
+        step_ends: &[usize],
+        cycles: u64,
+        budget: Option<Joules>,
+    ) -> u64 {
+        let mut total = self.delivered;
+        for done in 0..cycles {
+            let mut next = total;
+            let mut from = 0;
+            for &to in step_ends {
+                for &e in &tape[from..to] {
+                    next += e;
+                }
+                from = to;
+                if budget.is_some_and(|max| next > max) {
+                    self.delivered = total;
+                    return done;
+                }
+            }
+            total = next;
+        }
+        self.delivered = total;
+        cycles
+    }
+
     // --- internals -------------------------------------------------------
+
+    fn deliver(&mut self, energy: Joules) {
+        self.delivered += energy;
+        if let Some(tape) = &mut self.deliveries {
+            tape.push(energy);
+        }
+    }
 
     fn apply_fault(&mut self, fault: HardwareFault) {
         // Faults change switch behavior or bank deratings; either way the
@@ -1055,6 +1214,7 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             closed_cache,
             synced_at: SimTime::ZERO,
             delivered: Joules::ZERO,
+            deliveries: None,
             pending_faults: Vec::new(),
             wear_model: None,
             startup_margin: Volts::ZERO,

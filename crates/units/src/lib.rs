@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cycle;
 pub mod rng;
 mod scalar;
 pub mod sketch;

@@ -100,7 +100,7 @@ fn main() {
                 burst: alarm_mode,
                 exec: sample_mode,
             },
-            move |_, _| sl.clone(),
+            move |_| sl.clone(),
             |app: &mut App| {
                 app.ticks.update(|n| n + 1);
                 if app.ticks.get().is_multiple_of(200) {
@@ -113,7 +113,7 @@ fn main() {
         .task(
             "alarm",
             TaskEnergy::Burst(alarm_mode),
-            move |_, _| al.clone(),
+            move |_| al.clone(),
             |app: &mut App| {
                 app.alarms.update(|n| n + 1);
                 Transition::To(TaskId(0))

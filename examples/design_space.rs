@@ -104,7 +104,7 @@ fn main() {
                 .task(
                     "sample",
                     TaskEnergy::Unannotated,
-                    |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(25))),
+                    |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(25))),
                     |ctx: &mut SamplerCtx| {
                         ctx.n.update(|x| x + 1);
                         Transition::Stay

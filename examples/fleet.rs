@@ -46,9 +46,7 @@ fn simulate_device(spec: &FleetSpec, point: &DevicePoint, horizon: SimTime) -> D
         .task(
             name,
             TaskEnergy::Unannotated,
-            move |_, mcu| {
-                TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(compute_ms)))
-            },
+            move |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(compute_ms))),
             move |_c: &mut ()| Transition::Sleep {
                 duration: sleep,
                 then: TaskId(0),

@@ -56,14 +56,14 @@ fn build_sim(variant: Variant) -> Simulator<ConstantHarvester, App> {
                 burst: EnergyMode(1),
                 exec: EnergyMode(0),
             },
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
             |_app: &mut App| Transition::To(TaskId(1)),
         )
         // The alert spends the pre-charged bank instantly.
         .task(
             "alert",
             TaskEnergy::Burst(EnergyMode(1)),
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(200))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(200))),
             |app: &mut App| {
                 app.alerts.update(|n| n + 1);
                 Transition::Stop

@@ -72,7 +72,7 @@ fn outage_sim(seed: u64, variant: Variant) -> Simulator<TraceHarvester, Ctx> {
                 burst: EnergyMode(1),
                 exec: EnergyMode(0),
             },
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(15))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(15))),
             |c: &mut Ctx| {
                 // Fire one alarm, once, partway through.
                 if !c.armed.get() {
@@ -86,7 +86,7 @@ fn outage_sim(seed: u64, variant: Variant) -> Simulator<TraceHarvester, Ctx> {
         .task(
             "alarm",
             TaskEnergy::Burst(EnergyMode(1)),
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(1))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(1))),
             |c: &mut Ctx| {
                 c.alarms.update(|n| n + 1);
                 Transition::To(TaskId(0))
@@ -148,7 +148,7 @@ fn adaptive_outage_sim(
         .task(
             "sense",
             TaskEnergy::Config(EnergyMode(0)),
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(15))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(15))),
             |c: &mut Ctx| {
                 if !c.armed.get() {
                     c.armed.set(true);
@@ -161,7 +161,7 @@ fn adaptive_outage_sim(
         .task(
             "alarm",
             TaskEnergy::Burst(EnergyMode(1)),
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(1))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(1))),
             |c: &mut Ctx| {
                 c.alarms.update(|n| n + 1);
                 Transition::To(TaskId(0))

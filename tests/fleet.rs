@@ -54,7 +54,7 @@ fn simulate_device(spec: &FleetSpec, point: &DevicePoint) -> DeviceOutcome {
         .task(
             "sense",
             TaskEnergy::Unannotated,
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(6))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(6))),
             move |_c: &mut ()| Transition::Sleep {
                 duration: sleep,
                 then: TaskId(0),
@@ -375,7 +375,7 @@ fn policy_device(
         .task(
             "sense",
             TaskEnergy::Config(EnergyMode(0)),
-            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
             move |_c: &mut ()| Transition::Sleep {
                 duration: sleep,
                 then: TaskId(0),
@@ -499,7 +499,7 @@ fn wear_carries_across_real_mission_legs() {
             .task(
                 "sense",
                 TaskEnergy::Unannotated,
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(6))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(6))),
                 move |_c: &mut ()| Transition::Sleep {
                     duration: sleep,
                     then: TaskId(0),

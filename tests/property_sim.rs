@@ -58,7 +58,7 @@ fn build(
                 burst: EnergyMode(1),
                 exec: EnergyMode(0),
             },
-            move |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(task_ms))),
+            move |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(task_ms))),
             |c: &mut Ctx| {
                 c.done.update(|n| n + 1);
                 Transition::To(TaskId(1))
@@ -67,9 +67,7 @@ fn build(
         .task(
             "spend",
             TaskEnergy::Burst(EnergyMode(1)),
-            move |_, mcu| {
-                TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(task_ms * 4)))
-            },
+            move |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(task_ms * 4))),
             |c: &mut Ctx| {
                 c.done.update(|n| n + 1);
                 Transition::To(TaskId(0))

@@ -56,13 +56,13 @@ fn looping_burst_sim(harvest_mw: f64) -> Simulator<ConstantHarvester, Ctx> {
             burst: EnergyMode(1),
             exec: EnergyMode(0),
         },
-        |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+        |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
         |_c: &mut Ctx| Transition::To(TaskId(1)),
     )
     .task(
         "burst",
         TaskEnergy::Burst(EnergyMode(1)),
-        |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(2))),
+        |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(2))),
         |c: &mut Ctx| {
             c.bursts.update(|n| n + 1);
             Transition::To(TaskId(0))
@@ -156,14 +156,14 @@ fn burst_failure_consumes_the_precharge_and_recovers() {
                     burst: EnergyMode(1),
                     exec: EnergyMode(0),
                 },
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(20))),
                 |_c: &mut Ctx| Transition::To(TaskId(1)),
             )
             .task(
                 "burst",
                 TaskEnergy::Burst(EnergyMode(1)),
                 // 60 s at active power ≈ 64 mJ: beyond the 7.5 mF bank.
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(60))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_secs(60))),
                 |c: &mut Ctx| {
                     c.bursts.update(|n| n + 1);
                     Transition::To(TaskId(0))
@@ -197,7 +197,7 @@ fn switch_latch_decay_during_long_charge_falls_back_to_defaults() {
             .task(
                 "big_task",
                 TaskEnergy::Config(EnergyMode(1)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(100))),
+                |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(100))),
                 |c: &mut Ctx| {
                     c.bursts.update(|n| n + 1);
                     Transition::Stay
