@@ -6,8 +6,9 @@
 #                    trajectory artifact, and the manifests/ scenario
 #                    batch with schema-validated result.json artifacts
 #   ./ci.sh --quick  the fast inner loop: build, tests, clippy, fmt,
-#                    rustdoc, and the capy-run smoke batch — skips the
-#                    benches and example smoke runs (minutes → seconds)
+#                    rustdoc, the capy-run smoke batch and the fuzz,
+#                    faults and fleet smoke runs — skips the benches and
+#                    the other example smoke runs (minutes → seconds)
 #
 # The bench compile check (`cargo bench --no-run`) keeps the
 # harness = false figure binaries from rotting — `cargo test` alone
@@ -95,6 +96,11 @@ done
 # must recover cleanly; any violation's digest prints the
 # (master_seed, case_index) reproducer. Cheap enough for the quick gate.
 run cargo run --release --example fuzz -- --smoke
+# The TA kill grid and the stuck-open alarm-bank degradation run: both
+# skip TA's steady cycles in release, where the debug-only re-check after
+# each skipped jump is off, and the example asserts a clean grid and a
+# diagnosed bank.
+run cargo run --release --example faults -- --smoke
 
 # Fleet smoke gate: a 1k-device population must stream through the
 # fleet engine, and --check pins the parallel-vs-serial bit-identity of
@@ -157,7 +163,6 @@ run cargo run --release --example fleet -- --devices 100000
 
 run cargo bench --no-run --workspace
 run cargo run --release --example policy_compare -- --smoke
-run cargo run --release --example faults -- --smoke
 # Figure and ablation goldens: every bench except sim_throughput runs
 # end to end and must print its checked-in crates/bench/golden/<bench>.txt
 # exactly, apart from the `# sweep` trailer lines (wall time, worker

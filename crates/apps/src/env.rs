@@ -144,6 +144,10 @@ pub struct HeatsinkRig {
 }
 
 impl HeatsinkRig {
+    /// The thermal ramp at the start of each excursion, from mid-band to
+    /// the excursion temperature.
+    const RAMP: SimDuration = SimDuration::from_secs(5);
+
     /// Creates a rig with the default band (30–40 °C), +8 °C excursions,
     /// and a 40 s hold per event.
     ///
@@ -203,7 +207,7 @@ impl HeatsinkRig {
             None => mid,
             Some(idx) => {
                 let into = (t - self.events[idx]).as_secs_f64();
-                let ramp = (into / 5.0).min(1.0); // 5 s thermal ramp
+                let ramp = (into / Self::RAMP.as_secs_f64()).min(1.0);
                 let target = self.band_high + self.excursion;
                 mid + (target - mid) * ramp
             }
@@ -215,6 +219,33 @@ impl HeatsinkRig {
     pub fn out_of_band_at(&self, t: SimTime) -> bool {
         let temp = self.temperature_at(t);
         temp < self.band_low || temp > self.band_high
+    }
+
+    /// The first instant at or after `t` at which a reading
+    /// ([`HeatsinkRig::excursion_at`], [`HeatsinkRig::temperature_at`],
+    /// [`HeatsinkRig::out_of_band_at`]) may differ from its value at
+    /// `t`. In band that is the next excursion's start; during an
+    /// excursion's ramp the temperature moves, so it is `t` itself; on
+    /// the hold after the ramp it is the hold's last instant plus 1 µs,
+    /// or the next excursion's start if that comes first.
+    #[must_use]
+    pub fn steady_until(&self, t: SimTime) -> SimTime {
+        let upcoming = self.events.partition_point(|&a| a <= t);
+        let next = self.events.get(upcoming).copied().unwrap_or(SimTime::MAX);
+        match self.excursion_at(t) {
+            None => next,
+            Some(idx) => {
+                let start = self.events[idx];
+                if t - start < Self::RAMP {
+                    t
+                } else {
+                    let hold_end = start
+                        .saturating_add(self.hold)
+                        .saturating_add(SimDuration::from_micros(1));
+                    hold_end.min(next)
+                }
+            }
+        }
     }
 }
 
@@ -282,6 +313,74 @@ mod tests {
         let rig = HeatsinkRig::new(times(&[1000]));
         let t = rig.temperature_at(SimTime::from_secs(10));
         assert!((t.get() - 35.0).abs() < 1e-9);
+    }
+
+    /// Every reading the TA bodies take, in bits.
+    fn readings(rig: &HeatsinkRig, t: SimTime) -> (Option<usize>, u64, bool) {
+        (
+            rig.excursion_at(t),
+            rig.temperature_at(t).get().to_bits(),
+            rig.out_of_band_at(t),
+        )
+    }
+
+    /// Checks that every reading holds on `[t, bound)` (at its ends and
+    /// at 64 instants between, for a finite bound) and returns the bound.
+    fn assert_steady(rig: &HeatsinkRig, t: SimTime) -> SimTime {
+        let bound = rig.steady_until(t);
+        assert!(bound >= t, "bound {bound} before {t}");
+        if bound == t {
+            return bound;
+        }
+        let at_t = readings(rig, t);
+        let last = if bound == SimTime::MAX {
+            t + SimDuration::from_secs(10_000)
+        } else {
+            SimTime::from_micros(bound.as_micros() - 1)
+        };
+        let span = last.as_micros() - t.as_micros();
+        for i in 0..=64 {
+            let u = SimTime::from_micros(t.as_micros() + span * i / 64);
+            assert_eq!(readings(rig, u), at_t, "reading at {u} differs from {t}");
+        }
+        bound
+    }
+
+    #[test]
+    fn heatsink_readings_hold_until_the_steady_bound() {
+        let s = SimTime::from_secs;
+        let us = SimTime::from_micros;
+        let rig = HeatsinkRig::new(times(&[100, 300]));
+        // In band: until the next excursion starts, where the reading
+        // changes.
+        assert_eq!(assert_steady(&rig, s(10)), s(100));
+        assert_eq!(assert_steady(&rig, us(299_999_999)), s(300));
+        assert_ne!(readings(&rig, s(300)), readings(&rig, us(299_999_999)));
+        // On the ramp: no steady stretch at all.
+        assert_eq!(assert_steady(&rig, s(102)), s(102));
+        assert_eq!(assert_steady(&rig, us(104_999_999)), us(104_999_999));
+        // From the ramp's end through the hold's last instant.
+        assert_eq!(assert_steady(&rig, s(105)), us(140_000_001));
+        assert_eq!(assert_steady(&rig, s(140)), us(140_000_001));
+        assert_ne!(readings(&rig, us(140_000_001)), readings(&rig, s(140)));
+        // Back in band just after the hold.
+        assert_eq!(assert_steady(&rig, us(140_000_001)), s(300));
+        // After the last excursion, nothing changes again.
+        assert_eq!(assert_steady(&rig, s(400)), SimTime::MAX);
+    }
+
+    #[test]
+    fn heatsink_steady_bound_stops_at_an_overlapping_excursion() {
+        let s = SimTime::from_secs;
+        let us = SimTime::from_micros;
+        // The second excursion starts during the first one's hold.
+        let rig = HeatsinkRig::new(times(&[100, 120]));
+        assert_eq!(assert_steady(&rig, s(105)), s(120));
+        assert_eq!(assert_steady(&rig, us(119_999_999)), s(120));
+        assert_ne!(readings(&rig, s(120)), readings(&rig, us(119_999_999)));
+        assert_eq!(assert_steady(&rig, s(121)), s(121));
+        assert_eq!(assert_steady(&rig, s(125)), us(160_000_001));
+        assert_eq!(assert_steady(&rig, us(160_000_001)), SimTime::MAX);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use capy_power::harvester::SolarPanel;
 use capy_power::switch::SwitchKind;
 use capy_power::system::PowerSystem;
 use capy_power::technology::parts;
+use capy_units::cycle::{CycleAdvance, CycleKey};
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
 use capybara::annotation::TaskEnergy;
@@ -58,7 +59,7 @@ pub const M_ALARM: EnergyMode = EnergyMode(1);
 
 /// Application context: device-resident non-volatile state, the stimulus
 /// rig, and the external measurement instrumentation.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaCtx {
     now: SimTime,
     rig: HeatsinkRig,
@@ -91,6 +92,43 @@ impl NvState for TaCtx {
 impl SimContext for TaCtx {
     fn set_now(&mut self, now: SimTime) {
         self.now = now;
+    }
+
+    /// The bodies decide on the sample series, the alarm latches and the
+    /// rig's readings, which [`TaCtx::steady_until`] bounds; the generator
+    /// draws only on an alarm. The packet count is a word, so a cycle
+    /// that sends an alarm never repeats, and the sample log is a log.
+    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+        let Self {
+            now: _,
+            rig: _,
+            rng,
+            series,
+            last_reported,
+            pending,
+            packets,
+            samples,
+        } = self;
+        series.cycle_words(key, |x, k| k.word(u64::from(x.to_bits())));
+        for latch in [last_reported, pending] {
+            latch.cycle_words(key, |id, k| {
+                k.word(u64::from(id.is_some()));
+                k.word(id.map_or(0, |id| id as u64));
+            });
+        }
+        rng.cycle_key(key);
+        key.word(packets.len() as u64);
+        samples.cycle_key(key);
+        true
+    }
+
+    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+        adv.instant(&mut self.now);
+        self.samples.advance_cycles(adv);
+    }
+
+    fn steady_until(&self, now: SimTime) -> SimTime {
+        self.rig.steady_until(now)
     }
 }
 

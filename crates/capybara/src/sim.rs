@@ -54,20 +54,34 @@ pub trait SimContext: NvState {
 
     /// Writes everything the task bodies read into a steady-state key
     /// (see [`capy_units::cycle`]) and returns `true`: what decides a
-    /// body's transition as words, what only accumulates as counters. A
-    /// context may declare a key only if its bodies do not read the clock
-    /// [`SimContext::set_now`] passes. The default declares none and
-    /// returns `false`; a simulator whose context declares no key never
-    /// skips a cycle.
+    /// body's transition as words, what only accumulates as counters,
+    /// and the length of each output log the bodies append to as a
+    /// counter. Whatever a body reads through the clock
+    /// [`SimContext::set_now`] passes must stay constant until
+    /// [`SimContext::steady_until`]; an instant the context stores is
+    /// shifted, and an output log gets shifted copies of a skipped
+    /// cycle's entries ([`CycleAdvance::log`]). The default declares no
+    /// key and returns `false`; a simulator whose context declares no key
+    /// never skips a cycle.
     fn cycle_key(&self, key: &mut CycleKey) -> bool {
         let _ = key;
         false
     }
 
-    /// Advances the counters and instants [`SimContext::cycle_key`]
+    /// Advances the counters, instants and logs [`SimContext::cycle_key`]
     /// wrote, in the same order, by whole cycles.
     fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
         let _ = adv;
+    }
+
+    /// The first instant at or after `now` at which a body's reads of the
+    /// clock could answer differently than at `now`: a skipped cycle
+    /// ends before it. `now` itself means the answers may change at any
+    /// instant, so nothing skips. The default, [`SimTime::MAX`], is right
+    /// for a context whose bodies never read the clock.
+    fn steady_until(&self, now: SimTime) -> SimTime {
+        let _ = now;
+        SimTime::MAX
     }
 }
 

@@ -4,30 +4,41 @@
 //! repeats its state exactly: the same bank voltage bits, latch ages,
 //! task pointer, runtime and policy state at the same point of every
 //! cycle. The run fingerprints that state at each task boundary
-//! ([`State::cycle_key`]), finds a repeat with Brent's method (one saved
-//! key, replaced at power-of-two distances, so detection memory stays
-//! O(1)), steps one more cycle while recording it, and then advances
-//! whole cycles at once: instants shift by the cycle length, counters
-//! add their per-cycle deltas, the delivered-energy total replays the
-//! cycle's additions in order, and the event log gets shifted copies of
-//! the cycle's events. Every float keeps the bits stepping would give,
-//! so a skipped run is the stepped run, bit for bit.
+//! ([`State::cycle_key`]) and finds a repeat with Brent's method: one
+//! saved key, replaced at power-of-two distances up to the longest cycle
+//! it skips, so detection memory stays O(1). From each saved key on, the
+//! power system tapes what a jump must replay rather than match. When
+//! the saved key repeats, the run advances whole cycles at once: instants
+//! shift by the cycle length, counters add their per-cycle deltas, the
+//! delivered-energy total replays the cycle's additions in order, every
+//! leaking bank replays the cycle's leaks in order, and each output log
+//! gets shifted copies of the cycle's entries. Every float keeps the bits
+//! stepping would give, so a skipped run is the stepped run, bit for bit.
+//!
+//! Detection runs inside a *steady window*, from a restart to the first
+//! of the harvester's segment end and the context's
+//! [`SimContext::steady_until`], inside which everything the loop reads
+//! from outside the device is constant. A bank that stays open from
+//! the saved key on only leaks, and nothing reads its voltage, so the
+//! repeating key does not compare that voltage
+//! ([`PowerSystem::cycle_key`]) and the jump replays its leaks.
 //!
 //! A jump ends before the first of the horizon, the step and energy
-//! budgets, the harvester's current segment, the next pending fault and
-//! any latch decay the cycle does not cover
-//! ([`PowerSystem::steady_until`]). A context or policy that declares no
-//! key never skips.
+//! budgets, the steady window's end, the next pending fault and any
+//! latch decay the cycle does not cover ([`PowerSystem::steady_until`]).
+//! A context or policy that declares no key never skips.
 //!
 //! [`Simulator::run_limited`]: super::Simulator::run_limited
+//! [`SimContext::steady_until`]: super::SimContext::steady_until
+//! [`PowerSystem::cycle_key`]: capy_power::system::PowerSystem::cycle_key
 //! [`PowerSystem::steady_until`]: capy_power::system::PowerSystem::steady_until
 
 use std::mem;
 
 use capy_power::harvester::Harvester;
-use capy_power::system::PowerSystem;
+use capy_power::system::{CycleTape, PowerSystem};
 use capy_units::cycle::{CycleAdvance, CycleKey};
-use capy_units::{Joules, SimDuration, SimTime};
+use capy_units::SimTime;
 
 use super::{RunLimits, SimContext, SimEvent, State};
 
@@ -35,16 +46,16 @@ use super::{RunLimits, SimContext, SimEvent, State};
 /// fingerprint: a run shorter than this pays nothing for skipping.
 const WARMUP_BOUNDARIES: u64 = 32;
 
-/// The longest cycle, in steps, that is recorded and skipped; a longer
-/// one is stepped.
+/// The longest cycle, in steps, that is skipped, and the farthest Brent's
+/// saved key reaches, so no tape covers more steps than this.
 const MAX_CYCLE_STEPS: u64 = 1024;
 
 /// The distance at which Brent's first saved key is replaced. Brent's
-/// method starts at 1, but a fresh harvester segment opens on a
-/// transient whose keys cannot repeat yet; starting at 16 finds a cycle
-/// of up to 32 steps that settles within 16 boundaries at its first
-/// repeat after the second save (about 17% fewer stepped boundaries on
-/// an orbital fleet device than starting at 1).
+/// method starts at 1, but a fresh steady window opens on a transient
+/// whose keys cannot repeat yet; starting at 16 finds a cycle of up to
+/// 32 steps that settles within 16 boundaries at its first repeat after
+/// the second save (about 17% fewer stepped boundaries on an orbital
+/// fleet device than starting at 1).
 const FIRST_REACH: u64 = 16;
 
 /// How much cycle skipping a simulator has done, across every run: how
@@ -61,18 +72,6 @@ pub struct SkipStats {
     pub steps_skipped: u64,
 }
 
-/// The cycle being recorded: where it began.
-#[derive(Debug, Clone, Copy)]
-struct Recording {
-    /// Step count (in this call) at the cycle's first boundary.
-    steps: u64,
-    since: SimTime,
-    /// The cycle's length in steps.
-    period: u64,
-    events_from: usize,
-    trace_from: usize,
-}
-
 /// A key to re-check one cycle after a jump (debug builds).
 #[derive(Debug)]
 struct Check {
@@ -85,8 +84,8 @@ struct Check {
     key: CycleKey,
 }
 
-/// Detection and recording state for one `run_limited` call. It lives on
-/// the call's stack, not in the device state, so snapshots never see it.
+/// Detection state for one `run_limited` call. It lives on the call's
+/// stack, not in the device state, so snapshots never see it.
 #[derive(Debug)]
 pub(super) struct Skipper {
     /// The step count from which boundaries are fingerprinted;
@@ -94,23 +93,18 @@ pub(super) struct Skipper {
     pub(super) from: u64,
     /// The key of the current boundary.
     key: CycleKey,
-    /// Brent's saved key, and where it was taken.
+    /// Brent's saved key, and where it was taken: the start of the cycle
+    /// the power system is taping.
     saved: CycleKey,
     saved_steps: u64,
     saved_now: SimTime,
     /// Distance from the saved key at which it is replaced.
     reach: u64,
-    /// The end of the harvester segment the saved key lies in (its
-    /// `valid_until` there): harvest is constant until then. Zero before
+    /// The end of the steady window the saved key lies in. Zero before
     /// the first fingerprint, so that one starts detection.
-    segment_end: SimTime,
-    recording: Option<Recording>,
-    /// The key at the recorded cycle's start.
-    start: CycleKey,
-    /// The delivery-tape length after each recorded step.
-    step_ends: Vec<usize>,
-    /// The delivery tape's buffer between recordings.
-    tape: Vec<Joules>,
+    window_end: SimTime,
+    /// The tape's buffers while the power system is not recording.
+    tape: CycleTape,
     check: Option<Check>,
 }
 
@@ -125,35 +119,15 @@ impl Skipper {
             saved_steps: 0,
             saved_now: SimTime::ZERO,
             reach: FIRST_REACH,
-            segment_end: SimTime::ZERO,
-            recording: None,
-            start: CycleKey::default(),
-            step_ends: Vec::new(),
-            tape: Vec::new(),
+            window_end: SimTime::ZERO,
+            tape: CycleTape::default(),
             check: None,
         }
     }
 
-    /// Ends the call: a recording cut short stops its tape.
+    /// Ends the call: the power system stops taping.
     pub(super) fn finish<H: Harvester>(self, power: &mut PowerSystem<H>) {
-        if self.recording.is_some() {
-            let _ = power.take_deliveries();
-        }
-    }
-
-    /// Saves the current key as Brent's reference, `reach` steps ahead.
-    fn save(&mut self, steps: u64, now: SimTime, reach: u64) {
-        self.saved.clone_from(&self.key);
-        self.saved_steps = steps;
-        self.saved_now = now;
-        self.reach = reach;
-    }
-
-    /// Starts detection afresh from the current key, in the harvester
-    /// segment that ends at `segment_end`.
-    fn restart(&mut self, steps: u64, now: SimTime, segment_end: SimTime) {
-        self.save(steps, now, FIRST_REACH);
-        self.segment_end = segment_end;
+        let _ = power.take_tape();
     }
 }
 
@@ -169,107 +143,107 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         limits: &RunLimits,
         steps: u64,
     ) -> u64 {
-        if let Some(rec) = s.recording {
-            s.step_ends.push(self.power.deliveries_recorded());
-            if steps - rec.steps < rec.period {
-                return 0;
-            }
-            s.recording = None;
-            let tape = self.power.take_deliveries();
-            // The recorded cycle must end on its start key, inside the
-            // segment it was detected in, before anything is replayed.
-            let repeats = self.cycle_key(&mut s.key)
-                && s.key.same_state(&s.start)
-                && self.now < s.segment_end;
-            let skipped = if repeats {
-                self.jump(s, rec, &tape, limits, steps)
-            } else {
-                0
-            };
-            s.tape = tape;
-            let segment_end = self.power.harvester().valid_until(self.now);
-            s.restart(steps + skipped, self.now, segment_end);
-            return skipped;
-        }
-
+        self.power.end_taped_step();
         if !self.cycle_key(&mut s.key) {
             s.from = u64::MAX;
+            let _ = self.power.take_tape();
             return 0;
         }
         if cfg!(debug_assertions) {
             self.check_jump(s, steps);
         }
-        if self.now >= s.segment_end {
-            let segment_end = self.power.harvester().valid_until(self.now);
-            s.restart(steps, self.now, segment_end);
+        if self.now >= s.window_end {
+            self.restart(s, steps);
             return 0;
         }
-        if s.key.same_state(&s.saved) {
-            let period = steps - s.saved_steps;
-            if self.now > s.saved_now && period <= MAX_CYCLE_STEPS {
-                self.skips.cycles_detected += 1;
-                s.start.clone_from(&s.key);
-                s.step_ends.clear();
-                s.recording = Some(Recording {
-                    steps,
-                    since: self.now,
-                    period,
-                    events_from: self.events.len(),
-                    trace_from: self.trace.as_ref().map_or(0, Vec::len),
-                });
-                self.power.record_deliveries(mem::take(&mut s.tape));
-                return 0;
-            }
+        if s.key.same_state(&s.saved) && self.now > s.saved_now {
+            self.skips.cycles_detected += 1;
+            let skipped = self.jump(s, limits, steps);
+            // Detection starts afresh from where the cycles ended, with
+            // the counters they reached.
+            self.cycle_key(&mut s.key);
+            self.restart(s, steps + skipped);
+            return skipped;
         }
         if steps - s.saved_steps >= s.reach {
-            s.save(steps, self.now, s.reach.saturating_mul(2));
+            self.save(s, steps, (s.reach * 2).min(MAX_CYCLE_STEPS));
         }
         0
     }
 
-    /// Advances as many whole repetitions of the recorded cycle as every
-    /// bound allows; returns the steps advanced.
-    fn jump(
-        &mut self,
-        s: &mut Skipper,
-        rec: Recording,
-        tape: &[Joules],
-        limits: &RunLimits,
-        steps: u64,
-    ) -> u64 {
-        let period = self.now - rec.since;
-        let steady = self.power.steady_until(self.now, rec.since);
+    /// Saves the current key as Brent's reference, to be replaced
+    /// `reach` steps on, and starts taping the cycle that begins here.
+    /// The power system watches for leaking banks from here too: a bank
+    /// that stays open until a later key repeats this one has only
+    /// leaked, so that key does not compare its voltage, and the jump
+    /// replays the taped leaks on it.
+    fn save(&mut self, s: &mut Skipper, steps: u64, reach: u64) {
+        self.power.watch_leaks();
+        s.saved.clone_from(&s.key);
+        s.saved_steps = steps;
+        s.saved_now = self.now;
+        s.reach = reach;
+        let tape = self
+            .power
+            .take_tape()
+            .unwrap_or_else(|| mem::take(&mut s.tape));
+        self.power.record_cycle(tape);
+    }
+
+    /// Starts detection afresh from the current key, in the steady
+    /// window that opens here.
+    fn restart(&mut self, s: &mut Skipper, steps: u64) {
+        s.window_end = self
+            .power
+            .harvester()
+            .valid_until(self.now)
+            .min(self.ctx.steady_until(self.now));
+        self.save(s, steps, FIRST_REACH);
+    }
+
+    /// Advances as many whole repetitions of the cycle from the saved
+    /// key to this boundary as every bound allows; returns the steps
+    /// advanced.
+    fn jump(&mut self, s: &mut Skipper, limits: &RunLimits, steps: u64) -> u64 {
+        let cycle_steps = steps - s.saved_steps;
+        let period = self.now - s.saved_now;
+        let steady = self
+            .power
+            .steady_until(self.now, s.saved_now)
+            .min(s.window_end);
         let until = limits.max_sim.map_or(steady, |end| steady.min(end));
         // Whole cycles whose last boundary, now + k·period, stays before
         // `until`: stepping stops at the first boundary at or past the
-        // horizon, and must not reach the segment end or a fault.
+        // horizon, and must not reach the window end or a fault.
         let room = until
             .as_micros()
             .saturating_sub(self.now.as_micros())
             .saturating_sub(1);
-        let Some(cycles) = room.checked_div(period.as_micros()) else {
-            return 0;
-        };
-        let mut cycles = cycles.min(u64::MAX / rec.period);
+        let mut cycles = (room / period.as_micros()).min(u64::MAX / cycle_steps);
         if let Some(max) = limits.max_steps {
             // Stepping trips the budget at step `max`; stay below it.
-            cycles = cycles.min((max - steps - 1) / rec.period);
+            cycles = cycles.min((max - steps - 1) / cycle_steps);
         }
+        let tape = self
+            .power
+            .take_tape()
+            .expect("the saved key's cycle is taped");
         let cycles = self
             .power
-            .replay_deliveries(tape, &s.step_ends, cycles, limits.max_energy);
+            .replay_cycles(&tape, cycles, self.now, limits.max_energy);
+        s.tape = tape;
         if cycles == 0 {
             return 0;
         }
-        let mut adv = CycleAdvance::new(&s.start, &s.key, rec.since, period, cycles);
-        self.advance_cycles(&mut adv, rec.events_from, rec.trace_from, period);
+        let mut adv = CycleAdvance::new(&s.saved, &s.key, s.saved_now, period, cycles);
+        self.advance_cycles(&mut adv);
         adv.finish();
+        let skipped = cycles * cycle_steps;
         self.skips.cycles_skipped += cycles;
-        self.skips.steps_skipped += cycles * rec.period;
-        let skipped = cycles * rec.period;
+        self.skips.steps_skipped += skipped;
         if cfg!(debug_assertions) {
             s.check = Some(Check {
-                at: steps + skipped + rec.period,
+                at: steps + skipped + cycle_steps,
                 before: steady,
                 skipped: self.skips.cycles_skipped,
                 key: s.key.clone(),
@@ -300,9 +274,10 @@ impl<H: Harvester, C: SimContext> State<H, C> {
     /// [`capy_units::cycle`]), or `false` when the context or the policy
     /// declares none. Every field is one of: keyed; an instant or index
     /// the advance shifts (`now`, `decided_at`); an output log the
-    /// advance extends (`events`, `trace`), of which the on-path pauses
-    /// since the last decision are keyed, since the next decision reads
-    /// them; or the skip counters, which count jumps and are neither.
+    /// advance extends (`events`, `trace`), whose length is a counter
+    /// and of which the on-path pauses since the last decision are
+    /// keyed, since the next decision reads them; or the skip counters,
+    /// which count jumps and are neither.
     fn cycle_key(&self, key: &mut CycleKey) -> bool {
         let Self {
             power,
@@ -317,7 +292,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             consecutive_failures,
             events,
             decided_at,
-            trace: _,
+            trace,
             degradation,
             policy,
             skips: _,
@@ -343,20 +318,17 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         for pause in pauses() {
             key.span(pause);
         }
+        key.counter(events.len() as u64);
+        if let Some(trace) = trace {
+            key.counter(trace.len() as u64);
+        }
         true
     }
 
     /// Advances the state by `adv.cycles()` repetitions of the recorded
-    /// cycle, which logged `events[events_from..]` and
-    /// `trace[trace_from..]`, in [`State::cycle_key`]'s order. The
-    /// delivered-energy total was replayed before.
-    fn advance_cycles(
-        &mut self,
-        adv: &mut CycleAdvance<'_>,
-        events_from: usize,
-        trace_from: usize,
-        period: SimDuration,
-    ) {
+    /// cycle, in [`State::cycle_key`]'s order. The delivered-energy total
+    /// and the leaking banks were replayed before.
+    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
         let Self {
             power,
             machine,
@@ -379,37 +351,14 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         power.advance_cycles(adv);
         machine.advance_cycles(adv);
         adv.instant(now);
-        let logged = repeat_tail(events, events_from, adv.cycles(), period, SimEvent::shifted);
+        let end = events.len();
+        let from = adv.log(events, SimEvent::shifted);
         // The last decision moves with the cycle if the cycle made it.
-        if *decided_at >= events_from {
-            *decided_at += logged;
+        if *decided_at >= from {
+            *decided_at += events.len() - end;
         }
         if let Some(trace) = trace {
-            repeat_tail(trace, trace_from, adv.cycles(), period, |(t, v), d| {
-                (t + d, v)
-            });
+            adv.log(trace, |(t, v), d| (t + d, v));
         }
     }
-}
-
-/// Appends `cycles` copies of `log[from..]`, the `j`-th shifted by `j`
-/// periods, growing the log as pushes do; returns how many entries were
-/// appended.
-fn repeat_tail<T: Copy>(
-    log: &mut Vec<T>,
-    from: usize,
-    cycles: u64,
-    period: SimDuration,
-    shift: impl Fn(T, SimDuration) -> T,
-) -> usize {
-    let end = log.len();
-    let mut offset = SimDuration::ZERO;
-    for _ in 0..cycles {
-        offset += period;
-        for i in from..end {
-            let entry = shift(log[i], offset);
-            log.push(entry);
-        }
-    }
-    log.len() - end
 }

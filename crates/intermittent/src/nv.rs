@@ -192,6 +192,22 @@ impl<T: Clone> NvVec<T> {
     pub fn abort(&mut self) {
         self.working = None;
     }
+
+    /// Writes this buffer into a steady-state key as words: the committed
+    /// length and elements through `write`, whether a copy is staged, and
+    /// the staged length and elements through `write`.
+    pub fn cycle_words(&self, key: &mut CycleKey, write: impl Fn(&T, &mut CycleKey)) {
+        let Self { committed, working } = self;
+        for buf in [Some(committed), working.as_ref()] {
+            key.word(u64::from(buf.is_some()));
+            if let Some(buf) = buf {
+                key.word(buf.len() as u64);
+                for x in buf {
+                    write(x, key);
+                }
+            }
+        }
+    }
 }
 
 impl<T: Clone> Default for NvVec<T> {

@@ -234,10 +234,11 @@ impl Bank {
 
     /// Writes this bank into a steady-state key: its charge state (see
     /// [`CapacitorState::cycle_key`]; `wear` says whether a wear model
-    /// turns cycle counts into deratings) and its derating bits. Name and
+    /// turns cycle counts into deratings, `leaking` whether the voltage
+    /// is replayed rather than keyed) and its derating bits. Name and
     /// members are fixed at build, and the constants derive from them
     /// and the derating.
-    pub fn cycle_key(&self, wear: bool, key: &mut CycleKey) {
+    pub fn cycle_key(&self, wear: bool, leaking: bool, key: &mut CycleKey) {
         let Self {
             name: _,
             members: _,
@@ -246,7 +247,7 @@ impl Bank {
             esr_scale,
             constants: _,
         } = self;
-        state.cycle_key(wear, key);
+        state.cycle_key(wear, leaking, key);
         key.bits(*cap_derate);
         key.bits(*esr_scale);
     }

@@ -223,12 +223,18 @@ impl CapacitorState {
         self.cycles = cycles;
     }
 
-    /// Writes this state into a steady-state key: the voltage bits, and
-    /// the cycle count as a word when `wear` makes it feed the derating
-    /// or as a counter otherwise.
-    pub fn cycle_key(&self, wear: bool, key: &mut CycleKey) {
+    /// Writes this state into a steady-state key: the voltage bits,
+    /// replayed ([`CycleKey::replayed_bits`]) when `leaking` says that
+    /// only leaks moved it and a jump replays them, and the cycle count
+    /// as a word when `wear` makes it feed the derating or as a counter
+    /// otherwise.
+    pub fn cycle_key(&self, wear: bool, leaking: bool, key: &mut CycleKey) {
         let Self { voltage, cycles } = self;
-        key.bits(voltage.get());
+        if leaking {
+            key.replayed_bits(voltage.get());
+        } else {
+            key.bits(voltage.get());
+        }
         if wear {
             key.word(*cycles);
         } else {

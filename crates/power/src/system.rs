@@ -208,9 +208,9 @@ pub struct PowerSystem<H> {
     synced_at: SimTime,
     /// Cumulative energy delivered to loads, for efficiency accounting.
     delivered: Joules,
-    /// While a steady-state cycle is being recorded, every addition to
-    /// `delivered`, in order, so a cycle skip can replay them.
-    deliveries: Option<Vec<Joules>>,
+    /// While a steady-state cycle is being recorded, what a jump replays:
+    /// every addition to `delivered` and every leak interval, in order.
+    tape: Option<CycleTape>,
     /// Faults scheduled to strike at a future instant; applied (and
     /// drained) by [`PowerSystem::sync`] once their time arrives.
     pending_faults: Vec<(SimTime, HardwareFault)>,
@@ -233,6 +233,38 @@ pub struct PowerSystem<H> {
 struct Slot {
     bank: Bank,
     switch: BankSwitch,
+    /// Whether a `sync` found the bank closed since the last
+    /// [`PowerSystem::watch_leaks`]. A bank that is open and was not is
+    /// *leaking*: only leaks have touched its voltage since.
+    closed_since_watch: bool,
+}
+
+impl Slot {
+    fn new(bank: Bank, switch: BankSwitch) -> Self {
+        Self {
+            bank,
+            switch,
+            closed_since_watch: false,
+        }
+    }
+
+    /// Whether only leaks have touched this bank's voltage since the
+    /// last [`PowerSystem::watch_leaks`], and it is still open at `now`.
+    fn leaking(&self, now: SimTime) -> bool {
+        !self.closed_since_watch && !self.switch.state(now).is_closed()
+    }
+}
+
+/// What one recorded steady-state cycle did that a jump replays instead
+/// of matching by key: every addition to the delivered-energy total,
+/// where each step's additions end, and the interval of every leak, each
+/// in order. A recording reuses the buffers of the last one.
+#[derive(Debug, Clone, Default)]
+pub struct CycleTape {
+    deliveries: Vec<Joules>,
+    /// The `deliveries` length after each recorded step.
+    step_ends: Vec<usize>,
+    leaks: Vec<SimDuration>,
 }
 
 /// Builder for [`PowerSystem`] (§C-BUILDER).
@@ -491,7 +523,9 @@ impl<H: Harvester> PowerSystem<H> {
         // operation, so it must not allocate.
         let mut changed = false;
         for i in 0..self.banks.len() {
-            let closed = self.banks[i].switch.state(now).is_closed();
+            let slot = &mut self.banks[i];
+            let closed = slot.switch.state(now).is_closed();
+            slot.closed_since_watch |= closed;
             if self.closed_cache[i] != closed {
                 self.closed_cache[i] = closed;
                 changed = true;
@@ -752,11 +786,15 @@ impl<H: Harvester> PowerSystem<H> {
     /// [`capy_units::cycle`]). Every field is one of:
     ///
     /// * **keyed**: each bank and switch, and the number of pending
-    ///   faults (a fault that strikes inside a cycle changes it);
+    ///   faults (a fault that strikes inside a cycle changes it). A
+    ///   *leaking* bank, open now and found closed by no `sync` since
+    ///   [`PowerSystem::watch_leaks`], keys its voltage bits as replayed:
+    ///   nothing reads an open bank's voltage, only leaks move it, and a
+    ///   jump replays those leaks from the tape;
     /// * **an instant** the advance shifts: `synced_at`;
     /// * **an accumulator**: `charge_segments` is a counter, and
     ///   `delivered` is replayed addition by addition from the tape
-    ///   [`PowerSystem::record_deliveries`] keeps;
+    ///   [`PowerSystem::record_cycle`] keeps;
     /// * **an exact cache**: `closed_cache`, `rail_derived` and the
     ///   discharge memo, whose hits equal recomputation at any instant;
     /// * **fixed** during a run: the harvester (whose segment bounds a
@@ -773,7 +811,7 @@ impl<H: Harvester> PowerSystem<H> {
             closed_cache: _,
             synced_at: _,
             delivered: _,
-            deliveries: _,
+            tape: _,
             pending_faults,
             wear_model,
             startup_margin: _,
@@ -782,8 +820,13 @@ impl<H: Harvester> PowerSystem<H> {
             charge_segments,
         } = self;
         let wear = wear_model.is_some();
-        for Slot { bank, switch } in banks {
-            bank.cycle_key(wear, key);
+        for slot in banks {
+            let Slot {
+                bank,
+                switch,
+                closed_since_watch: _,
+            } = slot;
+            bank.cycle_key(wear, slot.leaking(now), key);
             switch.cycle_key(now, key);
         }
         key.word(pending_faults.len() as u64);
@@ -791,9 +834,9 @@ impl<H: Harvester> PowerSystem<H> {
     }
 
     /// Advances this power system as [`PowerSystem::cycle_key`] keyed
-    /// it. `delivered` is not touched here: replay it first with
-    /// [`PowerSystem::replay_deliveries`], which decides how many cycles
-    /// the energy budget allows.
+    /// it. `delivered` and the leaking banks' voltages are not touched
+    /// here: replay them first with [`PowerSystem::replay_cycles`], which
+    /// decides how many cycles the energy budget allows.
     pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
         let Self {
             harvester: _,
@@ -805,7 +848,7 @@ impl<H: Harvester> PowerSystem<H> {
             closed_cache: _,
             synced_at,
             delivered: _,
-            deliveries: _,
+            tape: _,
             pending_faults: _,
             wear_model,
             startup_margin: _,
@@ -814,7 +857,12 @@ impl<H: Harvester> PowerSystem<H> {
             charge_segments,
         } = self;
         let wear = wear_model.is_some();
-        for Slot { bank, switch } in banks {
+        for Slot {
+            bank,
+            switch,
+            closed_since_watch: _,
+        } in banks
+        {
             bank.advance_cycles(wear, adv);
             switch.advance_cycles(adv);
         }
@@ -842,44 +890,77 @@ impl<H: Harvester> PowerSystem<H> {
             .fold(self.harvester.valid_until(now), SimTime::min)
     }
 
-    /// Starts recording every addition to the delivered-energy total
-    /// into `tape` (cleared first) until [`PowerSystem::take_deliveries`].
-    pub fn record_deliveries(&mut self, mut tape: Vec<Joules>) {
-        tape.clear();
-        self.deliveries = Some(tape);
+    /// Starts a fresh record of which banks leak: from here on, a bank
+    /// is *leaking* while it is open and no `sync` has found it closed
+    /// (see [`PowerSystem::cycle_key`]).
+    pub fn watch_leaks(&mut self) {
+        for slot in &mut self.banks {
+            slot.closed_since_watch = false;
+        }
     }
 
-    /// How many additions have been recorded since
-    /// [`PowerSystem::record_deliveries`] (0 when not recording).
-    #[must_use]
-    pub fn deliveries_recorded(&self) -> usize {
-        self.deliveries.as_ref().map_or(0, Vec::len)
+    /// Starts recording a steady-state cycle into `tape` (cleared first)
+    /// until [`PowerSystem::take_tape`]: every addition to the
+    /// delivered-energy total and the interval of every leak.
+    pub fn record_cycle(&mut self, mut tape: CycleTape) {
+        tape.deliveries.clear();
+        tape.step_ends.clear();
+        tape.leaks.clear();
+        self.tape = Some(tape);
     }
 
-    /// Stops recording and returns the tape (empty when not recording).
-    pub fn take_deliveries(&mut self) -> Vec<Joules> {
-        self.deliveries.take().unwrap_or_default()
+    /// Marks the end of one recorded step (nothing when not recording).
+    pub fn end_taped_step(&mut self) {
+        if let Some(tape) = &mut self.tape {
+            tape.step_ends.push(tape.deliveries.len());
+        }
     }
 
-    /// Replays a recorded cycle's deliveries up to `cycles` times, in
-    /// order, so the total keeps the bits stepping would give.
-    /// `step_ends[i]` is the tape length after the cycle's step `i`.
-    /// With a `budget`, a repetition in which some step would leave the
-    /// total above it is not applied, nor any after it, because stepping
-    /// stops at that step. Returns the repetitions applied.
-    pub fn replay_deliveries(
+    /// Stops recording and returns the tape, if one was recording.
+    pub fn take_tape(&mut self) -> Option<CycleTape> {
+        self.tape.take()
+    }
+
+    /// Replays a recorded cycle up to `cycles` times, so every replayed
+    /// float keeps the bits stepping would give, and returns the
+    /// repetitions applied. First the delivered-energy total: its
+    /// additions, in order; with a `budget`, a repetition in which some
+    /// step would leave the total above it is not applied, nor any after
+    /// it, because stepping stops at that step. Then each bank leaking
+    /// at `now`: the taped leak intervals, in order, through the same
+    /// [`capacitor::leak`] as stepping, once per applied repetition.
+    pub fn replay_cycles(
         &mut self,
-        tape: &[Joules],
-        step_ends: &[usize],
+        tape: &CycleTape,
         cycles: u64,
+        now: SimTime,
         budget: Option<Joules>,
     ) -> u64 {
+        let cycles = self.replay_deliveries(tape, cycles, budget);
+        for slot in &mut self.banks {
+            if !slot.leaking(now) {
+                continue;
+            }
+            for _ in 0..cycles {
+                for &dt in &tape.leaks {
+                    slot.bank.apply_leakage(dt);
+                }
+                // Leaking never lifts a bank off the 0 V floor.
+                if slot.bank.voltage() == Volts::ZERO {
+                    break;
+                }
+            }
+        }
+        cycles
+    }
+
+    fn replay_deliveries(&mut self, tape: &CycleTape, cycles: u64, budget: Option<Joules>) -> u64 {
         let mut total = self.delivered;
         for done in 0..cycles {
             let mut next = total;
             let mut from = 0;
-            for &to in step_ends {
-                for &e in &tape[from..to] {
+            for &to in &tape.step_ends {
+                for &e in &tape.deliveries[from..to] {
                     next += e;
                 }
                 from = to;
@@ -898,8 +979,8 @@ impl<H: Harvester> PowerSystem<H> {
 
     fn deliver(&mut self, energy: Joules) {
         self.delivered += energy;
-        if let Some(tape) = &mut self.deliveries {
-            tape.push(energy);
+        if let Some(tape) = &mut self.tape {
+            tape.deliveries.push(energy);
         }
     }
 
@@ -1014,6 +1095,7 @@ impl<H: Harvester> PowerSystem<H> {
 
     fn leak_open(&mut self, dt: SimDuration, now: SimTime) {
         self.assert_synced(now);
+        self.tape_leak(dt);
         for (slot, &closed) in self.banks.iter_mut().zip(&self.closed_cache) {
             if !closed {
                 slot.bank.apply_leakage(dt);
@@ -1022,8 +1104,17 @@ impl<H: Harvester> PowerSystem<H> {
     }
 
     fn leak_all(&mut self, dt: SimDuration) {
+        self.tape_leak(dt);
         for slot in &mut self.banks {
             slot.bank.apply_leakage(dt);
+        }
+    }
+
+    /// Every leak reaches every leaking bank (it is open at the leak's
+    /// `sync`), so the tape needs only the interval.
+    fn tape_leak(&mut self, dt: SimDuration) {
+        if let Some(tape) = &mut self.tape {
+            tape.leaks.push(dt);
         }
     }
 
@@ -1176,17 +1267,14 @@ impl<H: Harvester> PowerSystemBuilder<H> {
     /// Adds a bank behind a fresh switch of the given kind.
     #[must_use]
     pub fn bank(mut self, bank: Bank, kind: SwitchKind) -> Self {
-        self.banks.push(Slot {
-            bank,
-            switch: BankSwitch::new(kind),
-        });
+        self.banks.push(Slot::new(bank, BankSwitch::new(kind)));
         self
     }
 
     /// Adds a bank behind an explicitly configured switch.
     #[must_use]
     pub fn bank_with_switch(mut self, bank: Bank, switch: BankSwitch) -> Self {
-        self.banks.push(Slot { bank, switch });
+        self.banks.push(Slot::new(bank, switch));
         self
     }
 
@@ -1214,7 +1302,7 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             closed_cache,
             synced_at: SimTime::ZERO,
             delivered: Joules::ZERO,
-            deliveries: None,
+            tape: None,
             pending_faults: Vec::new(),
             wear_model: None,
             startup_margin: Volts::ZERO,
@@ -1682,6 +1770,115 @@ mod tests {
             "expected a long charge, now = {now}"
         );
         assert!(used <= 10, "segments = {used}");
+    }
+
+    /// A small always-closed bank and a big open one at `big_at`.
+    fn open_big_bank_system(big_at: Volts) -> PowerSystem<ConstantHarvester> {
+        let mut big = big_bank();
+        big.set_voltage(big_at);
+        PowerSystem::builder()
+            .harvester(ten_mw())
+            .bank(small_bank(), SwitchKind::NormallyClosed)
+            .bank(big, SwitchKind::NormallyOpen)
+            .build()
+    }
+
+    /// One duty cycle on the small bank: a charge to full, a draw and an
+    /// idle stretch, then the end of a taped step.
+    fn duty_cycle(sys: &mut PowerSystem<ConstantHarvester>, now: &mut SimTime) {
+        sys.charge_until_full(now).unwrap();
+        let out = sys.draw(Watts::from_milli(3.0), SimDuration::from_millis(20), now);
+        assert!(out.is_complete());
+        sys.idle(SimDuration::from_millis(7), now);
+        sys.end_taped_step();
+    }
+
+    /// Runs the settling duty cycle and one taped cycle; returns the tape.
+    fn settle_and_tape(sys: &mut PowerSystem<ConstantHarvester>, now: &mut SimTime) -> CycleTape {
+        duty_cycle(sys, now);
+        sys.watch_leaks();
+        sys.record_cycle(CycleTape::default());
+        duty_cycle(sys, now);
+        sys.take_tape().expect("recording")
+    }
+
+    #[test]
+    fn replaying_an_open_banks_taped_leaks_equals_stepping_them() {
+        const K: u64 = 40;
+        // The second start leaks to the 0 V floor about ten cycles into
+        // the replay, which must stop there exactly where stepping does.
+        let mut probe = open_big_bank_system(Volts::new(2.1));
+        let big = |sys: &PowerSystem<ConstantHarvester>| sys.bank(BankId(1)).unwrap().voltage();
+        let mut t = SimTime::ZERO;
+        settle_and_tape(&mut probe, &mut t);
+        let taped = Volts::new(2.1) - big(&probe);
+        let at = big(&probe);
+        duty_cycle(&mut probe, &mut t);
+        let near_empty = taped + (at - big(&probe)) * 10.5;
+        for start in [Volts::new(2.1), near_empty] {
+            let mut sys = open_big_bank_system(start);
+            let mut now = SimTime::ZERO;
+            let tape = settle_and_tape(&mut sys, &mut now);
+            assert!(!tape.leaks.is_empty());
+            assert!(sys.bank(BankId(1)).unwrap().voltage() > Volts::ZERO);
+
+            let mut stepped = sys.clone();
+            let mut t = now;
+            for _ in 0..K {
+                duty_cycle(&mut stepped, &mut t);
+            }
+            assert_eq!(sys.replay_cycles(&tape, K, now, None), K);
+            let bits = |sys: &PowerSystem<ConstantHarvester>, i| {
+                sys.bank(BankId(i)).unwrap().voltage().get().to_bits()
+            };
+            for i in 0..2 {
+                assert_eq!(bits(&sys, i), bits(&stepped, i), "bank {i} from {start}");
+            }
+            assert_eq!(
+                sys.energy_delivered().get().to_bits(),
+                stepped.energy_delivered().get().to_bits()
+            );
+            if start == near_empty {
+                assert_eq!(sys.bank(BankId(1)).unwrap().voltage(), Volts::ZERO);
+            }
+        }
+    }
+
+    #[test]
+    fn a_bank_closed_since_the_watch_keys_its_voltage() {
+        let key = |sys: &PowerSystem<ConstantHarvester>, now| {
+            let mut key = CycleKey::default();
+            sys.cycle_key(now, &mut key);
+            key
+        };
+        let mut a = open_big_bank_system(Volts::new(2.0));
+        let mut b = open_big_bank_system(Volts::new(2.05));
+        let now = SimTime::ZERO;
+        a.watch_leaks();
+        b.watch_leaks();
+        // Open since the watch: the open bank's voltage is not compared.
+        assert!(key(&a, now).same_state(&key(&b, now)));
+        assert!(key(&b, now).same_state(&key(&a, now)));
+        // Closed alone at a `sync` (so nothing equalizes) and open
+        // again: it is compared.
+        for sys in [&mut a, &mut b] {
+            for (bank, state) in [
+                (0, SwitchState::Open),
+                (1, SwitchState::Closed),
+                (1, SwitchState::Open),
+                (0, SwitchState::Closed),
+            ] {
+                sys.command_switch(BankId(bank), state, now).unwrap();
+                if bank == 1 && state == SwitchState::Closed {
+                    sys.sync(now);
+                }
+            }
+        }
+        assert!(!key(&a, now).same_state(&key(&b, now)));
+        // A fresh watch forgets the close.
+        a.watch_leaks();
+        b.watch_leaks();
+        assert!(key(&a, now).same_state(&key(&b, now)));
     }
 
     /// Every route that can change a cached rail quantity is followed by

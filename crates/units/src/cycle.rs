@@ -13,11 +13,18 @@
 //!   A part whose counter does decide behaviour writes what it decides
 //!   on (say, the count modulo a period) as a word too.
 //!
+//! A word may also be written as *replayed*: a value nothing reads, that
+//! moves only by operations a jump repeats in order (an open bank's
+//! voltage, which only leaks). A later key that marks a word replayed
+//! does not compare it with the earlier key's.
+//!
 //! Once a recorded cycle has ended on its start key, each counter's
 //! per-cycle delta is its end reading minus its start reading. A
 //! [`CycleAdvance`] then walks the parts in the same order as the key:
-//! each adds `k` deltas to its counters and moves each instant it
-//! stores by `k` cycle lengths, if the cycle wrote that instant.
+//! each adds `k` deltas to its counters, moves each instant it stores by
+//! `k` cycle lengths, if the cycle wrote that instant, and extends each
+//! output log (whose length it keyed as a counter) by `k` shifted copies
+//! of the entries the cycle appended.
 
 use crate::{SimDuration, SimTime};
 
@@ -27,6 +34,8 @@ use crate::{SimDuration, SimTime};
 pub struct CycleKey {
     words: Vec<u64>,
     counters: Vec<u64>,
+    /// The indices of the replayed words, ascending.
+    replayed: Vec<usize>,
 }
 
 impl CycleKey {
@@ -34,6 +43,7 @@ impl CycleKey {
     pub fn clear(&mut self) {
         self.words.clear();
         self.counters.clear();
+        self.replayed.clear();
     }
 
     /// Appends a word that decides behaviour.
@@ -43,6 +53,14 @@ impl CycleKey {
 
     /// Appends a float's exact bits as a word.
     pub fn bits(&mut self, x: f64) {
+        self.words.push(x.to_bits());
+    }
+
+    /// Appends a float's exact bits as a replayed word, which
+    /// [`CycleKey::same_state`] does not compare when this key is the
+    /// later one.
+    pub fn replayed_bits(&mut self, x: f64) {
+        self.replayed.push(self.words.len());
         self.words.push(x.to_bits());
     }
 
@@ -56,11 +74,25 @@ impl CycleKey {
         self.counters.push(count);
     }
 
-    /// `true` when both keys describe states that behave the same from
-    /// here on: equal words, and counters of the same layout.
+    /// `true` when this key's state behaves from here on as the
+    /// `earlier` key's did: equal words, apart from the words this key
+    /// marks replayed, and counters of the same layout. Both keys write
+    /// the same layout up to their first differing word, so a replayed
+    /// word always faces the same value's bits.
     #[must_use]
-    pub fn same_state(&self, other: &Self) -> bool {
-        self.words == other.words && self.counters.len() == other.counters.len()
+    pub fn same_state(&self, earlier: &Self) -> bool {
+        if self.words.len() != earlier.words.len() || self.counters.len() != earlier.counters.len()
+        {
+            return false;
+        }
+        let mut from = 0;
+        for &i in &self.replayed {
+            if self.words[from..i] != earlier.words[from..i] {
+                return false;
+            }
+            from = i + 1;
+        }
+        self.words[from..] == earlier.words[from..]
     }
 }
 
@@ -73,6 +105,7 @@ pub struct CycleAdvance<'a> {
     next: usize,
     since: SimTime,
     cycles: u64,
+    period: SimDuration,
     shift: SimDuration,
 }
 
@@ -108,6 +141,7 @@ impl<'a> CycleAdvance<'a> {
             next: 0,
             since,
             cycles,
+            period,
             shift: SimDuration::from_micros(shift),
         }
     }
@@ -131,14 +165,41 @@ impl<'a> CycleAdvance<'a> {
     /// Adds `cycles` per-cycle deltas to the next counter in key order.
     /// The counter must still hold its end-of-cycle reading.
     pub fn counter(&mut self, count: &mut u64) {
+        let i = self.next_counter(*count);
+        let delta = self.end[i].wrapping_sub(self.start[i]);
+        *count = count.wrapping_add(self.cycles.wrapping_mul(delta));
+    }
+
+    /// Extends an output log whose length is the next counter in key
+    /// order: appends `cycles` copies of the entries the recorded cycle
+    /// appended, the `j`-th moved by `j` periods through `shift`, one
+    /// push at a time as stepping grows it. Returns the index at which
+    /// the recorded cycle's entries begin.
+    pub fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) -> usize {
+        let i = self.next_counter(log.len() as u64);
+        let from = usize::try_from(self.start[i]).expect("a keyed log length fits in memory");
+        let end = log.len();
+        let mut offset = SimDuration::ZERO;
+        for _ in 0..self.cycles {
+            offset += self.period;
+            for k in from..end {
+                let entry = shift(log[k], offset);
+                log.push(entry);
+            }
+        }
+        from
+    }
+
+    /// The index of the next counter, which must read `count` (its
+    /// end-of-cycle reading).
+    fn next_counter(&mut self, count: u64) -> usize {
         let i = self.next;
         self.next += 1;
         assert_eq!(
-            *count, self.end[i],
+            count, self.end[i],
             "counter {i} visited out of its key order"
         );
-        let delta = self.end[i].wrapping_sub(self.start[i]);
-        *count = count.wrapping_add(self.cycles.wrapping_mul(delta));
+        i
     }
 
     /// Checks that every counter of the key was advanced.
@@ -178,6 +239,28 @@ mod tests {
     }
 
     #[test]
+    fn a_later_key_skips_only_the_words_it_replays() {
+        let key = |v: f64, replayed: bool| {
+            let mut k = CycleKey::default();
+            k.word(1);
+            if replayed {
+                k.replayed_bits(v);
+            } else {
+                k.bits(v);
+            }
+            k.word(2);
+            k
+        };
+        assert!(key(0.5, true).same_state(&key(0.7, false)));
+        assert!(key(0.5, true).same_state(&key(0.7, true)));
+        assert!(!key(0.5, false).same_state(&key(0.7, true)));
+        assert!(key(0.5, false).same_state(&key(0.5, true)));
+        let mut longer = key(0.5, false);
+        longer.word(3);
+        assert!(!key(0.5, true).same_state(&longer));
+    }
+
+    #[test]
     fn advance_adds_whole_deltas_and_shifts_instants() {
         let mut start = CycleKey::default();
         let mut end = CycleKey::default();
@@ -199,6 +282,21 @@ mod tests {
         assert_eq!((a, b), (8 + 4 * 3, 3));
         assert_eq!(written, SimTime::from_secs(3));
         assert_eq!(older, SimTime::from_micros(500_000));
+    }
+
+    #[test]
+    fn advance_extends_a_log_by_shifted_copies_of_the_cycle() {
+        let mut start = CycleKey::default();
+        let mut end = CycleKey::default();
+        let mut log = vec![1_u64, 10, 12];
+        start.counter(1);
+        end.counter(log.len() as u64);
+        let period = SimDuration::from_micros(5);
+        let mut adv = CycleAdvance::new(&start, &end, SimTime::ZERO, period, 3);
+        let from = adv.log(&mut log, |t, d| t + d.as_micros());
+        adv.finish();
+        assert_eq!(from, 1);
+        assert_eq!(log, [1, 10, 12, 15, 17, 20, 22, 25, 27]);
     }
 
     #[test]

@@ -31,6 +31,8 @@
 
 use core::ops::Range;
 
+use crate::cycle::CycleKey;
+
 /// SplitMix64 step: used to expand a 64-bit seed into generator state and
 /// to derive statistically independent child seeds (e.g. one seed per
 /// sweep point from a base seed).
@@ -111,6 +113,15 @@ impl DetRng {
     /// by one draw.
     pub fn fork(&mut self) -> DetRng {
         DetRng::seed_from_u64(self.next_u64())
+    }
+
+    /// Writes the generator into a steady-state key (see
+    /// [`crate::cycle`]): every state word, since the stream ahead
+    /// depends on all of them.
+    pub fn cycle_key(&self, key: &mut CycleKey) {
+        for &word in &self.s {
+            key.word(word);
+        }
     }
 }
 

@@ -9,17 +9,21 @@
 //! event log, the `RunSummary`, the execution statistics, the clock,
 //! per-task completions, the final mode, every bank's voltage bits and
 //! cycle count, the delivered-energy bits and the charge-segment count.
+//! A TA run also compares its whole context: the sample and packet logs,
+//! the non-volatile state and the generator.
 
 use std::fmt::Write as _;
 
+use capy_apps::ta::{self, TaCtx};
 use capy_manifest::{
     compile, parse_manifest, CompiledFleet, CompiledScenario, HarvesterSpec, ManifestCtx,
     ManifestHarvester, ScenarioManifest, TaskSpec,
 };
 use capy_power::bank::BankId;
-use capy_power::harvester::Harvester;
+use capy_power::harvester::{Harvester, SolarPanel};
 use capy_units::rng::{derive_seed, DetRng};
-use capy_units::SimTime;
+use capy_units::{SimDuration, SimTime};
+use capybara::faults::FaultPlan;
 use capybara::sim::{
     RunLimits, RunOutcome, SimContext, SimEvent, Simulator, StepResult, STALL_STEP_BUDGET,
 };
@@ -27,6 +31,7 @@ use capybara::sweep::RunSummary;
 use capybara::Variant;
 
 type Device = Simulator<ManifestHarvester, ManifestCtx>;
+type Ta = Simulator<SolarPanel, TaCtx>;
 
 const HOUR_S: f64 = 3_600.0;
 
@@ -134,6 +139,12 @@ fn assert_skip_matches_step(label: &str, compiled: &CompiledScenario, tasks: usi
         &completions(&step, tasks),
         step.events().len(),
     );
+    assert_same_print(label, &skip_print, &step_print);
+    skipped_share(label, &skip, &step, steps)
+}
+
+/// Panics at the first line where two fingerprints differ.
+fn assert_same_print(label: &str, skip_print: &str, step_print: &str) {
     if skip_print != step_print {
         let first = skip_print
             .lines()
@@ -145,6 +156,15 @@ fn assert_skip_matches_step(label: &str, compiled: &CompiledScenario, tasks: usi
             first.and_then(|i| step_print.lines().nth(i)),
         );
     }
+}
+
+/// The skipping run's share of the `steps` the stepping run took.
+fn skipped_share<H: Harvester, C: SimContext>(
+    label: &str,
+    skip: &Simulator<H, C>,
+    step: &Simulator<H, C>,
+    steps: u64,
+) -> f64 {
     assert_eq!(
         step.skip_stats().steps_skipped,
         0,
@@ -349,21 +369,168 @@ fn a_zero_advance_loop_trips_the_watchdog_at_the_same_step() {
     check_manifest("zero-advance loop", &m);
 }
 
+/// The TA mission the benchmark's kill grid runs.
+const TA_HORIZON: SimTime = SimTime::from_secs(600);
+
+/// The benchmark's kill-grid TA arguments for `seed`: three alarms, one
+/// in each of 100–160 s, 270–330 s and 440–500 s, and the TA seed (the
+/// derivation of `benchmark/`'s `ta_schedule`, so seed 1 is its input).
+fn ta_bench_schedule(seed: u64) -> (Vec<SimTime>, u64) {
+    const TAG_KILL_GRID: u64 = 3;
+    let mut rng = DetRng::seed_from_u64(derive_seed(seed, TAG_KILL_GRID));
+    let alarms = [100, 270, 440]
+        .iter()
+        .map(|&start| SimTime::from_micros((start + rng.gen_range(0..60u64)) * 1_000_000))
+        .collect();
+    (alarms, rng.next_u64())
+}
+
+/// Asserts that two TA runs, one skipping and one stepping, left the
+/// same device and the same context.
+fn assert_same_ta(label: &str, skip: (&Ta, RunOutcome), step: (&Ta, RunOutcome)) {
+    let print =
+        |(sim, outcome): (&Ta, RunOutcome)| fingerprint(sim, outcome, &[], sim.events().len());
+    assert_same_print(label, &print(skip), &print(step));
+    let (a, b) = (skip.0.ctx(), step.0.ctx());
+    let first = a
+        .samples
+        .times()
+        .iter()
+        .zip(b.samples.times())
+        .position(|(x, y)| x != y);
+    assert!(
+        first.is_none() && a.samples.len() == b.samples.len(),
+        "{label}: sample logs differ from sample {first:?} ({} vs {} samples)",
+        a.samples.len(),
+        b.samples.len()
+    );
+    assert_eq!(a.packets, b.packets, "{label}: packet logs differ");
+    // What is left: the non-volatile state, the generator and the clock.
+    assert!(a == b, "{label}: contexts differ");
+}
+
+/// Runs `sim` to `horizon` skipping and a clone stepping; asserts
+/// identical results and returns the skipping run's share of steps
+/// skipped.
+fn assert_ta_skip_matches_step(label: &str, sim: &Ta, horizon: SimTime) -> f64 {
+    let limits = RunLimits::until(horizon);
+    let mut skip = sim.clone();
+    let mut step = sim.clone();
+    let skip_outcome = skip.run_limited(&limits);
+    let (step_outcome, steps) = stepped(&mut step, &limits);
+    assert_same_ta(label, (&skip, skip_outcome), (&step, step_outcome));
+    skipped_share(label, &skip, &step, steps)
+}
+
 #[test]
-fn skipping_is_real_on_the_alarm_hour_and_absent_from_the_apps() {
+fn ta_skips_bit_for_bit_under_every_variant() {
+    let (alarms, seed) = ta_bench_schedule(1);
+    let section_6_2 = capy_apps::events::ta_schedule(&mut DetRng::seed_from_u64(9));
+    for variant in Variant::ALL {
+        let bench = ta::build(variant, alarms.clone(), seed);
+        assert_ta_skip_matches_step(&format!("TA {variant:?} 600 s"), &bench, TA_HORIZON);
+        let long = ta::build(variant, section_6_2.clone(), 9);
+        assert_ta_skip_matches_step(&format!("TA {variant:?} §6.2"), &long, ta::HORIZON);
+    }
+}
+
+/// The `faults` example's degradation case: Capy-P whose alarm-bank
+/// switch sticks open at 120 s, with the self-test on.
+#[test]
+fn ta_with_a_stuck_open_alarm_bank_skips_bit_for_bit() {
+    let alarms = [100, 260, 430].map(SimTime::from_secs).to_vec();
+    let mut sim = ta::build(Variant::CapyP, alarms, 0x417);
+    sim.set_degradation(true);
+    FaultPlan::new()
+        .switch_stuck_open(SimTime::from_secs(120), BankId(1))
+        .arm(&mut sim);
+    let share = assert_ta_skip_matches_step("stuck-open alarm bank", &sim, TA_HORIZON);
+    assert!(share > 0.5, "only {share:.3} of steps skipped");
+}
+
+/// Kill instants on the benchmark's seed-1 TA mission: quiet windows,
+/// each alarm's ramp and hold, just after its burst, and each latch
+/// deadline ±1 µs of a stepped run.
+fn ta_kill_instants(alarms: &[SimTime], build: impl Fn() -> Ta) -> Vec<SimTime> {
+    let s = SimDuration::from_secs;
+    let ms = SimDuration::from_millis;
+    let us = SimDuration::from_micros;
+    let mut kills: Vec<SimTime> = [30, 200, 380, 550].map(SimTime::from_secs).to_vec();
+    for (&a, into) in alarms.iter().zip([ms(1_000), ms(2_500), ms(4_900)]) {
+        kills.push(a + into);
+    }
+    for (&a, into) in alarms.iter().zip([s(10), s(25), ms(39_900)]) {
+        kills.push(a + into);
+    }
+    kills.push(alarms[0] + s(40) + us(1));
+    let mut sim = build();
+    let mut deadlines = Vec::new();
+    while sim.now() < TA_HORIZON && sim.step() == StepResult::Progress {
+        for i in 0..sim.power().bank_count() {
+            let deadline = sim
+                .power()
+                .switch(BankId(i))
+                .expect("bank")
+                .decay_deadline();
+            if deadline < TA_HORIZON && !deadlines.contains(&deadline) {
+                deadlines.push(deadline);
+            }
+        }
+    }
+    for &d in deadlines.iter().take(2) {
+        kills.push(d - us(1));
+        kills.push(d + us(1));
+    }
+    let bursts = sim.events().iter().filter_map(|e| match e {
+        SimEvent::BurstActivated { at, .. } => Some(*at),
+        _ => None,
+    });
+    kills.extend(bursts.take(3).map(|at| at + ms(1)));
+    kills
+}
+
+#[test]
+fn ta_kill_points_skip_bit_for_bit() {
+    let (alarms, seed) = ta_bench_schedule(1);
+    let build = || ta::build(Variant::CapyP, alarms.clone(), seed);
+    let kills = ta_kill_instants(&alarms, build);
+    assert!(kills.len() >= 16, "only {} kill instants", kills.len());
+    let mut skipped = 0;
+    for kill in kills {
+        let label = format!("kill at {kill}");
+        let (mut skip, mut step) = (build(), build());
+        let landed = skip.run_limited(&RunLimits::until(kill));
+        assert_eq!(landed, stepped(&mut step, &RunLimits::until(kill)).0);
+        skip.inject_power_failure();
+        step.inject_power_failure();
+        let limits = RunLimits::until(TA_HORIZON);
+        let skip_outcome = skip.run_limited(&limits);
+        let (step_outcome, _) = stepped(&mut step, &limits);
+        assert_same_ta(&label, (&skip, skip_outcome), (&step, step_outcome));
+        skipped += skip.skip_stats().steps_skipped;
+    }
+    assert!(skipped > 0, "no kill point skipped");
+}
+
+#[test]
+fn skipping_is_real_on_the_alarm_hour_and_ta_and_absent_from_csr_and_grc() {
     let share = check_manifest(
         "temperature_alarm.capy over an hour",
         &manifest_at(&read("manifests/temperature_alarm.capy"), Some(HOUR_S)),
     );
     assert!(share >= 0.9, "only {share:.3} of steps skipped");
 
-    // The case-study apps declare no context key: they always step.
+    // TA's steady stretches between alarms skip; CSR and GRC declare no
+    // context key, so they always step.
     let alarms = vec![SimTime::from_secs(150), SimTime::from_secs(400)];
     let horizon = SimTime::from_secs(600);
     for variant in [Variant::CapyR, Variant::CapyP] {
-        let mut ta = capy_apps::ta::build(variant, alarms.clone(), 3);
-        ta.run_until(horizon);
-        assert_eq!(ta.skip_stats(), Default::default(), "TA {variant:?}");
+        let ta = ta::build(variant, alarms.clone(), 3);
+        let share = assert_ta_skip_matches_step(&format!("TA {variant:?}"), &ta, horizon);
+        assert!(
+            share >= 0.7,
+            "TA {variant:?}: only {share:.3} of steps skipped"
+        );
         let mut csr = capy_apps::csr::build(variant, alarms.clone(), 3);
         csr.run_until(horizon);
         assert_eq!(csr.skip_stats(), Default::default(), "CSR {variant:?}");
