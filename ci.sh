@@ -59,8 +59,10 @@ run cargo build --release --workspace
 run cargo test -q --workspace
 # Cycle skipping again in release: capy-run and the benchmark run
 # release code, where the debug-only re-check after each skipped jump
-# is off, so the skip-versus-step identity must hold without it.
-run cargo test --release -q --test cycle_skip
+# is off, so the skip-versus-step identity must hold without it, and
+# so must the restore suites, which resume TA and manifests through
+# skipping runs.
+run cargo test --release -q --test cycle_skip --test snapshot_identity --test kill_grid
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all -- --check
 # Rustdoc: every intra-doc link must resolve, so a renamed or deleted

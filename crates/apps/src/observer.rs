@@ -7,7 +7,7 @@
 //! application bodies write into them only at the instant a real radio
 //! packet would leave the antenna.
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::SimTime;
 
 /// Outcome of one gesture-recognition attempt, as the APDS engine reports
@@ -126,15 +126,11 @@ impl SampleLog {
         self.times.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Writes the log's length into a steady-state key as a counter.
-    pub fn cycle_key(&self, key: &mut CycleKey) {
-        key.counter(self.times.len() as u64);
-    }
-
-    /// Extends the log as [`SampleLog::cycle_key`] keyed it: each skipped
-    /// cycle appends the recorded cycle's samples, shifted.
-    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        adv.log(&mut self.times, |t, d| t + d);
+    /// Visits the log's steady state as an output log: its length is a
+    /// counter, and each skipped cycle appends the recorded cycle's
+    /// samples, shifted.
+    pub fn steady_state(&mut self, c: &mut Cycle<'_>) {
+        c.log(&mut self.times, |t, d| t + d);
     }
 }
 

@@ -29,7 +29,7 @@ use capy_power::harvester::SolarPanel;
 use capy_power::switch::SwitchKind;
 use capy_power::system::PowerSystem;
 use capy_power::technology::parts;
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
 use capybara::annotation::TaskEnergy;
@@ -97,10 +97,11 @@ impl SimContext for TaCtx {
     /// The bodies decide on the sample series, the alarm latches and the
     /// rig's readings, which [`TaCtx::steady_until`] bounds; the generator
     /// draws only on an alarm. The packet count is a word, so a cycle
-    /// that sends an alarm never repeats, and the sample log is a log.
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+    /// that sends an alarm never repeats, the sample log is a log and
+    /// the clock an instant.
+    fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
         let Self {
-            now: _,
+            now,
             rig: _,
             rng,
             series,
@@ -109,22 +110,18 @@ impl SimContext for TaCtx {
             packets,
             samples,
         } = self;
-        series.cycle_words(key, |x, k| k.word(u64::from(x.to_bits())));
-        for latch in [last_reported, pending] {
-            latch.cycle_words(key, |id, k| {
-                k.word(u64::from(id.is_some()));
-                k.word(id.map_or(0, |id| id as u64));
+        series.cycle_words(c, |x, c| c.word(u64::from(x.to_bits())));
+        for latch in [&*last_reported, &*pending] {
+            latch.cycle_words(c, |id, c| {
+                c.word(u64::from(id.is_some()));
+                c.word(id.map_or(0, |id| id as u64));
             });
         }
-        rng.cycle_key(key);
-        key.word(packets.len() as u64);
-        samples.cycle_key(key);
+        rng.steady_state(c);
+        c.word(packets.len() as u64);
+        samples.steady_state(c);
+        c.instant(now);
         true
-    }
-
-    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        adv.instant(&mut self.now);
-        self.samples.advance_cycles(adv);
     }
 
     fn steady_until(&self, now: SimTime) -> SimTime {

@@ -767,11 +767,6 @@ pub struct DeviceOutcome {
     /// Per-task committed completions, template task order (may be
     /// empty when the caller does not track tasks).
     pub task_completions: Vec<u64>,
-    /// The wear the device carries out of this run (all-integer
-    /// per-bank cycle counts) — consumed by [`run_fleet_leg_on`] to
-    /// seed a back-to-back second mission leg; empty when the caller
-    /// does not track wear.
-    pub wear: DeviceWear,
 }
 
 impl DeviceOutcome {
@@ -795,7 +790,6 @@ impl DeviceOutcome {
             latencies,
             death,
             task_completions: Vec::new(),
-            wear: DeviceWear::from_sim(sim),
         }
     }
 
@@ -1195,9 +1189,11 @@ where
 
 /// One leg of a multi-leg mission: like [`run_fleet_on`], but the
 /// device closure additionally receives the wear its device carried out
-/// of the previous leg (`carry`; fresh devices when `None`), and the
-/// run returns the [`FleetWear`] the *next* leg resumes from, assembled
-/// from each outcome's [`DeviceOutcome::wear`] by device index.
+/// of the previous leg (`carry`; fresh devices when `None`) and returns
+/// the wear its device carries out of this one (usually
+/// [`DeviceWear::from_sim`]) beside its outcome. The run returns the
+/// [`FleetWear`] the *next* leg resumes from, assembled from those by
+/// device index.
 ///
 /// Both the report and the wear are bit-identical for any worker count:
 /// the wear entries are scattered to their global index positions, so
@@ -1214,7 +1210,7 @@ pub fn run_fleet_leg_on<F>(
     device_fn: F,
 ) -> (FleetReport, FleetWear)
 where
-    F: Fn(&DevicePoint, &DeviceWear) -> DeviceOutcome + Sync,
+    F: Fn(&DevicePoint, &DeviceWear) -> (DeviceOutcome, DeviceWear) + Sync,
 {
     if let Some(carry) = carry {
         assert_eq!(
@@ -1226,8 +1222,7 @@ where
     let fresh = DeviceWear::none();
     let (report, shards) = run_shards(spec, workers, |device| {
         let carried = carry.map_or(&fresh, |w| w.device(device.index));
-        let outcome = device_fn(device, carried);
-        let wear = outcome.wear.clone();
+        let (outcome, wear) = device_fn(device, carried);
         (outcome, (device.index, wear))
     });
     let mut wear_out = FleetWear::fresh(spec.devices());
@@ -1429,9 +1424,6 @@ mod tests {
             latencies,
             death,
             task_completions: vec![completions, completions / 2],
-            wear: DeviceWear {
-                bank_cycles: vec![completions, completions / 3],
-            },
         }
     }
 
@@ -1589,8 +1581,9 @@ mod tests {
         assert!(!outcome.latencies.is_empty());
         assert!(outcome.death.is_none());
         // Every deep cycle the weak harvest forced is visible as wear.
-        assert_eq!(outcome.wear.bank_cycles.len(), 1);
-        assert!(!outcome.wear.is_fresh());
+        let wear = DeviceWear::from_sim(&sim);
+        assert_eq!(wear.bank_cycles.len(), 1);
+        assert!(!wear.is_fresh());
     }
 
     #[test]
@@ -1788,16 +1781,16 @@ mod tests {
         assert_eq!(grown.device(5).template, 2);
     }
 
-    fn synthetic_leg(point: &DevicePoint, carry: &DeviceWear) -> DeviceOutcome {
+    fn synthetic_leg(point: &DevicePoint, carry: &DeviceWear) -> (DeviceOutcome, DeviceWear) {
         // Wear grows deterministically from the carried state.
         let mut out = synthetic_outcome(point);
         let carried = carry.bank_cycles.first().copied().unwrap_or(0);
-        out.wear = DeviceWear {
+        let wear = DeviceWear {
             bank_cycles: vec![carried + out.summary.completions],
         };
         // Carried wear visibly changes the leg's outcome.
         out.summary.completions += carried / 2;
-        out
+        (out, wear)
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! banks that implements it.
 
 use capy_power::bank::BankId;
-use capy_units::cycle::CycleKey;
+use capy_units::cycle::Cycle;
 
 /// A software-visible energy-mode identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,15 +131,15 @@ impl ModeTable {
             .max()
     }
 
-    /// Writes the table into a steady-state key: each mode's bank set
+    /// Visits the table's steady state: each mode's bank set as words
     /// (a degradation remap changes it; names never change).
-    pub fn cycle_key(&self, key: &mut CycleKey) {
+    pub fn steady_state(&self, c: &mut Cycle<'_>) {
         let Self { modes } = self;
-        key.word(modes.len() as u64);
+        c.word(modes.len() as u64);
         for ModeDef { name: _, banks } in modes {
-            key.word(banks.len() as u64);
+            c.word(banks.len() as u64);
             for bank in banks {
-                key.word(bank.0 as u64);
+                c.word(bank.0 as u64);
             }
         }
     }

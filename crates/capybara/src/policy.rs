@@ -60,7 +60,7 @@ use capy_intermittent::nv::NvVar;
 use capy_intermittent::task::TaskId;
 use capy_power::harvester::Harvester;
 use capy_power::system::PowerSystem;
-use capy_units::cycle::CycleKey;
+use capy_units::cycle::Cycle;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 
 use crate::annotation::TaskEnergy;
@@ -203,15 +203,15 @@ pub trait ReconfigPolicy: Send + Sync {
     /// original's future decisions bit for bit.
     fn clone_box(&self) -> Box<dyn ReconfigPolicy>;
 
-    /// Writes the decision state into a steady-state key (see
+    /// Visits the decision state's steady state (see
     /// [`capy_units::cycle`]) as words only, and returns `true`. A policy
-    /// may declare a key only if its decisions depend on nothing but that
-    /// state, the annotation and the observation's readings other than
-    /// [`PolicyObservation::now`]. The default declares none and returns
-    /// `false`; a simulator whose policy declares no key never skips a
-    /// cycle.
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
-        let _ = key;
+    /// may declare a steady state only if its decisions depend on nothing
+    /// but that state, the annotation and the observation's readings
+    /// other than [`PolicyObservation::now`]. The default declares none
+    /// and returns `false`; a simulator whose policy declares no steady
+    /// state never skips a cycle.
+    fn steady_state(&self, c: &mut Cycle<'_>) -> bool {
+        let _ = c;
         false
     }
 }
@@ -240,8 +240,8 @@ impl<P: ReconfigPolicy + ?Sized> ReconfigPolicy for Box<P> {
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         (**self).clone_box()
     }
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
-        (**self).cycle_key(key)
+    fn steady_state(&self, c: &mut Cycle<'_>) -> bool {
+        (**self).steady_state(c)
     }
 }
 
@@ -273,7 +273,7 @@ impl ReconfigPolicy for StaticAnnotation {
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         Box::new(*self)
     }
-    fn cycle_key(&self, _key: &mut CycleKey) -> bool {
+    fn steady_state(&self, _c: &mut Cycle<'_>) -> bool {
         true
     }
 }
@@ -306,7 +306,7 @@ impl ReconfigPolicy for Pinned {
     fn clone_box(&self) -> Box<dyn ReconfigPolicy> {
         Box::new(*self)
     }
-    fn cycle_key(&self, _key: &mut CycleKey) -> bool {
+    fn steady_state(&self, _c: &mut Cycle<'_>) -> bool {
         // The pinned mode is fixed at construction.
         true
     }
@@ -402,15 +402,15 @@ impl ReconfigPolicy for ReactiveDownsize {
         Box::new(self.clone())
     }
 
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+    fn steady_state(&self, c: &mut Cycle<'_>) -> bool {
         let Self {
             ladder: _,
             timeout: _,
             tier,
             fast_streak,
         } = self;
-        tier.cycle_words(key, |&t, k| k.word(t as u64));
-        fast_streak.cycle_words(key, |&s, k| k.word(u64::from(s)));
+        tier.cycle_words(c, |&t, c| c.word(t as u64));
+        fast_streak.cycle_words(c, |&s, c| c.word(u64::from(s)));
         true
     }
 }
@@ -501,19 +501,19 @@ impl ReconfigPolicy for EwmaAdaptive {
         Box::new(self.clone())
     }
 
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+    fn steady_state(&self, c: &mut Cycle<'_>) -> bool {
         let Self {
             ladder: _,
             thresholds: _,
             alpha: _,
             ewma,
         } = self;
-        ewma.cycle_words(key, |&e, k| match e {
+        ewma.cycle_words(c, |&e, c| match e {
             Some(avg) => {
-                k.word(1);
-                k.bits(avg);
+                c.word(1);
+                c.bits(avg);
             }
-            None => k.word(0),
+            None => c.word(0),
         });
         true
     }
@@ -969,7 +969,8 @@ impl FleetPolicyComparison {
     /// Fleet-wide ordering of two policies on `scenario` — all-integer
     /// so the verdict is exact: fewer dead devices wins, then more
     /// committed completions, then higher availability (compared by
-    /// cross-multiplied integer µs totals).
+    /// cross-multiplied integer µs totals, in 256 bits so no fleet size
+    /// or horizon overflows them).
     #[must_use]
     pub fn compare(&self, a: usize, b: usize, scenario: usize) -> core::cmp::Ordering {
         let x = &self.fleet(a, scenario).acc;
@@ -981,7 +982,8 @@ impl FleetPolicyComparison {
                 // availability(x) > availability(y)
                 //   ⇔ charge_x/end_x < charge_y/end_y
                 //   ⇔ charge_y·end_x > charge_x·end_y
-                (y.charge_micros * x.end_micros).cmp(&(x.charge_micros * y.end_micros)),
+                wide_mul(y.charge_micros, x.end_micros)
+                    .cmp(&wide_mul(x.charge_micros, y.end_micros)),
             )
     }
 
@@ -1001,6 +1003,20 @@ impl FleetPolicyComparison {
         order.sort_by(|&a, &b| self.compare(a, b, scenario).reverse().then(a.cmp(&b)));
         order
     }
+}
+
+/// The exact 256-bit product `a·b` as its `(high, low)` 128-bit halves,
+/// built from 64-bit halves, so two products compare as their tuples.
+fn wide_mul(a: u128, b: u128) -> (u128, u128) {
+    const LOW: u128 = u64::MAX as u128;
+    let (a1, a0) = (a >> 64, a & LOW);
+    let (b1, b0) = (b >> 64, b & LOW);
+    let (p00, p01, p10, p11) = (a0 * b0, a0 * b1, a1 * b0, a1 * b1);
+    // The 64-bit column: under 3·2⁶⁴, so it carries at most 2 upward.
+    let mid = (p00 >> 64) + (p01 & LOW) + (p10 & LOW);
+    let low = (mid << 64) | (p00 & LOW);
+    let high = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+    (high, low)
 }
 
 /// Runs the fleet-wide {policy × scenario} grid: every cell installs
@@ -1360,6 +1376,55 @@ mod tests {
             "pinned policy must steer the array to the big mode"
         );
         assert!(pinned.ctx().n.get() > 0);
+    }
+
+    /// A fleet of a million devices over a year that spent
+    /// `charge_micros` µs charging in all.
+    fn year_long_fleet(charge_micros: u128) -> FleetReport {
+        const DEVICES: u64 = 1_000_000;
+        let year = SimTime::from_secs(365 * 24 * 3600);
+        let mut acc = crate::fleet::FleetAccumulator::new();
+        acc.devices = DEVICES;
+        acc.end_micros = u128::from(DEVICES) * u128::from(year.as_micros());
+        acc.charge_micros = charge_micros;
+        FleetReport {
+            name: "year",
+            devices: DEVICES,
+            horizon: year,
+            acc,
+            workers: 1,
+            wall: std::time::Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn fleet_availability_verdict_is_exact_at_a_million_devices_over_a_year() {
+        // ~3.15e19 µs in all; charging half of it, the cross product is
+        // ~5.0e38, past u128::MAX.
+        let end = year_long_fleet(0).acc.end_micros;
+        let half = end / 2;
+        assert!(half.checked_mul(end).is_none());
+        let cmp = FleetPolicyComparison {
+            fleets: [half, half - 1, half].map(year_long_fleet).to_vec(),
+            policies: vec!["half", "one µs less", "half again"],
+            scenarios: vec!["year".to_string()],
+        };
+        assert_eq!(cmp.compare(1, 0, 0), core::cmp::Ordering::Greater);
+        assert_eq!(cmp.compare(0, 1, 0), core::cmp::Ordering::Less);
+        assert_eq!(cmp.compare(0, 2, 0), core::cmp::Ordering::Equal);
+        assert_eq!(cmp.best_policy(0), 1);
+        assert_eq!(cmp.ranking(0), [1, 0, 2]);
+    }
+
+    #[test]
+    fn wide_mul_is_the_exact_256_bit_product() {
+        let max = u128::MAX;
+        // (2¹²⁸ − 1)² = 2²⁵⁶ − 2¹²⁹ + 1.
+        assert_eq!(wide_mul(max, max), (max - 1, 1));
+        assert_eq!(wide_mul(max, 2), (1, max - 1));
+        assert_eq!(wide_mul(1 << 64, 1 << 64), (1, 0));
+        assert_eq!(wide_mul(12_345, 67_890), (0, 12_345 * 67_890));
+        assert_eq!(wide_mul(0, max), (0, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`RuntimeState`] that are only mutated at commit-equivalent points.
 
 use capy_power::bank::BankId;
-use capy_units::cycle::CycleKey;
+use capy_units::cycle::Cycle;
 use capy_units::Volts;
 
 use crate::annotation::TaskEnergy;
@@ -117,22 +117,22 @@ impl RuntimeState {
         }
     }
 
-    /// Writes the runtime state into a steady-state key: every field
-    /// decides the plan, so every field is a word.
-    pub fn cycle_key(&self, key: &mut CycleKey) {
+    /// Visits the runtime state's steady state: every field decides the
+    /// plan, so every field is a word.
+    pub fn steady_state(&self, c: &mut Cycle<'_>) {
         let Self {
             current,
             precharged,
             failed,
         } = self;
-        key.word(current.map_or(0, |m| m.0 as u64 + 1));
-        key.word(precharged.len() as u64);
+        c.word(current.map_or(0, |m| m.0 as u64 + 1));
+        c.word(precharged.len() as u64);
         for &p in precharged {
-            key.word(u64::from(p));
+            c.word(u64::from(p));
         }
-        key.word(failed.len() as u64);
+        c.word(failed.len() as u64);
         for bank in failed {
-            key.word(bank.0 as u64);
+            c.word(bank.0 as u64);
         }
     }
 }

@@ -30,7 +30,7 @@ use capy_power::bank::BankId;
 use capy_power::harvester::Harvester;
 use capy_power::switch::SwitchState;
 use capy_power::system::{ChargeOutcome, PowerSystem};
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::{Joules, SimDuration, SimTime, Volts};
 
 use crate::annotation::TaskEnergy;
@@ -52,26 +52,20 @@ pub trait SimContext: NvState {
     /// at the right instant.
     fn set_now(&mut self, now: SimTime);
 
-    /// Writes everything the task bodies read into a steady-state key
-    /// (see [`capy_units::cycle`]) and returns `true`: what decides a
-    /// body's transition as words, what only accumulates as counters,
-    /// and the length of each output log the bodies append to as a
-    /// counter. Whatever a body reads through the clock
-    /// [`SimContext::set_now`] passes must stay constant until
-    /// [`SimContext::steady_until`]; an instant the context stores is
-    /// shifted, and an output log gets shifted copies of a skipped
-    /// cycle's entries ([`CycleAdvance::log`]). The default declares no
-    /// key and returns `false`; a simulator whose context declares no key
-    /// never skips a cycle.
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
-        let _ = key;
+    /// Visits the context's steady state (see [`capy_units::cycle`]) and
+    /// returns `true`: what decides a body's transition as words, what
+    /// only accumulates as counters, each instant the context stores,
+    /// and each output log the bodies append to. The one function both
+    /// keys the context at a task boundary and advances it by whole
+    /// cycles, so an instant moves and a log gets shifted copies of a
+    /// skipped cycle's entries ([`Cycle::log`]). Whatever a body reads
+    /// through the clock [`SimContext::set_now`] passes must stay
+    /// constant until [`SimContext::steady_until`]. The default declares
+    /// no steady state and returns `false`; a simulator whose context
+    /// declares none never skips a cycle.
+    fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
+        let _ = c;
         false
-    }
-
-    /// Advances the counters, instants and logs [`SimContext::cycle_key`]
-    /// wrote, in the same order, by whole cycles.
-    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        let _ = adv;
     }
 
     /// The first instant at or after `now` at which a body's reads of the
@@ -752,11 +746,11 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
     /// `max_energy` are exceeded by at most one step's worth of work
     /// before they trip.
     ///
-    /// When the context and the policy both declare a steady-state key
-    /// ([`SimContext::cycle_key`], [`ReconfigPolicy::cycle_key`]), the run
-    /// advances whole repeating cycles at once instead of stepping them,
-    /// with results identical bit for bit to stepping (see
-    /// [`Simulator::skip_stats`]).
+    /// When the context and the policy both declare a steady state
+    /// ([`SimContext::steady_state`], [`ReconfigPolicy::steady_state`]),
+    /// the run advances whole repeating cycles at once instead of
+    /// stepping them, with results identical bit for bit to stepping
+    /// (see [`Simulator::skip_stats`]).
     pub fn run_limited(&mut self, limits: &RunLimits) -> RunOutcome {
         self.state.run_limited(&self.program, limits)
     }

@@ -4,7 +4,7 @@
 //! repeats its state exactly: the same bank voltage bits, latch ages,
 //! task pointer, runtime and policy state at the same point of every
 //! cycle. The run fingerprints that state at each task boundary
-//! ([`State::cycle_key`]) and finds a repeat with Brent's method: one
+//! ([`State::steady_state`]) and finds a repeat with Brent's method: one
 //! saved key, replaced at power-of-two distances up to the longest cycle
 //! it skips, so detection memory stays O(1). From each saved key on, the
 //! power system tapes what a jump must replay rather than match. When
@@ -12,7 +12,8 @@
 //! shift by the cycle length, counters add their per-cycle deltas, the
 //! delivered-energy total replays the cycle's additions in order, every
 //! leaking bank replays the cycle's leaks in order, and each output log
-//! gets shifted copies of the cycle's entries. Every float keeps the bits
+//! gets shifted copies of the cycle's entries. The same function that
+//! fingerprints the state advances it. Every float keeps the bits
 //! stepping would give, so a skipped run is the stepped run, bit for bit.
 //!
 //! Detection runs inside a *steady window*, from a restart to the first
@@ -21,23 +22,23 @@
 //! from outside the device is constant. A bank that stays open from
 //! the saved key on only leaks, and nothing reads its voltage, so the
 //! repeating key does not compare that voltage
-//! ([`PowerSystem::cycle_key`]) and the jump replays its leaks.
+//! ([`PowerSystem::steady_state`]) and the jump replays its leaks.
 //!
 //! A jump ends before the first of the horizon, the step and energy
 //! budgets, the steady window's end, the next pending fault and any
 //! latch decay the cycle does not cover ([`PowerSystem::steady_until`]).
-//! A context or policy that declares no key never skips.
+//! A context or policy that declares no steady state never skips.
 //!
 //! [`Simulator::run_limited`]: super::Simulator::run_limited
 //! [`SimContext::steady_until`]: super::SimContext::steady_until
-//! [`PowerSystem::cycle_key`]: capy_power::system::PowerSystem::cycle_key
+//! [`PowerSystem::steady_state`]: capy_power::system::PowerSystem::steady_state
 //! [`PowerSystem::steady_until`]: capy_power::system::PowerSystem::steady_until
 
 use std::mem;
 
 use capy_power::harvester::Harvester;
 use capy_power::system::{CycleTape, PowerSystem};
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::{Cycle, CycleKey};
 use capy_units::SimTime;
 
 use super::{RunLimits, SimContext, SimEvent, State};
@@ -89,7 +90,8 @@ struct Check {
 #[derive(Debug)]
 pub(super) struct Skipper {
     /// The step count from which boundaries are fingerprinted;
-    /// `u64::MAX` once the context or the policy declared no key.
+    /// `u64::MAX` once the context or the policy declared no steady
+    /// state.
     pub(super) from: u64,
     /// The key of the current boundary.
     key: CycleKey,
@@ -144,7 +146,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         steps: u64,
     ) -> u64 {
         self.power.end_taped_step();
-        if !self.cycle_key(&mut s.key) {
+        if !self.steady_state(&mut Cycle::key(&mut s.key)) {
             s.from = u64::MAX;
             let _ = self.power.take_tape();
             return 0;
@@ -161,7 +163,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             let skipped = self.jump(s, limits, steps);
             // Detection starts afresh from where the cycles ended, with
             // the counters they reached.
-            self.cycle_key(&mut s.key);
+            self.steady_state(&mut Cycle::key(&mut s.key));
             self.restart(s, steps + skipped);
             return skipped;
         }
@@ -235,8 +237,8 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         if cycles == 0 {
             return 0;
         }
-        let mut adv = CycleAdvance::new(&s.saved, &s.key, s.saved_now, period, cycles);
-        self.advance_cycles(&mut adv);
+        let mut adv = Cycle::advance(&s.saved, &s.key, s.saved_now, period, cycles);
+        self.steady_state(&mut adv);
         adv.finish();
         let skipped = cycles * cycle_steps;
         self.skips.cycles_skipped += cycles;
@@ -270,15 +272,16 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         }
     }
 
-    /// The steady-state key of the whole device state at a boundary (see
-    /// [`capy_units::cycle`]), or `false` when the context or the policy
-    /// declares none. Every field is one of: keyed; an instant or index
-    /// the advance shifts (`now`, `decided_at`); an output log the
-    /// advance extends (`events`, `trace`), whose length is a counter
-    /// and of which the on-path pauses since the last decision are
-    /// keyed, since the next decision reads them; or the skip counters,
-    /// which count jumps and are neither.
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+    /// Visits the whole device state's steady state at a boundary (see
+    /// [`capy_units::cycle`]), or returns `false` when the context or the
+    /// policy declares none. Every field is one of: keyed; an instant or
+    /// index that moves with the cycle (`now`, `decided_at`); an output
+    /// log (`events`, `trace`), of which the on-path pauses since the
+    /// last decision are keyed, since the next decision reads them; or
+    /// the skip counters, which count jumps and are neither. An advance
+    /// leaves the delivered-energy total and the leaking banks to
+    /// [`PowerSystem::replay_cycles`], which runs first.
+    fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
         let Self {
             power,
             machine,
@@ -297,68 +300,36 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             policy,
             skips: _,
         } = self;
-        key.clear();
-        if !ctx.cycle_key(key) || !policy.cycle_key(key) {
+        if !ctx.steady_state(c) || !policy.steady_state(c) {
             return false;
         }
-        power.cycle_key(*now, key);
-        machine.cycle_key(key);
-        modes.cycle_key(key);
-        runtime.cycle_key(key);
+        power.steady_state(*now, c);
+        machine.steady_state(c);
+        modes.steady_state(c);
+        runtime.steady_state(c);
         for flag in [*on, *needs_charge, *stalled, *degradation] {
-            key.word(u64::from(flag));
+            c.word(u64::from(flag));
         }
-        key.word(u64::from(*consecutive_failures));
+        c.word(u64::from(*consecutive_failures));
         let pauses = || {
             events[*decided_at..]
                 .iter()
                 .filter_map(SimEvent::on_path_pause)
         };
-        key.word(pauses().count() as u64);
+        c.word(pauses().count() as u64);
         for pause in pauses() {
-            key.span(pause);
+            c.span(pause);
         }
-        key.counter(events.len() as u64);
-        if let Some(trace) = trace {
-            key.counter(trace.len() as u64);
-        }
-        true
-    }
-
-    /// Advances the state by `adv.cycles()` repetitions of the recorded
-    /// cycle, in [`State::cycle_key`]'s order. The delivered-energy total
-    /// and the leaking banks were replayed before.
-    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        let Self {
-            power,
-            machine,
-            modes: _,
-            runtime: _,
-            ctx,
-            now,
-            on: _,
-            needs_charge: _,
-            stalled: _,
-            consecutive_failures: _,
-            events,
-            decided_at,
-            trace,
-            degradation: _,
-            policy: _,
-            skips: _,
-        } = self;
-        ctx.advance_cycles(adv);
-        power.advance_cycles(adv);
-        machine.advance_cycles(adv);
-        adv.instant(now);
         let end = events.len();
-        let from = adv.log(events, SimEvent::shifted);
+        let from = c.log(events, SimEvent::shifted);
         // The last decision moves with the cycle if the cycle made it.
         if *decided_at >= from {
             *decided_at += events.len() - end;
         }
         if let Some(trace) = trace {
-            adv.log(trace, |(t, v), d| (t + d, v));
+            c.log(trace, |(t, v), d| (t + d, v));
         }
+        c.instant(now);
+        true
     }
 }

@@ -9,7 +9,7 @@
 //! uncommitted writes and leaving the task pointer unchanged, so the next
 //! boot retries the same task.
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 
 use crate::nv::NvState;
 use crate::task::{TaskGraph, TaskId, Transition};
@@ -131,9 +131,9 @@ impl ExecutionMachine {
         self.stats.reboots += 1;
     }
 
-    /// Writes the machine into a steady-state key: the task pointer and
-    /// stop flag as words, every statistic as a counter.
-    pub fn cycle_key(&self, key: &mut CycleKey) {
+    /// Visits the machine's steady state: the task pointer and stop
+    /// flag as words, every statistic as a counter.
+    pub fn steady_state(&mut self, c: &mut Cycle<'_>) {
         let Self {
             current,
             stopped,
@@ -145,29 +145,10 @@ impl ExecutionMachine {
                     reboots,
                 },
         } = self;
-        key.word(current.0 as u64);
-        key.word(u64::from(*stopped));
+        c.word(current.0 as u64);
+        c.word(u64::from(*stopped));
         for count in [attempts, completions, failures, reboots] {
-            key.counter(*count);
-        }
-    }
-
-    /// Advances the statistics as [`ExecutionMachine::cycle_key`] keyed
-    /// them.
-    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        let Self {
-            current: _,
-            stopped: _,
-            stats:
-                ExecStats {
-                    attempts,
-                    completions,
-                    failures,
-                    reboots,
-                },
-        } = self;
-        for count in [attempts, completions, failures, reboots] {
-            adv.counter(count);
+            c.counter(count);
         }
     }
 

@@ -8,7 +8,7 @@
 //! [`NvState::commit_all`] on task completion and [`NvState::abort_all`]
 //! on power failure.
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 
 /// A value held in non-volatile memory (FRAM on the prototype) with
 /// commit/abort semantics at task granularity.
@@ -45,15 +45,15 @@ impl<T: Clone> NvVar<T> {
         &self.committed
     }
 
-    /// Writes this variable into a steady-state key as words: the
-    /// committed value through `write`, whether a write is staged, and
-    /// the staged value through `write`.
-    pub fn cycle_words(&self, key: &mut CycleKey, write: impl Fn(&T, &mut CycleKey)) {
+    /// Visits this variable's steady state as words: the committed
+    /// value through `write`, whether a write is staged, and the staged
+    /// value through `write`.
+    pub fn cycle_words(&self, c: &mut Cycle<'_>, write: impl Fn(&T, &mut Cycle<'_>)) {
         let Self { committed, working } = self;
-        write(committed, key);
-        key.word(u64::from(working.is_some()));
+        write(committed, c);
+        c.word(u64::from(working.is_some()));
         if let Some(w) = working {
-            write(w, key);
+            write(w, c);
         }
     }
 
@@ -88,24 +88,15 @@ impl<T: Clone> NvVar<T> {
 }
 
 impl NvVar<u64> {
-    /// Writes this variable into a steady-state key as a counter: whether
-    /// a write is staged as a word, the committed and any staged value as
+    /// Visits this variable's steady state as a counter: whether a
+    /// write is staged as a word, the committed and any staged value as
     /// counters.
-    pub fn cycle_counter(&self, key: &mut CycleKey) {
+    pub fn cycle_counter(&mut self, c: &mut Cycle<'_>) {
         let Self { committed, working } = self;
-        key.word(u64::from(working.is_some()));
-        key.counter(*committed);
+        c.word(u64::from(working.is_some()));
+        c.counter(committed);
         if let Some(w) = working {
-            key.counter(*w);
-        }
-    }
-
-    /// Advances the values as [`NvVar::cycle_counter`] keyed them.
-    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        let Self { committed, working } = self;
-        adv.counter(committed);
-        if let Some(w) = working {
-            adv.counter(w);
+            c.counter(w);
         }
     }
 }
@@ -193,17 +184,17 @@ impl<T: Clone> NvVec<T> {
         self.working = None;
     }
 
-    /// Writes this buffer into a steady-state key as words: the committed
-    /// length and elements through `write`, whether a copy is staged, and
-    /// the staged length and elements through `write`.
-    pub fn cycle_words(&self, key: &mut CycleKey, write: impl Fn(&T, &mut CycleKey)) {
+    /// Visits this buffer's steady state as words: the committed length
+    /// and elements through `write`, whether a copy is staged, and the
+    /// staged length and elements through `write`.
+    pub fn cycle_words(&self, c: &mut Cycle<'_>, write: impl Fn(&T, &mut Cycle<'_>)) {
         let Self { committed, working } = self;
         for buf in [Some(committed), working.as_ref()] {
-            key.word(u64::from(buf.is_some()));
+            c.word(u64::from(buf.is_some()));
             if let Some(buf) = buf {
-                key.word(buf.len() as u64);
+                c.word(buf.len() as u64);
                 for x in buf {
-                    write(x, key);
+                    write(x, c);
                 }
             }
         }

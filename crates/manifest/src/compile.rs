@@ -16,7 +16,7 @@ use capy_power::harvester::{
     ConstantHarvester, Harvester, RegulatedSupply, SolarPanel, TraceHarvester,
 };
 use capy_power::technology::parts;
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::{Joules, SimDuration, SimTime, Volts, Watts};
 use capybara::faults::FaultPlan;
 use capybara::fleet::{DevicePoint, FleetHarvester, SharedEnvironment};
@@ -160,29 +160,19 @@ impl SimContext for ManifestCtx {
 
     /// A body reads its task's count only through `count % repeat`, and
     /// the rate scale: those are the words, and the counts are counters.
-    fn cycle_key(&self, key: &mut CycleKey) -> bool {
+    fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
         let Self {
             completions,
             rate_scale,
         } = self;
         for Completions { count, repeat } in completions {
-            count.cycle_counter(key);
+            count.cycle_counter(c);
             if let Some(r) = *repeat {
-                count.cycle_words(key, |&c, k| k.word(c.checked_rem(r).unwrap_or(c)));
+                count.cycle_words(c, |&n, c| c.word(n.checked_rem(r).unwrap_or(n)));
             }
         }
-        key.bits(*rate_scale);
+        c.bits(*rate_scale);
         true
-    }
-
-    fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        let Self {
-            completions,
-            rate_scale: _,
-        } = self;
-        for Completions { count, repeat: _ } in completions {
-            count.advance_cycles(adv);
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! modes can be met by activating some subset of the banks") and is the
 //! granularity at which the runtime reconfigures capacity.
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::{Amps, Farads, Joules, Ohms, SimDuration, Volts};
 
 use crate::capacitor::{self, CapacitorSpec, CapacitorState};
@@ -232,13 +232,13 @@ impl Bank {
         self.state.set_voltage(v);
     }
 
-    /// Writes this bank into a steady-state key: its charge state (see
-    /// [`CapacitorState::cycle_key`]; `wear` says whether a wear model
-    /// turns cycle counts into deratings, `leaking` whether the voltage
-    /// is replayed rather than keyed) and its derating bits. Name and
-    /// members are fixed at build, and the constants derive from them
-    /// and the derating.
-    pub fn cycle_key(&self, wear: bool, leaking: bool, key: &mut CycleKey) {
+    /// Visits this bank's steady state: its charge state (see
+    /// [`CapacitorState::steady_state`]; `wear` says whether a wear
+    /// model turns cycle counts into deratings, `leaking` whether the
+    /// voltage is replayed rather than keyed) and its derating bits.
+    /// Name and members are fixed at build, and the constants derive
+    /// from them and the derating.
+    pub fn steady_state(&mut self, wear: bool, leaking: bool, c: &mut Cycle<'_>) {
         let Self {
             name: _,
             members: _,
@@ -247,22 +247,9 @@ impl Bank {
             esr_scale,
             constants: _,
         } = self;
-        state.cycle_key(wear, leaking, key);
-        key.bits(*cap_derate);
-        key.bits(*esr_scale);
-    }
-
-    /// Advances this bank as [`Bank::cycle_key`] keyed it.
-    pub fn advance_cycles(&mut self, wear: bool, adv: &mut CycleAdvance<'_>) {
-        let Self {
-            name: _,
-            members: _,
-            state,
-            cap_derate: _,
-            esr_scale: _,
-            constants: _,
-        } = self;
-        state.advance_cycles(wear, adv);
+        state.steady_state(wear, leaking, c);
+        c.bits(*cap_derate);
+        c.bits(*esr_scale);
     }
 }
 

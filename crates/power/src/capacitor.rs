@@ -13,7 +13,7 @@
 //!   which bounds both long-term energy retention and the latch-switch
 //!   retention time (§6.5).
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::{Amps, Farads, Joules, Ohms, SimDuration, Volts, Watts};
 
 use crate::technology::Technology;
@@ -223,31 +223,21 @@ impl CapacitorState {
         self.cycles = cycles;
     }
 
-    /// Writes this state into a steady-state key: the voltage bits,
-    /// replayed ([`CycleKey::replayed_bits`]) when `leaking` says that
-    /// only leaks moved it and a jump replays them, and the cycle count
-    /// as a word when `wear` makes it feed the derating or as a counter
-    /// otherwise.
-    pub fn cycle_key(&self, wear: bool, leaking: bool, key: &mut CycleKey) {
+    /// Visits this state's steady state: the voltage bits, replayed
+    /// ([`Cycle::replayed_bits`]) when `leaking` says that only leaks
+    /// moved it and a jump replays them, and the cycle count as a word
+    /// when `wear` makes it feed the derating or as a counter otherwise.
+    pub fn steady_state(&mut self, wear: bool, leaking: bool, c: &mut Cycle<'_>) {
         let Self { voltage, cycles } = self;
         if leaking {
-            key.replayed_bits(voltage.get());
+            c.replayed_bits(voltage.get());
         } else {
-            key.bits(voltage.get());
+            c.bits(voltage.get());
         }
         if wear {
-            key.word(*cycles);
+            c.word(*cycles);
         } else {
-            key.counter(*cycles);
-        }
-    }
-
-    /// Advances the cycle count as [`CapacitorState::cycle_key`] keyed
-    /// it; the voltage is keyed, so it already repeats.
-    pub fn advance_cycles(&mut self, wear: bool, adv: &mut CycleAdvance<'_>) {
-        let Self { voltage: _, cycles } = self;
-        if !wear {
-            adv.counter(cycles);
+            c.counter(cycles);
         }
     }
 }

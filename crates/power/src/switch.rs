@@ -16,7 +16,7 @@
 //!   maximum capacity is active; first charge is slow but the first
 //!   execution attempt is guaranteed to have enough energy.
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::{Amps, Farads, SimDuration, SimTime, SquareMm, Volts};
 
 /// Which default the switch falls back to when its latch capacitor decays.
@@ -276,11 +276,15 @@ impl BankSwitch {
         }
     }
 
-    /// Writes this switch into a steady-state key at `now`: its kind,
-    /// commanded state, fault, retention and latch age. Past the
-    /// effective retention the age only says that the latch has decayed,
-    /// so it saturates one microsecond beyond it.
-    pub fn cycle_key(&self, now: SimTime, key: &mut CycleKey) {
+    /// Visits this switch's steady state at `now`: its kind, commanded
+    /// state, fault, retention and latch age as words, and the latch
+    /// refresh instant. Past the effective retention the age only says
+    /// that the latch has decayed, so it saturates one microsecond
+    /// beyond it.
+    pub fn steady_state(&mut self, now: SimTime, c: &mut Cycle<'_>) {
+        let decayed = self
+            .effective_retention()
+            .saturating_add(SimDuration::from_micros(1));
         let Self {
             kind,
             commanded,
@@ -288,36 +292,20 @@ impl BankSwitch {
             retention,
             fault,
         } = self;
-        key.word(u64::from(kind.default_state().is_closed()));
-        key.word(u64::from(commanded.is_closed()));
+        c.word(u64::from(kind.default_state().is_closed()));
+        c.word(u64::from(commanded.is_closed()));
         match fault {
-            None => key.word(0),
-            Some(SwitchFault::StuckOpen) => key.word(1),
-            Some(SwitchFault::StuckClosed) => key.word(2),
+            None => c.word(0),
+            Some(SwitchFault::StuckOpen) => c.word(1),
+            Some(SwitchFault::StuckClosed) => c.word(2),
             Some(SwitchFault::WeakLatch { factor }) => {
-                key.word(3);
-                key.bits(*factor);
+                c.word(3);
+                c.bits(*factor);
             }
         }
-        key.span(*retention);
-        let decayed = self
-            .effective_retention()
-            .saturating_add(SimDuration::from_micros(1));
-        key.span(now.saturating_since(*last_refresh).min(decayed));
-    }
-
-    /// Advances this switch as [`BankSwitch::cycle_key`] keyed it: the
-    /// latch refresh instant moves with the cycle if the cycle refreshed
-    /// it.
-    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
-        let Self {
-            kind: _,
-            commanded: _,
-            last_refresh,
-            retention: _,
-            fault: _,
-        } = self;
-        adv.instant(last_refresh);
+        c.span(*retention);
+        c.span(now.saturating_since(*last_refresh).min(decayed));
+        c.instant(last_refresh);
     }
 }
 

@@ -19,7 +19,7 @@
 //! therefore lossy) redistribution whenever the closed set changes —
 //! including implicit changes when an unpowered switch's latch decays.
 
-use capy_units::cycle::{CycleAdvance, CycleKey};
+use capy_units::cycle::Cycle;
 use capy_units::{Farads, Joules, Ohms, SimDuration, SimTime, Volts, Watts};
 
 use crate::bank::{Bank, BankId};
@@ -782,16 +782,16 @@ impl<H: Harvester> PowerSystem<H> {
 
     // --- steady-state cycles ---------------------------------------------
 
-    /// Writes this power system into a steady-state key at `now` (see
+    /// Visits this power system's steady state at `now` (see
     /// [`capy_units::cycle`]). Every field is one of:
     ///
     /// * **keyed**: each bank and switch, and the number of pending
     ///   faults (a fault that strikes inside a cycle changes it). A
     ///   *leaking* bank, open now and found closed by no `sync` since
-    ///   [`PowerSystem::watch_leaks`], keys its voltage bits as replayed:
-    ///   nothing reads an open bank's voltage, only leaks move it, and a
-    ///   jump replays those leaks from the tape;
-    /// * **an instant** the advance shifts: `synced_at`;
+    ///   [`PowerSystem::watch_leaks`], visits its voltage bits as
+    ///   replayed: nothing reads an open bank's voltage, only leaks move
+    ///   it, and a jump replays those leaks from the tape;
+    /// * **an instant**: `synced_at`;
     /// * **an accumulator**: `charge_segments` is a counter, and
     ///   `delivered` is replayed addition by addition from the tape
     ///   [`PowerSystem::record_cycle`] keeps;
@@ -800,44 +800,11 @@ impl<H: Harvester> PowerSystem<H> {
     /// * **fixed** during a run: the harvester (whose segment bounds a
     ///   skip, see [`PowerSystem::steady_until`]), the distribution
     ///   circuits, the wear model and the startup margin.
-    pub fn cycle_key(&self, now: SimTime, key: &mut CycleKey) {
-        let Self {
-            harvester: _,
-            limiter: _,
-            input_booster: _,
-            bypass: _,
-            output_booster: _,
-            banks,
-            closed_cache: _,
-            synced_at: _,
-            delivered: _,
-            tape: _,
-            pending_faults,
-            wear_model,
-            startup_margin: _,
-            rail_derived: _,
-            discharge_memo: _,
-            charge_segments,
-        } = self;
-        let wear = wear_model.is_some();
-        for slot in banks {
-            let Slot {
-                bank,
-                switch,
-                closed_since_watch: _,
-            } = slot;
-            bank.cycle_key(wear, slot.leaking(now), key);
-            switch.cycle_key(now, key);
-        }
-        key.word(pending_faults.len() as u64);
-        key.counter(*charge_segments);
-    }
-
-    /// Advances this power system as [`PowerSystem::cycle_key`] keyed
-    /// it. `delivered` and the leaking banks' voltages are not touched
-    /// here: replay them first with [`PowerSystem::replay_cycles`], which
-    /// decides how many cycles the energy budget allows.
-    pub fn advance_cycles(&mut self, adv: &mut CycleAdvance<'_>) {
+    ///
+    /// An advance leaves `delivered` and the leaking banks' voltages
+    /// alone: replay them first with [`PowerSystem::replay_cycles`],
+    /// which decides how many cycles the energy budget allows.
+    pub fn steady_state(&mut self, now: SimTime, c: &mut Cycle<'_>) {
         let Self {
             harvester: _,
             limiter: _,
@@ -849,7 +816,7 @@ impl<H: Harvester> PowerSystem<H> {
             synced_at,
             delivered: _,
             tape: _,
-            pending_faults: _,
+            pending_faults,
             wear_model,
             startup_margin: _,
             rail_derived: _,
@@ -857,17 +824,19 @@ impl<H: Harvester> PowerSystem<H> {
             charge_segments,
         } = self;
         let wear = wear_model.is_some();
-        for Slot {
-            bank,
-            switch,
-            closed_since_watch: _,
-        } in banks
-        {
-            bank.advance_cycles(wear, adv);
-            switch.advance_cycles(adv);
+        for slot in banks {
+            let leaking = slot.leaking(now);
+            let Slot {
+                bank,
+                switch,
+                closed_since_watch: _,
+            } = slot;
+            bank.steady_state(wear, leaking, c);
+            switch.steady_state(now, c);
         }
-        adv.counter(charge_segments);
-        adv.instant(synced_at);
+        c.word(pending_faults.len() as u64);
+        c.counter(charge_segments);
+        c.instant(synced_at);
     }
 
     /// The instant a cycle that began at `since` can repeat unchanged
@@ -892,7 +861,7 @@ impl<H: Harvester> PowerSystem<H> {
 
     /// Starts a fresh record of which banks leak: from here on, a bank
     /// is *leaking* while it is open and no `sync` has found it closed
-    /// (see [`PowerSystem::cycle_key`]).
+    /// (see [`PowerSystem::steady_state`]).
     pub fn watch_leaks(&mut self) {
         for slot in &mut self.banks {
             slot.closed_since_watch = false;
@@ -1318,6 +1287,7 @@ mod tests {
     use super::*;
     use crate::harvester::ConstantHarvester;
     use crate::technology::parts;
+    use capy_units::cycle::CycleKey;
 
     fn ten_mw() -> ConstantHarvester {
         ConstantHarvester::new(Watts::from_milli(10.0), Volts::new(3.0))
@@ -1846,9 +1816,9 @@ mod tests {
 
     #[test]
     fn a_bank_closed_since_the_watch_keys_its_voltage() {
-        let key = |sys: &PowerSystem<ConstantHarvester>, now| {
+        let key = |sys: &mut PowerSystem<ConstantHarvester>, now| {
             let mut key = CycleKey::default();
-            sys.cycle_key(now, &mut key);
+            sys.steady_state(now, &mut Cycle::key(&mut key));
             key
         };
         let mut a = open_big_bank_system(Volts::new(2.0));
@@ -1857,8 +1827,8 @@ mod tests {
         a.watch_leaks();
         b.watch_leaks();
         // Open since the watch: the open bank's voltage is not compared.
-        assert!(key(&a, now).same_state(&key(&b, now)));
-        assert!(key(&b, now).same_state(&key(&a, now)));
+        assert!(key(&mut a, now).same_state(&key(&mut b, now)));
+        assert!(key(&mut b, now).same_state(&key(&mut a, now)));
         // Closed alone at a `sync` (so nothing equalizes) and open
         // again: it is compared.
         for sys in [&mut a, &mut b] {
@@ -1874,11 +1844,11 @@ mod tests {
                 }
             }
         }
-        assert!(!key(&a, now).same_state(&key(&b, now)));
+        assert!(!key(&mut a, now).same_state(&key(&mut b, now)));
         // A fresh watch forgets the close.
         a.watch_leaks();
         b.watch_leaks();
-        assert!(key(&a, now).same_state(&key(&b, now)));
+        assert!(key(&mut a, now).same_state(&key(&mut b, now)));
     }
 
     /// Every route that can change a cached rail quantity is followed by

@@ -1,9 +1,11 @@
-//! Steady-state cycle keys: how a simulator recognises that its state
+//! Steady-state cycles: how a simulator recognises that its state
 //! repeats from one task boundary to a later one, and how it then
 //! advances that state by whole cycles without stepping them.
 //!
-//! At a boundary, every part of the state writes itself into a
-//! [`CycleKey`] in a fixed order. A part writes two kinds of value:
+//! Every part of the state has one steady-state function that visits
+//! its fields through a [`Cycle`], in a fixed order. The same function
+//! both keys the part and advances it, so the two cannot visit the
+//! fields in different orders. A part visits four kinds of value:
 //!
 //! * **words**, which decide what happens next (voltage bits, a task
 //!   pointer, a latch age). Two boundaries behave the same from then on
@@ -12,24 +14,28 @@
 //!   counts). They never decide behaviour, so keys do not compare them.
 //!   A part whose counter does decide behaviour writes what it decides
 //!   on (say, the count modulo a period) as a word too.
+//! * **instants** the part stores (a clock, a latch refresh), which the
+//!   key leaves out: they only move with the clock.
+//! * **output logs**, whose length the key holds as a counter.
 //!
-//! A word may also be written as *replayed*: a value nothing reads, that
+//! A word may also be visited as *replayed*: a value nothing reads, that
 //! moves only by operations a jump repeats in order (an open bank's
 //! voltage, which only leaks). A later key that marks a word replayed
 //! does not compare it with the earlier key's.
 //!
-//! Once a recorded cycle has ended on its start key, each counter's
-//! per-cycle delta is its end reading minus its start reading. A
-//! [`CycleAdvance`] then walks the parts in the same order as the key:
-//! each adds `k` deltas to its counters, moves each instant it stores by
-//! `k` cycle lengths, if the cycle wrote that instant, and extends each
-//! output log (whose length it keyed as a counter) by `k` shifted copies
-//! of the entries the cycle appended.
+//! A visit either keys or advances. Keying ([`Cycle::key`]) writes the
+//! words and counters into a [`CycleKey`]. Once a recorded cycle has
+//! ended on its start key, each counter's per-cycle delta is its end
+//! reading minus its start reading, and advancing ([`Cycle::advance`])
+//! ignores the words: it adds `k` deltas to each counter, moves each
+//! instant by `k` cycle lengths if the cycle wrote it, and extends each
+//! log by `k` shifted copies of the entries the cycle appended.
 
 use crate::{SimDuration, SimTime};
 
 /// One state's steady-state key at a task boundary: the words that
-/// decide its future and the counters it has accumulated.
+/// decide its future and the counters it has accumulated. A
+/// [`Cycle::key`] visit writes it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleKey {
     words: Vec<u64>,
@@ -39,41 +45,6 @@ pub struct CycleKey {
 }
 
 impl CycleKey {
-    /// Empties the key and keeps its buffers.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.counters.clear();
-        self.replayed.clear();
-    }
-
-    /// Appends a word that decides behaviour.
-    pub fn word(&mut self, word: u64) {
-        self.words.push(word);
-    }
-
-    /// Appends a float's exact bits as a word.
-    pub fn bits(&mut self, x: f64) {
-        self.words.push(x.to_bits());
-    }
-
-    /// Appends a float's exact bits as a replayed word, which
-    /// [`CycleKey::same_state`] does not compare when this key is the
-    /// later one.
-    pub fn replayed_bits(&mut self, x: f64) {
-        self.replayed.push(self.words.len());
-        self.words.push(x.to_bits());
-    }
-
-    /// Appends a span as a word (in microseconds).
-    pub fn span(&mut self, d: SimDuration) {
-        self.words.push(d.as_micros());
-    }
-
-    /// Appends an accumulating counter.
-    pub fn counter(&mut self, count: u64) {
-        self.counters.push(count);
-    }
-
     /// `true` when this key's state behaves from here on as the
     /// `earlier` key's did: equal words, apart from the words this key
     /// marks replayed, and counters of the same layout. Both keys write
@@ -96,10 +67,22 @@ impl CycleKey {
     }
 }
 
-/// Advances a state by `cycles` repetitions of a recorded cycle. Every
-/// part visits its counters and instants in the order it wrote its key.
+/// One visit of a state's parts at a task boundary: it either writes
+/// the state's [`CycleKey`] or advances the state by whole repetitions
+/// of a recorded cycle. Every part's steady-state function writes
+/// through it, in the same order either way.
 #[derive(Debug)]
-pub struct CycleAdvance<'a> {
+pub struct Cycle<'a>(Visit<'a>);
+
+#[derive(Debug)]
+enum Visit<'a> {
+    Key(&'a mut CycleKey),
+    Advance(Advance<'a>),
+}
+
+/// The state of an advance by `cycles` repetitions.
+#[derive(Debug)]
+struct Advance<'a> {
     start: &'a [u64],
     end: &'a [u64],
     next: usize,
@@ -109,17 +92,25 @@ pub struct CycleAdvance<'a> {
     shift: SimDuration,
 }
 
-impl<'a> CycleAdvance<'a> {
-    /// An advance by `cycles` repetitions of the cycle that began at
-    /// `since`, lasted `period` and led from `start` to `end` (keys with
-    /// equal words).
+impl<'a> Cycle<'a> {
+    /// A visit that writes `key`, emptied first (its buffers are kept).
+    pub fn key(key: &'a mut CycleKey) -> Self {
+        key.words.clear();
+        key.counters.clear();
+        key.replayed.clear();
+        Self(Visit::Key(key))
+    }
+
+    /// A visit that advances by `cycles` repetitions of the cycle that
+    /// began at `since`, lasted `period` and led from `start` to `end`
+    /// (keys with equal words).
     ///
     /// # Panics
     ///
     /// Panics when the two keys' counters differ in layout, or when
     /// `cycles × period` overflows.
     #[must_use]
-    pub fn new(
+    pub fn advance(
         start: &'a CycleKey,
         end: &'a CycleKey,
         since: SimTime,
@@ -135,7 +126,7 @@ impl<'a> CycleAdvance<'a> {
             .as_micros()
             .checked_mul(cycles)
             .expect("a cycle advance stays inside the simulated clock");
-        Self {
+        Self(Visit::Advance(Advance {
             start: &start.counters,
             end: &end.counters,
             next: 0,
@@ -143,39 +134,104 @@ impl<'a> CycleAdvance<'a> {
             cycles,
             period,
             shift: SimDuration::from_micros(shift),
+        }))
+    }
+
+    /// Visits a word that decides behaviour.
+    #[inline]
+    pub fn word(&mut self, word: u64) {
+        if let Visit::Key(key) = &mut self.0 {
+            key.words.push(word);
         }
     }
 
-    /// How many whole cycles the advance skips.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
+    /// Visits a float's exact bits as a word.
+    #[inline]
+    pub fn bits(&mut self, x: f64) {
+        self.word(x.to_bits());
     }
 
-    /// Moves a stored instant by `cycles` cycle lengths if the recorded
-    /// cycle wrote it (it lies at or after the cycle's start), since
-    /// every repetition writes it again one period later. An instant
-    /// written before the cycle stays where it is.
-    pub fn instant(&mut self, t: &mut SimTime) {
-        if *t >= self.since {
-            *t += self.shift;
+    /// Visits a span as a word (in microseconds).
+    #[inline]
+    pub fn span(&mut self, d: SimDuration) {
+        self.word(d.as_micros());
+    }
+
+    /// Visits a float's exact bits as a replayed word, which
+    /// [`CycleKey::same_state`] does not compare when this key is the
+    /// later one.
+    #[inline]
+    pub fn replayed_bits(&mut self, x: f64) {
+        if let Visit::Key(key) = &mut self.0 {
+            key.replayed.push(key.words.len());
+            key.words.push(x.to_bits());
         }
     }
 
-    /// Adds `cycles` per-cycle deltas to the next counter in key order.
-    /// The counter must still hold its end-of-cycle reading.
+    /// Visits an accumulating counter: keying writes it; advancing adds
+    /// `cycles` per-cycle deltas to it, and it must then still hold its
+    /// end-of-cycle reading.
+    #[inline]
     pub fn counter(&mut self, count: &mut u64) {
+        match &mut self.0 {
+            Visit::Key(key) => key.counters.push(*count),
+            Visit::Advance(adv) => adv.counter(count),
+        }
+    }
+
+    /// Visits a stored instant, which the key leaves out. Advancing
+    /// moves it by `cycles` cycle lengths if the recorded cycle wrote it
+    /// (it lies at or after the cycle's start), since every repetition
+    /// writes it again one period later; an instant written before the
+    /// cycle stays where it is.
+    #[inline]
+    pub fn instant(&mut self, t: &mut SimTime) {
+        if let Visit::Advance(adv) = &mut self.0 {
+            if *t >= adv.since {
+                *t += adv.shift;
+            }
+        }
+    }
+
+    /// Visits an output log, whose length is a counter. Advancing
+    /// appends `cycles` copies of the entries the recorded cycle
+    /// appended, the `j`-th moved by `j` periods through `shift`, one
+    /// push at a time as stepping grows it. Returns the index at which
+    /// the recorded cycle's entries begin; keying returns the length.
+    pub fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) -> usize {
+        match &mut self.0 {
+            Visit::Key(key) => {
+                key.counters.push(log.len() as u64);
+                log.len()
+            }
+            Visit::Advance(adv) => adv.log(log, shift),
+        }
+    }
+
+    /// Ends the visit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an advance visited fewer counters than its keys hold.
+    pub fn finish(self) {
+        if let Visit::Advance(adv) = self.0 {
+            assert_eq!(
+                adv.next,
+                adv.end.len(),
+                "a cycle advance left counters behind"
+            );
+        }
+    }
+}
+
+impl Advance<'_> {
+    fn counter(&mut self, count: &mut u64) {
         let i = self.next_counter(*count);
         let delta = self.end[i].wrapping_sub(self.start[i]);
         *count = count.wrapping_add(self.cycles.wrapping_mul(delta));
     }
 
-    /// Extends an output log whose length is the next counter in key
-    /// order: appends `cycles` copies of the entries the recorded cycle
-    /// appended, the `j`-th moved by `j` periods through `shift`, one
-    /// push at a time as stepping grows it. Returns the index at which
-    /// the recorded cycle's entries begin.
-    pub fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) -> usize {
+    fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) -> usize {
         let i = self.next_counter(log.len() as u64);
         let from = usize::try_from(self.start[i]).expect("a keyed log length fits in memory");
         let end = log.len();
@@ -201,75 +257,78 @@ impl<'a> CycleAdvance<'a> {
         );
         i
     }
-
-    /// Checks that every counter of the key was advanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics when some part advanced fewer counters than it keyed.
-    pub fn finish(self) {
-        assert_eq!(
-            self.next,
-            self.end.len(),
-            "a cycle advance left counters behind"
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn keyed(visit: impl FnOnce(&mut Cycle<'_>)) -> CycleKey {
+        let mut key = CycleKey::default();
+        let mut c = Cycle::key(&mut key);
+        visit(&mut c);
+        c.finish();
+        key
+    }
+
     #[test]
     fn keys_compare_words_not_counters() {
-        let mut a = CycleKey::default();
-        let mut b = CycleKey::default();
-        a.word(7);
-        a.bits(1.5);
-        a.counter(10);
-        b.word(7);
-        b.bits(1.5);
-        b.counter(99);
+        let a = keyed(|c| {
+            c.word(7);
+            c.bits(1.5);
+            c.counter(&mut 10);
+        });
+        let mut b = keyed(|c| {
+            c.word(7);
+            c.bits(1.5);
+            c.counter(&mut 99);
+        });
         assert!(a.same_state(&b));
-        b.clear();
-        b.word(7);
-        b.bits(-1.5);
-        b.counter(99);
+        let mut c = Cycle::key(&mut b);
+        c.word(7);
+        c.bits(-1.5);
+        c.counter(&mut 99);
         assert!(!a.same_state(&b));
     }
 
     #[test]
     fn a_later_key_skips_only_the_words_it_replays() {
         let key = |v: f64, replayed: bool| {
-            let mut k = CycleKey::default();
-            k.word(1);
-            if replayed {
-                k.replayed_bits(v);
-            } else {
-                k.bits(v);
-            }
-            k.word(2);
-            k
+            keyed(|c| {
+                c.word(1);
+                if replayed {
+                    c.replayed_bits(v);
+                } else {
+                    c.bits(v);
+                }
+                c.word(2);
+            })
         };
         assert!(key(0.5, true).same_state(&key(0.7, false)));
         assert!(key(0.5, true).same_state(&key(0.7, true)));
         assert!(!key(0.5, false).same_state(&key(0.7, true)));
         assert!(key(0.5, false).same_state(&key(0.5, true)));
-        let mut longer = key(0.5, false);
-        longer.word(3);
+        let longer = keyed(|c| {
+            c.word(1);
+            c.bits(0.5);
+            c.word(2);
+            c.word(3);
+        });
         assert!(!key(0.5, true).same_state(&longer));
     }
 
     #[test]
     fn advance_adds_whole_deltas_and_shifts_instants() {
-        let mut start = CycleKey::default();
-        let mut end = CycleKey::default();
-        start.counter(5);
-        start.counter(3);
-        end.counter(8);
-        end.counter(3);
+        let start = keyed(|c| {
+            c.counter(&mut 5);
+            c.counter(&mut 3);
+        });
+        let end = keyed(|c| {
+            c.counter(&mut 8);
+            c.counter(&mut 3);
+        });
         let since = SimTime::from_secs(1);
-        let mut adv = CycleAdvance::new(&start, &end, since, SimDuration::from_millis(250), 4);
+        let mut adv = Cycle::advance(&start, &end, since, SimDuration::from_millis(250), 4);
         let (mut a, mut b) = (8, 3);
         let mut written = SimTime::from_secs(2);
         let mut older = SimTime::from_micros(500_000);
@@ -277,7 +336,6 @@ mod tests {
         adv.counter(&mut b);
         adv.instant(&mut written);
         adv.instant(&mut older);
-        assert_eq!(adv.cycles(), 4);
         adv.finish();
         assert_eq!((a, b), (8 + 4 * 3, 3));
         assert_eq!(written, SimTime::from_secs(3));
@@ -286,13 +344,11 @@ mod tests {
 
     #[test]
     fn advance_extends_a_log_by_shifted_copies_of_the_cycle() {
-        let mut start = CycleKey::default();
-        let mut end = CycleKey::default();
         let mut log = vec![1_u64, 10, 12];
-        start.counter(1);
-        end.counter(log.len() as u64);
+        let start = keyed(|c| c.counter(&mut 1));
+        let end = keyed(|c| c.counter(&mut (log.len() as u64)));
         let period = SimDuration::from_micros(5);
-        let mut adv = CycleAdvance::new(&start, &end, SimTime::ZERO, period, 3);
+        let mut adv = Cycle::advance(&start, &end, SimTime::ZERO, period, 3);
         let from = adv.log(&mut log, |t, d| t + d.as_micros());
         adv.finish();
         assert_eq!(from, 1);
@@ -300,13 +356,38 @@ mod tests {
     }
 
     #[test]
+    fn one_visit_keys_and_advances_in_the_same_order() {
+        // A part: a word, a counter, an instant and a log.
+        let visit = |c: &mut Cycle<'_>, n: &mut u64, t: &mut SimTime, log: &mut Vec<u64>| {
+            c.word(42);
+            c.counter(n);
+            c.instant(t);
+            c.log(log, |x, d| x + d.as_micros());
+        };
+        let (mut n, mut t, mut log) = (2, SimTime::from_micros(3), vec![0_u64, 3]);
+        let mut start = CycleKey::default();
+        visit(&mut Cycle::key(&mut start), &mut n, &mut t, &mut log);
+        n += 5;
+        t = SimTime::from_micros(7);
+        log.push(7);
+        let mut end = CycleKey::default();
+        visit(&mut Cycle::key(&mut end), &mut n, &mut t, &mut log);
+        assert!(end.same_state(&start));
+        let period = SimDuration::from_micros(4);
+        let mut adv = Cycle::advance(&start, &end, SimTime::from_micros(3), period, 2);
+        visit(&mut adv, &mut n, &mut t, &mut log);
+        adv.finish();
+        assert_eq!(n, 7 + 2 * 5);
+        assert_eq!(t, SimTime::from_micros(15));
+        assert_eq!(log, [0, 3, 7, 11, 15]);
+    }
+
+    #[test]
     #[should_panic(expected = "out of its key order")]
     fn advance_rejects_a_counter_out_of_order() {
-        let mut start = CycleKey::default();
-        let mut end = CycleKey::default();
-        start.counter(1);
-        end.counter(2);
-        let mut adv = CycleAdvance::new(&start, &end, SimTime::ZERO, SimDuration::from_secs(1), 1);
+        let start = keyed(|c| c.counter(&mut 1));
+        let end = keyed(|c| c.counter(&mut 2));
+        let mut adv = Cycle::advance(&start, &end, SimTime::ZERO, SimDuration::from_secs(1), 1);
         let mut wrong = 5;
         adv.counter(&mut wrong);
     }

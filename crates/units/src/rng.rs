@@ -31,7 +31,7 @@
 
 use core::ops::Range;
 
-use crate::cycle::CycleKey;
+use crate::cycle::Cycle;
 
 /// SplitMix64 step: used to expand a 64-bit seed into generator state and
 /// to derive statistically independent child seeds (e.g. one seed per
@@ -115,12 +115,11 @@ impl DetRng {
         DetRng::seed_from_u64(self.next_u64())
     }
 
-    /// Writes the generator into a steady-state key (see
-    /// [`crate::cycle`]): every state word, since the stream ahead
-    /// depends on all of them.
-    pub fn cycle_key(&self, key: &mut CycleKey) {
+    /// Visits the generator's steady state (see [`crate::cycle`]): every
+    /// state word, since the stream ahead depends on all of them.
+    pub fn steady_state(&self, c: &mut Cycle<'_>) {
         for &word in &self.s {
-            key.word(word);
+            c.word(word);
         }
     }
 }

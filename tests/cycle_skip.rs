@@ -10,20 +10,31 @@
 //! per-task completions, the final mode, every bank's voltage bits and
 //! cycle count, the delivered-energy bits and the charge-segment count.
 //! A TA run also compares its whole context: the sample and packet logs,
-//! the non-volatile state and the generator.
+//! the non-volatile state and the generator. A run that records the
+//! voltage trace also compares the trace's instants and voltage bits.
 
 use std::fmt::Write as _;
 
 use capy_apps::ta::{self, TaCtx};
+use capy_device::load::TaskLoad;
+use capy_device::mcu::Mcu;
+use capy_intermittent::nv::{NvState, NvVar};
+use capy_intermittent::task::{TaskId, Transition};
 use capy_manifest::{
     compile, parse_manifest, CompiledFleet, CompiledScenario, HarvesterSpec, ManifestCtx,
     ManifestHarvester, ScenarioManifest, TaskSpec,
 };
-use capy_power::bank::BankId;
-use capy_power::harvester::{Harvester, SolarPanel};
+use capy_power::bank::{Bank, BankId};
+use capy_power::harvester::{ConstantHarvester, Harvester, SolarPanel};
+use capy_power::switch::SwitchKind;
+use capy_power::system::PowerSystem;
+use capy_power::technology::parts;
+use capy_units::cycle::Cycle;
 use capy_units::rng::{derive_seed, DetRng};
-use capy_units::{SimDuration, SimTime};
+use capy_units::{SimDuration, SimTime, Volts, Watts};
+use capybara::annotation::TaskEnergy;
 use capybara::faults::FaultPlan;
+use capybara::mode::EnergyMode;
 use capybara::sim::{
     RunLimits, RunOutcome, SimContext, SimEvent, Simulator, StepResult, STALL_STEP_BUDGET,
 };
@@ -553,4 +564,98 @@ fn snapshots_carry_the_skip_counters() {
     let mut fresh = compiled.sim.clone();
     fresh.restore(&snap);
     assert_eq!(fresh.skip_stats(), stats);
+}
+
+/// A sampler's context: the smallest one that declares a steady state,
+/// its sample count as a counter.
+#[derive(Clone, Default)]
+struct Sampler {
+    samples: NvVar<u64>,
+}
+
+impl NvState for Sampler {
+    fn commit_all(&mut self) {
+        self.samples.commit();
+    }
+    fn abort_all(&mut self) {
+        self.samples.abort();
+    }
+}
+
+impl SimContext for Sampler {
+    fn set_now(&mut self, _now: SimTime) {}
+
+    fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
+        self.samples.cycle_counter(c);
+        true
+    }
+}
+
+/// A duty-cycled sampler on one ceramic bank under a constant 1 mW,
+/// recording its voltage trace: each sample charges, computes for 5 ms
+/// and sleeps for 200 ms.
+fn traced_sampler() -> Simulator<ConstantHarvester, Sampler> {
+    let power = PowerSystem::builder()
+        .harvester(ConstantHarvester::new(
+            Watts::from_milli(1.0),
+            Volts::new(3.0),
+        ))
+        .bank(
+            Bank::builder("small")
+                .with_n(parts::ceramic_x5r_100uf(), 4)
+                .build(),
+            SwitchKind::NormallyClosed,
+        )
+        .build();
+    Simulator::builder(Variant::CapyP, power, Mcu::msp430fr5969())
+        .mode("small", &[BankId(0)])
+        .task(
+            "sample",
+            TaskEnergy::Config(EnergyMode(0)),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+            |c: &mut Sampler| {
+                c.samples.update(|n| n + 1);
+                Transition::Sleep {
+                    duration: SimDuration::from_millis(200),
+                    then: TaskId(0),
+                }
+            },
+        )
+        .record_trace(true)
+        .build(Sampler::default())
+}
+
+#[test]
+fn a_recorded_voltage_trace_skips_bit_for_bit() {
+    let sim = traced_sampler();
+    let limits = RunLimits::until(SimTime::from_secs(600));
+    let (mut skip, mut step) = (sim.clone(), sim.clone());
+    let skip_outcome = skip.run_limited(&limits);
+    let (step_outcome, steps) = stepped(&mut step, &limits);
+    let print = |sim: &Simulator<ConstantHarvester, Sampler>, outcome| {
+        let samples = [*sim.ctx().samples.committed()];
+        fingerprint(sim, outcome, &samples, sim.events().len())
+    };
+    assert_same_print(
+        "traced sampler",
+        &print(&skip, skip_outcome),
+        &print(&step, step_outcome),
+    );
+    let bits = |sim: &Simulator<ConstantHarvester, Sampler>| -> Vec<(u64, u64)> {
+        let trace = sim.trace().expect("the trace is recorded");
+        trace
+            .iter()
+            .map(|&(t, v)| (t.as_micros(), v.get().to_bits()))
+            .collect()
+    };
+    let (skip_trace, step_trace) = (bits(&skip), bits(&step));
+    let first = skip_trace.iter().zip(&step_trace).position(|(a, b)| a != b);
+    assert!(
+        first.is_none() && skip_trace.len() == step_trace.len(),
+        "traces differ from point {first:?} ({} vs {} points)",
+        skip_trace.len(),
+        step_trace.len()
+    );
+    let share = skipped_share("traced sampler", &skip, &step, steps);
+    assert!(share > 0.5, "only {share:.3} of steps skipped");
 }

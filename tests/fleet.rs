@@ -98,7 +98,9 @@ fn fresh_run_equals_a_leg_without_carry() {
     let spec = real_spec(97);
     for workers in [1, 3] {
         let fresh = run_fleet_on(&spec, workers, |p| simulate_device(&spec, p));
-        let (leg, wear) = run_fleet_leg_on(&spec, workers, None, |p, _| simulate_device(&spec, p));
+        let (leg, wear) = run_fleet_leg_on(&spec, workers, None, |p, _| {
+            (simulate_device(&spec, p), DeviceWear::none())
+        });
         assert_eq!(fresh, leg, "run and leg diverged on {workers} workers");
         assert_eq!(fresh.workers, leg.workers);
         assert_eq!(wear.devices(), spec.devices());
@@ -134,9 +136,6 @@ fn synthetic_outcome(point: &DevicePoint) -> DeviceOutcome {
         latencies,
         death,
         task_completions: vec![completions, completions / 3],
-        wear: DeviceWear {
-            bank_cycles: vec![completions, completions % 7],
-        },
     }
 }
 
@@ -509,7 +508,7 @@ fn wear_carries_across_real_mission_legs() {
         sim.power_mut().set_wear_model(Some(WearModel::prototype()));
         carry.apply(&mut sim);
         sim.run_until(spec.horizon());
-        DeviceOutcome::from_sim(&sim)
+        (DeviceOutcome::from_sim(&sim), DeviceWear::from_sim(&sim))
     };
 
     let (leg1, wear1) = run_fleet_leg_on(&spec, 4, None, device);
