@@ -130,7 +130,10 @@ run cmp "$CI_TMP/w1/fleet_trace.result.json" "$CI_TMP/w8/fleet_trace.result.json
 # refused with exit 3 (a typed manifest error), never wrapped into a
 # wrong run, run without bound, or crashed. Each runs on the release
 # capy-run and on a debug one, where integer overflow panics instead of
-# wrapping. The JSON document, generated here, nests 200,000 arrays deep.
+# wrapping. Two JSON documents are generated here: one nests 200,000
+# arrays deep and must be refused; one holds a single string of
+# 2,000,000 two-byte characters and must validate well inside the
+# timeout (string decoding is linear in the input).
 expect_exit() {
     local want=$1
     shift
@@ -153,6 +156,12 @@ done
     head -c 200000 /dev/zero | tr '\0' ']'
 } >"$CI_TMP/deep.json"
 expect_exit 3 "$CAPY_RUN" --validate-json "$CI_TMP/deep.json"
+{
+    printf '"'
+    { yes é || true; } | head -n 2000000 | tr -d '\n'
+    printf '"'
+} >"$CI_TMP/wide.json"
+expect_exit 0 timeout 20 "$CAPY_RUN" --validate-json "$CI_TMP/wide.json"
 
 if [[ "$QUICK" == "1" ]]; then
     echo "==> ci.sh: quick gate passed (benches skipped)"

@@ -189,9 +189,10 @@ fn bench_discharge(budget: Duration) -> (Timing, Timing) {
 
 /// A fixed-capacity duty-cycle sleeper: a 5 ms task followed by a long
 /// sleep whose quiescent drain browns the buffer out, forcing a recharge
-/// every cycle. This is the charge-heavy shape the discharge memo and
-/// derived-rail cache exist for: from the second cycle on, every
-/// charge/draw repeats bitwise.
+/// every cycle. This is the charge-heavy shape the derived-rail cache
+/// exists for: every charge and draw reads the same closed set. The `()`
+/// context declares no steady state, so every cycle is stepped, and each
+/// brown-out is a deep discharge the ESR integrator resolves in full.
 fn build_sleeper() -> Simulator<ConstantHarvester, ()> {
     let power = PowerSystem::builder()
         .harvester(ConstantHarvester::new(

@@ -23,10 +23,12 @@
 use capy_device::load::TaskLoad;
 use capy_power::bank::{Bank, BankId};
 use capy_power::booster::OutputBooster;
-use capy_power::capacitor::{self, CapacitorSpec, Discharge};
+use capy_power::capacitor::CapacitorSpec;
 use capy_power::switch::SwitchKind;
 use capy_power::technology::parts;
 use capy_units::{Farads, Ohms, Volts};
+
+use crate::provision::sustains;
 
 /// One task's demand on the power system, as input to the allocator.
 #[derive(Debug, Clone)]
@@ -202,33 +204,6 @@ fn required_capacitance(
     Farads::new(2.0 * energy * (1.0 + margin) / window)
 }
 
-/// Verifies a mode (total capacitance `c`, parallel `esr`) sustains
-/// `load` from full charge.
-fn mode_sustains(
-    c: Farads,
-    esr: Ohms,
-    load: &TaskLoad,
-    booster: &OutputBooster,
-    full: Volts,
-) -> bool {
-    let mut v = full;
-    for phase in load.phases() {
-        let p = booster.input_power_for(phase.power());
-        match capacitor::discharge(
-            c,
-            esr,
-            v,
-            p,
-            booster.min_operating_voltage(),
-            phase.duration(),
-        ) {
-            Discharge::Sustained(v_end) => v = v_end,
-            Discharge::Failed(..) => return false,
-        }
-    }
-    true
-}
-
 fn parallel_esr(banks: &[PlannedBank]) -> Ohms {
     let mut inv = 0.0;
     for b in banks {
@@ -354,7 +329,7 @@ pub fn allocate(
             let slice = &banks[..mode_len];
             let c: Farads = slice.iter().map(PlannedBank::capacitance).sum();
             let esr = parallel_esr(slice);
-            if mode_sustains(c, esr, &demand.load, booster, full) {
+            if sustains(c, esr, full, &demand.load, booster) {
                 break;
             }
             let top = &mut banks[mode_len - 1];
@@ -472,7 +447,7 @@ mod tests {
             let owned: Vec<PlannedBank> = slice.into_iter().cloned().collect();
             let esr = parallel_esr(&owned);
             assert!(
-                mode_sustains(c, esr, &d.load, &b, opts.full_voltage),
+                sustains(c, esr, opts.full_voltage, &d.load, &b),
                 "mode {i} must sustain its demand"
             );
         }
@@ -574,7 +549,7 @@ mod tests {
                 let c: Farads = slice.iter().map(PlannedBank::capacitance).sum();
                 let esr = parallel_esr(&slice);
                 assert!(
-                    mode_sustains(c, esr, &d.load, &b, opts.full_voltage),
+                    sustains(c, esr, opts.full_voltage, &d.load, &b),
                     "mode {i} under-provisioned"
                 );
             }

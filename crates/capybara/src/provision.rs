@@ -45,7 +45,20 @@ pub fn bank_sustains(
     } else {
         Ohms::ZERO
     };
-    let mut v = full.min(unit.rated_voltage());
+    sustains(c, esr, full.min(unit.rated_voltage()), load, booster)
+}
+
+/// Checks whether a store of capacitance `c` and series resistance `esr`,
+/// starting at `v0`, runs every phase of `load` through `booster` without
+/// its terminal voltage (after ESR droop) crossing the booster minimum.
+pub(crate) fn sustains(
+    c: Farads,
+    esr: Ohms,
+    v0: Volts,
+    load: &TaskLoad,
+    booster: &OutputBooster,
+) -> bool {
+    let mut v = v0;
     for phase in load.phases() {
         let p = booster.input_power_for(phase.power());
         match capacitor::discharge(

@@ -522,9 +522,9 @@ pub struct Simulator<H, C> {
 ///
 /// The contract is **bit identity**: `restore` followed by `run_until(h)`
 /// produces byte-for-byte the same events, summaries, and rail voltages
-/// as an uninterrupted run to `h`. The kernel's rail cache and discharge
-/// memo are cloned with the power system, and both are exact caches, so
-/// a stale-free clone is automatic.
+/// as an uninterrupted run to `h`. The kernel's rail cache is cloned with
+/// the power system, and it is an exact cache, so a stale-free clone is
+/// automatic.
 ///
 /// [`DetRng`]: capy_units::rng::DetRng
 #[derive(Clone)]

@@ -766,14 +766,6 @@ impl SweepReport {
         })
     }
 
-    /// Total energy delivered to loads across every run.
-    #[must_use]
-    pub fn total_delivered_energy(&self) -> Joules {
-        self.runs
-            .iter()
-            .fold(Joules::ZERO, |acc, r| acc + r.summary.delivered_energy)
-    }
-
     /// Mean worker utilization: busy time summed over workers divided by
     /// `workers × wall`. 1.0 means every worker computed for the whole
     /// sweep; low values mean workers idled at the tail of the queue.

@@ -106,12 +106,6 @@ impl TaskLoad {
         Self::default()
     }
 
-    /// Creates a load from phases.
-    #[must_use]
-    pub fn from_phases(phases: Vec<LoadPhase>) -> Self {
-        Self { phases }
-    }
-
     /// Appends a phase.
     pub fn push(&mut self, phase: LoadPhase) {
         self.phases.push(phase);

@@ -169,12 +169,6 @@ impl Mcu {
         LoadPhase::with_min_voltage("compute", duration, self.active_power, self.min_voltage)
     }
 
-    /// A sleep phase of the given duration.
-    #[must_use]
-    pub fn sleep_for(&self, duration: SimDuration) -> LoadPhase {
-        LoadPhase::new("sleep", duration, self.sleep_power)
-    }
-
     /// Number of benchmark ops that fit in an energy budget `e` at the
     /// regulated rail — the quantity plotted on the Figure 3/4 y-axes.
     #[must_use]

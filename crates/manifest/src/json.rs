@@ -210,6 +210,7 @@ const MAX_DEPTH: usize = 128;
 /// on arrays or objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -224,6 +225,8 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The document, for copying runs of string characters whole.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -372,13 +375,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).expect("input was a &str");
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash at
+                    // once. Both are ASCII, so the run ends on a char
+                    // boundary of the document.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -497,6 +501,21 @@ mod tests {
         assert_eq!(v.get("schema").and_then(JsonValue::as_str), Some("s/v1"));
         let cases = v.get("cases").and_then(JsonValue::as_array).expect("array");
         assert_eq!(cases[0].get("n").and_then(JsonValue::as_f64), Some(3.0));
+    }
+
+    #[test]
+    fn strings_decode_every_utf8_width_next_to_escapes() {
+        let text = r#"["a\né\t€\\😀\"", "\uD83D\uDE00é😀\uD83D\uDE00", "x😀"]"#;
+        let v = parse(text).expect("parses");
+        let strings: Vec<&str> = v
+            .as_array()
+            .expect("array")
+            .iter()
+            .map(|s| s.as_str().expect("string"))
+            .collect();
+        assert_eq!(strings, ["a\né\t€\\😀\"", "😀é😀😀", "x😀"]);
+        let err = parse("\"x😀").expect_err("no closing quote");
+        assert!(err.message.contains("unterminated"), "{err}");
     }
 
     #[test]

@@ -219,12 +219,6 @@ impl RfHarvester {
     pub fn p2110b(distance_m: f64) -> Self {
         Self::new(Watts::new(3.0), distance_m, 0.005 * 0.5)
     }
-
-    /// Updates the distance (e.g. a mobile tag).
-    pub fn set_distance(&mut self, distance_m: f64) {
-        assert!(distance_m > 0.0, "distance must be positive");
-        self.distance_m = distance_m;
-    }
 }
 
 impl Harvester for RfHarvester {

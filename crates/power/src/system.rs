@@ -129,65 +129,6 @@ impl RailDerived {
     }
 }
 
-const DISCHARGE_MEMO_CAPACITY: usize = 32;
-
-/// Draws shorter than this skip the discharge memo entirely: the adaptive
-/// integration loop resolves them in a handful of steps, cheaper than a
-/// memo scan plus insert.
-const DISCHARGE_MEMO_MIN_DT: SimDuration = SimDuration::from_millis(100);
-
-/// Exact-key memo for [`capacitor::discharge`]: inputs are keyed on their
-/// raw bit patterns, so a hit returns the bitwise-identical `Discharge`
-/// the function would compute. The key covers every input, so no entry
-/// ever goes stale and the memo is never cleared. Small and round-robin —
-/// cyclic workloads only ever touch a handful of distinct keys.
-#[derive(Debug, Clone, Default)]
-struct DischargeMemo {
-    entries: Vec<([u64; 6], Discharge)>,
-    cursor: usize,
-}
-
-impl DischargeMemo {
-    fn key(
-        c: Farads,
-        esr: Ohms,
-        v0: Volts,
-        power: Watts,
-        v_min: Volts,
-        dt: SimDuration,
-    ) -> [u64; 6] {
-        [
-            c.get().to_bits(),
-            esr.get().to_bits(),
-            v0.get().to_bits(),
-            power.get().to_bits(),
-            v_min.get().to_bits(),
-            dt.as_micros(),
-        ]
-    }
-
-    fn get(&self, key: &[u64; 6]) -> Option<Discharge> {
-        self.entries.iter().find(|(k, _)| k == key).map(|&(_, d)| d)
-    }
-
-    fn insert(&mut self, key: [u64; 6], value: Discharge) {
-        if self.entries.len() < DISCHARGE_MEMO_CAPACITY {
-            self.entries.push((key, value));
-        } else {
-            self.entries[self.cursor] = (key, value);
-            self.cursor = (self.cursor + 1) % DISCHARGE_MEMO_CAPACITY;
-        }
-    }
-}
-
-/// The raw bits of a discharge result, for exact memo-hit checks.
-fn discharge_bits(d: Discharge) -> (Option<u64>, u64) {
-    match d {
-        Discharge::Sustained(v) => (None, v.get().to_bits()),
-        Discharge::Failed(t, v) => (Some(t.as_micros()), v.get().to_bits()),
-    }
-}
-
 /// A complete Capybara-style power system.
 ///
 /// See the [crate-level example](crate) for typical construction and use.
@@ -222,8 +163,6 @@ pub struct PowerSystem<H> {
     startup_margin: Volts,
     /// Cached derived rail quantities (`None` = recompute on next use).
     rail_derived: Option<RailDerived>,
-    /// Exact-key discharge memo; see [`DischargeMemo`].
-    discharge_memo: DischargeMemo,
     /// Cumulative analytic charge segments integrated by `charge_until`,
     /// for O(1)-segment assertions and bench reporting.
     charge_segments: u64,
@@ -481,24 +420,10 @@ impl<H: Harvester> PowerSystem<H> {
         self.limiter.clamp().min(rating_of(self.closed_slots(now)))
     }
 
-    /// Total leakage of the connected banks.
-    #[must_use]
-    pub fn rail_leakage(&self, now: SimTime) -> Watts {
-        let v = self.rail_voltage(now);
-        let i: f64 = self.closed_slots(now).map(|s| s.bank.leakage().get()).sum();
-        Watts::new(v.get() * i)
-    }
-
     /// Cumulative energy delivered to loads since construction.
     #[must_use]
     pub fn energy_delivered(&self) -> Joules {
         self.delivered
-    }
-
-    /// Total board volume of the capacitor array, mm³.
-    #[must_use]
-    pub fn array_volume_mm3(&self) -> f64 {
-        self.banks.iter().map(|s| s.bank.volume_mm3()).sum()
     }
 
     /// Reconciles implicit switch-state changes (latch decay), applies any
@@ -692,7 +617,7 @@ impl<H: Harvester> PowerSystem<H> {
         let p_in = self.output_booster.input_power_for(load);
         let v_min = self.output_booster.min_operating_voltage();
 
-        let out = self.discharge_memoized(c, esr, v0, p_in, v_min, duration);
+        let out = capacitor::discharge(c, esr, v0, p_in, v_min, duration);
         let (survived, v_end, outcome) = match out {
             Discharge::Sustained(v) => (duration, v, DrawOutcome::Complete),
             Discharge::Failed(t, v) => (t, v, DrawOutcome::Failed(t)),
@@ -739,7 +664,7 @@ impl<H: Harvester> PowerSystem<H> {
                 .min(derived.full_voltage);
             (duration, v, DrawOutcome::Complete)
         } else {
-            match self.discharge_memoized(c, esr, v0, p_load - p_charge, v_min, duration) {
+            match capacitor::discharge(c, esr, v0, p_load - p_charge, v_min, duration) {
                 Discharge::Sustained(v) => (duration, v, DrawOutcome::Complete),
                 Discharge::Failed(t, v) => (t, v, DrawOutcome::Failed(t)),
             }
@@ -795,8 +720,8 @@ impl<H: Harvester> PowerSystem<H> {
     /// * **an accumulator**: `charge_segments` is a counter, and
     ///   `delivered` is replayed addition by addition from the tape
     ///   [`PowerSystem::record_cycle`] keeps;
-    /// * **an exact cache**: `closed_cache`, `rail_derived` and the
-    ///   discharge memo, whose hits equal recomputation at any instant;
+    /// * **an exact cache**: `closed_cache` and `rail_derived`, which
+    ///   equal recomputation at any instant;
     /// * **fixed** during a run: the harvester (whose segment bounds a
     ///   skip, see [`PowerSystem::steady_until`]), the distribution
     ///   circuits, the wear model and the startup margin.
@@ -820,7 +745,6 @@ impl<H: Harvester> PowerSystem<H> {
             wear_model,
             startup_margin: _,
             rail_derived: _,
-            discharge_memo: _,
             charge_segments,
         } = self;
         let wear = wear_model.is_some();
@@ -1115,40 +1039,6 @@ impl<H: Harvester> PowerSystem<H> {
         }
     }
 
-    /// [`capacitor::discharge`] through the exact-key memo. Debug builds
-    /// check every hit against a fresh integration.
-    #[allow(clippy::too_many_arguments)]
-    fn discharge_memoized(
-        &mut self,
-        c: Farads,
-        esr: Ohms,
-        v0: Volts,
-        power: Watts,
-        v_min: Volts,
-        dt: SimDuration,
-    ) -> Discharge {
-        // Short draws make the adaptive integration loop cheaper than a
-        // memo scan-and-insert, and in event-paced workloads their start
-        // voltages rarely repeat anyway — only memoize draws long enough
-        // for the loop to dominate. Gating by `dt` never changes results:
-        // a hit is bitwise-exact whether or not a given call is cached.
-        if dt < DISCHARGE_MEMO_MIN_DT {
-            return capacitor::discharge(c, esr, v0, power, v_min, dt);
-        }
-        let key = DischargeMemo::key(c, esr, v0, power, v_min, dt);
-        if let Some(hit) = self.discharge_memo.get(&key) {
-            debug_assert_eq!(
-                discharge_bits(hit),
-                discharge_bits(capacitor::discharge(c, esr, v0, power, v_min, dt)),
-                "stale discharge memo entry {hit:?}"
-            );
-            return hit;
-        }
-        let out = capacitor::discharge(c, esr, v0, power, v_min, dt);
-        self.discharge_memo.insert(key, out);
-        out
-    }
-
     fn next_latch_decay(&self, now: SimTime) -> SimTime {
         self.banks
             .iter()
@@ -1240,13 +1130,6 @@ impl<H: Harvester> PowerSystemBuilder<H> {
         self
     }
 
-    /// Adds a bank behind an explicitly configured switch.
-    #[must_use]
-    pub fn bank_with_switch(mut self, bank: Bank, switch: BankSwitch) -> Self {
-        self.banks.push(Slot::new(bank, switch));
-        self
-    }
-
     /// Finishes the system.
     ///
     /// # Panics
@@ -1276,7 +1159,6 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             wear_model: None,
             startup_margin: Volts::ZERO,
             rail_derived: None,
-            discharge_memo: DischargeMemo::default(),
             charge_segments: 0,
         }
     }
@@ -1854,9 +1736,7 @@ mod tests {
     /// Every route that can change a cached rail quantity is followed by
     /// more charges and draws. Had a route left the rail cache standing,
     /// the next operation would serve a stale hit, and debug builds check
-    /// every hit against recomputation. Each charge-then-draw pass after
-    /// the first repeats a discharge-memo key, so memo hits are checked
-    /// along the way.
+    /// every hit against recomputation.
     #[test]
     fn every_invalidation_route_is_followed_by_checked_hits() {
         type Sys = PowerSystem<ConstantHarvester>;
@@ -1925,11 +1805,11 @@ mod tests {
         }
     }
 
-    /// The discharge memo is never cleared, so its key must cover every
-    /// input: a fault that changes only the ESR must not replay the
-    /// healthy bank's draw.
+    /// A draw ends where [`capacitor::discharge`] puts it, given the
+    /// rail's own capacitance, ESR and voltage, and the ESR droop is part
+    /// of it: a fault that changes only the ESR changes the draw.
     #[test]
-    fn discharge_memo_key_covers_the_esr() {
+    fn a_draw_follows_the_esr_droop_discharge() {
         let mut sys = one_bank_system();
         let mut now = SimTime::ZERO;
         let (load, span) = (Watts::from_milli(8.0), SimDuration::from_millis(150));
