@@ -61,8 +61,9 @@ run cargo test -q --workspace
 # release code, where the debug-only re-check after each skipped jump
 # is off, so the skip-versus-step identity must hold without it, and
 # so must the restore suites, which resume TA and manifests through
-# skipping runs.
-run cargo test --release -q --test cycle_skip --test snapshot_identity --test kill_grid
+# skipping runs, and the fleet suite, whose `()` devices now go through
+# cycle detection too.
+run cargo test --release -q --test cycle_skip --test snapshot_identity --test kill_grid --test fleet
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all -- --check
 # Rustdoc: every intra-doc link must resolve, so a renamed or deleted

@@ -191,8 +191,10 @@ fn bench_discharge(budget: Duration) -> (Timing, Timing) {
 /// sleep whose quiescent drain browns the buffer out, forcing a recharge
 /// every cycle. This is the charge-heavy shape the derived-rail cache
 /// exists for: every charge and draw reads the same closed set. The `()`
-/// context declares no steady state, so every cycle is stepped, and each
-/// brown-out is a deep discharge the ESR integrator resolves in full.
+/// context declares an empty steady state, but a timed run (about six
+/// steps in 600 s) ends inside the skip engine's 32-boundary warm-up, so
+/// every cycle is stepped, and each brown-out is a deep discharge the
+/// ESR integrator resolves in full.
 fn build_sleeper() -> Simulator<ConstantHarvester, ()> {
     let power = PowerSystem::builder()
         .harvester(ConstantHarvester::new(

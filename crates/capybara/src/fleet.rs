@@ -463,6 +463,46 @@ impl SharedEnvironment {
         }
         next
     }
+
+    /// The eclipse period, if this environment repeats it around `t` for
+    /// a device at `placement` (see [`Harvester::period`]): `Some((p,
+    /// until))` when no dip starts or ends and no trace sample begins in
+    /// `(t − p, t]`. The harvest then repeats until the last eclipse edge
+    /// at or before the next such event (`SimTime::MAX` when there is
+    /// none): up to there the dips and the trace hold still, and every
+    /// segment edge is an eclipse edge. With no eclipse cycle, `None`.
+    #[must_use]
+    pub fn period(&self, t: SimTime, placement: f64) -> Option<(SimDuration, SimTime)> {
+        if self.period == SimDuration::ZERO {
+            return None;
+        }
+        // The first dip onset, dip end or trace sample after `t − p`.
+        let from = t.saturating_sub(self.period);
+        let onset = self.dips.partition_point(|&d| d <= from);
+        let end = self
+            .dips
+            .partition_point(|&d| d.saturating_add(self.dip_hold) <= from);
+        let sample = self.trace.partition_point(|&(at, _)| at <= from);
+        let next = [
+            self.dips.get(onset).copied(),
+            self.dips.get(end).map(|&d| d.saturating_add(self.dip_hold)),
+            self.trace.get(sample).map(|&(at, _)| at),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let until = next.map_or(SimTime::MAX, |next| {
+            // Back from `next` to the eclipse edge at or before it.
+            let phase = (next.as_micros() + self.phase_offset(placement)) % self.period.as_micros();
+            let back = if phase >= self.lit_micros {
+                phase - self.lit_micros
+            } else {
+                phase
+            };
+            next.saturating_sub(SimDuration::from_micros(back))
+        });
+        (until > t).then_some((self.period, until))
+    }
 }
 
 /// Wraps any harvester with a device's panel scale and the fleet's
@@ -510,6 +550,13 @@ impl<H: Harvester> Harvester for FleetHarvester<H> {
         } else {
             self.inner.open_voltage(t)
         }
+    }
+
+    /// The environment's eclipse period, while the inner source holds
+    /// still across all it covers.
+    fn period(&self, t: SimTime) -> Option<(SimDuration, SimTime)> {
+        let (p, until) = self.env.period(t, self.placement)?;
+        (self.inner.valid_until(t.saturating_sub(p)) >= until).then_some((p, until))
     }
 }
 
@@ -1817,5 +1864,126 @@ mod tests {
         let (leg2b, wear2b) = run_fleet_leg_on(&spec, 1, Some(&wear1), synthetic_leg);
         assert_eq!(leg2, leg2b);
         assert_eq!(wear2, wear2b);
+    }
+
+    /// Checks `h`'s declaration at `t`, if it makes one, at `samples`
+    /// instants `s` of what it covers, `[t − p, until − p)`, among them
+    /// both ends, against the harvest one period later; returns whether
+    /// it declared one.
+    fn holds_its_period(h: &impl Harvester, t: SimTime, rng: &mut DetRng, samples: u32) -> bool {
+        let Some((p, until)) = h.period(t) else {
+            return false;
+        };
+        assert!(p > SimDuration::ZERO && until > t, "{t}: ({p}, {until})");
+        let lo = t.saturating_sub(p).as_micros();
+        let hi = until
+            .saturating_sub(p)
+            .as_micros()
+            .min(lo + 40 * p.as_micros());
+        if hi <= lo {
+            return true;
+        }
+        let ends = [lo, hi - 1];
+        let drawn = (0..samples).map(|_| rng.gen_range(lo..hi));
+        for s in ends.into_iter().chain(drawn).map(SimTime::from_micros) {
+            let later = s + p;
+            let what = format!("declared at {t} ({p}, {until}), at {s}");
+            assert_eq!(
+                h.power_at(later).get().to_bits(),
+                h.power_at(s).get().to_bits(),
+                "power {what}"
+            );
+            assert_eq!(
+                h.open_voltage(later).get().to_bits(),
+                h.open_voltage(s).get().to_bits(),
+                "voltage {what}"
+            );
+            assert_eq!(
+                h.valid_until(later),
+                h.valid_until(s).saturating_add(p),
+                "edge {what}"
+            );
+        }
+        true
+    }
+
+    /// The period contract ([`Harvester::period`]), property-tested:
+    /// each case, derived from `(seed, case)` as the fault fuzzer
+    /// derives its cases, draws an eclipse period, a sunlit share, a
+    /// placement, a panel scale, dips (overlapping ones too), shading,
+    /// maybe a trace, and a constant or square-wave panel, and checks
+    /// every period a fleet device declares at sampled instants. A
+    /// trace-driven environment with no eclipse declares none, nor do
+    /// the sources that never change.
+    #[test]
+    fn declared_periods_repeat_the_harvest_one_period_later() {
+        use capy_power::harvester::{RegulatedSupply, SolarPanel, TraceHarvester};
+        const SEED: u64 = 0x0_4B17;
+        let constant = ConstantHarvester::new(Watts::from_milli(4.0), Volts::new(3.0));
+        let (solar, bench) = (
+            SolarPanel::trisolx_pair_halogen(),
+            RegulatedSupply::grc_bench(),
+        );
+        let steady: [&dyn Harvester; 3] = [&constant, &solar, &bench];
+        let (mut declared, mut bounded) = (0, 0);
+        for case in 0..192 {
+            let mut rng = DetRng::seed_from_u64(derive_seed(SEED, case));
+            let period = SimDuration::from_micros(rng.gen_range(1_000_000..200_000_000u64));
+            let horizon = period.as_micros() * rng.gen_range(2..40u64);
+            let sunlit = [0.0, 1.0, rng.gen_f64()][rng.gen_range(0..3usize)];
+            let placement = rng.gen_f64();
+            let panel = rng.gen_f64() * 2.0;
+            let trace = rng.gen_bool(0.3).then(|| {
+                let mut at = 0;
+                let mut samples = vec![(SimTime::ZERO, rng.gen_f64())];
+                for _ in 0..rng.gen_range(1..6usize) {
+                    at += rng.gen_range(1..horizon / 4);
+                    samples.push((SimTime::from_micros(at), rng.gen_f64()));
+                }
+                samples
+            });
+            let (p, v) = (Watts::from_milli(4.0), Volts::new(3.0));
+            let inner = if rng.gen_bool(0.2) {
+                let on = SimDuration::from_micros(rng.gen_range(1..horizon / 8));
+                let cycles = rng.gen_range(1..8u32);
+                TraceHarvester::square_wave(p, v, on, on * 2, cycles)
+            } else {
+                TraceHarvester::new(vec![(SimTime::ZERO, p, v)])
+            };
+            let dips = rng.gen_range(0..6usize);
+            let gap = horizon / (dips as u64 + 1);
+            let hold = rng.gen_range(0..gap + 1);
+            let mut env = SharedEnvironment::orbital(period, sunlit)
+                .with_dips(
+                    rng.next_u64(),
+                    dips,
+                    SimDuration::from_micros(gap.max(1)),
+                    SimDuration::from_micros(hold),
+                    rng.gen_f64(),
+                )
+                .shading(rng.gen_f64())
+                .unwrap();
+            if let Some(samples) = trace.clone() {
+                env = env.with_trace(samples).unwrap();
+            }
+            let device = FleetHarvester::new(inner.clone(), panel, env.clone(), placement);
+            let traced = trace.map(|samples| SharedEnvironment::from_trace(samples).unwrap());
+            for _ in 0..24 {
+                let t = SimTime::from_micros(rng.gen_range(0..horizon));
+                if holds_its_period(&device, t, &mut rng, 24) {
+                    declared += 1;
+                    bounded += u32::from(device.period(t).is_some_and(|(_, u)| u < SimTime::MAX));
+                }
+                if let Some(traced) = &traced {
+                    let alone = FleetHarvester::new(&inner, panel, traced.clone(), placement);
+                    assert_eq!(alone.period(t), None, "case {case}: a trace at {t}");
+                }
+                assert!(steady.iter().all(|h| h.period(t).is_none()), "{t}");
+            }
+        }
+        assert!(
+            declared > 1_000 && bounded > 100,
+            "{declared} declared, {bounded} bounded"
+        );
     }
 }

@@ -79,8 +79,19 @@ pub trait SimContext: NvState {
     }
 }
 
+/// The empty context: it holds nothing, so its steady state is empty. A
+/// body on `()` must decide its transition from nothing, since bodies
+/// are `Fn` and the context gives them no state: a body that kept state
+/// of its own outside the context (in an atomic, a cell or a mutex)
+/// would change what it decides without changing the key, and a skipped
+/// run would no longer be the stepped run. Such a body needs a context
+/// of its own that declares that state.
 impl SimContext for () {
     fn set_now(&mut self, _now: SimTime) {}
+
+    fn steady_state(&mut self, _c: &mut Cycle<'_>) -> bool {
+        true
+    }
 }
 
 /// A timeline event recorded by the simulator.

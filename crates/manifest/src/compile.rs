@@ -77,6 +77,16 @@ impl Harvester for ManifestHarvester {
             Self::Fleet(h) => h.open_voltage(t),
         }
     }
+
+    fn period(&self, t: SimTime) -> Option<(SimDuration, SimTime)> {
+        match self {
+            Self::Constant(h) => h.period(t),
+            Self::Regulated(h) => h.period(t),
+            Self::Trace(h) => h.period(t),
+            Self::Solar(h) => h.period(t),
+            Self::Fleet(h) => h.period(t),
+        }
+    }
 }
 
 /// The synthetic application context every compiled scenario runs: one
@@ -287,16 +297,17 @@ fn harvester(spec: &HarvesterSpec) -> ManifestHarvester {
 
 /// Compiles `manifest` into a simulator and limits.
 ///
-/// Name resolution cannot fail here — the parser already checked every
-/// cross-reference — but the simulator builder can still reject
+/// The parser already checked every cross-reference of the text it
+/// read, but a manifest built or edited in code can name a bank, mode or
+/// task it never declares, and the simulator builder can still reject
 /// semantically impossible scenarios (for example, burst annotations
-/// under the continuously-powered variant), surfaced as
+/// under the continuously-powered variant). Both surface as
 /// [`ManifestError::Build`].
 ///
 /// # Errors
 ///
-/// Returns [`ManifestError::Build`] when the simulator builder rejects
-/// the scenario.
+/// Returns [`ManifestError::Build`] when a reference names nothing
+/// declared or the simulator builder rejects the scenario.
 pub fn compile(manifest: &ScenarioManifest) -> Result<CompiledScenario, ManifestError> {
     compile_with(manifest, &LeakedNames::from_manifest(manifest), None)
 }
@@ -309,8 +320,7 @@ pub fn compile(manifest: &ScenarioManifest) -> Result<CompiledScenario, Manifest
 ///
 /// # Errors
 ///
-/// Returns [`ManifestError::Build`] when the simulator builder rejects
-/// the scenario.
+/// As [`compile`].
 pub fn compile_with(
     manifest: &ScenarioManifest,
     names: &LeakedNames,
@@ -342,14 +352,25 @@ pub(crate) fn stamp(
     sim.ctx_mut().rate_scale = point.task_rate_scale;
 }
 
-fn mode_id(manifest: &ScenarioManifest, name: &str) -> EnergyMode {
-    EnergyMode(
-        manifest
-            .modes
-            .iter()
-            .position(|m| m.name == name)
-            .expect("parser resolved mode references"),
-    )
+/// The position of the `kind` named `name` among `declared`. The parser
+/// resolves every reference in the text it reads, but the manifest's
+/// fields are public, so one built or edited in code can name a bank,
+/// mode or task it never declares: a [`ManifestError::Build`].
+pub(crate) fn resolve<'a>(
+    kind: &str,
+    mut declared: impl Iterator<Item = &'a str>,
+    name: &str,
+) -> Result<usize, ManifestError> {
+    declared
+        .position(|n| n == name)
+        .ok_or_else(|| ManifestError::Build {
+            message: format!("{kind} `{name}` is referenced but not declared"),
+        })
+}
+
+fn mode_id(manifest: &ScenarioManifest, name: &str) -> Result<EnergyMode, ManifestError> {
+    let modes = manifest.modes.iter().map(|m| m.name.as_str());
+    resolve("mode", modes, name).map(EnergyMode)
 }
 
 /// The reconfiguration policy `manifest` declares.
@@ -361,12 +382,14 @@ fn mode_id(manifest: &ScenarioManifest, name: &str) -> EnergyMode {
 pub(crate) fn policy(
     manifest: &ScenarioManifest,
 ) -> Result<Box<dyn ReconfigPolicy>, ManifestError> {
-    let tiers = |ladder: &[String]| ladder.iter().map(|m| mode_id(manifest, m)).collect();
+    let tiers = |ladder: &[String]| -> Result<Vec<EnergyMode>, ManifestError> {
+        ladder.iter().map(|m| mode_id(manifest, m)).collect()
+    };
     Ok(match &manifest.policy {
         PolicySpec::Static => Box::new(StaticAnnotation),
-        PolicySpec::Pinned { mode } => Box::new(Pinned::new(mode_id(manifest, mode))),
+        PolicySpec::Pinned { mode } => Box::new(Pinned::new(mode_id(manifest, mode)?)),
         PolicySpec::Reactive { ladder, timeout_ms } => Box::new(ReactiveDownsize::new(
-            tiers(ladder),
+            tiers(ladder)?,
             duration_ms(*timeout_ms),
         )),
         PolicySpec::Ewma {
@@ -382,7 +405,7 @@ pub(crate) fn policy(
                 });
             }
             Box::new(EwmaAdaptive::new(
-                tiers(ladder),
+                tiers(ladder)?,
                 thresholds_mw
                     .iter()
                     .map(|t| Watts::from_milli(*t))
@@ -403,23 +426,13 @@ pub(crate) fn template(
     entry: Option<&'static str>,
     policy: Box<dyn ReconfigPolicy>,
 ) -> Result<CompiledScenario, ManifestError> {
-    let bank_id = |name: &str| -> BankId {
-        BankId(
-            manifest
-                .banks
-                .iter()
-                .position(|b| b.name == name)
-                .expect("parser resolved bank references"),
-        )
+    let bank_id = |name: &str| {
+        let banks = manifest.banks.iter().map(|b| b.name.as_str());
+        resolve("bank", banks, name).map(BankId)
     };
-    let task_id = |name: &str| -> TaskId {
-        TaskId(
-            manifest
-                .tasks
-                .iter()
-                .position(|t| t.name == name)
-                .expect("parser resolved task references"),
-        )
+    let task_id = |name: &str| {
+        let tasks = manifest.tasks.iter().map(|t| t.name.as_str());
+        resolve("task", tasks, name).map(TaskId)
     };
 
     let mut power =
@@ -441,18 +454,22 @@ pub(crate) fn template(
 
     let mut builder = Simulator::builder(manifest.variant, power, mcu);
     for (i, mode) in manifest.modes.iter().enumerate() {
-        let banks: Vec<BankId> = mode.banks.iter().map(|n| bank_id(n)).collect();
+        let banks = mode
+            .banks
+            .iter()
+            .map(|n| bank_id(n))
+            .collect::<Result<Vec<_>, _>>()?;
         builder = builder.mode(names.modes[i], &banks);
     }
 
     for (index, task) in manifest.tasks.iter().enumerate() {
         let energy = match &task.energy {
             EnergySpec::Unannotated => TaskEnergy::Unannotated,
-            EnergySpec::Config(m) => TaskEnergy::Config(mode_id(manifest, m)),
-            EnergySpec::Burst(m) => TaskEnergy::Burst(mode_id(manifest, m)),
+            EnergySpec::Config(m) => TaskEnergy::Config(mode_id(manifest, m)?),
+            EnergySpec::Burst(m) => TaskEnergy::Burst(mode_id(manifest, m)?),
             EnergySpec::Preburst { burst, exec } => TaskEnergy::Preburst {
-                burst: mode_id(manifest, burst),
-                exec: mode_id(manifest, exec),
+                burst: mode_id(manifest, burst)?,
+                exec: mode_id(manifest, exec)?,
             },
         };
         let compute = duration_ms(task.compute_ms);
@@ -461,7 +478,7 @@ pub(crate) fn template(
         let then = match &task.then {
             ThenSpec::Stay => None,
             ThenSpec::Stop => Some(None),
-            ThenSpec::To(name) => Some(Some(task_id(name))),
+            ThenSpec::To(name) => Some(Some(task_id(name)?)),
         };
         let sleep_ms = task.sleep_ms;
         let this = TaskId(index);
@@ -506,20 +523,20 @@ pub(crate) fn template(
     for fault in &manifest.faults {
         plan = match fault {
             FaultSpec::StuckOpen { bank, at_s } => {
-                plan.switch_stuck_open(time_s(*at_s), bank_id(bank))
+                plan.switch_stuck_open(time_s(*at_s), bank_id(bank)?)
             }
             FaultSpec::StuckClosed { bank, at_s } => {
-                plan.switch_stuck_closed(time_s(*at_s), bank_id(bank))
+                plan.switch_stuck_closed(time_s(*at_s), bank_id(bank)?)
             }
             FaultSpec::WeakLatch { bank, factor, at_s } => {
-                plan.weak_latch(time_s(*at_s), bank_id(bank), *factor)
+                plan.weak_latch(time_s(*at_s), bank_id(bank)?, *factor)
             }
             FaultSpec::Degraded {
                 bank,
                 cap_derate,
                 esr_scale,
                 at_s,
-            } => plan.bank_degraded(time_s(*at_s), bank_id(bank), *cap_derate, *esr_scale),
+            } => plan.bank_degraded(time_s(*at_s), bank_id(bank)?, *cap_derate, *esr_scale),
         };
     }
     if let Some(margin) = manifest.startup_margin_v {

@@ -320,6 +320,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
+        // A parser invariant, not an input check: the loop above
+        // consumed only ASCII bytes, which are always valid UTF-8.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("ascii digits are valid utf-8");
         text.parse::<f64>()

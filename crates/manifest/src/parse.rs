@@ -567,6 +567,9 @@ impl Value<'_> {
     }
 }
 
+/// A parser invariant, not an input check: each key's value is parsed
+/// as the type its table entry declares, so reading it back as another
+/// is a bug in this file, whatever the input.
 fn mistyped(key: &str) -> ! {
     unreachable!("`{key}` is read back as a type its table entry does not declare")
 }

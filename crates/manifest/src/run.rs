@@ -27,7 +27,7 @@ use capybara::fleet::{
 use capybara::sim::RunOutcome;
 use capybara::sweep::{map_on, RunSummary, DEFAULT_BASE_SEED};
 
-use crate::compile::{compile, policy, stamp, template, CompiledScenario, LeakedNames};
+use crate::compile::{compile, policy, resolve, stamp, template, CompiledScenario, LeakedNames};
 use crate::json::JsonValue;
 use crate::model::{AssertionSpec, EventKind, FleetStanza, Keyword, Num, ScenarioManifest};
 use crate::parse::{parse_manifest, ManifestError};
@@ -391,8 +391,8 @@ impl CompiledFleet {
     /// # Errors
     ///
     /// Returns [`ManifestError::Build`] when the manifest has no
-    /// `[fleet]` stanza, its trace cannot be read, or a template does not
-    /// compile.
+    /// `[fleet]` stanza, its trace cannot be read, a `mix` entry names a
+    /// task it does not declare, or a template does not compile.
     pub fn new(manifest: &ScenarioManifest, file: &str) -> Result<Self, ManifestError> {
         let Some(stanza) = &manifest.fleet else {
             let message = "the manifest has no [fleet] stanza".to_string();
@@ -406,18 +406,14 @@ impl CompiledFleet {
 
         // A mix template's entry task gives its name to the template, so a
         // device's template index maps straight to its boot task.
-        let entries: Vec<&'static str> = stanza
+        let entries = stanza
             .mix
             .iter()
             .map(|(task, _)| {
-                let index = manifest
-                    .tasks
-                    .iter()
-                    .position(|t| t.name == *task)
-                    .expect("parser resolved mix references");
-                names.task(index)
+                let tasks = manifest.tasks.iter().map(|t| t.name.as_str());
+                resolve("task", tasks, task).map(|index| names.task(index))
             })
-            .collect();
+            .collect::<Result<Vec<&'static str>, _>>()?;
         let spec = if stanza.mix.is_empty() {
             FleetSpec::new(fleet_name, stanza.devices, horizon)
         } else {

@@ -13,6 +13,13 @@ use capy_units::{SimDuration, SimTime, Volts, Watts};
 /// the instant at which that level may next change. Between those two
 /// instants the power is guaranteed constant, enabling analytic
 /// integration.
+///
+/// A source may also declare a *period* ([`Harvester::period`]): that
+/// for a while its harvest repeats itself exactly, one period later,
+/// segment edges included. An orbit's day/night cycle and a square wave
+/// do. A device whose state repeats after one period then repeats the
+/// whole period too, so the simulator jumps whole periods instead of
+/// stepping them (see `capybara::sim`'s cycle skipping).
 pub trait Harvester {
     /// The power available at `t`.
     fn power_at(&self, t: SimTime) -> Watts;
@@ -24,6 +31,19 @@ pub trait Harvester {
     /// The harvester's open-circuit output voltage at `t`, which bounds the
     /// voltage reachable through the bypass (keeper-diode) path.
     fn open_voltage(&self, t: SimTime) -> Volts;
+
+    /// The period the harvest repeats with around `t`, if it declares
+    /// one. `Some((p, until))`, with `p` nonzero, says that for every
+    /// instant `s` from `t − p` (or zero) on with `s + p < until`, the
+    /// harvest at `s + p` is the harvest at `s`: [`Harvester::power_at`]
+    /// and [`Harvester::open_voltage`] give the same bits, and
+    /// [`Harvester::valid_until`] gives its answer at `s` moved by `p`,
+    /// so every segment edge repeats too. The default declares no
+    /// period.
+    fn period(&self, t: SimTime) -> Option<(SimDuration, SimTime)> {
+        let _ = t;
+        None
+    }
 }
 
 /// A constant-power source, e.g. the regulated bench harvester used to
@@ -247,6 +267,8 @@ pub struct TraceHarvester {
     /// Breakpoints sorted by start time; each applies from its start until
     /// the next breakpoint.
     points: Vec<(SimTime, Watts, Volts)>,
+    /// A square wave's period, on + off, which holds up to its last edge.
+    period: Option<SimDuration>,
 }
 
 impl TraceHarvester {
@@ -264,12 +286,17 @@ impl TraceHarvester {
             points.windows(2).all(|w| w[0].0 < w[1].0),
             "trace breakpoints must be strictly increasing"
         );
-        Self { points }
+        Self {
+            points,
+            period: None,
+        }
     }
 
     /// A square-wave source alternating `on_power` for `on` and zero for
     /// `off`, repeated `cycles` times — a convenient synthetic model of
-    /// duty-cycled illumination or an orbit's day/night alternation.
+    /// duty-cycled illumination or an orbit's day/night alternation. It
+    /// declares the period `on + off` up to its last edge, after which
+    /// it stays dark.
     #[must_use]
     pub fn square_wave(
         on_power: Watts,
@@ -286,7 +313,10 @@ impl TraceHarvester {
             points.push((t, Watts::ZERO, Volts::ZERO));
             t += off;
         }
-        Self::new(points)
+        Self {
+            period: (cycles >= 2).then_some(on + off),
+            ..Self::new(points)
+        }
     }
 
     fn segment_index(&self, t: SimTime) -> usize {
@@ -311,6 +341,11 @@ impl Harvester for TraceHarvester {
     fn open_voltage(&self, t: SimTime) -> Volts {
         self.points[self.segment_index(t)].2
     }
+
+    fn period(&self, t: SimTime) -> Option<(SimDuration, SimTime)> {
+        let last = self.points.last()?.0;
+        self.period.filter(|_| t < last).map(|p| (p, last))
+    }
 }
 
 /// Blanket implementation so `&H` and boxed harvesters compose.
@@ -324,6 +359,9 @@ impl<H: Harvester + ?Sized> Harvester for &H {
     fn open_voltage(&self, t: SimTime) -> Volts {
         (**self).open_voltage(t)
     }
+    fn period(&self, t: SimTime) -> Option<(SimDuration, SimTime)> {
+        (**self).period(t)
+    }
 }
 
 impl<H: Harvester + ?Sized> Harvester for Box<H> {
@@ -335,6 +373,9 @@ impl<H: Harvester + ?Sized> Harvester for Box<H> {
     }
     fn open_voltage(&self, t: SimTime) -> Volts {
         (**self).open_voltage(t)
+    }
+    fn period(&self, t: SimTime) -> Option<(SimDuration, SimTime)> {
+        (**self).period(t)
     }
 }
 
@@ -416,6 +457,19 @@ mod tests {
         assert_eq!(tr.power_at(SimTime::from_secs(10)), Watts::from_milli(5.0));
         assert_eq!(tr.power_at(SimTime::from_secs(45)), Watts::ZERO);
         assert_eq!(tr.power_at(SimTime::from_secs(100)), Watts::from_milli(5.0));
+    }
+
+    #[test]
+    fn a_square_wave_declares_its_period_up_to_its_last_edge() {
+        let s = SimDuration::from_secs;
+        let tr =
+            TraceHarvester::square_wave(Watts::from_milli(5.0), Volts::new(2.0), s(30), s(60), 3);
+        let last = SimTime::from_secs(210);
+        assert_eq!(tr.period(SimTime::from_secs(100)), Some((s(90), last)));
+        assert_eq!(tr.period(last), None);
+        let once =
+            TraceHarvester::square_wave(Watts::from_milli(5.0), Volts::new(2.0), s(30), s(60), 1);
+        assert_eq!(once.period(SimTime::ZERO), None);
     }
 
     #[test]

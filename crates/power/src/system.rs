@@ -152,6 +152,16 @@ pub struct PowerSystem<H> {
     /// While a steady-state cycle is being recorded, what a jump replays:
     /// every addition to `delivered` and every leak interval, in order.
     tape: Option<CycleTape>,
+    /// While an orbit is being recorded, the same for its latest stretch,
+    /// including what jumps inside it replay; dropped once it holds more
+    /// than `orbit_room` entries.
+    orbit: Option<CycleTape>,
+    orbit_room: usize,
+    /// How many `sync`s have run: the clock [`LeakWatch`] reads.
+    syncs: u64,
+    /// The `syncs` reading from which banks are watched for leaking (see
+    /// [`PowerSystem::watch_leaks`]).
+    watch: u64,
     /// Faults scheduled to strike at a future instant; applied (and
     /// drained) by [`PowerSystem::sync`] once their time arrives.
     pending_faults: Vec<(SimTime, HardwareFault)>,
@@ -172,10 +182,11 @@ pub struct PowerSystem<H> {
 struct Slot {
     bank: Bank,
     switch: BankSwitch,
-    /// Whether a `sync` found the bank closed since the last
-    /// [`PowerSystem::watch_leaks`]. A bank that is open and was not is
-    /// *leaking*: only leaks have touched its voltage since.
-    closed_since_watch: bool,
+    /// The `syncs` reading of the last `sync` that found the bank closed
+    /// (zero: none has). A bank that is open and was not found closed
+    /// since the watch began is *leaking*: only leaks have touched its
+    /// voltage since.
+    closed_at: u64,
 }
 
 impl Slot {
@@ -183,16 +194,21 @@ impl Slot {
         Self {
             bank,
             switch,
-            closed_since_watch: false,
+            closed_at: 0,
         }
     }
 
     /// Whether only leaks have touched this bank's voltage since the
-    /// last [`PowerSystem::watch_leaks`], and it is still open at `now`.
-    fn leaking(&self, now: SimTime) -> bool {
-        !self.closed_since_watch && !self.switch.state(now).is_closed()
+    /// watch that began at `watch`, and it is still open at `now`.
+    fn leaking(&self, watch: u64, now: SimTime) -> bool {
+        self.closed_at <= watch && !self.switch.state(now).is_closed()
     }
 }
+
+/// An instant in a power system's history from which it can watch for
+/// banks that only leak ([`PowerSystem::watch_leaks`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LeakWatch(u64);
 
 /// What one recorded steady-state cycle did that a jump replays instead
 /// of matching by key: every addition to the delivered-energy total,
@@ -204,6 +220,31 @@ pub struct CycleTape {
     /// The `deliveries` length after each recorded step.
     step_ends: Vec<usize>,
     leaks: Vec<SimDuration>,
+}
+
+impl CycleTape {
+    /// How many entries the tape holds: deliveries, step ends and leaks.
+    #[must_use]
+    pub fn entries(&self) -> usize {
+        self.deliveries.len() + self.step_ends.len() + self.leaks.len()
+    }
+
+    fn clear(&mut self) {
+        self.deliveries.clear();
+        self.step_ends.clear();
+        self.leaks.clear();
+    }
+
+    /// Appends `times` copies of `tape`.
+    fn extend(&mut self, tape: &CycleTape, times: u64) {
+        for _ in 0..times {
+            let base = self.deliveries.len();
+            self.deliveries.extend_from_slice(&tape.deliveries);
+            self.step_ends
+                .extend(tape.step_ends.iter().map(|&end| base + end));
+            self.leaks.extend_from_slice(&tape.leaks);
+        }
+    }
 }
 
 /// Builder for [`PowerSystem`] (§C-BUILDER).
@@ -447,10 +488,13 @@ impl<H: Harvester> PowerSystem<H> {
         // In-place closed-set comparison: `sync` runs on every kernel
         // operation, so it must not allocate.
         let mut changed = false;
+        self.syncs += 1;
         for i in 0..self.banks.len() {
             let slot = &mut self.banks[i];
             let closed = slot.switch.state(now).is_closed();
-            slot.closed_since_watch |= closed;
+            if closed {
+                slot.closed_at = self.syncs;
+            }
             if self.closed_cache[i] != closed {
                 self.closed_cache[i] = closed;
                 changed = true;
@@ -713,18 +757,21 @@ impl<H: Harvester> PowerSystem<H> {
     /// * **keyed**: each bank and switch, and the number of pending
     ///   faults (a fault that strikes inside a cycle changes it). A
     ///   *leaking* bank, open now and found closed by no `sync` since
-    ///   [`PowerSystem::watch_leaks`], visits its voltage bits as
-    ///   replayed: nothing reads an open bank's voltage, only leaks move
-    ///   it, and a jump replays those leaks from the tape;
+    ///   the [`PowerSystem::watch_leaks`] instant, visits its voltage bits
+    ///   as replayed: nothing reads an open bank's voltage, only leaks
+    ///   move it, and a jump replays those leaks from the tape;
     /// * **an instant**: `synced_at`;
     /// * **an accumulator**: `charge_segments` is a counter, and
     ///   `delivered` is replayed addition by addition from the tape
-    ///   [`PowerSystem::record_cycle`] keeps;
+    ///   [`PowerSystem::record_cycle`] or [`PowerSystem::record_orbit`]
+    ///   keeps;
     /// * **an exact cache**: `closed_cache` and `rail_derived`, which
     ///   equal recomputation at any instant;
-    /// * **fixed** during a run: the harvester (whose segment bounds a
-    ///   skip, see [`PowerSystem::steady_until`]), the distribution
-    ///   circuits, the wear model and the startup margin.
+    /// * **detection only**: the tapes, the `sync` count and the leak
+    ///   watch, which decide nothing the device does;
+    /// * **fixed** during a run: the harvester (whose segments and period
+    ///   bound a skip), the distribution circuits, the wear model and the
+    ///   startup margin.
     ///
     /// An advance leaves `delivered` and the leaking banks' voltages
     /// alone: replay them first with [`PowerSystem::replay_cycles`],
@@ -741,6 +788,10 @@ impl<H: Harvester> PowerSystem<H> {
             synced_at,
             delivered: _,
             tape: _,
+            orbit: _,
+            orbit_room: _,
+            syncs: _,
+            watch,
             pending_faults,
             wear_model,
             startup_margin: _,
@@ -749,11 +800,11 @@ impl<H: Harvester> PowerSystem<H> {
         } = self;
         let wear = wear_model.is_some();
         for slot in banks {
-            let leaking = slot.leaking(now);
+            let leaking = slot.leaking(*watch, now);
             let Slot {
                 bank,
                 switch,
-                closed_since_watch: _,
+                closed_at: _,
             } = slot;
             bank.steady_state(wear, leaking, c);
             switch.steady_state(now, c);
@@ -763,11 +814,13 @@ impl<H: Harvester> PowerSystem<H> {
         c.instant(synced_at);
     }
 
-    /// The instant a cycle that began at `since` can repeat unchanged
-    /// until, as seen at `now`: the end of the harvester's current
-    /// segment, the earliest pending fault, and the decay deadline of any
-    /// latch the cycle did not refresh (a latch it refreshes decays at
-    /// the same point of every repetition, which its keyed age covers).
+    /// The instant until which this hardware lets a cycle that began at
+    /// `since` repeat unchanged, as seen at `now`: the earliest pending
+    /// fault, and the decay deadline of any latch the cycle did not
+    /// refresh (a latch it refreshes decays at the same point of every
+    /// repetition, which its keyed age covers). The harvest bounds a
+    /// repeat too, by its segment or its period ([`Harvester::period`]);
+    /// that is the caller's to add.
     #[must_use]
     pub fn steady_until(&self, now: SimTime, since: SimTime) -> SimTime {
         let faults = self.pending_faults.iter().map(|&(at, _)| at);
@@ -778,34 +831,54 @@ impl<H: Harvester> PowerSystem<H> {
             .filter(|sw| sw.last_refresh() < since)
             .map(BankSwitch::decay_deadline)
             .filter(|&t| t > now);
-        faults
-            .chain(latches)
-            .fold(self.harvester.valid_until(now), SimTime::min)
+        faults.chain(latches).fold(SimTime::MAX, SimTime::min)
     }
 
-    /// Starts a fresh record of which banks leak: from here on, a bank
-    /// is *leaking* while it is open and no `sync` has found it closed
-    /// (see [`PowerSystem::steady_state`]).
-    pub fn watch_leaks(&mut self) {
-        for slot in &mut self.banks {
-            slot.closed_since_watch = false;
-        }
+    /// The current instant, as a point to watch leaking banks from.
+    #[must_use]
+    pub fn leak_watch(&self) -> LeakWatch {
+        LeakWatch(self.syncs)
+    }
+
+    /// Watches for leaking banks from `from` (a [`LeakWatch`] taken now
+    /// or earlier): a bank is *leaking* while it is open and no `sync`
+    /// since `from` has found it closed (see
+    /// [`PowerSystem::steady_state`]). Keys and [`PowerSystem::replay_cycles`]
+    /// read the watch.
+    pub fn watch_leaks(&mut self, from: LeakWatch) {
+        self.watch = from.0;
     }
 
     /// Starts recording a steady-state cycle into `tape` (cleared first)
     /// until [`PowerSystem::take_tape`]: every addition to the
     /// delivered-energy total and the interval of every leak.
     pub fn record_cycle(&mut self, mut tape: CycleTape) {
-        tape.deliveries.clear();
-        tape.step_ends.clear();
-        tape.leaks.clear();
+        tape.clear();
         self.tape = Some(tape);
+    }
+
+    /// Starts recording a stretch of an orbit into `tape` (cleared
+    /// first) until [`PowerSystem::take_orbit`]: what
+    /// [`PowerSystem::record_cycle`] records, plus whatever
+    /// [`PowerSystem::replay_cycles`] replays meanwhile. Once the tape
+    /// holds more than `room` entries ([`CycleTape::entries`], checked
+    /// at each step's end) the recording is dropped.
+    pub fn record_orbit(&mut self, mut tape: CycleTape, room: usize) {
+        tape.clear();
+        self.orbit = Some(tape);
+        self.orbit_room = room;
     }
 
     /// Marks the end of one recorded step (nothing when not recording).
     pub fn end_taped_step(&mut self) {
         if let Some(tape) = &mut self.tape {
             tape.step_ends.push(tape.deliveries.len());
+        }
+        if let Some(orbit) = &mut self.orbit {
+            orbit.step_ends.push(orbit.deliveries.len());
+            if orbit.entries() > self.orbit_room {
+                self.orbit = None;
+            }
         }
     }
 
@@ -814,29 +887,39 @@ impl<H: Harvester> PowerSystem<H> {
         self.tape.take()
     }
 
-    /// Replays a recorded cycle up to `cycles` times, so every replayed
-    /// float keeps the bits stepping would give, and returns the
-    /// repetitions applied. First the delivered-energy total: its
-    /// additions, in order; with a `budget`, a repetition in which some
-    /// step would leave the total above it is not applied, nor any after
-    /// it, because stepping stops at that step. Then each bank leaking
-    /// at `now`: the taped leak intervals, in order, through the same
-    /// [`capacitor::leak`] as stepping, once per applied repetition.
-    pub fn replay_cycles(
+    /// Stops recording an orbit and returns its tape, unless none was
+    /// recording or the recording outgrew its room.
+    pub fn take_orbit(&mut self) -> Option<CycleTape> {
+        self.orbit.take()
+    }
+
+    /// Replays a recorded cycle, taped as the stretches `tapes` in
+    /// order, up to `cycles` times, so every replayed float keeps the
+    /// bits stepping would give, and returns the repetitions applied.
+    /// First the delivered-energy total: its additions, in order; with a
+    /// `budget`, a repetition in which some step would leave the total
+    /// above it is not applied, nor any after it, because stepping stops
+    /// at that step. Then each bank leaking at `now`: the taped leak
+    /// intervals, in order, through the same [`capacitor::leak`] as
+    /// stepping, once per applied repetition. An orbit being recorded
+    /// gets the applied repetitions appended.
+    pub fn replay_cycles<'a>(
         &mut self,
-        tape: &CycleTape,
+        tapes: impl Iterator<Item = &'a CycleTape> + Clone,
         cycles: u64,
         now: SimTime,
         budget: Option<Joules>,
     ) -> u64 {
-        let cycles = self.replay_deliveries(tape, cycles, budget);
+        let cycles = self.replay_deliveries(tapes.clone(), cycles, budget);
         for slot in &mut self.banks {
-            if !slot.leaking(now) {
+            if !slot.leaking(self.watch, now) {
                 continue;
             }
             for _ in 0..cycles {
-                for &dt in &tape.leaks {
-                    slot.bank.apply_leakage(dt);
+                for tape in tapes.clone() {
+                    for &dt in &tape.leaks {
+                        slot.bank.apply_leakage(dt);
+                    }
                 }
                 // Leaking never lifts a bank off the 0 V floor.
                 if slot.bank.voltage() == Volts::ZERO {
@@ -844,22 +927,43 @@ impl<H: Harvester> PowerSystem<H> {
                 }
             }
         }
+        if let Some(orbit) = &mut self.orbit {
+            let entries = tapes.clone().map(CycleTape::entries).sum::<usize>();
+            let grown = usize::try_from(cycles)
+                .ok()
+                .and_then(|k| entries.checked_mul(k))
+                .and_then(|n| n.checked_add(orbit.entries()));
+            if grown.is_some_and(|n| n <= self.orbit_room) {
+                for tape in tapes {
+                    orbit.extend(tape, cycles);
+                }
+            } else {
+                self.orbit = None;
+            }
+        }
         cycles
     }
 
-    fn replay_deliveries(&mut self, tape: &CycleTape, cycles: u64, budget: Option<Joules>) -> u64 {
+    fn replay_deliveries<'a>(
+        &mut self,
+        tapes: impl Iterator<Item = &'a CycleTape> + Clone,
+        cycles: u64,
+        budget: Option<Joules>,
+    ) -> u64 {
         let mut total = self.delivered;
         for done in 0..cycles {
             let mut next = total;
-            let mut from = 0;
-            for &to in &tape.step_ends {
-                for &e in &tape.deliveries[from..to] {
-                    next += e;
-                }
-                from = to;
-                if budget.is_some_and(|max| next > max) {
-                    self.delivered = total;
-                    return done;
+            for tape in tapes.clone() {
+                let mut from = 0;
+                for &to in &tape.step_ends {
+                    for &e in &tape.deliveries[from..to] {
+                        next += e;
+                    }
+                    from = to;
+                    if budget.is_some_and(|max| next > max) {
+                        self.delivered = total;
+                        return done;
+                    }
                 }
             }
             total = next;
@@ -874,6 +978,9 @@ impl<H: Harvester> PowerSystem<H> {
         self.delivered += energy;
         if let Some(tape) = &mut self.tape {
             tape.deliveries.push(energy);
+        }
+        if let Some(orbit) = &mut self.orbit {
+            orbit.deliveries.push(energy);
         }
     }
 
@@ -1008,6 +1115,9 @@ impl<H: Harvester> PowerSystem<H> {
     fn tape_leak(&mut self, dt: SimDuration) {
         if let Some(tape) = &mut self.tape {
             tape.leaks.push(dt);
+        }
+        if let Some(orbit) = &mut self.orbit {
+            orbit.leaks.push(dt);
         }
     }
 
@@ -1155,6 +1265,10 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             synced_at: SimTime::ZERO,
             delivered: Joules::ZERO,
             tape: None,
+            orbit: None,
+            orbit_room: 0,
+            syncs: 0,
+            watch: 0,
             pending_faults: Vec::new(),
             wear_model: None,
             startup_margin: Volts::ZERO,
@@ -1648,7 +1762,7 @@ mod tests {
     /// Runs the settling duty cycle and one taped cycle; returns the tape.
     fn settle_and_tape(sys: &mut PowerSystem<ConstantHarvester>, now: &mut SimTime) -> CycleTape {
         duty_cycle(sys, now);
-        sys.watch_leaks();
+        sys.watch_leaks(sys.leak_watch());
         sys.record_cycle(CycleTape::default());
         duty_cycle(sys, now);
         sys.take_tape().expect("recording")
@@ -1679,7 +1793,7 @@ mod tests {
             for _ in 0..K {
                 duty_cycle(&mut stepped, &mut t);
             }
-            assert_eq!(sys.replay_cycles(&tape, K, now, None), K);
+            assert_eq!(sys.replay_cycles([&tape].into_iter(), K, now, None), K);
             let bits = |sys: &PowerSystem<ConstantHarvester>, i| {
                 sys.bank(BankId(i)).unwrap().voltage().get().to_bits()
             };
@@ -1706,8 +1820,8 @@ mod tests {
         let mut a = open_big_bank_system(Volts::new(2.0));
         let mut b = open_big_bank_system(Volts::new(2.05));
         let now = SimTime::ZERO;
-        a.watch_leaks();
-        b.watch_leaks();
+        a.watch_leaks(a.leak_watch());
+        b.watch_leaks(b.leak_watch());
         // Open since the watch: the open bank's voltage is not compared.
         assert!(key(&mut a, now).same_state(&key(&mut b, now)));
         assert!(key(&mut b, now).same_state(&key(&mut a, now)));
@@ -1728,8 +1842,8 @@ mod tests {
         }
         assert!(!key(&mut a, now).same_state(&key(&mut b, now)));
         // A fresh watch forgets the close.
-        a.watch_leaks();
-        b.watch_leaks();
+        a.watch_leaks(a.leak_watch());
+        b.watch_leaks(b.leak_watch());
         assert!(key(&mut a, now).same_state(&key(&mut b, now)));
     }
 

@@ -12,6 +12,8 @@
 //! A TA run also compares its whole context: the sample and packet logs,
 //! the non-volatile state and the generator. A run that records the
 //! voltage trace also compares the trace's instants and voltage bits.
+//! Orbit jumps, which advance whole periods of a periodic harvest, are
+//! checked the same way, on orbital fleet devices and square waves.
 
 use std::fmt::Write as _;
 
@@ -34,9 +36,11 @@ use capy_units::rng::{derive_seed, DetRng};
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 use capybara::annotation::TaskEnergy;
 use capybara::faults::FaultPlan;
+use capybara::fleet::{FleetHarvester, SharedEnvironment};
 use capybara::mode::EnergyMode;
 use capybara::sim::{
-    RunLimits, RunOutcome, SimContext, SimEvent, Simulator, StepResult, STALL_STEP_BUDGET,
+    RunLimits, RunOutcome, SimContext, SimEvent, Simulator, SkipStats, StepResult,
+    STALL_STEP_BUDGET,
 };
 use capybara::sweep::RunSummary;
 use capybara::Variant;
@@ -45,6 +49,7 @@ type Device = Simulator<ManifestHarvester, ManifestCtx>;
 type Ta = Simulator<SolarPanel, TaCtx>;
 
 const HOUR_S: f64 = 3_600.0;
+const DAY_S: f64 = 86_400.0;
 
 /// `run_limited` without cycle skipping: every boundary is stepped.
 /// Returns the outcome and the number of steps taken.
@@ -127,9 +132,16 @@ fn completions(sim: &Device, tasks: usize) -> Vec<u64> {
     (0..tasks).map(|i| sim.ctx().completions(i)).collect()
 }
 
+/// What a skipping run skipped: its share of the steps the stepping run
+/// took, and its counters.
+struct Skipped {
+    share: f64,
+    stats: SkipStats,
+}
+
 /// Runs `compiled` skipping and a clone stepping; asserts identical
-/// results and returns the skipping run's share of steps skipped.
-fn assert_skip_matches_step(label: &str, compiled: &CompiledScenario, tasks: usize) -> f64 {
+/// results and returns what the skipping run skipped.
+fn assert_skip_matches_step(label: &str, compiled: &CompiledScenario, tasks: usize) -> Skipped {
     let mut skip = compiled.sim.clone();
     let mut step = compiled.sim.clone();
     let skip_outcome = skip.run_limited(&compiled.limits);
@@ -151,7 +163,10 @@ fn assert_skip_matches_step(label: &str, compiled: &CompiledScenario, tasks: usi
         step.events().len(),
     );
     assert_same_print(label, &skip_print, &step_print);
-    skipped_share(label, &skip, &step, steps)
+    Skipped {
+        share: skipped_share(label, &skip, &step, steps),
+        stats: skip.skip_stats(),
+    }
 }
 
 /// Panics at the first line where two fingerprints differ.
@@ -196,7 +211,7 @@ fn manifest_at(text: &str, horizon_s: Option<f64>) -> ScenarioManifest {
     m
 }
 
-fn check_manifest(label: &str, m: &ScenarioManifest) -> f64 {
+fn check_manifest(label: &str, m: &ScenarioManifest) -> Skipped {
     let compiled = compile(m).expect("manifest compiles");
     assert_skip_matches_step(label, &compiled, m.tasks.len())
 }
@@ -271,7 +286,7 @@ fn seeded_batch_draws_skip_bit_for_bit_under_every_variant() {
             };
             compiled_variants += 1;
             let label = format!("batch draw {index} under {variant:?}");
-            let share = assert_skip_matches_step(&label, &compiled, m.tasks.len());
+            let share = assert_skip_matches_step(&label, &compiled, m.tasks.len()).share;
             if variant == Variant::CapyP {
                 capy_p_shares.push(share);
             }
@@ -282,26 +297,59 @@ fn seeded_batch_draws_skip_bit_for_bit_under_every_variant() {
     assert!(mean > 0.9, "batch draws skip only {mean:.3} of their steps");
 }
 
-/// A fleet manifest's compiled population over one hour.
-fn hour_long_fleet(file: &str) -> (CompiledFleet, usize) {
-    let m = manifest_at(&read(file), Some(HOUR_S));
+/// A fleet manifest's compiled population over `horizon_s`, its text
+/// edited by `edit`.
+fn fleet_at(file: &str, horizon_s: f64, edit: impl Fn(String) -> String) -> (CompiledFleet, usize) {
+    let m = manifest_at(&edit(read(file)), Some(horizon_s));
     let fleet = CompiledFleet::new(&m, file).expect("fleet compiles");
     (fleet, m.tasks.len())
+}
+
+/// Checks devices `indices` of `fleet` against stepping; returns the
+/// orbits and steps they skipped, added up.
+fn check_fleet(label: &str, (fleet, tasks): (CompiledFleet, usize), indices: &[u64]) -> SkipStats {
+    let mut total = SkipStats::default();
+    for &index in indices {
+        let device = fleet.device(&fleet.spec().device(index));
+        let stats =
+            assert_skip_matches_step(&format!("{label} device {index}"), &device, tasks).stats;
+        total.orbits_skipped += stats.orbits_skipped;
+        total.steps_skipped += stats.steps_skipped;
+    }
+    total
 }
 
 #[test]
 fn stamped_fleet_devices_skip_bit_for_bit() {
     for file in ["manifests/fleet_smoke.capy", "manifests/fleet_trace.capy"] {
-        let (fleet, tasks) = hour_long_fleet(file);
-        let devices = fleet.spec().devices();
-        let mut skipped = 0.0;
-        for index in [0, 1, devices / 3, devices / 2, devices - 1] {
-            let point = fleet.spec().device(index);
-            let device = fleet.device(&point);
-            skipped += assert_skip_matches_step(&format!("{file} device {index}"), &device, tasks);
-        }
-        assert!(skipped > 0.0, "{file}: no sampled device skipped");
+        let fleet = fleet_at(file, HOUR_S, |text| text);
+        let devices = fleet.0.spec().devices();
+        let stats = check_fleet(file, fleet, &[0, 1, devices / 3, devices / 2, devices - 1]);
+        assert!(stats.steps_skipped > 0, "{file}: no sampled device skipped");
     }
+}
+
+/// The orbital fleet's devices jump whole 60 s orbits between its dips,
+/// over an hour and over a day. The trace-driven fleet, with no
+/// eclipse, declares no period and jumps none.
+#[test]
+fn orbital_devices_jump_whole_orbits_bit_for_bit() {
+    let smoke = "manifests/fleet_smoke.capy";
+    for horizon in [HOUR_S, DAY_S] {
+        let label = format!("{smoke} @ {horizon}");
+        let stats = check_fleet(&label, fleet_at(smoke, horizon, |t| t), &[0, 5, 47]);
+        assert!(stats.orbits_skipped > 20, "{label}: {stats:?}");
+    }
+    let trace_fleet = "manifests/fleet_trace.capy";
+    let stats = check_fleet(
+        trace_fleet,
+        fleet_at(trace_fleet, HOUR_S, |t| t),
+        &[2, 9_000],
+    );
+    assert!(
+        stats.steps_skipped > 0 && stats.orbits_skipped == 0,
+        "{trace_fleet}: {stats:?}"
+    );
 }
 
 /// The alarm template over an hour, with its own limits replaced.
@@ -337,7 +385,7 @@ fn limits_that_land_inside_a_skipped_stretch_trip_where_stepping_trips() {
         ),
     ];
     for (label, compiled) in cases {
-        let share = assert_skip_matches_step(label, &compiled, 2);
+        let share = assert_skip_matches_step(label, &compiled, 2).share;
         assert!(share > 0.5, "{label}: only {share:.3} of steps skipped");
     }
 }
@@ -356,8 +404,69 @@ fn faults_and_harvest_edges_inside_a_skipped_stretch_replay_exactly() {
     assert_ne!(fault, base);
     assert_ne!(edge, base);
     for (label, text) in [("fault", fault), ("square-wave edge", edge)] {
-        let share = check_manifest(label, &manifest_at(&text, Some(HOUR_S)));
+        let share = check_manifest(label, &manifest_at(&text, Some(HOUR_S))).share;
         assert!(share > 0.5, "{label}: only {share:.3} of steps skipped");
+    }
+}
+
+/// The alarm device under a 40 s on, 20 s off square wave of 120
+/// cycles: a harvest that repeats every minute for two hours.
+fn square_wave_alarm() -> String {
+    let base = read("manifests/temperature_alarm.capy");
+    let wave = base.replace(
+        "kind = constant\npower_mw = 4\nvoltage = 3",
+        "kind = square-wave\npower_mw = 6\nvoltage = 3\non_ms = 40000\noff_ms = 20000\ncycles = 120",
+    );
+    assert_ne!(wave, base);
+    wave
+}
+
+/// A square-wave device jumps whole periods of its harvest, and a
+/// horizon, a step budget, an energy budget and a fault that land
+/// inside a stretch it would jump stop it where stepping stops.
+#[test]
+fn square_wave_orbits_and_the_limits_inside_them_replay_exactly() {
+    let wave = square_wave_alarm();
+    let full = compile(&manifest_at(&wave, Some(HOUR_S))).expect("compiles");
+    let skipped = assert_skip_matches_step("square wave", &full, 2);
+    assert!(
+        skipped.stats.orbits_skipped > 20,
+        "square wave: {:?}",
+        skipped.stats
+    );
+    let mut reference = full.sim.clone();
+    let (_, total_steps) = stepped(&mut reference, &full.limits);
+    let total_energy = reference.power().energy_delivered();
+    let with = |limits: &dyn Fn(&mut RunLimits)| {
+        let mut compiled = full.clone();
+        limits(&mut compiled.limits);
+        compiled
+    };
+    let fault = wave.replace(
+        "[limits]",
+        "[faults]\nfault = degraded small 0.8 1.3 @ 1800.123457\n\n[limits]",
+    );
+    let cases = [
+        (
+            "horizon",
+            with(&|l| l.max_sim = Some(SimTime::from_micros(2_345_678_901))),
+        ),
+        (
+            "max_steps",
+            with(&|l| l.max_steps = Some(total_steps / 2 + 3)),
+        ),
+        (
+            "max_energy",
+            with(&|l| l.max_energy = Some(total_energy * 0.6)),
+        ),
+        (
+            "fault",
+            compile(&manifest_at(&fault, Some(HOUR_S))).expect("compiles"),
+        ),
+    ];
+    for (label, compiled) in cases {
+        let stats = assert_skip_matches_step(label, &compiled, 2).stats;
+        assert!(stats.orbits_skipped > 5, "{label}: {stats:?}");
     }
 }
 
@@ -528,7 +637,8 @@ fn skipping_is_real_on_the_alarm_hour_and_ta_and_absent_from_csr_and_grc() {
     let share = check_manifest(
         "temperature_alarm.capy over an hour",
         &manifest_at(&read("manifests/temperature_alarm.capy"), Some(HOUR_S)),
-    );
+    )
+    .share;
     assert!(share >= 0.9, "only {share:.3} of steps skipped");
 
     // TA's steady stretches between alarms skip; CSR and GRC declare no
@@ -658,4 +768,133 @@ fn a_recorded_voltage_trace_skips_bit_for_bit() {
     );
     let share = skipped_share("traced sampler", &skip, &step, steps);
     assert!(share > 0.5, "only {share:.3} of steps skipped");
+}
+
+/// The benchmark's fixed-capacity sleeper on the empty context `()`: a
+/// 5 ms task, then a 1,000 s sleep that browns the bank out.
+fn unit_sleeper() -> Simulator<ConstantHarvester, ()> {
+    let power = PowerSystem::builder()
+        .harvester(ConstantHarvester::new(
+            Watts::from_milli(10.0),
+            Volts::new(3.0),
+        ))
+        .bank(
+            Bank::builder("sleeper")
+                .with(parts::ceramic_x5r_400uf())
+                .with(parts::tantalum_330uf())
+                .build(),
+            SwitchKind::NormallyClosed,
+        )
+        .build();
+    Simulator::builder(Variant::Fixed, power, Mcu::msp430fr5969())
+        .task(
+            "duty-cycle",
+            TaskEnergy::Unannotated,
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(5))),
+            |_c: &mut ()| Transition::Sleep {
+                duration: SimDuration::from_secs(1_000),
+                then: TaskId(0),
+            },
+        )
+        .build(())
+}
+
+/// The orbital fleet's sense/report device on the empty context `()`,
+/// under `harvester`: an 8 ms sense on the small bank, a 200 ms sleep,
+/// and a 40 ms report on both banks.
+fn unit_sensor<H: Harvester>(harvester: H) -> Simulator<H, ()> {
+    let power = PowerSystem::builder()
+        .harvester(harvester)
+        .bank(
+            Bank::builder("small")
+                .with(parts::ceramic_x5r_400uf())
+                .with(parts::tantalum_330uf())
+                .build(),
+            SwitchKind::NormallyClosed,
+        )
+        .bank(
+            Bank::builder("big").with(parts::edlc_7_5mf()).build(),
+            SwitchKind::NormallyOpen,
+        )
+        .build();
+    Simulator::builder(Variant::CapyR, power, Mcu::msp430fr5969())
+        .mode("small", &[BankId(0)])
+        .mode("batch", &[BankId(0), BankId(1)])
+        .task(
+            "sense",
+            TaskEnergy::Config(EnergyMode(0)),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(8))),
+            |_c: &mut ()| Transition::Sleep {
+                duration: SimDuration::from_millis(200),
+                then: TaskId(1),
+            },
+        )
+        .task(
+            "report",
+            TaskEnergy::Config(EnergyMode(1)),
+            |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(40))),
+            |_c: &mut ()| Transition::To(TaskId(0)),
+        )
+        .build(())
+}
+
+/// Runs `sim` to `horizon` skipping and a clone stepping; asserts
+/// identical results and returns what the skipping run skipped.
+fn assert_unit_skip_matches_step<H: Harvester + Clone>(
+    label: &str,
+    sim: &Simulator<H, ()>,
+    horizon: SimTime,
+) -> Skipped {
+    let limits = RunLimits::until(horizon);
+    let (mut skip, mut step) = (sim.clone(), sim.clone());
+    let skip_outcome = skip.run_limited(&limits);
+    let (step_outcome, steps) = stepped(&mut step, &limits);
+    let print =
+        |sim: &Simulator<H, ()>, outcome| fingerprint(sim, outcome, &[], sim.events().len());
+    assert_same_print(
+        label,
+        &print(&skip, skip_outcome),
+        &print(&step, step_outcome),
+    );
+    Skipped {
+        share: skipped_share(label, &skip, &step, steps),
+        stats: skip.skip_stats(),
+    }
+}
+
+/// The empty context declares an empty steady state, so a `()` device
+/// skips: the benchmark's deep-discharge sleeper over ten hours, and a
+/// sensor under a 45 s eclipse with dips, which jumps whole orbits, with
+/// and without the recorded harvest trace (whose samples hold the
+/// period off until its last one, at 600 s).
+#[test]
+fn a_unit_context_device_skips_bit_for_bit() {
+    let sleeper = unit_sleeper();
+    let skipped = assert_unit_skip_matches_step("() sleeper", &sleeper, SimTime::from_secs(36_000));
+    assert!(skipped.share > 0.8, "() sleeper: {:?}", skipped.stats);
+
+    let orbit = SharedEnvironment::orbital(SimDuration::from_secs(45), 0.6)
+        .with_dips(
+            5,
+            2,
+            SimDuration::from_secs(1_200),
+            SimDuration::from_secs(3),
+            0.2,
+        )
+        .shading(0.35)
+        .expect("shading in range");
+    let trace = capybara::fleet::parse_harvest_trace(&read("manifests/traces/cloudy_day.trace"))
+        .expect("the checked-in trace parses");
+    let traced = orbit.clone().with_trace(trace).expect("the trace is valid");
+    let inner = ConstantHarvester::new(Watts::from_milli(4.0), Volts::new(3.0));
+    for (label, env, orbits) in [("orbit", orbit, 40), ("traced orbit", traced, 20)] {
+        let sensor = unit_sensor(FleetHarvester::new(inner, 0.9, env, 0.4));
+        let horizon = SimTime::from_secs(3_600);
+        let skipped = assert_unit_skip_matches_step(label, &sensor, horizon);
+        assert!(
+            skipped.stats.orbits_skipped > orbits,
+            "() sensor, {label}: {:?}",
+            skipped.stats
+        );
+    }
 }

@@ -14,8 +14,9 @@ use capybara_suite::core::sim::SimEvent;
 use capybara_suite::fleet::{DeviceOutcome, FleetHarvester};
 use capybara_suite::manifest::{
     compile, compile_with, parse_manifest, run_batch, run_manifest_on, validate_json,
-    CompiledFleet, CompiledScenario, DeviceTweak, LeakedNames, ManifestError, ManifestHarvester,
-    EXIT_ASSERT, EXIT_LIMIT, EXIT_PASS, RESULT_SCHEMA,
+    CompiledFleet, CompiledScenario, DeviceTweak, EnergySpec, LeakedNames, ManifestError,
+    ManifestHarvester, ScenarioManifest, ThenSpec, EXIT_ASSERT, EXIT_LIMIT, EXIT_PASS,
+    RESULT_SCHEMA,
 };
 
 /// A scenario exercising nearly every grammar production: every
@@ -814,5 +815,51 @@ fn build_rejection_surfaces_as_manifest_error() {
             assert!(message.contains("ascend"), "{message}");
         }
         other => panic!("expected Build, got {other:?}"),
+    }
+}
+
+/// The `Build` error compiling `m` gives, edited by `edit` after it
+/// parsed: the parser checks every reference of the text it reads, but
+/// a manifest's fields are public, so code can point one at nothing.
+fn dangling_reference(edit: impl FnOnce(&mut ScenarioManifest)) -> String {
+    let mut m = parse_manifest(&minimal(|_| {})).expect("parses");
+    edit(&mut m);
+    match compile(&m) {
+        Err(ManifestError::Build { message }) => message,
+        Err(other) => panic!("expected Build, got {other:?}"),
+        Ok(_) => panic!("a dangling reference compiled"),
+    }
+}
+
+#[test]
+fn a_task_naming_an_undeclared_mode_is_a_build_error() {
+    let message = dangling_reference(|m| m.tasks[1].energy = EnergySpec::Burst("gone".into()));
+    assert!(message.contains("mode `gone`"), "{message}");
+}
+
+#[test]
+fn a_mode_naming_an_undeclared_bank_is_a_build_error() {
+    let message = dangling_reference(|m| m.modes[0].banks.push("gone".into()));
+    assert!(message.contains("bank `gone`"), "{message}");
+}
+
+#[test]
+fn a_transition_to_an_undeclared_task_is_a_build_error() {
+    let message = dangling_reference(|m| m.tasks[0].then = ThenSpec::To("gone".into()));
+    assert!(message.contains("task `gone`"), "{message}");
+}
+
+#[test]
+fn a_fleet_mix_naming_an_undeclared_task_is_a_build_error() {
+    let file = "manifests/fleet_trace.capy";
+    let mut m =
+        parse_manifest(&fs::read_to_string(repo_path(file)).expect("reads")).expect("parses");
+    m.fleet.as_mut().expect("a fleet").mix[1].0 = "gone".into();
+    match CompiledFleet::new(&m, &repo_path(file).to_string_lossy()) {
+        Err(ManifestError::Build { message }) => {
+            assert!(message.contains("task `gone`"), "{message}")
+        }
+        Err(other) => panic!("expected Build, got {other:?}"),
+        Ok(_) => panic!("a dangling mix entry compiled"),
     }
 }
