@@ -84,14 +84,32 @@ run cargo test --release --manifest-path "$BENCH_MANIFEST"
 # The scenario-manifest batch: compile capy-run, execute every checked-in
 # manifest headlessly, and fail the gate on any nonzero exit (assertion
 # failure, limit hit, manifest error) or malformed artifact. The runner
-# regenerates the checked-in result.json files in place; golden tests in
-# tests/manifest_protocol.rs pin their content, and `git status` will
-# show any drift to commit.
+# regenerates the checked-in result.json files in place, so a copy of
+# each is taken first; golden tests in tests/manifest_protocol.rs pin
+# their content, the stale-artifact batch below compares against the
+# copies, and `git status` shows any drift to commit.
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+mkdir "$CI_TMP/golden" "$CI_TMP/stale"
+for manifest in manifests/*.capy; do
+    cp "manifests/$(basename "$manifest" .capy).result.json" "$CI_TMP/golden/"
+done
 run cargo build --release --bin capy-run
 CAPY_RUN=target/release/capy-run
 run "$CAPY_RUN" manifests/
 for artifact in manifests/*.result.json; do
     run "$CAPY_RUN" --validate-json "$artifact" --schema capy-result/v1
+done
+# A batch writes each artifact in place over whatever is at its path:
+# over junk 4 KiB longer than every golden artifact, each result must
+# still equal its golden copy byte for byte, with no stale tail.
+for golden in "$CI_TMP"/golden/*.result.json; do
+    head -c "$(($(wc -c <"$golden") + 4096))" /dev/zero | tr '\0' '#' \
+        >"$CI_TMP/stale/$(basename "$golden")"
+done
+run "$CAPY_RUN" --out-dir "$CI_TMP/stale" manifests/
+for golden in "$CI_TMP"/golden/*.result.json; do
+    run cmp "$golden" "$CI_TMP/stale/$(basename "$golden")"
 done
 
 # Seeded fuzz smoke gate: a fixed master seed and a small case budget of
@@ -120,8 +138,6 @@ run "$CAPY_RUN" --validate-json BENCH_sim_throughput.json --schema capybara-sim-
 # schedules of the mixed/trace fleet path. The checked-in perf artifact must also
 # carry the trace-driven fleet series (the schema validator above
 # rejects it without).
-CI_TMP=$(mktemp -d)
-trap 'rm -rf "$CI_TMP"' EXIT
 run "$CAPY_RUN" --workers 1 --out-dir "$CI_TMP/w1" manifests/fleet_trace.capy
 run "$CAPY_RUN" --workers 8 --out-dir "$CI_TMP/w8" manifests/fleet_trace.capy
 run cmp manifests/fleet_trace.result.json "$CI_TMP/w1/fleet_trace.result.json"

@@ -14,7 +14,9 @@
 //! | 3    | the manifest is unreadable, unparseable, or invalid |
 //! | 4    | internal error (a bug in the runner itself) |
 
-use std::fs;
+use std::collections::HashMap;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -717,8 +719,11 @@ pub fn error_result_json(file: &str, error: &ManifestError) -> JsonValue {
 pub struct BatchEntry {
     /// The manifest path.
     pub path: PathBuf,
-    /// The artifact path (written unless the manifest file itself was
-    /// unreadable or the artifact could not be written).
+    /// The artifact path, written on every run: the entry's result, or
+    /// an [`error_result_json`] artifact when the manifest could not be
+    /// read, parsed or compiled (exit 3). A write that fails makes the
+    /// exit code 4. Entries that share one path share one write, of the
+    /// last such entry's artifact, and its failure counts for each.
     pub result_path: PathBuf,
     /// The scenario result, or the error that prevented one.
     pub result: Result<ScenarioResult, ManifestError>,
@@ -770,42 +775,114 @@ pub fn run_file(path: &Path, workers: usize) -> Result<ScenarioResult, ManifestE
     run_manifest_on(&manifest, &path.display().to_string(), workers)
 }
 
-/// Runs a batch of manifest files sharded over `workers` threads on the
-/// sweep engine (`0` = every core) and writes each artifact; a
-/// `[fleet]` manifest also runs its population on `workers` threads.
-/// Results come back in input order and each artifact is bit-identical
-/// for any worker count.
+/// Runs a batch of manifest files and writes each one's artifact.
+///
+/// Every manifest is first read, run and judged, sharded over `workers`
+/// threads on the sweep engine (`0` = every core); a `[fleet]` manifest
+/// also runs its population on `workers` threads. Only then are the
+/// artifacts rendered and written, on the same workers, so no artifact
+/// can overwrite an input before it is read. Each artifact is written
+/// in place over the file a previous run left, then cut to its length:
+/// truncating the old file first is several times slower on a rerun.
+///
+/// Entries come back in input order and each artifact is bit-identical
+/// for any worker count. Inputs whose result paths name one file (two
+/// manifests with one stem and one `out_dir`, or one manifest named
+/// twice) write it once, with the last such input's artifact, as a
+/// serial loop would leave it, and every one of them reports that
+/// write's outcome.
 #[must_use]
 pub fn run_batch(paths: &[PathBuf], workers: usize, out_dir: Option<&Path>) -> BatchOutcome {
     let results = map_on(paths, workers, |path| run_file(path, workers));
 
-    let mut entries = Vec::with_capacity(paths.len());
-    let mut batch_exit = EXIT_PASS;
-    for (path, result) in paths.iter().zip(results) {
-        let result_path = result_path_for(path, out_dir);
-        let (exit_code, artifact) = match &result {
-            Ok(r) => (r.exit_code, r.to_json()),
-            Err(e) => (
-                EXIT_MANIFEST,
-                error_result_json(&path.display().to_string(), e),
-            ),
+    let result_paths: Vec<PathBuf> = paths.iter().map(|p| result_path_for(p, out_dir)).collect();
+    let writer = last_writers(&result_paths);
+    let inputs: Vec<usize> = (0..paths.len()).collect();
+    let written = map_on(&inputs, workers, |&i| {
+        if writer[i] != i {
+            return true;
+        }
+        let artifact = match &results[i] {
+            Ok(r) => r.to_json(),
+            Err(e) => error_result_json(&paths[i].display().to_string(), e),
         };
-        let exit_code = match fs::write(&result_path, artifact.pretty()) {
-            Ok(()) => exit_code,
-            Err(_) => EXIT_INTERNAL,
-        };
-        batch_exit = batch_exit.max(exit_code);
-        entries.push(BatchEntry {
-            path: path.clone(),
-            result_path,
-            result,
-            exit_code,
-        });
-    }
-    BatchOutcome {
-        entries,
-        exit_code: batch_exit,
-    }
+        write_in_place(&result_paths[i], artifact.pretty().as_bytes()).is_ok()
+    });
+
+    let entries: Vec<BatchEntry> = paths
+        .iter()
+        .zip(result_paths)
+        .zip(results)
+        .zip(writer)
+        .map(|(((path, result_path), result), writer)| {
+            let exit_code = match (&result, written[writer]) {
+                (_, false) => EXIT_INTERNAL,
+                (Ok(r), true) => r.exit_code,
+                (Err(_), true) => EXIT_MANIFEST,
+            };
+            BatchEntry {
+                path: path.clone(),
+                result_path,
+                result,
+                exit_code,
+            }
+        })
+        .collect();
+    let exit_code = entries
+        .iter()
+        .map(|e| e.exit_code)
+        .fold(EXIT_PASS, i32::max);
+    BatchOutcome { entries, exit_code }
+}
+
+/// For each result path, the index of the last input whose result path
+/// names the same file: the input whose artifact that file keeps.
+/// Directories compare in canonical form, so `a/x.result.json` and
+/// `./a/x.result.json` are one file, written once and never by two
+/// workers at a time.
+fn last_writers(result_paths: &[PathBuf]) -> Vec<usize> {
+    let mut canonical: HashMap<&Path, PathBuf> = HashMap::new();
+    let files: Vec<PathBuf> = result_paths
+        .iter()
+        .map(|path| {
+            let dir = path
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            canonical
+                .entry(dir)
+                .or_insert_with(|| fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf()))
+                .join(path.file_name().unwrap_or_default())
+        })
+        .collect();
+    let last: HashMap<&Path, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, file)| (file.as_path(), i))
+        .collect();
+    files.iter().map(|file| last[file.as_path()]).collect()
+}
+
+/// Writes `bytes` as the whole content of the file at `path`, in place:
+/// opens it without truncating (creating it if missing), writes every
+/// byte from the start, then cuts the file to `bytes.len()`, so no tail
+/// of a longer old version survives.
+///
+/// `fs::write` truncates to zero first, and on a rerun that costs
+/// several times the write itself: ext4 waits for the old version's
+/// writeback before freeing its blocks, and on close starts writeback
+/// again (`auto_da_alloc`). Writing over the old bytes skips both.
+///
+/// Not atomic: an interrupted write can leave old and new bytes mixed,
+/// just as an interrupted `fs::write` can leave a half-written file.
+fn write_in_place(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    file.write_all(bytes)?;
+    file.set_len(bytes.len() as u64)
 }
 
 /// Validates that `text` is well-formed JSON and, when `schema` names a
@@ -948,5 +1025,25 @@ mod tests {
             devices += 1;
         }
         assert!(devices >= 5, "only {devices} device manifests found");
+    }
+
+    /// Two spellings of one directory name one file, which the last
+    /// input naming it writes; a missing directory compares as given.
+    #[test]
+    fn result_paths_naming_one_file_keep_the_last_input() {
+        let dir = std::env::temp_dir().join(format!("capy-last-writers-{}", std::process::id()));
+        fs::create_dir_all(dir.join("a")).expect("temp dir");
+        let paths: Vec<PathBuf> = [
+            "a/x.result.json",
+            "a/y.result.json",
+            "a/../a/x.result.json",
+            "missing/x.result.json",
+            "a/y.result.json",
+        ]
+        .iter()
+        .map(|p| dir.join(p))
+        .collect();
+        assert_eq!(last_writers(&paths), [2, 4, 2, 3, 4]);
+        fs::remove_dir_all(&dir).ok();
     }
 }

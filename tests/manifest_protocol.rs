@@ -8,15 +8,15 @@
 //! * exit codes follow the protocol table.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use capybara_suite::core::sim::SimEvent;
 use capybara_suite::fleet::{DeviceOutcome, FleetHarvester};
 use capybara_suite::manifest::{
-    compile, compile_with, parse_manifest, run_batch, run_manifest_on, validate_json,
+    compile, compile_with, parse_manifest, run_batch, run_file, run_manifest_on, validate_json,
     CompiledFleet, CompiledScenario, DeviceTweak, EnergySpec, LeakedNames, ManifestError,
-    ManifestHarvester, ScenarioManifest, ThenSpec, EXIT_ASSERT, EXIT_LIMIT, EXIT_PASS,
-    RESULT_SCHEMA,
+    ManifestHarvester, ScenarioManifest, ThenSpec, EXIT_ASSERT, EXIT_INTERNAL, EXIT_LIMIT,
+    EXIT_PASS, RESULT_SCHEMA,
 };
 
 /// A scenario exercising nearly every grammar production: every
@@ -114,23 +114,46 @@ fn same_manifest_twice_is_bit_identical() {
     assert_eq!(a.to_json().pretty(), b.to_json().pretty());
 }
 
+/// A fresh directory for one test's batch files (tests run in
+/// parallel, so each names its own).
+fn batch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("capy-{test}-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Copies checked-in manifests into `dir`, returning the copies' paths.
+fn copy_manifests(dir: &Path, rels: &[&str]) -> Vec<PathBuf> {
+    rels.iter()
+        .map(|rel| {
+            let dst = dir.join(PathBuf::from(rel).file_name().unwrap());
+            fs::copy(repo_path(rel), &dst).expect("copy manifest");
+            dst
+        })
+        .collect()
+}
+
+/// The artifact `path` gets when it runs alone, rendered in memory.
+fn fresh_artifact(path: &Path) -> String {
+    run_file(path, 1).expect("runs").to_json().pretty()
+}
+
+/// Every batch artifact is bit-identical for any worker count, and is
+/// written whole over whatever a previous run left at its path: junk
+/// longer than the artifact (no stale tail survives) or shorter.
 #[test]
 fn batch_artifacts_identical_for_any_worker_count() {
-    let dir = std::env::temp_dir().join(format!("capy-batch-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("temp dir");
-    let src: Vec<PathBuf> = [
-        "manifests/quickstart.capy",
-        "manifests/temperature_alarm.capy",
-        "manifests/fleet_smoke.capy",
-        "manifests/adaptive_faults.capy",
-    ]
-    .iter()
-    .map(|rel| {
-        let dst = dir.join(PathBuf::from(rel).file_name().unwrap());
-        fs::copy(repo_path(rel), &dst).expect("copy manifest");
-        dst
-    })
-    .collect();
+    let dir = batch_dir("batch");
+    let src = copy_manifests(
+        &dir,
+        &[
+            "manifests/quickstart.capy",
+            "manifests/temperature_alarm.capy",
+            "manifests/fleet_smoke.capy",
+            "manifests/adaptive_faults.capy",
+        ],
+    );
 
     let serial = run_batch(&src, 1, None);
     assert_eq!(serial.exit_code, EXIT_PASS);
@@ -140,19 +163,115 @@ fn batch_artifacts_identical_for_any_worker_count() {
         .map(|e| fs::read_to_string(&e.result_path).expect("artifact written"))
         .collect();
 
-    for workers in [2, 8] {
-        let parallel = run_batch(&src, workers, None);
-        assert_eq!(parallel.exit_code, EXIT_PASS);
-        for (entry, expected) in parallel.entries.iter().zip(&artifacts) {
-            let got = fs::read_to_string(&entry.result_path).expect("artifact written");
+    for workers in [1, 2, 8] {
+        for stale in ["longer", "shorter"] {
+            for (entry, artifact) in serial.entries.iter().zip(&artifacts) {
+                let len = if stale == "longer" {
+                    artifact.len() + 4096
+                } else {
+                    artifact.len() / 2
+                };
+                fs::write(&entry.result_path, "#".repeat(len)).expect("stale artifact");
+            }
+            let parallel = run_batch(&src, workers, None);
+            assert_eq!(parallel.exit_code, EXIT_PASS);
+            for (entry, expected) in parallel.entries.iter().zip(&artifacts) {
+                let got = fs::read_to_string(&entry.result_path).expect("artifact written");
+                assert_eq!(
+                    &got,
+                    expected,
+                    "artifact for {} over a {stale} stale one must be bit-identical \
+                     at {workers} workers",
+                    entry.path.display()
+                );
+                validate_json(&got, Some(RESULT_SCHEMA))
+                    .unwrap_or_else(|e| panic!("{}: {e}", entry.result_path.display()));
+            }
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Inputs whose result paths name one file leave the last input's
+/// artifact there, for any worker count: two manifests with one stem
+/// in two directories sharing an `out_dir`, and one manifest named
+/// through two spellings of its directory.
+#[test]
+fn inputs_sharing_a_result_path_leave_the_last_inputs_artifact() {
+    let dir = batch_dir("shared-stem");
+    let (a, b, out) = (dir.join("a"), dir.join("b"), dir.join("out"));
+    for d in [&a, &b, &out] {
+        fs::create_dir_all(d).expect("dir");
+    }
+    let in_a = a.join("probe.capy");
+    let in_b = b.join("probe.capy");
+    fs::copy(repo_path("manifests/quickstart.capy"), &in_a).expect("copy");
+    fs::copy(repo_path("manifests/temperature_alarm.capy"), &in_b).expect("copy");
+    let via_b = b.join("..").join("a").join("probe.capy");
+
+    for workers in [1, 2, 8] {
+        for (inputs, out_dir) in [
+            (vec![in_a.clone(), in_b.clone()], Some(out.as_path())),
+            (vec![in_b.clone(), in_a.clone()], Some(out.as_path())),
+            (vec![in_a.clone(), via_b.clone()], None),
+            (vec![via_b.clone(), in_a.clone()], None),
+        ] {
+            let last = inputs.last().unwrap();
+            let batch = run_batch(&inputs, workers, out_dir);
+            assert_eq!(batch.exit_code, EXIT_PASS);
+            let result_path = &batch.entries[1].result_path;
+            let got = fs::read_to_string(result_path).expect("artifact written");
             assert_eq!(
-                &got,
-                expected,
-                "artifact for {} must be bit-identical at {workers} workers",
-                entry.path.display()
+                got,
+                fresh_artifact(last),
+                "{} must hold {}'s artifact at {workers} workers",
+                result_path.display(),
+                last.display()
             );
-            validate_json(&got, Some(RESULT_SCHEMA))
-                .unwrap_or_else(|e| panic!("{}: {e}", entry.result_path.display()));
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A result path that cannot be written (a directory stands there)
+/// fails the entries naming it and the batch with exit 4; every other
+/// artifact is still written.
+#[test]
+fn an_unwritable_result_path_fails_its_entries_and_spares_the_rest() {
+    let dir = batch_dir("unwritable");
+    let mut src = copy_manifests(
+        &dir,
+        &[
+            "manifests/temperature_alarm.capy",
+            "manifests/quickstart.capy",
+            "manifests/adaptive_faults.capy",
+        ],
+    );
+    // A second input with the blocked path's stem shares its failed write.
+    fs::create_dir_all(dir.join("again")).expect("dir");
+    src.extend(copy_manifests(
+        &dir.join("again"),
+        &["manifests/quickstart.capy"],
+    ));
+    let out = dir.join("out");
+    fs::create_dir_all(out.join("quickstart.result.json")).expect("blocking dir");
+    for workers in [1, 2, 8] {
+        for stem in ["temperature_alarm", "adaptive_faults"] {
+            fs::remove_file(out.join(format!("{stem}.result.json"))).ok();
+        }
+        let batch = run_batch(&src, workers, Some(&out));
+        assert_eq!(batch.exit_code, EXIT_INTERNAL, "at {workers} workers");
+        let codes: Vec<i32> = batch.entries.iter().map(|e| e.exit_code).collect();
+        assert_eq!(
+            codes,
+            [EXIT_PASS, EXIT_INTERNAL, EXIT_PASS, EXIT_INTERNAL],
+            "at {workers} workers"
+        );
+        for (entry, input) in batch.entries.iter().zip(&src) {
+            if entry.exit_code == EXIT_PASS {
+                let got = fs::read_to_string(&entry.result_path).expect("artifact written");
+                assert_eq!(got, fresh_artifact(input), "at {workers} workers");
+            }
         }
     }
     fs::remove_dir_all(&dir).ok();
@@ -190,16 +309,39 @@ fn checked_in_artifacts_match_fresh_runs() {
     }
 }
 
+/// The orbital fleet's artifact is byte-identical for any worker count,
+/// at its own 180 s horizon, where no device jumps an orbit, and at
+/// 1,200 s, where the stamped devices do.
 #[test]
 fn fleet_artifact_identical_for_any_worker_count() {
     let text = fs::read_to_string(repo_path("manifests/fleet_smoke.capy")).expect("manifest reads");
-    let manifest = parse_manifest(&text).expect("parses");
-    let serial = run_manifest_on(&manifest, "fleet_smoke.capy", 1).expect("runs");
-    assert!(serial.fleet.is_some(), "fleet stanza must aggregate");
-    for workers in [2, 8] {
-        let parallel = run_manifest_on(&manifest, "fleet_smoke.capy", workers).expect("runs");
-        assert_eq!(serial, parallel, "fleet result must not depend on workers");
-        assert_eq!(serial.to_json().pretty(), parallel.to_json().pretty());
+    for horizon_s in [None, Some(1_200.0)] {
+        let mut manifest = parse_manifest(&text).expect("parses");
+        if let Some(h) = horizon_s {
+            manifest.limits.max_sim_seconds = h;
+        }
+        let serial = run_manifest_on(&manifest, "fleet_smoke.capy", 1).expect("runs");
+        assert!(serial.fleet.is_some(), "fleet stanza must aggregate");
+        for workers in [2, 8] {
+            let parallel = run_manifest_on(&manifest, "fleet_smoke.capy", workers).expect("runs");
+            assert_eq!(
+                serial, parallel,
+                "fleet result must not depend on workers ({horizon_s:?} s)"
+            );
+            assert_eq!(serial.to_json().pretty(), parallel.to_json().pretty());
+        }
+        if horizon_s.is_some() {
+            let fleet = CompiledFleet::new(&manifest, "fleet_smoke.capy").expect("compiles");
+            let spec = fleet.spec();
+            let orbits: u64 = (0..spec.devices())
+                .map(|index| {
+                    let CompiledScenario { mut sim, limits } = fleet.device(&spec.device(index));
+                    let _ = sim.run_limited(&limits);
+                    sim.skip_stats().orbits_skipped
+                })
+                .sum();
+            assert!(orbits > 0, "no stamped device jumped an orbit");
+        }
     }
 }
 
