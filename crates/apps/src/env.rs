@@ -181,12 +181,6 @@ impl HeatsinkRig {
         &self.events
     }
 
-    /// The hold duration of each excursion.
-    #[must_use]
-    pub fn hold(&self) -> SimDuration {
-        self.hold
-    }
-
     /// The excursion in progress at `t`, if any.
     #[must_use]
     pub fn excursion_at(&self, t: SimTime) -> Option<usize> {

@@ -43,10 +43,21 @@ use capy_power::harvester::Harvester;
 use capy_units::rng::{derive_seed, DetRng};
 use capy_units::SimTime;
 
-use super::{conservation_violation, FaultPlan, SurgeEffect};
+use super::{kill_and_recover, FaultPlan, SurgeEffect, ZENO_BOOT_LIMIT};
 use crate::policy::{NamedPolicy, ReconfigPolicy, Scenario};
-use crate::sim::{validate_event_log, SimContext, Simulator, StepResult};
+use crate::sim::{SimContext, Simulator};
 use crate::sweep::{map_on, RunSummary};
+
+/// The most power kills a case schedules (each case draws 1..=this).
+const MAX_KILLS: usize = 4;
+
+/// The probability that a case also schedules one single-bank hardware
+/// fault.
+const FAULT_PROBABILITY: f64 = 0.5;
+
+/// The probability that a case also schedules one correlated multi-bank
+/// rail surge (needs ≥ 2 banks).
+const SURGE_PROBABILITY: f64 = 0.25;
 
 /// Tuning knobs of the fault fuzzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,17 +68,6 @@ pub struct FuzzOptions {
     /// Mission horizon every case runs to (per-scenario horizons
     /// override this in [`fuzz_policy_grid_on`]).
     pub horizon: SimTime,
-    /// Upper bound on power kills per case (each case draws 1..=this).
-    pub max_kills: usize,
-    /// Probability that a case also schedules one single-bank hardware
-    /// fault.
-    pub fault_probability: f64,
-    /// Probability that a case also schedules one correlated multi-bank
-    /// rail surge (needs ≥ 2 banks).
-    pub surge_probability: f64,
-    /// Livelock threshold, as in
-    /// [`KillGridOptions::zeno_boot_limit`](super::KillGridOptions).
-    pub zeno_boot_limit: u64,
     /// Worker threads for [`fuzz_faults`]; `0` = every core, resolved
     /// by the sweep engine ([`map_on`]). [`fuzz_policy_grid_on`] takes
     /// its count as an argument instead.
@@ -79,10 +79,6 @@ impl Default for FuzzOptions {
         Self {
             cases: 32,
             horizon: SimTime::from_secs(30),
-            max_kills: 4,
-            fault_probability: 0.5,
-            surge_probability: 0.25,
-            zeno_boot_limit: 64,
             workers: 0,
         }
     }
@@ -131,13 +127,13 @@ pub fn derive_case(
     let horizon_us = options.horizon.as_micros().max(2);
     let draw_instant = |rng: &mut DetRng| SimTime::from_micros(rng.gen_range(1..horizon_us));
 
-    let n_kills = rng.gen_range(1..options.max_kills.max(1) + 1);
+    let n_kills = rng.gen_range(1..MAX_KILLS + 1);
     let mut kills: Vec<SimTime> = (0..n_kills).map(|_| draw_instant(&mut rng)).collect();
     kills.sort_unstable();
     kills.dedup();
 
     let mut plan = FaultPlan::new();
-    if bank_count > 0 && rng.gen_bool(options.fault_probability) {
+    if bank_count > 0 && rng.gen_bool(FAULT_PROBABILITY) {
         let bank = BankId(rng.gen_range(0..bank_count));
         let at = draw_instant(&mut rng);
         plan = match rng.gen_range(0..3u32) {
@@ -152,7 +148,7 @@ pub fn derive_case(
             _ => plan.bank_degraded(at, bank, rng.gen_range(0.3..0.9), rng.gen_range(1.0..3.0)),
         };
     }
-    if bank_count >= 2 && rng.gen_bool(options.surge_probability) {
+    if bank_count >= 2 && rng.gen_bool(SURGE_PROBABILITY) {
         let struck = rng.gen_range(2..bank_count + 1);
         let first = rng.gen_range(0..bank_count);
         let banks: Vec<BankId> = (0..struck)
@@ -242,13 +238,8 @@ impl FuzzReport {
 }
 
 /// Runs one derived case: arm its fault plan, execute its kill
-/// schedule, recover to the horizon, then run the full check chain.
-fn run_case<H, C, B, V>(
-    build: &B,
-    invariant: &V,
-    case: &FuzzCase,
-    options: &FuzzOptions,
-) -> FuzzOutcome
+/// schedule, recover to `horizon`, then run the kill grid's check chain.
+fn run_case<H, C, B, V>(build: &B, invariant: &V, case: &FuzzCase, horizon: SimTime) -> FuzzOutcome
 where
     H: Harvester,
     C: SimContext,
@@ -257,46 +248,8 @@ where
 {
     let mut sim = build();
     case.plan.arm(&mut sim);
-    let mut violation = None;
-    let mut stats_at_last_kill = None;
-    for &kill_at in &case.kills {
-        match sim.run_until(kill_at) {
-            StepResult::Stalled { steps } => {
-                violation = Some(format!(
-                    "stalled before the kill at {kill_at} ({steps} stuck steps)"
-                ));
-                break;
-            }
-            StepResult::Stopped => break,
-            StepResult::Progress => {
-                stats_at_last_kill = Some(sim.exec_stats());
-                sim.inject_power_failure();
-            }
-        }
-    }
-    if violation.is_none() {
-        if let StepResult::Stalled { steps } = sim.run_until(options.horizon) {
-            violation = Some(format!(
-                "stalled after the kill schedule ({steps} stuck steps)"
-            ));
-        }
-    }
-    let summary = RunSummary::from_sim(&sim, std::time::Duration::ZERO);
-    let violation = violation
-        .or_else(|| validate_event_log(sim.events()))
-        .or_else(|| conservation_violation(&summary))
-        .or_else(|| invariant(&sim).err())
-        .or_else(|| {
-            let at_kill = stats_at_last_kill?;
-            let reboots = summary.reboots - at_kill.reboots;
-            let completions = summary.completions - at_kill.completions;
-            (reboots >= options.zeno_boot_limit && completions == 0).then(|| {
-                format!(
-                    "Zeno livelock after the last kill: \
-                     {reboots} reboots with zero completions"
-                )
-            })
-        });
+    let (summary, violation, _) =
+        kill_and_recover(&mut sim, &case.kills, horizon, invariant, ZENO_BOOT_LIMIT);
     FuzzOutcome {
         case: case.clone(),
         summary,
@@ -328,7 +281,7 @@ where
     let cases: Vec<usize> = (0..options.cases).collect();
     let outcomes = map_on(&cases, options.workers, |&index| {
         let case = derive_case(master_seed, index, options, bank_count);
-        run_case(&build, &invariant, &case, options)
+        run_case(&build, &invariant, &case, options.horizon)
     });
     FuzzReport {
         master_seed,
@@ -354,7 +307,7 @@ where
 {
     let bank_count = build().power().bank_count();
     let case = derive_case(master_seed, case_index, options, bank_count);
-    run_case(&build, &invariant, &case, options)
+    run_case(&build, &invariant, &case, options.horizon)
 }
 
 /// The result of one [`fuzz_policy_grid_on`] campaign: fuzz outcomes
@@ -477,7 +430,7 @@ where
         let bank_count = build_sim().power().bank_count();
         let cell_seed = derive_seed(master_seed, (pi * scenarios.len() + si) as u64);
         let case = derive_case(cell_seed, ci, &cell_options, bank_count);
-        run_case(&build_sim, &invariant, &case, &cell_options)
+        run_case(&build_sim, &invariant, &case, cell_options.horizon)
     });
     FuzzGrid {
         master_seed,
@@ -602,7 +555,7 @@ mod tests {
             assert_eq!(a, b, "same (seed, index) must derive the same case");
             assert_eq!(a.index, index);
             assert_eq!(a.seed, derive_seed(MASTER, index as u64));
-            assert!(!a.kills.is_empty() && a.kills.len() <= options.max_kills);
+            assert!(!a.kills.is_empty() && a.kills.len() <= MAX_KILLS);
             assert!(a.kills.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
             assert!(a
                 .kills

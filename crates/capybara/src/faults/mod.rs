@@ -262,6 +262,10 @@ pub enum SurgeEffect {
     },
 }
 
+/// Post-kill reboots without a completion that make a Zeno livelock:
+/// the kill grid's default limit and every fuzz case's.
+const ZENO_BOOT_LIMIT: u64 = 64;
+
 /// Tuning knobs of the kill-grid explorer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillGridOptions {
@@ -295,7 +299,7 @@ impl Default for KillGridOptions {
             stride: 1,
             max_points: None,
             epsilon: SimDuration::from_millis(1),
-            zeno_boot_limit: 64,
+            zeno_boot_limit: ZENO_BOOT_LIMIT,
             workers: 0,
             snapshot_stride: 1,
         }
@@ -670,39 +674,13 @@ where
         sim.restore(snap);
     }
     let start = sim.now();
-    let pre = sim.run_until(kill_at);
-    let landed = sim.now();
-    let mut violation = match pre {
-        StepResult::Stalled { steps } => Some(format!(
-            "stalled before the kill at {kill_at} ({steps} stuck steps)"
-        )),
-        StepResult::Progress | StepResult::Stopped => None,
-    };
-    let stats_at_kill = sim.exec_stats();
-    if violation.is_none() && pre == StepResult::Progress {
-        sim.inject_power_failure();
-        let resumed = sim.run_until(horizon);
-        if let StepResult::Stalled { steps } = resumed {
-            violation = Some(format!(
-                "stalled after the kill at {kill_at} ({steps} stuck steps)"
-            ));
-        }
-    }
-    let summary = RunSummary::from_sim(&sim, std::time::Duration::ZERO);
-    let violation = violation
-        .or_else(|| validate_event_log(sim.events()))
-        .or_else(|| conservation_violation(&summary))
-        .or_else(|| invariant(&sim).err())
-        .or_else(|| {
-            let reboots = summary.reboots - stats_at_kill.reboots;
-            let completions = summary.completions - stats_at_kill.completions;
-            (reboots >= options.zeno_boot_limit && completions == 0).then(|| {
-                format!(
-                    "Zeno livelock after the kill at {kill_at}: \
-                     {reboots} reboots with zero completions"
-                )
-            })
-        });
+    let (summary, violation, landed) = kill_and_recover(
+        &mut sim,
+        &[kill_at],
+        horizon,
+        invariant,
+        options.zeno_boot_limit,
+    );
     let outcome = KillOutcome {
         kill_at,
         summary,
@@ -711,6 +689,71 @@ where
     let prefix = landed.saturating_since(start);
     let resumed_sim = sim.now().saturating_since(landed);
     (outcome, prefix, resumed_sim)
+}
+
+/// Runs `sim` to each of `kills` in turn, cutting power there, then
+/// recovers to `horizon`, and checks the run, in order: no stall before
+/// or after a kill, a valid event log, execution-statistics
+/// conservation, the caller's `invariant`, and no Zeno livelock (at
+/// least `zeno_boot_limit` reboots and no completion after the last
+/// kill). A kill point is a run with one kill; a fuzz case, one with its
+/// fault plan armed. Returns the run's summary, the first violated
+/// check, and the instant the run stood at after its kills.
+fn kill_and_recover<H, C, V>(
+    sim: &mut Simulator<H, C>,
+    kills: &[SimTime],
+    horizon: SimTime,
+    invariant: &V,
+    zeno_boot_limit: u64,
+) -> (RunSummary, Option<String>, SimTime)
+where
+    H: Harvester,
+    C: SimContext,
+    V: Fn(&Simulator<H, C>) -> Result<(), String>,
+{
+    let mut violation = None;
+    let mut last_kill = None;
+    for &kill_at in kills {
+        match sim.run_until(kill_at) {
+            StepResult::Stalled { steps } => {
+                violation = Some(format!(
+                    "stalled before the kill at {kill_at} ({steps} stuck steps)"
+                ));
+                break;
+            }
+            StepResult::Stopped => break,
+            StepResult::Progress => {
+                last_kill = Some((kill_at, sim.exec_stats()));
+                sim.inject_power_failure();
+            }
+        }
+    }
+    let landed = sim.now();
+    // Only a run that took a kill recovers; a stop is final.
+    if let (None, Some((kill_at, _))) = (&violation, last_kill) {
+        if let StepResult::Stalled { steps } = sim.run_until(horizon) {
+            violation = Some(format!(
+                "stalled after the kill at {kill_at} ({steps} stuck steps)"
+            ));
+        }
+    }
+    let summary = RunSummary::from_sim(sim, std::time::Duration::ZERO);
+    let violation = violation
+        .or_else(|| validate_event_log(sim.events()))
+        .or_else(|| conservation_violation(&summary))
+        .or_else(|| invariant(sim).err())
+        .or_else(|| {
+            let (kill_at, at_kill) = last_kill?;
+            let reboots = summary.reboots - at_kill.reboots;
+            let completions = summary.completions - at_kill.completions;
+            (reboots >= zeno_boot_limit && completions == 0).then(|| {
+                format!(
+                    "Zeno livelock after the kill at {kill_at}: \
+                     {reboots} reboots with zero completions"
+                )
+            })
+        });
+    (summary, violation, landed)
 }
 
 /// The execution machine's conservation law, checked from a summary.

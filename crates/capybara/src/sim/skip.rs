@@ -6,15 +6,17 @@
 //! cycle. The run fingerprints that state at each task boundary
 //! ([`State::steady_state`]) and finds a repeat with Brent's method: one
 //! saved key, replaced at power-of-two distances up to the longest cycle
-//! it skips, so detection memory stays O(1). From each saved key on, the
-//! power system tapes what a jump must replay rather than match. When
-//! the saved key repeats, the run advances whole cycles at once: instants
-//! shift by the cycle length, counters add their per-cycle deltas, the
-//! delivered-energy total replays the cycle's additions in order, every
-//! leaking bank replays the cycle's leaks in order, and each output log
-//! gets shifted copies of the cycle's entries. The same function that
-//! fingerprints the state advances it. Every float keeps the bits
-//! stepping would give, so a skipped run is the stepped run, bit for bit.
+//! it skips, so detection memory stays O(1). The power system keeps one
+//! tape of what a jump must replay rather than match, and the saved key
+//! holds a mark on it ([`PowerSystem::mark_tape`]). When the saved key
+//! repeats, the run advances whole cycles at once: instants shift by the
+//! cycle length, counters add their per-cycle deltas, the
+//! delivered-energy total replays the additions taped since the mark in
+//! order, every leaking bank replays the leaks taped since the mark in
+//! order, and each output log gets shifted copies of the cycle's
+//! entries. The same function that fingerprints the state advances it.
+//! Every float keeps the bits stepping would give, so a skipped run is
+//! the stepped run, bit for bit.
 //!
 //! Detection runs inside a *steady window*, from a restart to the first
 //! of the harvester's segment end and the context's
@@ -27,15 +29,17 @@
 //! **Orbits.** A harvest that changes inside every period, like an
 //! orbit's day and night, opens a new window at each edge, and Brent's
 //! search starts over in each. But when the harvester declares a period
-//! `P` ([`Harvester::period`]), the run keeps the key taken at each
-//! window opening of the last period, and the power system tapes that
-//! whole period, including what the jumps inside it replay. When a
-//! window opens on the key of the opening exactly `P` earlier, leaking
-//! banks watched from that opening, the period between them repeats: the
-//! harvest repeats, and so does everything the device decides. The run
-//! then advances whole periods the same way, replaying the period's
-//! tape. An orbit's tape is capped at [`MAX_ORBIT_TAPE`] entries and its
-//! openings at [`MAX_OPENINGS`]; a period that holds more is not jumped.
+//! `P` ([`Harvester::period`]), the run keeps each window opening of the
+//! last period as a start like the saved key's: key, instant, step count
+//! and mark. The tape then reaches back to the oldest kept opening, and a
+//! cycle jump inside the period appends the repetitions it advanced, as
+//! stepping would have taped them. When a window opens on the key of the
+//! opening exactly `P` earlier, leaking banks watched from that opening,
+//! the period between them repeats: the harvest repeats, and so does
+//! everything the device decides. The run then advances whole periods
+//! the same way, replaying the tape from that opening's mark. A period
+//! that tapes more than [`MAX_ORBIT_TAPE`] entries or opens more than
+//! [`MAX_OPENINGS`] windows is not jumped: the run forgets its openings.
 //!
 //! A jump ends before the first of the horizon, the step and energy
 //! budgets, the next pending fault and any latch decay the cycle does not
@@ -49,12 +53,11 @@
 //! [`SimContext::steady_until`]: super::SimContext::steady_until
 //! [`PowerSystem::steady_state`]: capy_power::system::PowerSystem::steady_state
 //! [`PowerSystem::steady_until`]: capy_power::system::PowerSystem::steady_until
+//! [`PowerSystem::mark_tape`]: capy_power::system::PowerSystem::mark_tape
 //! [`Harvester::period`]: capy_power::harvester::Harvester::period
 
-use std::{iter, mem};
-
 use capy_power::harvester::Harvester;
-use capy_power::system::{CycleTape, LeakWatch, PowerSystem};
+use capy_power::system::{PowerSystem, TapeMark};
 use capy_units::cycle::{Cycle, CycleKey};
 use capy_units::{SimDuration, SimTime};
 
@@ -65,7 +68,7 @@ use super::{RunLimits, SimContext, SimEvent, State};
 const WARMUP_BOUNDARIES: u64 = 32;
 
 /// The longest cycle, in steps, that is skipped, and the farthest Brent's
-/// saved key reaches, so no tape covers more steps than this.
+/// saved key reaches, so no cycle tapes more steps than this.
 const MAX_CYCLE_STEPS: u64 = 1024;
 
 /// The distance at which Brent's first saved key is replaced. Brent's
@@ -76,8 +79,9 @@ const MAX_CYCLE_STEPS: u64 = 1024;
 /// fleet device than starting at 1).
 const FIRST_REACH: u64 = 16;
 
-/// The most entries ([`CycleTape::entries`]) an orbit's tape holds. A
-/// 60 s orbit of the orbital fleet device tapes about a thousand.
+/// The most entries ([`PowerSystem::taped_since`]) the tape may hold
+/// from the oldest kept opening on. A 60 s orbit of the orbital fleet
+/// device tapes about a thousand.
 const MAX_ORBIT_TAPE: usize = 1 << 15;
 
 /// The most window openings kept for one period. The orbital fleet
@@ -114,20 +118,25 @@ struct Check {
     key: CycleKey,
 }
 
-/// A window opening inside a declared period: where an orbit can start.
+/// A boundary a repeat can start from: Brent's saved one, or a window
+/// opening inside a declared period.
 #[derive(Debug, Default)]
-struct Opening {
+struct Start {
+    key: CycleKey,
     at: SimTime,
     /// The call's step count there.
     steps: u64,
-    key: CycleKey,
-    /// Where the power system's leak watch for an orbit from here starts.
-    leaks: LeakWatch,
+    /// The power system's tape there, which a jump replays from, and
+    /// the leak watch for a repeat from here.
+    mark: TapeMark,
+}
+
+/// A window opening inside a declared period: where an orbit can start.
+#[derive(Debug, Default)]
+struct Opening {
+    start: Start,
     /// The context's [`SimContext::steady_until`] there.
     ctx_until: SimTime,
-    /// What the power system taped from here to the next opening; empty
-    /// while this is the last one and its stretch is still recording.
-    tape: CycleTape,
 }
 
 /// Detection state for one `run_limited` call. It lives on the call's
@@ -140,23 +149,18 @@ pub(super) struct Skipper {
     pub(super) from: u64,
     /// The key of the current boundary.
     key: CycleKey,
-    /// Brent's saved key, and where it was taken: the start of the cycle
-    /// the power system is taping.
-    saved: CycleKey,
-    saved_steps: u64,
-    saved_now: SimTime,
+    /// Brent's saved start: the cycle that a repeat of its key closes.
+    saved: Start,
     /// Distance from the saved key at which it is replaced.
     reach: u64,
     /// The end of the steady window the saved key lies in. Zero before
     /// the first fingerprint, so that one starts detection.
     window_end: SimTime,
-    /// The tape's buffers while the power system is not recording.
-    tape: CycleTape,
     /// The period the harvester declared at the last opening (zero:
     /// none), and the openings of the last such period, oldest first.
     period: SimDuration,
     openings: Vec<Opening>,
-    /// Dropped openings, whose buffers the next ones reuse.
+    /// Dropped openings, whose keys the next ones reuse.
     spare: Vec<Opening>,
     check: Option<Check>,
     orbit_check: Option<Check>,
@@ -169,12 +173,9 @@ impl Skipper {
         Self {
             from: WARMUP_BOUNDARIES,
             key: CycleKey::default(),
-            saved: CycleKey::default(),
-            saved_steps: 0,
-            saved_now: SimTime::ZERO,
+            saved: Start::default(),
             reach: FIRST_REACH,
             window_end: SimTime::ZERO,
-            tape: CycleTape::default(),
             period: SimDuration::ZERO,
             openings: Vec::new(),
             spare: Vec::new(),
@@ -185,13 +186,29 @@ impl Skipper {
 
     /// Ends the call: the power system stops taping.
     pub(super) fn finish<H: Harvester>(self, power: &mut PowerSystem<H>) {
-        let _ = power.take_tape();
-        let _ = power.take_orbit();
+        power.stop_taping();
     }
 
     /// Drops every kept opening: no orbit can start at one.
     fn forget_openings(&mut self) {
         self.spare.append(&mut self.openings);
+    }
+
+    /// Keeps the openings only while the tape from the oldest on, with
+    /// `more` entries added (`None`: too many to count), stays within
+    /// [`MAX_ORBIT_TAPE`]: a period that tapes more is not jumped.
+    /// Returns whether any opening is still kept.
+    fn cap_orbit<H: Harvester>(&mut self, power: &PowerSystem<H>, more: Option<usize>) -> bool {
+        let Some(first) = self.openings.first() else {
+            return false;
+        };
+        let fits = more
+            .and_then(|n| n.checked_add(power.taped_since(first.start.mark)))
+            .is_some_and(|n| n <= MAX_ORBIT_TAPE);
+        if !fits {
+            self.forget_openings();
+        }
+        fits
     }
 }
 
@@ -208,12 +225,12 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         steps: u64,
     ) -> u64 {
         self.power.end_taped_step();
+        s.cap_orbit(&self.power, Some(0));
         let opening = self.now >= s.window_end;
-        let orbit_until = if opening { self.file_orbit(s) } else { None };
+        let orbit_until = if opening { self.find_orbit(s) } else { None };
         if !self.steady_state(&mut Cycle::key(&mut s.key)) {
             s.from = u64::MAX;
-            let _ = self.power.take_tape();
-            let _ = self.power.take_orbit();
+            self.power.stop_taping();
             return 0;
         }
         if cfg!(debug_assertions) {
@@ -221,7 +238,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         }
         if opening {
             let skipped = match orbit_until {
-                Some(until) if s.key.same_state(&s.openings[0].key) => {
+                Some(until) if s.key.same_state(&s.openings[0].start.key) => {
                     self.skips.cycles_detected += 1;
                     self.jump_orbit(s, limits, steps, until)
                 }
@@ -236,7 +253,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             self.restart(s, steps + skipped);
             return skipped;
         }
-        if s.key.same_state(&s.saved) && self.now > s.saved_now {
+        if s.key.same_state(&s.saved.key) && self.now > s.saved.at {
             self.skips.cycles_detected += 1;
             let skipped = self.jump(s, limits, steps);
             // Detection starts afresh from where the cycles ended, with
@@ -245,29 +262,34 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             self.restart(s, steps + skipped);
             return skipped;
         }
-        if steps - s.saved_steps >= s.reach {
+        if steps - s.saved.steps >= s.reach {
             self.save(s, steps, (s.reach * 2).min(MAX_CYCLE_STEPS));
         }
         0
     }
 
+    /// Sets `start` to this boundary, keyed `key`, and marks the tape.
+    fn start_here(&mut self, start: &mut Start, key: &CycleKey, steps: u64) {
+        start.key.clone_from(key);
+        start.at = self.now;
+        start.steps = steps;
+        start.mark = self.power.mark_tape();
+    }
+
     /// Saves the current key as Brent's reference, to be replaced
-    /// `reach` steps on, and starts taping the cycle that begins here.
-    /// The power system watches for leaking banks from here too: a bank
-    /// that stays open until a later key repeats this one has only
-    /// leaked, so that key does not compare its voltage, and the jump
-    /// replays the taped leaks on it.
+    /// `reach` steps on; the cycle that begins here is taped from its
+    /// mark. The power system watches for leaking banks from here too:
+    /// a bank that stays open until a later key repeats this one has
+    /// only leaked, so that key does not compare its voltage, and the
+    /// jump replays the taped leaks on it. The tape keeps nothing older
+    /// than a jump may replay.
     fn save(&mut self, s: &mut Skipper, steps: u64, reach: u64) {
-        self.power.watch_leaks(self.power.leak_watch());
-        s.saved.clone_from(&s.key);
-        s.saved_steps = steps;
-        s.saved_now = self.now;
+        self.start_here(&mut s.saved, &s.key, steps);
+        self.power.watch_leaks(s.saved.mark);
         s.reach = reach;
-        let tape = self
-            .power
-            .take_tape()
-            .unwrap_or_else(|| mem::take(&mut s.tape));
-        self.power.record_cycle(tape);
+        // The saved start is never older than the last kept opening.
+        let oldest = s.openings.first().map_or(&s.saved, |o| &o.start);
+        self.power.tape_from(oldest.mark);
     }
 
     /// Starts detection afresh from the current key, in the steady
@@ -281,19 +303,12 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         self.save(s, steps, FIRST_REACH);
     }
 
-    /// At a window opening, before it is keyed: files the orbit's
-    /// stretch since the last opening under that opening, and keeps only
-    /// the openings of the period the harvester declares now. When the
-    /// oldest lies exactly one period back, watches leaking banks from
-    /// it, so this opening's key can be compared with its key, and
-    /// returns the end of the declared period.
-    fn file_orbit(&mut self, s: &mut Skipper) -> Option<SimTime> {
-        match (self.power.take_orbit(), s.openings.last_mut()) {
-            (Some(tape), Some(last)) => last.tape = tape,
-            // The stretch outgrew the tape's room.
-            (None, Some(_)) => s.forget_openings(),
-            _ => {}
-        }
+    /// At a window opening, before it is keyed: keeps only the openings
+    /// of the period the harvester declares now. When the oldest lies
+    /// exactly one period back, watches leaking banks from it, so this
+    /// opening's key can be compared with its key, and returns the end
+    /// of the declared period.
+    fn find_orbit(&mut self, s: &mut Skipper) -> Option<SimTime> {
         let (period, until) = self
             .power
             .harvester()
@@ -304,52 +319,51 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             s.period = period;
         }
         let from = self.now.as_micros().checked_sub(period.as_micros())?;
-        let stale = s.openings.partition_point(|o| o.at.as_micros() < from);
+        let stale = s
+            .openings
+            .partition_point(|o| o.start.at.as_micros() < from);
         s.spare.extend(s.openings.drain(..stale));
-        let first = s.openings.first()?;
+        let first = &s.openings.first()?.start;
         (first.at.as_micros() == from).then(|| {
-            self.power.watch_leaks(first.leaks);
+            self.power.watch_leaks(first.mark);
             until
         })
     }
 
-    /// Keeps this opening, keyed, for the orbits that may start here,
-    /// and starts taping the orbit's stretch from it.
+    /// Keeps this opening, keyed, for the orbits that may start here.
     fn keep_opening(&mut self, s: &mut Skipper, steps: u64) {
         if s.openings.len() >= MAX_OPENINGS {
             s.forget_openings();
         }
         let mut opening = s.spare.pop().unwrap_or_default();
-        opening.at = self.now;
-        opening.steps = steps;
-        opening.key.clone_from(&s.key);
-        opening.leaks = self.power.leak_watch();
+        self.start_here(&mut opening.start, &s.key, steps);
         opening.ctx_until = self.ctx.steady_until(self.now);
-        let tape = mem::take(&mut opening.tape);
-        let taped: usize = s.openings.iter().map(|o| o.tape.entries()).sum();
         s.openings.push(opening);
-        self.power
-            .record_orbit(tape, MAX_ORBIT_TAPE.saturating_sub(taped));
     }
 
     /// Advances as many whole repetitions of the cycle from the saved
     /// key to this boundary as every bound allows; returns the steps
-    /// advanced.
+    /// advanced. Inside a kept period the tape gets the repetitions
+    /// appended, as stepping would have taped them, unless that takes
+    /// the period past the cap; then the period is not jumped.
     fn jump(&mut self, s: &mut Skipper, limits: &RunLimits, steps: u64) -> u64 {
-        let cycle_steps = steps - s.saved_steps;
+        let cycle_steps = steps - s.saved.steps;
         let steady = self
             .power
-            .steady_until(self.now, s.saved_now)
+            .steady_until(self.now, s.saved.at)
             .min(s.window_end);
-        let tape = self
-            .power
-            .take_tape()
-            .expect("the saved key's cycle is taped");
-        let start = (&s.saved, s.saved_now, cycle_steps);
-        let cycles = self.repeat(start, &s.key, steady, iter::once(&tape), limits, steps);
-        s.tape = tape;
+        let cycles = self.repeat(&s.saved, &s.key, steady, limits, steps);
+        if cycles == 0 {
+            return 0;
+        }
+        let taped = usize::try_from(cycles)
+            .ok()
+            .and_then(|k| self.power.taped_since(s.saved.mark).checked_mul(k));
+        if s.cap_orbit(&self.power, taped) {
+            self.power.repeat_tape(s.saved.mark, cycles);
+        }
         let skipped = cycles * cycle_steps;
-        if cfg!(debug_assertions) && cycles > 0 {
+        if cfg!(debug_assertions) {
             s.check = Some(Check {
                 at: steps + skipped + cycle_steps,
                 before: steady,
@@ -362,8 +376,9 @@ impl<H: Harvester, C: SimContext> State<H, C> {
 
     /// Advances as many whole periods from the oldest kept opening, one
     /// period back, to this one as every bound allows, replaying the
-    /// period's tape; `until` ends the declared period. Returns the
-    /// steps advanced. The kept openings are then out of date.
+    /// tape from that opening on; `until` ends the declared period.
+    /// Returns the steps advanced. The kept openings are then out of
+    /// date.
     fn jump_orbit(
         &mut self,
         s: &mut Skipper,
@@ -372,23 +387,21 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         until: SimTime,
     ) -> u64 {
         let first = &s.openings[0];
-        let orbit_steps = steps - first.steps;
+        let orbit_steps = steps - first.start.steps;
         let steady = self
             .power
-            .steady_until(self.now, first.at)
+            .steady_until(self.now, first.start.at)
             .min(first.ctx_until)
             .min(until);
         // An orbit jump runs to its bound, past which the re-check one
         // period on cannot compare; so debug builds leave the last period
         // that fits to stepping when two or more fit.
-        let period = self.now - first.at;
+        let period = self.now - first.start.at;
         let mut jump_until = steady;
         if cfg!(debug_assertions) && self.now + period + period < steady {
             jump_until = steady - period;
         }
-        let start = (&first.key, first.at, orbit_steps);
-        let tapes = s.openings.iter().map(|o| &o.tape);
-        let orbits = self.repeat(start, &s.key, jump_until, tapes, limits, steps);
+        let orbits = self.repeat(&first.start, &s.key, jump_until, limits, steps);
         if orbits == 0 {
             return 0;
         }
@@ -406,22 +419,20 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         skipped
     }
 
-    /// Advances whole repetitions of the cycle that began at a boundary
-    /// keyed `start.0`, at `start.1`, `start.2` steps back, and ends
-    /// here on `end`, as many as fit before `steady`, the horizon and
-    /// the step and energy budgets; `tapes` is what it taped, in order.
-    /// Returns the repetitions applied.
-    fn repeat<'a>(
+    /// Advances whole repetitions of the cycle that began at `start` and
+    /// ends here on `end`, as many as fit before `steady`, the horizon
+    /// and the step and energy budgets, replaying the tape from `start`'s
+    /// mark. Returns the repetitions applied.
+    fn repeat(
         &mut self,
-        start: (&CycleKey, SimTime, u64),
+        start: &Start,
         end: &CycleKey,
         steady: SimTime,
-        tapes: impl Iterator<Item = &'a CycleTape> + Clone,
         limits: &RunLimits,
         steps: u64,
     ) -> u64 {
-        let (start, since, cycle_steps) = start;
-        let period = self.now - since;
+        let period = self.now - start.at;
+        let cycle_steps = steps - start.steps;
         let until = limits.max_sim.map_or(steady, |end| steady.min(end));
         // Whole cycles whose last boundary, now + k·period, stays before
         // `until`: stepping stops at the first boundary at or past the
@@ -437,11 +448,11 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         }
         let cycles = self
             .power
-            .replay_cycles(tapes, cycles, self.now, limits.max_energy);
+            .replay_cycles(start.mark, cycles, self.now, limits.max_energy);
         if cycles == 0 {
             return 0;
         }
-        let mut adv = Cycle::advance(start, end, since, period, cycles);
+        let mut adv = Cycle::advance(&start.key, end, start.at, period, cycles);
         self.steady_state(&mut adv);
         adv.finish();
         self.skips.cycles_skipped += cycles;

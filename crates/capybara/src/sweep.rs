@@ -133,12 +133,6 @@ impl AxisTable {
         self.name
     }
 
-    /// The label of every declared value, in index order.
-    #[must_use]
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
     /// Number of declared values.
     #[must_use]
     pub fn len(&self) -> usize {

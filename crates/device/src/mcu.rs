@@ -127,12 +127,6 @@ impl Mcu {
         self.ops_per_second
     }
 
-    /// Boot duration (power-on reset through runtime state restore).
-    #[must_use]
-    pub fn boot_time(&self) -> SimDuration {
-        self.boot_time
-    }
-
     /// Minimum supply voltage.
     #[must_use]
     pub fn min_voltage(&self) -> Volts {

@@ -120,18 +120,6 @@ impl InputBooster {
         self.efficiency
     }
 
-    /// Cold-start transfer efficiency.
-    #[must_use]
-    pub fn cold_efficiency(&self) -> f64 {
-        self.cold_efficiency
-    }
-
-    /// Minimum usable harvester power.
-    #[must_use]
-    pub fn min_input(&self) -> Watts {
-        self.min_input
-    }
-
     /// Net power delivered into the capacitors for harvester power `p_in`
     /// with the storage rail at `v_cap`, given whether a bypass circuit is
     /// fitted and the harvester's open-circuit voltage.
@@ -288,12 +276,6 @@ impl OutputBooster {
     #[must_use]
     pub fn efficiency(&self) -> f64 {
         self.efficiency
-    }
-
-    /// Quiescent overhead drawn whenever the booster runs.
-    #[must_use]
-    pub fn quiescent(&self) -> Watts {
-        self.quiescent
     }
 
     /// Power that must be drawn from the capacitors to deliver `load` at

@@ -149,15 +149,10 @@ pub struct PowerSystem<H> {
     synced_at: SimTime,
     /// Cumulative energy delivered to loads, for efficiency accounting.
     delivered: Joules,
-    /// While a steady-state cycle is being recorded, what a jump replays:
-    /// every addition to `delivered` and every leak interval, in order.
-    tape: Option<CycleTape>,
-    /// While an orbit is being recorded, the same for its latest stretch,
-    /// including what jumps inside it replay; dropped once it holds more
-    /// than `orbit_room` entries.
-    orbit: Option<CycleTape>,
-    orbit_room: usize,
-    /// How many `sync`s have run: the clock [`LeakWatch`] reads.
+    /// While the run that skips cycles is taping, what its jumps replay
+    /// (see [`PowerSystem::mark_tape`]).
+    tape: Option<SkipTape>,
+    /// How many `sync`s have run: the clock a [`TapeMark`] reads.
     syncs: u64,
     /// The `syncs` reading from which banks are watched for leaking (see
     /// [`PowerSystem::watch_leaks`]).
@@ -205,44 +200,55 @@ impl Slot {
     }
 }
 
-/// An instant in a power system's history from which it can watch for
-/// banks that only leak ([`PowerSystem::watch_leaks`]).
+/// A point on a power system's skip tape ([`PowerSystem::mark_tape`]):
+/// where the tape stood, and the `sync` count a leak watch from there
+/// starts at ([`PowerSystem::watch_leaks`]). It stays valid while the
+/// tape reaches back to it ([`PowerSystem::tape_from`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeakWatch(u64);
-
-/// What one recorded steady-state cycle did that a jump replays instead
-/// of matching by key: every addition to the delivered-energy total,
-/// where each step's additions end, and the interval of every leak, each
-/// in order. A recording reuses the buffers of the last one.
-#[derive(Debug, Clone, Default)]
-pub struct CycleTape {
-    deliveries: Vec<Joules>,
-    /// The `deliveries` length after each recorded step.
-    step_ends: Vec<usize>,
-    leaks: Vec<SimDuration>,
+pub struct TapeMark {
+    at: TapePos,
+    syncs: u64,
 }
 
-impl CycleTape {
-    /// How many entries the tape holds: deliveries, step ends and leaks.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.deliveries.len() + self.step_ends.len() + self.leaks.len()
+/// A position on a tape: how many deliveries, step ends and leaks it
+/// had taken by then, counted from its start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TapePos {
+    deliveries: usize,
+    step_ends: usize,
+    leaks: usize,
+}
+
+/// What jumps replay instead of matching by key: every addition to the
+/// delivered-energy total, where each step's additions end, and the
+/// interval of every leak, each in order, from the oldest mark a jump
+/// may still replay from.
+#[derive(Debug, Clone, Default)]
+struct SkipTape {
+    deliveries: Vec<Joules>,
+    /// The delivery count, from the tape's start, after each step.
+    step_ends: Vec<usize>,
+    leaks: Vec<SimDuration>,
+    /// The position of the first entry kept.
+    front: TapePos,
+}
+
+impl SkipTape {
+    /// The position after the last entry.
+    fn end(&self) -> TapePos {
+        TapePos {
+            deliveries: self.front.deliveries + self.deliveries.len(),
+            step_ends: self.front.step_ends + self.step_ends.len(),
+            leaks: self.front.leaks + self.leaks.len(),
+        }
     }
 
-    fn clear(&mut self) {
-        self.deliveries.clear();
-        self.step_ends.clear();
-        self.leaks.clear();
-    }
-
-    /// Appends `times` copies of `tape`.
-    fn extend(&mut self, tape: &CycleTape, times: u64) {
-        for _ in 0..times {
-            let base = self.deliveries.len();
-            self.deliveries.extend_from_slice(&tape.deliveries);
-            self.step_ends
-                .extend(tape.step_ends.iter().map(|&end| base + end));
-            self.leaks.extend_from_slice(&tape.leaks);
+    /// Where `pos` lies in the kept entries.
+    fn index(&self, pos: TapePos) -> TapePos {
+        TapePos {
+            deliveries: pos.deliveries - self.front.deliveries,
+            step_ends: pos.step_ends - self.front.step_ends,
+            leaks: pos.leaks - self.front.leaks,
         }
     }
 }
@@ -251,8 +257,6 @@ impl CycleTape {
 #[derive(Debug)]
 pub struct PowerSystemBuilder<H> {
     harvester: Option<H>,
-    limiter: VoltageLimiter,
-    input_booster: InputBooster,
     bypass: Option<Bypass>,
     output_booster: OutputBooster,
     banks: Vec<Slot>,
@@ -264,8 +268,6 @@ impl<H: Harvester> PowerSystem<H> {
     pub fn builder() -> PowerSystemBuilder<H> {
         PowerSystemBuilder {
             harvester: None,
-            limiter: VoltageLimiter::prototype(),
-            input_booster: InputBooster::prototype(),
             bypass: Some(Bypass::prototype()),
             output_booster: OutputBooster::prototype(),
             banks: Vec::new(),
@@ -276,12 +278,6 @@ impl<H: Harvester> PowerSystem<H> {
     #[must_use]
     pub fn output_booster(&self) -> &OutputBooster {
         &self.output_booster
-    }
-
-    /// The input booster configuration.
-    #[must_use]
-    pub fn input_booster(&self) -> &InputBooster {
-        &self.input_booster
     }
 
     /// The harvester driving this system.
@@ -757,17 +753,16 @@ impl<H: Harvester> PowerSystem<H> {
     /// * **keyed**: each bank and switch, and the number of pending
     ///   faults (a fault that strikes inside a cycle changes it). A
     ///   *leaking* bank, open now and found closed by no `sync` since
-    ///   the [`PowerSystem::watch_leaks`] instant, visits its voltage bits
-    ///   as replayed: nothing reads an open bank's voltage, only leaks
-    ///   move it, and a jump replays those leaks from the tape;
+    ///   the mark [`PowerSystem::watch_leaks`] watches from, visits its
+    ///   voltage bits as replayed: nothing reads an open bank's voltage,
+    ///   only leaks move it, and a jump replays those leaks from the tape;
     /// * **an instant**: `synced_at`;
     /// * **an accumulator**: `charge_segments` is a counter, and
     ///   `delivered` is replayed addition by addition from the tape
-    ///   [`PowerSystem::record_cycle`] or [`PowerSystem::record_orbit`]
-    ///   keeps;
+    ///   ([`PowerSystem::mark_tape`]);
     /// * **an exact cache**: `closed_cache` and `rail_derived`, which
     ///   equal recomputation at any instant;
-    /// * **detection only**: the tapes, the `sync` count and the leak
+    /// * **detection only**: the tape, the `sync` count and the leak
     ///   watch, which decide nothing the device does;
     /// * **fixed** during a run: the harvester (whose segments and period
     ///   bound a skip), the distribution circuits, the wear model and the
@@ -788,8 +783,6 @@ impl<H: Harvester> PowerSystem<H> {
             synced_at,
             delivered: _,
             tape: _,
-            orbit: _,
-            orbit_room: _,
             syncs: _,
             watch,
             pending_faults,
@@ -834,92 +827,129 @@ impl<H: Harvester> PowerSystem<H> {
         faults.chain(latches).fold(SimTime::MAX, SimTime::min)
     }
 
-    /// The current instant, as a point to watch leaking banks from.
-    #[must_use]
-    pub fn leak_watch(&self) -> LeakWatch {
-        LeakWatch(self.syncs)
+    /// Starts taping unless the tape is already running, and marks where
+    /// it stands. From then on the tape takes every addition to the
+    /// delivered-energy total, every step end ([`PowerSystem::end_taped_step`])
+    /// and the interval of every leak, until [`PowerSystem::stop_taping`].
+    pub fn mark_tape(&mut self) -> TapeMark {
+        let tape = self.tape.get_or_insert_with(SkipTape::default);
+        TapeMark {
+            at: tape.end(),
+            syncs: self.syncs,
+        }
     }
 
-    /// Watches for leaking banks from `from` (a [`LeakWatch`] taken now
-    /// or earlier): a bank is *leaking* while it is open and no `sync`
-    /// since `from` has found it closed (see
-    /// [`PowerSystem::steady_state`]). Keys and [`PowerSystem::replay_cycles`]
-    /// read the watch.
-    pub fn watch_leaks(&mut self, from: LeakWatch) {
-        self.watch = from.0;
+    /// Watches for leaking banks from `from`: a bank is *leaking* while
+    /// it is open and no `sync` since the mark has found it closed (see
+    /// [`PowerSystem::steady_state`]). Keys and
+    /// [`PowerSystem::replay_cycles`] read the watch.
+    pub fn watch_leaks(&mut self, from: TapeMark) {
+        self.watch = from.syncs;
     }
 
-    /// Starts recording a steady-state cycle into `tape` (cleared first)
-    /// until [`PowerSystem::take_tape`]: every addition to the
-    /// delivered-energy total and the interval of every leak.
-    pub fn record_cycle(&mut self, mut tape: CycleTape) {
-        tape.clear();
-        self.tape = Some(tape);
-    }
-
-    /// Starts recording a stretch of an orbit into `tape` (cleared
-    /// first) until [`PowerSystem::take_orbit`]: what
-    /// [`PowerSystem::record_cycle`] records, plus whatever
-    /// [`PowerSystem::replay_cycles`] replays meanwhile. Once the tape
-    /// holds more than `room` entries ([`CycleTape::entries`], checked
-    /// at each step's end) the recording is dropped.
-    pub fn record_orbit(&mut self, mut tape: CycleTape, room: usize) {
-        tape.clear();
-        self.orbit = Some(tape);
-        self.orbit_room = room;
-    }
-
-    /// Marks the end of one recorded step (nothing when not recording).
+    /// Marks the end of one taped step (nothing when not taping).
     pub fn end_taped_step(&mut self) {
         if let Some(tape) = &mut self.tape {
-            tape.step_ends.push(tape.deliveries.len());
+            tape.step_ends.push(tape.end().deliveries);
         }
-        if let Some(orbit) = &mut self.orbit {
-            orbit.step_ends.push(orbit.deliveries.len());
-            if orbit.entries() > self.orbit_room {
-                self.orbit = None;
+    }
+
+    /// How many entries the tape holds from `from` on: deliveries, step
+    /// ends and leaks.
+    #[must_use]
+    pub fn taped_since(&self, from: TapeMark) -> usize {
+        let entries = |p: TapePos| p.deliveries + p.step_ends + p.leaks;
+        self.tape
+            .as_ref()
+            .map_or(0, |tape| entries(tape.end()) - entries(from.at))
+    }
+
+    /// Drops what the tape holds before `from`; marks at or after it stay
+    /// valid.
+    pub fn tape_from(&mut self, from: TapeMark) {
+        if let Some(tape) = &mut self.tape {
+            let drop = tape.index(from.at);
+            tape.deliveries.drain(..drop.deliveries);
+            tape.step_ends.drain(..drop.step_ends);
+            tape.leaks.drain(..drop.leaks);
+            tape.front = from.at;
+        }
+    }
+
+    /// Stops taping and drops the tape.
+    pub fn stop_taping(&mut self) {
+        self.tape = None;
+    }
+
+    /// Appends `times` copies of the tape from `from` on, as if stepping
+    /// had taped that many more repetitions of it.
+    pub fn repeat_tape(&mut self, from: TapeMark, times: u64) {
+        let Some(tape) = &mut self.tape else {
+            return;
+        };
+        let (from, end) = (tape.index(from.at), tape.index(tape.end()));
+        let mut shift = 0;
+        for _ in 0..times {
+            shift += end.deliveries - from.deliveries;
+            tape.deliveries
+                .extend_from_within(from.deliveries..end.deliveries);
+            for i in from.step_ends..end.step_ends {
+                let step_end = tape.step_ends[i] + shift;
+                tape.step_ends.push(step_end);
             }
+            tape.leaks.extend_from_within(from.leaks..end.leaks);
         }
     }
 
-    /// Stops recording and returns the tape, if one was recording.
-    pub fn take_tape(&mut self) -> Option<CycleTape> {
-        self.tape.take()
-    }
-
-    /// Stops recording an orbit and returns its tape, unless none was
-    /// recording or the recording outgrew its room.
-    pub fn take_orbit(&mut self) -> Option<CycleTape> {
-        self.orbit.take()
-    }
-
-    /// Replays a recorded cycle, taped as the stretches `tapes` in
-    /// order, up to `cycles` times, so every replayed float keeps the
-    /// bits stepping would give, and returns the repetitions applied.
-    /// First the delivered-energy total: its additions, in order; with a
-    /// `budget`, a repetition in which some step would leave the total
-    /// above it is not applied, nor any after it, because stepping stops
-    /// at that step. Then each bank leaking at `now`: the taped leak
-    /// intervals, in order, through the same [`capacitor::leak`] as
-    /// stepping, once per applied repetition. An orbit being recorded
-    /// gets the applied repetitions appended.
-    pub fn replay_cycles<'a>(
+    /// Replays the tape from `from` on, as one cycle, up to `cycles`
+    /// times, so every replayed float keeps the bits stepping would give,
+    /// and returns the repetitions applied. First the delivered-energy
+    /// total: its additions, in order; with a `budget`, a repetition in
+    /// which some step would leave the total above it is not applied,
+    /// nor any after it, because stepping stops at that step. Then each
+    /// bank leaking at `now` (watched from `from` or earlier): the taped
+    /// leak intervals, in order, through the same [`capacitor::leak`] as
+    /// stepping, once per applied repetition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the power system is not taping.
+    pub fn replay_cycles(
         &mut self,
-        tapes: impl Iterator<Item = &'a CycleTape> + Clone,
+        from: TapeMark,
         cycles: u64,
         now: SimTime,
         budget: Option<Joules>,
     ) -> u64 {
-        let cycles = self.replay_deliveries(tapes.clone(), cycles, budget);
+        let tape = self.tape.as_ref().expect("a replay reads the tape");
+        let at = tape.index(from.at);
+        let mut total = self.delivered;
+        let mut applied = cycles;
+        'cycles: for done in 0..cycles {
+            let mut next = total;
+            let mut taken = at.deliveries;
+            for &step_end in &tape.step_ends[at.step_ends..] {
+                let to = step_end - tape.front.deliveries;
+                for &e in &tape.deliveries[taken..to] {
+                    next += e;
+                }
+                taken = to;
+                if budget.is_some_and(|max| next > max) {
+                    applied = done;
+                    break 'cycles;
+                }
+            }
+            total = next;
+        }
+        self.delivered = total;
+        let leaks = &tape.leaks[at.leaks..];
         for slot in &mut self.banks {
             if !slot.leaking(self.watch, now) {
                 continue;
             }
-            for _ in 0..cycles {
-                for tape in tapes.clone() {
-                    for &dt in &tape.leaks {
-                        slot.bank.apply_leakage(dt);
-                    }
+            for _ in 0..applied {
+                for &dt in leaks {
+                    slot.bank.apply_leakage(dt);
                 }
                 // Leaking never lifts a bank off the 0 V floor.
                 if slot.bank.voltage() == Volts::ZERO {
@@ -927,49 +957,7 @@ impl<H: Harvester> PowerSystem<H> {
                 }
             }
         }
-        if let Some(orbit) = &mut self.orbit {
-            let entries = tapes.clone().map(CycleTape::entries).sum::<usize>();
-            let grown = usize::try_from(cycles)
-                .ok()
-                .and_then(|k| entries.checked_mul(k))
-                .and_then(|n| n.checked_add(orbit.entries()));
-            if grown.is_some_and(|n| n <= self.orbit_room) {
-                for tape in tapes {
-                    orbit.extend(tape, cycles);
-                }
-            } else {
-                self.orbit = None;
-            }
-        }
-        cycles
-    }
-
-    fn replay_deliveries<'a>(
-        &mut self,
-        tapes: impl Iterator<Item = &'a CycleTape> + Clone,
-        cycles: u64,
-        budget: Option<Joules>,
-    ) -> u64 {
-        let mut total = self.delivered;
-        for done in 0..cycles {
-            let mut next = total;
-            for tape in tapes.clone() {
-                let mut from = 0;
-                for &to in &tape.step_ends {
-                    for &e in &tape.deliveries[from..to] {
-                        next += e;
-                    }
-                    from = to;
-                    if budget.is_some_and(|max| next > max) {
-                        self.delivered = total;
-                        return done;
-                    }
-                }
-            }
-            total = next;
-        }
-        self.delivered = total;
-        cycles
+        applied
     }
 
     // --- internals -------------------------------------------------------
@@ -978,9 +966,6 @@ impl<H: Harvester> PowerSystem<H> {
         self.delivered += energy;
         if let Some(tape) = &mut self.tape {
             tape.deliveries.push(energy);
-        }
-        if let Some(orbit) = &mut self.orbit {
-            orbit.deliveries.push(energy);
         }
     }
 
@@ -1116,9 +1101,6 @@ impl<H: Harvester> PowerSystem<H> {
         if let Some(tape) = &mut self.tape {
             tape.leaks.push(dt);
         }
-        if let Some(orbit) = &mut self.orbit {
-            orbit.leaks.push(dt);
-        }
     }
 
     /// Derived rail quantities at `now`, memoized. The cached value is
@@ -1204,20 +1186,6 @@ impl<H: Harvester> PowerSystemBuilder<H> {
         self
     }
 
-    /// Overrides the voltage limiter.
-    #[must_use]
-    pub fn limiter(mut self, limiter: VoltageLimiter) -> Self {
-        self.limiter = limiter;
-        self
-    }
-
-    /// Overrides the input booster.
-    #[must_use]
-    pub fn input_booster(mut self, booster: InputBooster) -> Self {
-        self.input_booster = booster;
-        self
-    }
-
     /// Removes or replaces the bypass circuit (set `None` to measure the
     /// cold-start penalty the bypass exists to avoid).
     #[must_use]
@@ -1256,8 +1224,8 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             .collect();
         PowerSystem {
             harvester,
-            limiter: self.limiter,
-            input_booster: self.input_booster,
+            limiter: VoltageLimiter::prototype(),
+            input_booster: InputBooster::prototype(),
             bypass: self.bypass,
             output_booster: self.output_booster,
             banks: self.banks,
@@ -1265,8 +1233,6 @@ impl<H: Harvester> PowerSystemBuilder<H> {
             synced_at: SimTime::ZERO,
             delivered: Joules::ZERO,
             tape: None,
-            orbit: None,
-            orbit_room: 0,
             syncs: 0,
             watch: 0,
             pending_faults: Vec::new(),
@@ -1759,53 +1725,78 @@ mod tests {
         sys.end_taped_step();
     }
 
-    /// Runs the settling duty cycle and one taped cycle; returns the tape.
-    fn settle_and_tape(sys: &mut PowerSystem<ConstantHarvester>, now: &mut SimTime) -> CycleTape {
+    /// Marks the tape and watches leaking banks from there.
+    fn watch_from_here(sys: &mut PowerSystem<ConstantHarvester>) -> TapeMark {
+        let mark = sys.mark_tape();
+        sys.watch_leaks(mark);
+        mark
+    }
+
+    /// Runs the settling duty cycle and one taped cycle; returns the mark
+    /// at the taped cycle's start.
+    fn settle_and_tape(sys: &mut PowerSystem<ConstantHarvester>, now: &mut SimTime) -> TapeMark {
         duty_cycle(sys, now);
-        sys.watch_leaks(sys.leak_watch());
-        sys.record_cycle(CycleTape::default());
+        let mark = watch_from_here(sys);
         duty_cycle(sys, now);
-        sys.take_tape().expect("recording")
+        mark
     }
 
     #[test]
     fn replaying_an_open_banks_taped_leaks_equals_stepping_them() {
         const K: u64 = 40;
+        type Sys = PowerSystem<ConstantHarvester>;
         // The second start leaks to the 0 V floor about ten cycles into
         // the replay, which must stop there exactly where stepping does.
         let mut probe = open_big_bank_system(Volts::new(2.1));
-        let big = |sys: &PowerSystem<ConstantHarvester>| sys.bank(BankId(1)).unwrap().voltage();
+        let big = |sys: &Sys| sys.bank(BankId(1)).unwrap().voltage();
         let mut t = SimTime::ZERO;
         settle_and_tape(&mut probe, &mut t);
         let taped = Volts::new(2.1) - big(&probe);
         let at = big(&probe);
         duty_cycle(&mut probe, &mut t);
         let near_empty = taped + (at - big(&probe)) * 10.5;
+        let bits = |sys: &Sys| {
+            let bank = |i| sys.bank(BankId(i)).unwrap().voltage().get().to_bits();
+            [bank(0), bank(1), sys.energy_delivered().get().to_bits()]
+        };
         for start in [Volts::new(2.1), near_empty] {
             let mut sys = open_big_bank_system(start);
             let mut now = SimTime::ZERO;
-            let tape = settle_and_tape(&mut sys, &mut now);
-            assert!(!tape.leaks.is_empty());
-            assert!(sys.bank(BankId(1)).unwrap().voltage() > Volts::ZERO);
+            let mark = settle_and_tape(&mut sys, &mut now);
+            assert!(!sys.tape.as_ref().expect("taping").leaks.is_empty());
+            assert!(big(&sys) > Volts::ZERO);
 
             let mut stepped = sys.clone();
             let mut t = now;
             for _ in 0..K {
                 duty_cycle(&mut stepped, &mut t);
             }
-            assert_eq!(sys.replay_cycles([&tape].into_iter(), K, now, None), K);
-            let bits = |sys: &PowerSystem<ConstantHarvester>, i| {
-                sys.bank(BankId(i)).unwrap().voltage().get().to_bits()
-            };
-            for i in 0..2 {
-                assert_eq!(bits(&sys, i), bits(&stepped, i), "bank {i} from {start}");
+            // The taped cycle, K times.
+            let mut once = sys.clone();
+            assert_eq!(once.replay_cycles(mark, K, now, None), K);
+            // One more cycle stepped from a mark of its own, the tape's
+            // front up to that mark dropped, and that cycle K - 1 times.
+            let mut trimmed = sys.clone();
+            let mut t = now;
+            let second = watch_from_here(&mut trimmed);
+            duty_cycle(&mut trimmed, &mut t);
+            trimmed.tape_from(second);
+            assert_eq!(trimmed.taped_since(second), sys.taped_since(mark));
+            assert_eq!(trimmed.replay_cycles(second, K - 1, t, None), K - 1);
+            // Four cycles replayed and three more copies of the taped one
+            // appended, then that four-cycle tape nine times.
+            let mut repeated = sys.clone();
+            assert_eq!(repeated.replay_cycles(mark, 4, now, None), 4);
+            repeated.repeat_tape(mark, 3);
+            assert_eq!(repeated.taped_since(mark), 4 * sys.taped_since(mark));
+            assert_eq!(repeated.replay_cycles(mark, 9, now, None), 9);
+
+            for (label, replayed) in [("once", once), ("trimmed", trimmed), ("repeated", repeated)]
+            {
+                assert_eq!(bits(&replayed), bits(&stepped), "{label} from {start}");
             }
-            assert_eq!(
-                sys.energy_delivered().get().to_bits(),
-                stepped.energy_delivered().get().to_bits()
-            );
             if start == near_empty {
-                assert_eq!(sys.bank(BankId(1)).unwrap().voltage(), Volts::ZERO);
+                assert_eq!(big(&stepped), Volts::ZERO);
             }
         }
     }
@@ -1820,8 +1811,8 @@ mod tests {
         let mut a = open_big_bank_system(Volts::new(2.0));
         let mut b = open_big_bank_system(Volts::new(2.05));
         let now = SimTime::ZERO;
-        a.watch_leaks(a.leak_watch());
-        b.watch_leaks(b.leak_watch());
+        watch_from_here(&mut a);
+        watch_from_here(&mut b);
         // Open since the watch: the open bank's voltage is not compared.
         assert!(key(&mut a, now).same_state(&key(&mut b, now)));
         assert!(key(&mut b, now).same_state(&key(&mut a, now)));
@@ -1842,8 +1833,8 @@ mod tests {
         }
         assert!(!key(&mut a, now).same_state(&key(&mut b, now)));
         // A fresh watch forgets the close.
-        a.watch_leaks(a.leak_watch());
-        b.watch_leaks(b.leak_watch());
+        watch_from_here(&mut a);
+        watch_from_here(&mut b);
         assert!(key(&mut a, now).same_state(&key(&mut b, now)));
     }
 

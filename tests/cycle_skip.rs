@@ -632,6 +632,70 @@ fn ta_kill_points_skip_bit_for_bit() {
     assert!(skipped > 0, "no kill point skipped");
 }
 
+/// `stats` as `[detected, cycles, orbits, steps]`, added to `total`.
+fn add_stats(total: &mut [u64; 4], stats: SkipStats) {
+    let counts = [
+        stats.cycles_detected,
+        stats.cycles_skipped,
+        stats.orbits_skipped,
+        stats.steps_skipped,
+    ];
+    for (sum, n) in total.iter_mut().zip(counts) {
+        *sum += n;
+    }
+}
+
+/// The skip counters over fixed seeded inputs, added up per input:
+/// stamped `fleet_smoke` devices over an hour, which jump orbits,
+/// `scenario_batch` draws and TA kill points, which jump cycles only.
+/// The bit-for-bit tests above pass for a run that skips less, or not
+/// at all; these exact totals do not. Debug builds leave an orbit
+/// jump's last period to stepping, so the fleet's totals are pinned per
+/// build profile.
+#[test]
+fn skip_counts_on_fixed_inputs_are_pinned() {
+    let (fleet, _) = fleet_at("manifests/fleet_smoke.capy", HOUR_S, |t| t);
+    let mut orbital = [0; 4];
+    for index in 0..8 {
+        let device = fleet.device(&fleet.spec().device(index));
+        let mut sim = device.sim.clone();
+        sim.run_limited(&device.limits);
+        add_stats(&mut orbital, sim.skip_stats());
+    }
+    let mut batch = [0; 4];
+    for index in 0..32 {
+        let compiled = compile(&batch_draw(1, index)).expect("the draw compiles");
+        let mut sim = compiled.sim.clone();
+        sim.run_limited(&compiled.limits);
+        add_stats(&mut batch, sim.skip_stats());
+    }
+    let (alarms, seed) = ta_bench_schedule(1);
+    let build = || ta::build(Variant::CapyP, alarms.clone(), seed);
+    let mut kills = [0; 4];
+    for kill in ta_kill_instants(&alarms, build) {
+        let mut sim = build();
+        sim.run_limited(&RunLimits::until(kill));
+        sim.inject_power_failure();
+        sim.run_limited(&RunLimits::until(TA_HORIZON));
+        add_stats(&mut kills, sim.skip_stats());
+    }
+    let want_orbital = if cfg!(debug_assertions) {
+        [270, 2_009, 284, 89_114]
+    } else {
+        [218, 1_808, 308, 90_338]
+    };
+    assert_eq!(
+        [orbital, batch, kills],
+        [
+            want_orbital,
+            [32, 32_804, 0, 273_374],
+            [77, 1_548, 0, 264_708]
+        ],
+        "[detected, cycles, orbits, steps] for the orbital devices, the batch draws \
+         and the TA kill points"
+    );
+}
+
 #[test]
 fn skipping_is_real_on_the_alarm_hour_and_ta_and_absent_from_csr_and_grc() {
     let share = check_manifest(
@@ -701,15 +765,12 @@ impl SimContext for Sampler {
     }
 }
 
-/// A duty-cycled sampler on one ceramic bank under a constant 1 mW,
-/// recording its voltage trace: each sample charges, computes for 5 ms
-/// and sleeps for 200 ms.
-fn traced_sampler() -> Simulator<ConstantHarvester, Sampler> {
+/// A duty-cycled sampler on one ceramic bank under `harvester`, with its
+/// voltage trace recorded if `trace`: each sample charges, computes for
+/// 5 ms and sleeps for 200 ms.
+fn sampler<H: Harvester>(harvester: H, trace: bool) -> Simulator<H, Sampler> {
     let power = PowerSystem::builder()
-        .harvester(ConstantHarvester::new(
-            Watts::from_milli(1.0),
-            Volts::new(3.0),
-        ))
+        .harvester(harvester)
         .bank(
             Bank::builder("small")
                 .with_n(parts::ceramic_x5r_100uf(), 4)
@@ -731,13 +792,14 @@ fn traced_sampler() -> Simulator<ConstantHarvester, Sampler> {
                 }
             },
         )
-        .record_trace(true)
+        .record_trace(trace)
         .build(Sampler::default())
 }
 
 #[test]
 fn a_recorded_voltage_trace_skips_bit_for_bit() {
-    let sim = traced_sampler();
+    let harvester = ConstantHarvester::new(Watts::from_milli(1.0), Volts::new(3.0));
+    let sim = sampler(harvester, true);
     let limits = RunLimits::until(SimTime::from_secs(600));
     let (mut skip, mut step) = (sim.clone(), sim.clone());
     let skip_outcome = skip.run_limited(&limits);
@@ -799,10 +861,10 @@ fn unit_sleeper() -> Simulator<ConstantHarvester, ()> {
         .build(())
 }
 
-/// The orbital fleet's sense/report device on the empty context `()`,
-/// under `harvester`: an 8 ms sense on the small bank, a 200 ms sleep,
-/// and a 40 ms report on both banks.
-fn unit_sensor<H: Harvester>(harvester: H) -> Simulator<H, ()> {
+/// The orbital fleet's sense/report device under `harvester`, on a
+/// context `ctx` its bodies ignore: an 8 ms sense on the small bank, a
+/// 200 ms sleep, and a 40 ms report on both banks.
+fn sensor<H: Harvester, C: SimContext + 'static>(harvester: H, ctx: C) -> Simulator<H, C> {
     let power = PowerSystem::builder()
         .harvester(harvester)
         .bank(
@@ -824,7 +886,7 @@ fn unit_sensor<H: Harvester>(harvester: H) -> Simulator<H, ()> {
             "sense",
             TaskEnergy::Config(EnergyMode(0)),
             |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(8))),
-            |_c: &mut ()| Transition::Sleep {
+            |_c: &mut C| Transition::Sleep {
                 duration: SimDuration::from_millis(200),
                 then: TaskId(1),
             },
@@ -833,24 +895,23 @@ fn unit_sensor<H: Harvester>(harvester: H) -> Simulator<H, ()> {
             "report",
             TaskEnergy::Config(EnergyMode(1)),
             |mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(40))),
-            |_c: &mut ()| Transition::To(TaskId(0)),
+            |_c: &mut C| Transition::To(TaskId(0)),
         )
-        .build(())
+        .build(ctx)
 }
 
 /// Runs `sim` to `horizon` skipping and a clone stepping; asserts
 /// identical results and returns what the skipping run skipped.
-fn assert_unit_skip_matches_step<H: Harvester + Clone>(
+fn assert_sim_skip_matches_step<H: Harvester + Clone, C: SimContext + Clone>(
     label: &str,
-    sim: &Simulator<H, ()>,
+    sim: &Simulator<H, C>,
     horizon: SimTime,
 ) -> Skipped {
     let limits = RunLimits::until(horizon);
     let (mut skip, mut step) = (sim.clone(), sim.clone());
     let skip_outcome = skip.run_limited(&limits);
     let (step_outcome, steps) = stepped(&mut step, &limits);
-    let print =
-        |sim: &Simulator<H, ()>, outcome| fingerprint(sim, outcome, &[], sim.events().len());
+    let print = |sim: &Simulator<H, C>, outcome| fingerprint(sim, outcome, &[], sim.events().len());
     assert_same_print(
         label,
         &print(&skip, skip_outcome),
@@ -870,7 +931,7 @@ fn assert_unit_skip_matches_step<H: Harvester + Clone>(
 #[test]
 fn a_unit_context_device_skips_bit_for_bit() {
     let sleeper = unit_sleeper();
-    let skipped = assert_unit_skip_matches_step("() sleeper", &sleeper, SimTime::from_secs(36_000));
+    let skipped = assert_sim_skip_matches_step("() sleeper", &sleeper, SimTime::from_secs(36_000));
     assert!(skipped.share > 0.8, "() sleeper: {:?}", skipped.stats);
 
     let orbit = SharedEnvironment::orbital(SimDuration::from_secs(45), 0.6)
@@ -888,13 +949,130 @@ fn a_unit_context_device_skips_bit_for_bit() {
     let traced = orbit.clone().with_trace(trace).expect("the trace is valid");
     let inner = ConstantHarvester::new(Watts::from_milli(4.0), Volts::new(3.0));
     for (label, env, orbits) in [("orbit", orbit, 40), ("traced orbit", traced, 20)] {
-        let sensor = unit_sensor(FleetHarvester::new(inner, 0.9, env, 0.4));
+        let device = sensor(FleetHarvester::new(inner, 0.9, env, 0.4), ());
         let horizon = SimTime::from_secs(3_600);
-        let skipped = assert_unit_skip_matches_step(label, &sensor, horizon);
+        let skipped = assert_sim_skip_matches_step(label, &device, horizon);
         assert!(
             skipped.stats.orbits_skipped > orbits,
             "() sensor, {label}: {:?}",
             skipped.stats
         );
     }
+}
+
+/// A square wave cut into 1 s segments while lit: `lit` seconds at
+/// 1 mW, then `dark` seconds dark, repeating from time zero. Each segment
+/// end opens a steady window.
+#[derive(Clone, Copy)]
+struct SlicedWave {
+    lit: u64,
+    dark: u64,
+}
+
+impl SlicedWave {
+    /// The whole second `t` lies in, and its phase in the period.
+    fn second(&self, t: SimTime) -> (u64, u64) {
+        let s = t.as_micros() / 1_000_000;
+        (s, s % (self.lit + self.dark))
+    }
+}
+
+impl Harvester for SlicedWave {
+    fn power_at(&self, t: SimTime) -> Watts {
+        if self.second(t).1 < self.lit {
+            Watts::from_milli(1.0)
+        } else {
+            Watts::ZERO
+        }
+    }
+
+    fn valid_until(&self, t: SimTime) -> SimTime {
+        let (s, phase) = self.second(t);
+        if phase < self.lit {
+            SimTime::from_secs(s + 1)
+        } else {
+            SimTime::from_secs(s - phase + self.lit + self.dark)
+        }
+    }
+
+    fn open_voltage(&self, t: SimTime) -> Volts {
+        if self.second(t).1 < self.lit {
+            Volts::new(3.0)
+        } else {
+            Volts::ZERO
+        }
+    }
+
+    fn period(&self, _t: SimTime) -> Option<(SimDuration, SimTime)> {
+        Some((SimDuration::from_secs(self.lit + self.dark), SimTime::MAX))
+    }
+}
+
+/// A context that keys its clock's phase in `period`: inside a period
+/// no state repeats, but a whole period can.
+#[derive(Clone)]
+struct Phase {
+    period: SimDuration,
+    now: SimTime,
+}
+
+impl NvState for Phase {
+    fn commit_all(&mut self) {}
+    fn abort_all(&mut self) {}
+}
+
+impl SimContext for Phase {
+    fn set_now(&mut self, now: SimTime) {
+        self.now = now;
+    }
+
+    fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
+        c.word(self.now.as_micros() % self.period.as_micros());
+        c.instant(&mut self.now);
+        true
+    }
+}
+
+/// A period with more window openings than the 64 the run keeps is
+/// never jumped: under a 90 s square wave cut into 1 s segments while
+/// lit, the sampler opens a window about every second of its 70 lit
+/// seconds. Its 80 s twin, lit for 60, opens fewer and jumps whole
+/// periods.
+#[test]
+fn a_period_with_more_openings_than_are_kept_is_stepped() {
+    let horizon = SimTime::from_secs(3_600);
+    let orbits = |lit| {
+        let sim = sampler(SlicedWave { lit, dark: 20 }, false);
+        let label = format!("sampler lit {lit} s of {}", lit + 20);
+        assert_sim_skip_matches_step(&label, &sim, horizon)
+            .stats
+            .orbits_skipped
+    };
+    assert_eq!(orbits(70), 0);
+    assert!(orbits(60) > 20);
+}
+
+/// A period that tapes more than the orbit tape's cap is never jumped:
+/// a sensor whose context keys its phase in the eclipse period (so no
+/// cycle repeats inside one) steps a whole 1,200 s orbit, which tapes
+/// more than 32,768 entries. Its 300 s twin tapes less and jumps.
+#[test]
+fn a_period_that_outgrows_the_tape_is_stepped() {
+    let horizon = SimTime::from_secs(7_200);
+    let inner = ConstantHarvester::new(Watts::from_milli(4.0), Volts::new(3.0));
+    let orbits = |period_s| {
+        let period = SimDuration::from_secs(period_s);
+        let env = SharedEnvironment::orbital(period, 0.6);
+        let harvester = FleetHarvester::new(inner, 0.9, env, 0.4);
+        let phase = Phase {
+            period,
+            now: SimTime::ZERO,
+        };
+        let label = format!("phase sensor, {period_s} s orbit");
+        assert_sim_skip_matches_step(&label, &sensor(harvester, phase), horizon)
+            .stats
+            .orbits_skipped
+    };
+    assert_eq!(orbits(1_200), 0);
+    assert!(orbits(300) > 10);
 }
