@@ -112,6 +112,18 @@ for golden in "$CI_TMP"/golden/*.result.json; do
     run cmp "$golden" "$CI_TMP/stale/$(basename "$golden")"
 done
 
+# A year of simulated time (the alarm manifest with a one-year horizon):
+# once its loop settles the run jumps whole cycles and keeps counts, not
+# its event log, so it must finish inside 600 MB of address space and
+# 30 s and reproduce its golden artifact byte for byte.
+(
+    ulimit -v 614400
+    run timeout 30 "$CAPY_RUN" --workers 1 --out-dir "$CI_TMP/year" \
+        tests/horizons/temperature_alarm_year.capy
+)
+run cmp tests/horizons/temperature_alarm_year.result.json \
+    "$CI_TMP/year/temperature_alarm_year.result.json"
+
 # Seeded fuzz smoke gate: a fixed master seed and a small case budget of
 # randomized kill/fault schedules (including correlated rail surges)
 # must recover cleanly; any violation's digest prints the

@@ -63,7 +63,7 @@ use capy_units::rng::{derive_seed, DetRng};
 use capy_units::sketch::QuantileSketch;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 
-use crate::sim::{SimContext, SimEvent, Simulator};
+use crate::sim::{SimContext, Simulator};
 use crate::sweep::{map_stats, RunSummary, DEFAULT_BASE_SEED};
 
 /// Number of shards a fleet is striped over — fixed (not derived from
@@ -804,10 +804,11 @@ impl FleetSpec {
 pub struct DeviceOutcome {
     /// The run's standard observability record.
     pub summary: RunSummary,
-    /// Per-event latencies (for the cross-device quantile sketch). The
+    /// Per-event latencies (for the cross-device quantile sketch), as
+    /// `(latency, count)` runs in no particular order. The
     /// [`DeviceOutcome::from_sim`] convention records each on-path
     /// charge pause — the outage a device-side event waits out.
-    pub latencies: Vec<SimDuration>,
+    pub latencies: Vec<(SimDuration, u64)>,
     /// The instant the device died (first bank failure or stall), if it
     /// did — feeds the wear-out survival histogram.
     pub death: Option<SimTime>,
@@ -818,24 +819,16 @@ pub struct DeviceOutcome {
 
 impl DeviceOutcome {
     /// Extracts the standard outcome from a finished simulator: the
-    /// run summary, one latency per on-path charge pause, and the first
-    /// bank-failure/stall instant as the death time.
+    /// run summary, its on-path charge pauses as latency runs
+    /// ([`Simulator::pause_runs`]), and the first bank-failure/stall
+    /// instant as the death time ([`Simulator::death`]). None of them
+    /// needs the event log.
     #[must_use]
     pub fn from_sim<H: Harvester, C: SimContext>(sim: &Simulator<H, C>) -> Self {
-        let summary = RunSummary::from_sim(sim, Duration::ZERO);
-        let mut latencies = Vec::new();
-        let mut death = None;
-        for e in sim.events() {
-            if let Some(pause) = e.on_path_pause() {
-                latencies.push(pause);
-            } else if let SimEvent::BankFailed { at, .. } | SimEvent::Stalled { at } = e {
-                death = death.or(Some(*at));
-            }
-        }
         Self {
-            summary,
-            latencies,
-            death,
+            summary: RunSummary::from_sim(sim, Duration::ZERO),
+            latencies: sim.pause_runs().collect(),
+            death: sim.death(),
             task_completions: Vec::new(),
         }
     }
@@ -1059,8 +1052,8 @@ impl FleetAccumulator {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let nj = (s.delivered_energy.get() * 1e9).round().max(0.0) as u128;
         self.delivered_nanojoules += nj;
-        for l in &outcome.latencies {
-            self.latency.record(l.as_micros());
+        for &(latency, n) in &outcome.latencies {
+            self.latency.record_n(latency.as_micros(), n);
         }
         if let Some(death) = outcome.death {
             self.dead_devices += 1;
@@ -1457,8 +1450,11 @@ mod tests {
             end: SimTime::from_secs(60),
             ..RunSummary::default()
         };
-        let latencies: Vec<SimDuration> = (0..completions)
-            .map(|_| SimDuration::from_micros(rng.gen_range(100u64..1_000_000)))
+        let latencies = (0..completions)
+            .map(|_| {
+                let latency = SimDuration::from_micros(rng.gen_range(100u64..1_000_000));
+                (latency, rng.gen_range(1u64..4))
+            })
             .collect();
         let death = rng
             .gen_bool(0.25)
@@ -1583,6 +1579,7 @@ mod tests {
         use capy_power::system::PowerSystem;
         use capy_power::technology::parts;
 
+        #[derive(Clone)]
         struct Ctx {
             n: NvVar<u64>,
         }
@@ -1622,11 +1619,18 @@ mod tests {
                 },
             )
             .build(Ctx { n: NvVar::new(0) });
+        let mut no_log = sim.clone();
+        no_log.keep_log(false);
         sim.run_until(SimTime::from_secs(30));
+        no_log.run_until(SimTime::from_secs(30));
         let outcome = DeviceOutcome::from_sim(&sim);
-        assert_eq!(outcome.summary.charges as usize, outcome.latencies.len());
+        let pauses: u64 = outcome.latencies.iter().map(|&(_, n)| n).sum();
+        assert_eq!(outcome.summary.charges, pauses);
         assert!(!outcome.latencies.is_empty());
         assert!(outcome.death.is_none());
+        // Without its log the device keeps the same pause runs: stepped,
+        // each is one pause.
+        assert_eq!(DeviceOutcome::from_sim(&no_log), outcome);
         // Every deep cycle the weak harvest forced is visible as wear.
         let wear = DeviceWear::from_sim(&sim);
         assert_eq!(wear.bank_cycles.len(), 1);

@@ -20,7 +20,9 @@
 //! [`PolicyObservation::harvest_power`] — are methods computed when a
 //! policy calls them, so a policy that reads none of them (the default
 //! [`StaticAnnotation`] among them) adds no work to a step. The
-//! simulator keeps the event log as its output; no policy reads it.
+//! simulator keeps the pauses since the last decision for the
+//! observation, whether or not it keeps its event log
+//! ([`Simulator::keep_log`]); no policy reads the log.
 //! Policy-internal state lives in non-volatile cells
 //! ([`NvVar`]) with the same commit/abort discipline as application
 //! state: the simulator commits the policy immediately after a decision
@@ -69,7 +71,7 @@ use crate::fleet::{
 };
 use crate::mode::EnergyMode;
 use crate::runtime::RuntimeState;
-use crate::sim::{SimContext, SimEvent, Simulator};
+use crate::sim::{SimContext, Simulator};
 use crate::sweep::{run_sweep_on, AxisValue, RunSummary, SweepReport, SweepSpec};
 
 /// The power-system readings behind [`PolicyObservation`]'s methods,
@@ -108,9 +110,9 @@ pub struct PolicyObservation<'a> {
     pub needs_charge: bool,
     /// The runtime's persistent state (current mode, pre-charge flags).
     pub state: &'a RuntimeState,
-    /// The events recorded since the last committed decision, which
-    /// [`Self::charge_pauses`] reads.
-    pub(crate) since_decision: &'a [SimEvent],
+    /// The on-path pauses recorded since the last committed decision,
+    /// which [`Self::charge_pauses`] reads.
+    pub(crate) pauses: &'a [SimDuration],
     /// The power system the readings come from.
     pub(crate) rail: &'a dyn RailProbe,
     /// Number of registered energy modes.
@@ -126,10 +128,10 @@ impl PolicyObservation<'_> {
     /// The on-path charge pauses ([`SimEvent::on_path_pause`]) that ended
     /// since the last committed decision, oldest first. Burst pre-charges
     /// are off the critical path and not offered.
+    ///
+    /// [`SimEvent::on_path_pause`]: crate::sim::SimEvent::on_path_pause
     pub fn charge_pauses(&self) -> impl Iterator<Item = SimDuration> + '_ {
-        self.since_decision
-            .iter()
-            .filter_map(SimEvent::on_path_pause)
+        self.pauses.iter().copied()
     }
 
     /// Rail voltage right now (the charge level).
@@ -1065,6 +1067,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimEvent;
     use crate::variant::Variant;
     use capy_device::load::TaskLoad;
     use capy_device::mcu::Mcu;
@@ -1100,7 +1103,7 @@ mod tests {
 
     fn obs<'a>(
         state: &'a RuntimeState,
-        since_decision: &'a [SimEvent],
+        pauses: &'a [SimDuration],
         rail: &'a FixedRail,
     ) -> PolicyObservation<'a> {
         PolicyObservation {
@@ -1108,21 +1111,15 @@ mod tests {
             task: TaskId(0),
             needs_charge: false,
             state,
-            since_decision,
+            pauses,
             rail,
             mode_count: 2,
             failed_banks: state.failed_banks().len(),
         }
     }
 
-    fn charge_event(start: u64, end: u64) -> SimEvent {
-        SimEvent::Charge {
-            start: SimTime::from_secs(start),
-            end: SimTime::from_secs(end),
-            from: Volts::ZERO,
-            to: Volts::new(2.8),
-            precharge: false,
-        }
+    fn pause(secs: u64) -> SimDuration {
+        SimDuration::from_secs(secs)
     }
 
     #[test]
@@ -1177,16 +1174,13 @@ mod tests {
         assert_eq!(p.tier(), 1, "starts at the top tier");
 
         // A slow on-path charge sheds a tier.
-        let events = [charge_event(0, 60)];
-        let d = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
+        let d = p.decide(&obs(&state, &[pause(60)], &WEAK), TaskEnergy::Config(M1));
         p.commit();
         assert_eq!(d, TaskEnergy::Config(M0));
         assert_eq!(p.tier(), 0);
 
         // Seven fast charges hold the tier; the eighth regrows it.
-        let fast: Vec<SimEvent> = (0..8)
-            .map(|i| charge_event(61 + 2 * i, 62 + 2 * i))
-            .collect();
+        let fast = [pause(1); 8];
         let d = p.decide(&obs(&state, &fast[..7], &WEAK), TaskEnergy::Config(M1));
         p.commit();
         assert_eq!(d, TaskEnergy::Config(M0));
@@ -1200,12 +1194,12 @@ mod tests {
     fn reactive_abort_rolls_the_decision_back() {
         let state = RuntimeState::new(2);
         let mut p = ReactiveDownsize::new(vec![M0, M1], SimDuration::from_secs(10));
-        let events = [charge_event(0, 60)];
-        let first = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
+        let pauses = [pause(60)];
+        let first = p.decide(&obs(&state, &pauses, &WEAK), TaskEnergy::Config(M1));
         p.abort(); // power failed before the decision took effect
         assert_eq!(p.tier(), 1, "aborted decision must not publish");
         // Re-deciding from the same observation reproduces the decision.
-        let second = p.decide(&obs(&state, &events, &WEAK), TaskEnergy::Config(M1));
+        let second = p.decide(&obs(&state, &pauses, &WEAK), TaskEnergy::Config(M1));
         assert_eq!(first, second);
     }
 

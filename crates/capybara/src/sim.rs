@@ -37,11 +37,14 @@ use crate::annotation::TaskEnergy;
 use crate::mode::{EnergyMode, ModeTable};
 use crate::policy::{PolicyObservation, ReconfigPolicy, StaticAnnotation};
 use crate::runtime::{plan, validate_annotations, RuntimeState, Step, PRECHARGE_DEFICIT};
+use crate::sweep::RunSummary;
 use crate::variant::Variant;
 
 mod skip;
+mod timeline;
 
 pub use skip::SkipStats;
+use timeline::Timeline;
 
 /// Application context requirements: non-volatile commit/abort plus clock
 /// observation, and optionally a steady-state key that lets a run skip
@@ -452,10 +455,6 @@ const DEGRADATION_CAPACITANCE_FLOOR: f64 = 0.5;
 /// reconfiguration (paid at active power).
 const RECONFIG_OVERHEAD: SimDuration = SimDuration::from_micros(500);
 
-/// Events a run's log has room for before its first push: even short
-/// runs log boots, charges and reconfigurations every cycle.
-const EVENT_LOG_PRESIZE: usize = 256;
-
 /// A task's load model: given the MCU, the phases the task draws. Loads
 /// never read the context; only task bodies do.
 type LoadFn = Box<dyn Fn(&Mcu) -> TaskLoad + Send + Sync>;
@@ -492,10 +491,9 @@ struct State<H, C> {
     needs_charge: bool,
     stalled: bool,
     consecutive_failures: u32,
-    events: Vec<SimEvent>,
-    /// The log length when the last policy decision committed: the
-    /// observation offers the policy only the events after it.
-    decided_at: usize,
+    /// The counts, pending pauses and death every run keeps, and either
+    /// the event log or the pause runs.
+    timeline: Timeline,
     trace: Option<Vec<(SimTime, Volts)>>,
     degradation: bool,
     /// The reconfiguration policy consulted at every task boundary.
@@ -525,7 +523,8 @@ pub struct Simulator<H, C> {
 /// the execution machine (task pointer, stop flag, statistics), the mode
 /// table (remapped on degradation), the runtime state, the application
 /// context (with its non-volatile cells and any [`DetRng`] streams it
-/// owns), the event log and voltage trace, and the reconfiguration policy
+/// owns), the timeline (its counts and its event log or pause runs, see
+/// [`Simulator::keep_log`]) and voltage trace, and the reconfiguration policy
 /// with its decision state. The program — task bodies, loads and
 /// annotations — is not captured: it stays with the live simulator,
 /// which is why restore targets a simulator built from the same scenario.
@@ -546,12 +545,6 @@ impl<H, C> SimSnapshot<H, C> {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.0.now
-    }
-
-    /// How many timeline events the captured run had recorded.
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.0.events.len()
     }
 }
 
@@ -639,10 +632,64 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
         self.state.skips
     }
 
+    /// Sets whether this simulator keeps its full event log: the one
+    /// switch between the timeline's two sinks. A simulator keeps the log from
+    /// [`Simulator::builder`] on, for [`Simulator::events`] and
+    /// [`validate_event_log`]. Without it, it keeps its on-path pauses
+    /// as `(pause, count)` runs ([`Simulator::pause_runs`]), which a
+    /// cycle jump extends by one run per pause of the cycle however many
+    /// cycles it skips, so their memory and the work a jump spends on
+    /// them do not grow with the horizon. The counts
+    /// [`RunSummary`] reads, the pauses a policy is offered and the death
+    /// instant are kept either way, so every result but the log is the
+    /// same.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the simulator has recorded an event: a sink switched
+    /// mid-run would miss the run's start.
+    pub fn keep_log(&mut self, keep: bool) {
+        assert!(
+            self.state.timeline.counts == RunSummary::default(),
+            "Simulator::keep_log is set before the simulator first steps"
+        );
+        self.state.timeline = Timeline::new(keep);
+    }
+
     /// The recorded timeline events.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the simulator keeps no log: see
+    /// [`Simulator::keep_log`].
     #[must_use]
     pub fn events(&self) -> &[SimEvent] {
-        &self.state.events
+        self.state.timeline.log().unwrap_or_else(|| {
+            panic!(
+                "this simulator keeps no event log: call Simulator::keep_log(true) \
+                 before it first steps"
+            )
+        })
+    }
+
+    /// Every on-path charge pause ([`SimEvent::on_path_pause`]) of the
+    /// run as `(pause, count)` runs, in no particular order, whether or
+    /// not the simulator keeps its log ([`Simulator::keep_log`]).
+    pub fn pause_runs(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
+        self.state.timeline.pause_runs()
+    }
+
+    /// The instant the device died, its first [`SimEvent::BankFailed`]
+    /// or [`SimEvent::Stalled`], if it did.
+    #[must_use]
+    pub fn death(&self) -> Option<SimTime> {
+        self.state.timeline.death
+    }
+
+    /// [`RunSummary::from_events`] of everything the run recorded, kept
+    /// as it records.
+    pub(crate) fn event_counts(&self) -> &RunSummary {
+        &self.state.timeline.counts
     }
 
     /// The recorded `(time, rail voltage)` trace, when enabled.
@@ -791,14 +838,13 @@ impl<H: Harvester, C: SimContext> Simulator<H, C> {
 /// state, against the program `p`.
 impl<H: Harvester, C: SimContext> State<H, C> {
     fn run_limited(&mut self, p: &Program<C>, limits: &RunLimits) -> RunOutcome {
-        // A built device and one stamped from a template's empty log both
-        // start here with no room, so both get the same pre-size.
-        if self.events.capacity() == 0 {
-            self.events.reserve_exact(EVENT_LOG_PRESIZE);
-        }
+        self.timeline.presize();
         let mut skipper = skip::Skipper::new();
         let outcome = self.run_steps(p, limits, &mut skipper);
         skipper.finish(&mut self.power);
+        if cfg!(debug_assertions) {
+            self.timeline.check();
+        }
         outcome
     }
 
@@ -877,8 +923,8 @@ impl<H: Harvester, C: SimContext> State<H, C> {
                 }
                 Step::ActivateBurst(mode) => {
                     self.reconfigure(p, mode);
-                    self.events
-                        .push(SimEvent::BurstActivated { at: self.now, mode });
+                    self.timeline
+                        .record(SimEvent::BurstActivated { at: self.now, mode });
                     true
                 }
                 Step::ChargeCurrent => self.charge_current(p),
@@ -947,7 +993,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
     fn step_continuous(&mut self, p: &Program<C>) -> StepResult {
         if !self.on {
             self.on = true;
-            self.events.push(SimEvent::Boot { at: self.now });
+            self.timeline.record(SimEvent::Boot { at: self.now });
         }
         let task = self.machine.current();
         self.machine.begin();
@@ -970,7 +1016,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         let from = self.power.rail_voltage(self.now);
         match self.power.charge_until_full(&mut self.now) {
             Ok(_) => {
-                self.events.push(SimEvent::Charge {
+                self.timeline.record(SimEvent::Charge {
                     start,
                     end: self.now,
                     from,
@@ -1012,7 +1058,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         }
         match self.power.charge_until(target, &mut self.now) {
             Ok(ChargeOutcome::Reached(_)) => {
-                self.events.push(SimEvent::Charge {
+                self.timeline.record(SimEvent::Charge {
                     start,
                     end: self.now,
                     from,
@@ -1059,8 +1105,8 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             }
         }
         self.runtime.set_current_mode(mode);
-        self.events
-            .push(SimEvent::Reconfigure { at: self.now, mode });
+        self.timeline
+            .record(SimEvent::Reconfigure { at: self.now, mode });
         self.trace_point();
     }
 
@@ -1083,7 +1129,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         self.power.refresh_switches(self.now);
         self.machine.reboot();
         self.on = true;
-        self.events.push(SimEvent::Boot { at: self.now });
+        self.timeline.record(SimEvent::Boot { at: self.now });
         self.trace_point();
         true
     }
@@ -1113,14 +1159,14 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             task,
             needs_charge: self.needs_charge,
             state: &self.runtime,
-            since_decision: &self.events[self.decided_at..],
+            pauses: &self.timeline.pending,
             rail: &self.power,
             mode_count: self.modes.len(),
             failed_banks: self.runtime.failed_banks().len(),
         };
         let decided = self.policy.decide(&obs, annotation);
         self.policy.commit();
-        self.decided_at = self.events.len();
+        self.timeline.pending.clear();
         for mode in [decided.exec_mode(), decided.precharge_mode()]
             .into_iter()
             .flatten()
@@ -1147,8 +1193,8 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         self.policy.abort();
         self.on = false;
         self.needs_charge = true;
-        self.events
-            .push(SimEvent::PowerFailure { at: self.now, task });
+        self.timeline
+            .record(SimEvent::PowerFailure { at: self.now, task });
         self.trace_point();
         self.consecutive_failures += 1;
         if self.degradation && self.consecutive_failures >= DEGRADATION_FAILURE_THRESHOLD {
@@ -1197,7 +1243,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         self.power.blackout(self.now);
         self.on = false;
         self.needs_charge = true;
-        self.events.push(SimEvent::PowerFailure {
+        self.timeline.record(SimEvent::PowerFailure {
             at: self.now,
             task: self.machine.current(),
         });
@@ -1259,7 +1305,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         let found_new = !newly_failed.is_empty();
         for &id in &newly_failed {
             self.runtime.mark_bank_failed(id);
-            self.events.push(SimEvent::BankFailed {
+            self.timeline.record(SimEvent::BankFailed {
                 at: self.now,
                 bank: id,
             });
@@ -1267,8 +1313,8 @@ impl<H: Harvester, C: SimContext> State<H, C> {
         if found_new {
             let failed = self.runtime.failed_banks().to_vec();
             for mode in self.modes.remap_excluding(&failed) {
-                self.events
-                    .push(SimEvent::ModeRemapped { at: self.now, mode });
+                self.timeline
+                    .record(SimEvent::ModeRemapped { at: self.now, mode });
             }
         }
         // The probe left every switch commanded open; end in a
@@ -1288,7 +1334,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
 
     fn stall(&mut self) {
         self.stalled = true;
-        self.events.push(SimEvent::Stalled { at: self.now });
+        self.timeline.record(SimEvent::Stalled { at: self.now });
     }
 
     fn trace_point(&mut self) {
@@ -1446,8 +1492,7 @@ impl<H: Harvester, C: SimContext + 'static> SimulatorBuilder<H, C> {
                 needs_charge: true,
                 stalled: false,
                 consecutive_failures: 0,
-                events: Vec::new(),
-                decided_at: 0,
+                timeline: Timeline::new(true),
                 trace: self.record_trace.then(Vec::new),
                 degradation: self.degradation,
                 policy: self.policy.unwrap_or_else(|| Box::new(StaticAnnotation)),

@@ -14,9 +14,14 @@
 //! delivered-energy total replays the additions taped since the mark in
 //! order, every leaking bank replays the leaks taped since the mark in
 //! order, and each output log gets shifted copies of the cycle's
-//! entries. The same function that fingerprints the state advances it.
-//! Every float keeps the bits stepping would give, so a skipped run is
-//! the stepped run, bit for bit.
+//! entries. The timeline's event counts are counters too, and a
+//! simulator that keeps no event log keeps its pauses as weighted runs,
+//! which a jump extends by each of the cycle's runs once, its count
+//! times the cycles skipped ([`Cycle::runs`]), so what such a jump
+//! records of its events does not grow with the cycles it skips (the
+//! taped replay still does). The same function that fingerprints the
+//! state advances it. Every float keeps the bits stepping would give,
+//! so a skipped run is the stepped run, bit for bit.
 //!
 //! Detection runs inside a *steady window*, from a restart to the first
 //! of the harvester's segment end and the context's
@@ -61,7 +66,7 @@ use capy_power::system::{PowerSystem, TapeMark};
 use capy_units::cycle::{Cycle, CycleKey};
 use capy_units::{SimDuration, SimTime};
 
-use super::{RunLimits, SimContext, SimEvent, State};
+use super::{RunLimits, SimContext, State};
 
 /// Boundaries one `run_limited` call steps before it takes its first
 /// fingerprint: a run shorter than this pays nothing for skipping.
@@ -484,13 +489,13 @@ impl<H: Harvester, C: SimContext> State<H, C> {
 
     /// Visits the whole device state's steady state at a boundary (see
     /// [`capy_units::cycle`]), or returns `false` when the context or the
-    /// policy declares none. Every field is one of: keyed; an instant or
-    /// index that moves with the cycle (`now`, `decided_at`); an output
-    /// log (`events`, `trace`), of which the on-path pauses since the
-    /// last decision are keyed, since the next decision reads them; or
-    /// the skip counters, which count jumps and are neither. An advance
-    /// leaves the delivered-energy total and the leaking banks to
-    /// [`PowerSystem::replay_cycles`], which runs first.
+    /// policy declares none. Every field is one of: keyed; an instant
+    /// that moves with the cycle (`now`); the timeline, whose pending
+    /// pauses are keyed, since the next decision reads them, whose counts
+    /// are counters and whose sink is an output log; the voltage trace,
+    /// an output log; or the skip counters, which count jumps and are
+    /// neither. An advance leaves the delivered-energy total and the
+    /// leaking banks to [`PowerSystem::replay_cycles`], which runs first.
     fn steady_state(&mut self, c: &mut Cycle<'_>) -> bool {
         let Self {
             power,
@@ -503,8 +508,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             needs_charge,
             stalled,
             consecutive_failures,
-            events,
-            decided_at,
+            timeline,
             trace,
             degradation,
             policy,
@@ -521,21 +525,7 @@ impl<H: Harvester, C: SimContext> State<H, C> {
             c.word(u64::from(flag));
         }
         c.word(u64::from(*consecutive_failures));
-        let pauses = || {
-            events[*decided_at..]
-                .iter()
-                .filter_map(SimEvent::on_path_pause)
-        };
-        c.word(pauses().count() as u64);
-        for pause in pauses() {
-            c.span(pause);
-        }
-        let end = events.len();
-        let from = c.log(events, SimEvent::shifted);
-        // The last decision moves with the cycle if the cycle made it.
-        if *decided_at >= from {
-            *decided_at += events.len() - end;
-        }
+        timeline.steady_state(c);
         if let Some(trace) = trace {
             c.log(trace, |(t, v), d| (t + d, v));
         }

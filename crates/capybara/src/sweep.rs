@@ -16,7 +16,7 @@
 //!   dependencies, no runtime) and keeps results in item order. Every
 //!   runner takes its worker count explicitly, and `0` means one worker
 //!   per core ([`available_workers`]);
-//! * [`RunSummary`] condenses each run's [`SimEvent`] log and execution
+//! * [`RunSummary`] condenses each run's event counts and execution
 //!   statistics into the repo's standard observability record;
 //! * **typed axes** ([`AxisValue`], [`SweepSpec::axis`]) are the one way
 //!   a point carries a parameter: the spec stores each axis's values once,
@@ -533,8 +533,9 @@ impl SweepSpec {
     }
 }
 
-/// The condensed observability record of one simulation run, extracted
-/// from the [`SimEvent`] log plus the execution machine's statistics.
+/// The condensed observability record of one simulation run: the counts
+/// of its [`SimEvent`]s, which the simulator keeps as it records them,
+/// plus the execution machine's statistics.
 ///
 /// `wall` is measured, not simulated, and is therefore **excluded from
 /// equality** — two summaries of the same deterministic run compare
@@ -601,44 +602,51 @@ impl PartialEq for RunSummary {
 }
 
 impl RunSummary {
-    /// Tallies the event-log-derived fields from a recorded timeline.
-    /// (Execution statistics and energy accounting stay zero; use
-    /// [`RunSummary::from_sim`] for the full record.)
+    /// Tallies the event-derived fields from a recorded timeline: a walk
+    /// of the log, the reference for the counts a simulator keeps as it
+    /// records. (Execution statistics and energy accounting stay zero;
+    /// use [`RunSummary::from_sim`] for the full record.)
     #[must_use]
     pub fn from_events(events: &[SimEvent]) -> Self {
         let mut s = Self::default();
         for e in events {
-            match e {
-                SimEvent::Boot { .. } => s.boots += 1,
-                SimEvent::Reconfigure { .. } => s.reconfigurations += 1,
-                SimEvent::BurstActivated { .. } => s.bursts += 1,
-                SimEvent::PowerFailure { .. } => s.power_failures += 1,
-                SimEvent::BankFailed { .. } => s.bank_failures += 1,
-                SimEvent::ModeRemapped { .. } => s.mode_remaps += 1,
-                SimEvent::Stalled { .. } => s.stalled = true,
-                SimEvent::Charge {
-                    start,
-                    end,
-                    precharge,
-                    ..
-                } => {
-                    if *precharge {
-                        s.precharges += 1;
-                    } else {
-                        s.charges += 1;
-                    }
-                    s.charge_time = s.charge_time.saturating_add(*end - *start);
-                }
-            }
+            s.count(e);
         }
         s
     }
 
+    /// Counts one event in the event-derived fields.
+    pub(crate) fn count(&mut self, e: &SimEvent) {
+        match e {
+            SimEvent::Boot { .. } => self.boots += 1,
+            SimEvent::Reconfigure { .. } => self.reconfigurations += 1,
+            SimEvent::BurstActivated { .. } => self.bursts += 1,
+            SimEvent::PowerFailure { .. } => self.power_failures += 1,
+            SimEvent::BankFailed { .. } => self.bank_failures += 1,
+            SimEvent::ModeRemapped { .. } => self.mode_remaps += 1,
+            SimEvent::Stalled { .. } => self.stalled = true,
+            SimEvent::Charge {
+                start,
+                end,
+                precharge,
+                ..
+            } => {
+                if *precharge {
+                    self.precharges += 1;
+                } else {
+                    self.charges += 1;
+                }
+                self.charge_time = self.charge_time.saturating_add(*end - *start);
+            }
+        }
+    }
+
     /// The full record for a finished simulator, with `wall` as measured
-    /// by the caller.
+    /// by the caller. It reads the counts the simulator kept, with or
+    /// without its log ([`Simulator::keep_log`]).
     #[must_use]
     pub fn from_sim<H: Harvester, C: SimContext>(sim: &Simulator<H, C>, wall: Duration) -> Self {
-        let mut s = Self::from_events(sim.events());
+        let mut s = sim.event_counts().clone();
         let stats = sim.exec_stats();
         s.attempts = stats.attempts;
         s.completions = stats.completions;

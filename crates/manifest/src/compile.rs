@@ -189,7 +189,10 @@ impl SimContext for ManifestCtx {
 /// A compiled scenario: the simulator plus the manifest's limits ready
 /// for [`Simulator::run_limited`]. A clone shares the compiled program
 /// and copies the device state, so a fleet compiles each template once
-/// and stamps its devices from it.
+/// and stamps its devices from it. The simulator keeps counts and pause
+/// runs, not the event log: a caller that reads
+/// [`Simulator::events`] calls [`Simulator::keep_log`] before running
+/// it.
 #[derive(Clone)]
 pub struct CompiledScenario {
     /// The ready-to-run simulator.
@@ -518,6 +521,10 @@ pub(crate) fn template(
         .map_err(|e| ManifestError::Build {
             message: e.to_string(),
         })?;
+    // A run reports counts, never the log, so a compiled device keeps its
+    // pauses as runs in the log's place, which a jump extends by counts
+    // instead of copies.
+    sim.keep_log(false);
 
     let mut plan = FaultPlan::new();
     for fault in &manifest.faults {
@@ -670,19 +677,32 @@ mod tests {
         assert_offers_match_log("tracker", &offers, sim.events());
 
         // adaptive_faults runs the degradation self-test, so one step can
-        // recharge more than once.
+        // recharge more than once. A compiled device keeps no log, and is
+        // offered the same pauses as one that does.
         for file in ["quickstart", "adaptive_faults"] {
             let path = format!("{}/../../manifests/{file}.capy", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(path).expect("manifest reads");
             let manifest = parse_manifest(&text).expect("manifest parses");
             let names = LeakedNames::from_manifest(&manifest);
-            let (probe, offers) = PauseProbe::wrap(policy(&manifest).expect("policy builds"));
-            let CompiledScenario { mut sim, limits } =
-                template(&manifest, &names, None, probe).expect("compiles");
-            sim.run_limited(&limits);
+            let probed = |keep_log: bool| {
+                let (probe, offers) = PauseProbe::wrap(policy(&manifest).expect("policy builds"));
+                let CompiledScenario { mut sim, limits } =
+                    template(&manifest, &names, None, probe).expect("compiles");
+                sim.keep_log(keep_log);
+                sim.run_limited(&limits);
+                (sim, offers)
+            };
+            let (sim, offers) = probed(true);
             assert_offers_match_log(file, &offers, sim.events());
+            let (_, unlogged) = probed(false);
+            assert_eq!(
+                *offers.lock().unwrap(),
+                *unlogged.lock().unwrap(),
+                "{file}: offers without the log"
+            );
             // The probe only watches: the run is the manifest's own.
             let mut plain = compile(&manifest).expect("compiles");
+            plain.sim.keep_log(true);
             plain.sim.run_limited(&plain.limits);
             assert_eq!(sim.events(), plain.sim.events(), "{file}");
         }

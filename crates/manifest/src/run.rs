@@ -1008,6 +1008,7 @@ mod tests {
                 continue;
             }
             let CompiledScenario { mut sim, limits } = compile(&manifest).expect("compiles");
+            sim.keep_log(true);
             sim.run_limited(&limits);
             let summary = RunSummary::from_sim(&sim, Duration::ZERO);
             for &kind in EventKind::ALL {

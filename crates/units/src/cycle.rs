@@ -16,7 +16,9 @@
 //!   on (say, the count modulo a period) as a word too.
 //! * **instants** the part stores (a clock, a latch refresh), which the
 //!   key leaves out: they only move with the clock.
-//! * **output logs**, whose length the key holds as a counter.
+//! * **output logs**, whose length the key holds as a counter. A log
+//!   may hold weighted runs, `(entry, count)`, in place of its entries,
+//!   when what it keeps is a multiset rather than an order.
 //!
 //! A word may also be visited as *replayed*: a value nothing reads, that
 //! moves only by operations a jump repeats in order (an open bank's
@@ -29,7 +31,8 @@
 //! reading minus its start reading, and advancing ([`Cycle::advance`])
 //! ignores the words: it adds `k` deltas to each counter, moves each
 //! instant by `k` cycle lengths if the cycle wrote it, and extends each
-//! log by `k` shifted copies of the entries the cycle appended.
+//! log by `k` shifted copies of the entries the cycle appended, or a log
+//! of runs by each run the cycle appended, once, its count times `k`.
 
 use crate::{SimDuration, SimTime};
 
@@ -196,15 +199,28 @@ impl<'a> Cycle<'a> {
     /// Visits an output log, whose length is a counter. Advancing
     /// appends `cycles` copies of the entries the recorded cycle
     /// appended, the `j`-th moved by `j` periods through `shift`, one
-    /// push at a time as stepping grows it. Returns the index at which
-    /// the recorded cycle's entries begin; keying returns the length.
-    pub fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) -> usize {
+    /// push at a time as stepping grows it.
+    pub fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) {
         match &mut self.0 {
-            Visit::Key(key) => {
-                key.counters.push(log.len() as u64);
-                log.len()
-            }
+            Visit::Key(key) => key.counters.push(log.len() as u64),
             Visit::Advance(adv) => adv.log(log, shift),
+        }
+    }
+
+    /// Visits an output log of weighted runs, `(entry, count)`, whose
+    /// length is a counter. Advancing appends each run the recorded
+    /// cycle appended once, its count multiplied by `cycles`: the log
+    /// then holds what `cycles` more repetitions would have appended, as
+    /// a multiset, in one run per entry of the cycle, however many
+    /// cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an advanced count overflows `u64`.
+    pub fn runs<T: Copy>(&mut self, runs: &mut Vec<(T, u64)>) {
+        match &mut self.0 {
+            Visit::Key(key) => key.counters.push(runs.len() as u64),
+            Visit::Advance(adv) => adv.runs(runs),
         }
     }
 
@@ -231,7 +247,7 @@ impl Advance<'_> {
         *count = count.wrapping_add(self.cycles.wrapping_mul(delta));
     }
 
-    fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) -> usize {
+    fn log<T: Copy>(&mut self, log: &mut Vec<T>, shift: impl Fn(T, SimDuration) -> T) {
         let i = self.next_counter(log.len() as u64);
         let from = usize::try_from(self.start[i]).expect("a keyed log length fits in memory");
         let end = log.len();
@@ -243,7 +259,18 @@ impl Advance<'_> {
                 log.push(entry);
             }
         }
-        from
+    }
+
+    fn runs<T: Copy>(&mut self, runs: &mut Vec<(T, u64)>) {
+        let i = self.next_counter(runs.len() as u64);
+        let from = usize::try_from(self.start[i]).expect("a keyed log length fits in memory");
+        let end = runs.len();
+        runs.extend_from_within(from..);
+        for (_, count) in &mut runs[end..] {
+            *count = count
+                .checked_mul(self.cycles)
+                .expect("a run's count stays inside u64");
+        }
     }
 
     /// The index of the next counter, which must read `count` (its
@@ -349,10 +376,20 @@ mod tests {
         let end = keyed(|c| c.counter(&mut (log.len() as u64)));
         let period = SimDuration::from_micros(5);
         let mut adv = Cycle::advance(&start, &end, SimTime::ZERO, period, 3);
-        let from = adv.log(&mut log, |t, d| t + d.as_micros());
+        adv.log(&mut log, |t, d| t + d.as_micros());
         adv.finish();
-        assert_eq!(from, 1);
         assert_eq!(log, [1, 10, 12, 15, 17, 20, 22, 25, 27]);
+    }
+
+    #[test]
+    fn advance_appends_each_run_of_the_cycle_once_with_its_count_times_k() {
+        let mut runs = vec![(9_u64, 1_u64), (4, 1), (5, 2)];
+        let start = keyed(|c| c.counter(&mut 1));
+        let end = keyed(|c| c.counter(&mut (runs.len() as u64)));
+        let mut adv = Cycle::advance(&start, &end, SimTime::ZERO, SimDuration::from_secs(1), 6);
+        adv.runs(&mut runs);
+        adv.finish();
+        assert_eq!(runs, [(9, 1), (4, 1), (5, 2), (4, 6), (5, 12)]);
     }
 
     #[test]

@@ -114,15 +114,25 @@ impl QuantileSketch {
 
     /// Records one value.
     pub fn record(&mut self, v: u64) {
-        if v == 0 {
-            self.zeros += 1;
-        } else {
-            self.counts[bucket_of(v)] += 1;
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` copies of one value, exactly as `n` calls of
+    /// [`QuantileSketch::record`] would: every field is an integer, so a
+    /// run of equal values folds in one addition.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
         }
-        self.total += 1;
+        if v == 0 {
+            self.zeros += n;
+        } else {
+            self.counts[bucket_of(v)] += n;
+        }
+        self.total += n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sum += u128::from(v);
+        self.sum += u128::from(v) * u128::from(n);
     }
 
     /// Folds `other` into `self`: elementwise addition, so the result
@@ -320,6 +330,55 @@ mod tests {
             big.record(rng.next_u64() % 1_000_000_000);
         }
         assert_eq!(small.footprint_bytes(), big.footprint_bytes());
+    }
+
+    /// `record_n(v, n)` is `n` calls of `record(v)`, for seeded values
+    /// and counts, zero among both: compared directly for small counts,
+    /// and for counts near 2^40, where `n` calls would take too long,
+    /// against a sketch built by doubling (`merge` of a sketch with
+    /// itself is two `record_n` of the same runs).
+    #[test]
+    fn record_n_equals_n_records() {
+        let mut rng = DetRng::seed_from_u64(0x2ec0);
+        for case in 0..200 {
+            let v = match case % 4 {
+                0 => 0,
+                _ => rng.next_u64() >> rng.gen_range(0..64u64),
+            };
+            let n = rng.gen_range(0..40u64);
+            let mut once = QuantileSketch::new();
+            once.record(7);
+            let mut each = once.clone();
+            once.record_n(v, n);
+            for _ in 0..n {
+                each.record(v);
+            }
+            assert_eq!(once, each, "v={v} n={n}");
+        }
+        for v in [0, 1, 31, 1_000_000, u64::MAX] {
+            for k in [40, 39] {
+                let n = 1_u64 << k;
+                let mut direct = QuantileSketch::new();
+                direct.record_n(v, n);
+                let mut doubled = QuantileSketch::new();
+                doubled.record(v);
+                for _ in 0..k {
+                    let half = doubled.clone();
+                    doubled.merge(&half);
+                }
+                assert_eq!(direct, doubled, "v={v} n=2^{k}");
+                let near = n - 3;
+                let mut runs = QuantileSketch::new();
+                runs.record_n(v, near);
+                runs.record_n(v, 3);
+                assert_eq!(runs, direct, "v={v}: {near} + 3");
+                assert_eq!(direct.count(), n);
+                assert_eq!(direct.sum, u128::from(v) * u128::from(n));
+            }
+        }
+        let mut none = QuantileSketch::new();
+        none.record_n(5, 0);
+        assert_eq!(none, QuantileSketch::new(), "n = 0 records nothing");
     }
 
     #[test]

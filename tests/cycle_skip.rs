@@ -5,8 +5,9 @@
 //! The reference, [`stepped`], loops over the public `Simulator::step`
 //! and applies `run_limited`'s horizon, step-budget, energy-budget and
 //! watchdog checks itself, so the library needs no switch. Each case
-//! compiles one scenario twice, runs one copy each way and compares the
-//! event log, the `RunSummary`, the execution statistics, the clock,
+//! compiles one scenario twice, runs one copy each way, both keeping
+//! their event logs, and compares the event log, the `RunSummary`, the
+//! pause runs and death the run kept, the execution statistics, the clock,
 //! per-task completions, the final mode, every bank's voltage bits and
 //! cycle count, the delivered-energy bits and the charge-segment count.
 //! A TA run also compares its whole context: the sample and packet logs,
@@ -14,8 +15,15 @@
 //! voltage trace also compares the trace's instants and voltage bits.
 //! Orbit jumps, which advance whole periods of a periodic harvest, are
 //! checked the same way, on orbital fleet devices and square waves.
+//!
+//! A compiled device keeps its on-path pauses as weighted runs in place
+//! of its event log (`Simulator::keep_log`), and a jump extends those
+//! runs by counts, not copies. [`pause_runs_keep_what_the_event_log_gives`]
+//! runs each kind of input once with the log and once without, both
+//! skipping, and compares what the two keep.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use capy_apps::ta::{self, TaCtx};
 use capy_device::load::TaskLoad;
@@ -36,7 +44,7 @@ use capy_units::rng::{derive_seed, DetRng};
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 use capybara::annotation::TaskEnergy;
 use capybara::faults::FaultPlan;
-use capybara::fleet::{FleetHarvester, SharedEnvironment};
+use capybara::fleet::{DeviceOutcome, FleetAccumulator, FleetHarvester, SharedEnvironment};
 use capybara::mode::EnergyMode;
 use capybara::sim::{
     RunLimits, RunOutcome, SimContext, SimEvent, Simulator, SkipStats, StepResult,
@@ -90,21 +98,35 @@ fn stepped<H: Harvester, C: SimContext>(
     }
 }
 
-/// Everything a finished run leaves that a reader can see, in bits,
-/// with its event log cut to `events` entries.
+/// Everything a finished run leaves that a reader can see, in bits: the
+/// summary, pause runs and death it kept as it ran, and its event log,
+/// which the run must keep. A stepping reference that tripped the
+/// watchdog passes `declare_stall`: `run_limited` records the stall it
+/// declares there and stepping cannot, so the print adds it as
+/// `run_limited` records it.
 fn fingerprint<H: Harvester, C: SimContext>(
     sim: &Simulator<H, C>,
     outcome: RunOutcome,
     completions: &[u64],
-    events: usize,
+    declare_stall: bool,
 ) -> String {
     let mut out = String::new();
     let power = sim.power();
-    let events = &sim.events()[..events];
+    let mut summary = RunSummary::from_sim(sim, Duration::ZERO);
+    let mut death = sim.death();
+    let mut events = sim.events().to_vec();
+    if declare_stall {
+        summary.stalled = true;
+        death = death.or(Some(sim.now()));
+        events.push(SimEvent::Stalled { at: sim.now() });
+    }
+    let mut pauses: Vec<(SimDuration, u64)> = sim.pause_runs().collect();
+    pauses.sort_unstable();
     let _ = writeln!(out, "outcome {outcome:?} now {}", sim.now().as_micros());
     let _ = writeln!(out, "stats {:?}", sim.exec_stats());
-    // `RunSummary::from_sim` is this summary plus the lines around it.
-    let _ = writeln!(out, "summary {:?}", RunSummary::from_events(events));
+    let _ = writeln!(out, "summary {summary:?}");
+    let _ = writeln!(out, "death {death:?}");
+    let _ = writeln!(out, "pauses {pauses:?}");
     let _ = writeln!(out, "completions {completions:?}");
     let _ = writeln!(out, "mode {:?}", sim.runtime_state().current_mode());
     let _ = writeln!(
@@ -122,7 +144,7 @@ fn fingerprint<H: Harvester, C: SimContext>(
             bank.cycles()
         );
     }
-    for e in events {
+    for e in &events {
         let _ = writeln!(out, "{e:?}");
     }
     out
@@ -139,29 +161,19 @@ struct Skipped {
     stats: SkipStats,
 }
 
-/// Runs `compiled` skipping and a clone stepping; asserts identical
-/// results and returns what the skipping run skipped.
+/// Runs `compiled` skipping and a clone stepping, both keeping their
+/// event logs; asserts identical results and returns what the skipping
+/// run skipped.
 fn assert_skip_matches_step(label: &str, compiled: &CompiledScenario, tasks: usize) -> Skipped {
     let mut skip = compiled.sim.clone();
     let mut step = compiled.sim.clone();
+    skip.keep_log(true);
+    step.keep_log(true);
     let skip_outcome = skip.run_limited(&compiled.limits);
     let (step_outcome, steps) = stepped(&mut step, &compiled.limits);
-    let mut logged = skip.events().len();
-    if matches!(skip_outcome, RunOutcome::NoProgress { .. }) {
-        // `run_limited` logs the stall it declares; the reference cannot.
-        assert!(
-            matches!(skip.events().last(), Some(SimEvent::Stalled { .. })),
-            "{label}: the watchdog logged no stall"
-        );
-        logged -= 1;
-    }
-    let skip_print = fingerprint(&skip, skip_outcome, &completions(&skip, tasks), logged);
-    let step_print = fingerprint(
-        &step,
-        step_outcome,
-        &completions(&step, tasks),
-        step.events().len(),
-    );
+    let declared = matches!(skip_outcome, RunOutcome::NoProgress { .. });
+    let skip_print = fingerprint(&skip, skip_outcome, &completions(&skip, tasks), false);
+    let step_print = fingerprint(&step, step_outcome, &completions(&step, tasks), declared);
     assert_same_print(label, &skip_print, &step_print);
     Skipped {
         share: skipped_share(label, &skip, &step, steps),
@@ -220,10 +232,9 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Every checked-in single-device manifest and fixture, at its own
-/// horizon and over an hour.
-#[test]
-fn checked_in_manifests_skip_bit_for_bit() {
+/// Every checked-in single-device manifest and fixture, as its path and
+/// text.
+fn single_device_manifests() -> Vec<(String, String)> {
     let mut files: Vec<String> = Vec::new();
     for dir in ["manifests", "tests/fixtures"] {
         for entry in std::fs::read_dir(dir).expect("directory lists") {
@@ -234,21 +245,34 @@ fn checked_in_manifests_skip_bit_for_bit() {
         }
     }
     files.sort();
-    let mut checked = 0;
-    for file in &files {
-        let text = read(file);
-        if parse_manifest(&text).expect("parses").fleet.is_some() {
-            continue;
-        }
+    let manifests: Vec<(String, String)> = files
+        .into_iter()
+        .map(|file| {
+            let text = read(&file);
+            (file, text)
+        })
+        .filter(|(_, text)| parse_manifest(text).expect("parses").fleet.is_none())
+        .collect();
+    assert!(
+        manifests.len() >= 5,
+        "only {} single-device manifests found",
+        manifests.len()
+    );
+    manifests
+}
+
+/// Every checked-in single-device manifest and fixture, at its own
+/// horizon and over an hour.
+#[test]
+fn checked_in_manifests_skip_bit_for_bit() {
+    for (file, text) in single_device_manifests() {
         for horizon in [None, Some(HOUR_S)] {
             check_manifest(
                 &format!("{file} @ {horizon:?}"),
                 &manifest_at(&text, horizon),
             );
         }
-        checked += 1;
     }
-    assert!(checked >= 5, "only {checked} single-device manifests found");
 }
 
 /// The `scenario_batch` draw `index`: `temperature_alarm.capy` with 2–8
@@ -508,8 +532,7 @@ fn ta_bench_schedule(seed: u64) -> (Vec<SimTime>, u64) {
 /// Asserts that two TA runs, one skipping and one stepping, left the
 /// same device and the same context.
 fn assert_same_ta(label: &str, skip: (&Ta, RunOutcome), step: (&Ta, RunOutcome)) {
-    let print =
-        |(sim, outcome): (&Ta, RunOutcome)| fingerprint(sim, outcome, &[], sim.events().len());
+    let print = |(sim, outcome): (&Ta, RunOutcome)| fingerprint(sim, outcome, &[], false);
     assert_same_print(label, &print(skip), &print(step));
     let (a, b) = (skip.0.ctx(), step.0.ctx());
     let first = a
@@ -696,6 +719,116 @@ fn skip_counts_on_fixed_inputs_are_pinned() {
     );
 }
 
+/// Runs `sim` twice by `run`, once keeping its event log and once
+/// keeping pause runs in its place, and asserts that both kept the same:
+/// the summary, the skip counters and the death; pause runs that,
+/// expanded and sorted, are the log's on-path pauses, sorted; and the
+/// fold of the device into a fleet accumulator. Returns the largest
+/// count of a pause run.
+fn assert_sinks_agree<H: Harvester + Clone, C: SimContext + Clone>(
+    label: &str,
+    sim: &Simulator<H, C>,
+    horizon: SimTime,
+    run: impl Fn(&mut Simulator<H, C>),
+) -> u64 {
+    let (mut logged, mut counted) = (sim.clone(), sim.clone());
+    logged.keep_log(true);
+    counted.keep_log(false);
+    run(&mut logged);
+    run(&mut counted);
+    assert_eq!(
+        RunSummary::from_sim(&counted, Duration::ZERO),
+        RunSummary::from_sim(&logged, Duration::ZERO),
+        "{label}: summaries differ"
+    );
+    assert_eq!(
+        counted.skip_stats(),
+        logged.skip_stats(),
+        "{label}: skip counters differ"
+    );
+    assert_eq!(counted.death(), logged.death(), "{label}: deaths differ");
+    let mut expanded: Vec<SimDuration> = counted
+        .pause_runs()
+        .flat_map(|(pause, n)| std::iter::repeat_n(pause, n as usize))
+        .collect();
+    let mut walked: Vec<SimDuration> = logged
+        .events()
+        .iter()
+        .filter_map(SimEvent::on_path_pause)
+        .collect();
+    expanded.sort_unstable();
+    walked.sort_unstable();
+    assert!(
+        expanded == walked,
+        "{label}: pause runs differ from the log"
+    );
+    let fold = |sim: &Simulator<H, C>| {
+        let mut acc = FleetAccumulator::new();
+        acc.fold(horizon, &DeviceOutcome::from_sim(sim));
+        acc
+    };
+    assert_eq!(fold(&counted), fold(&logged), "{label}: folds differ");
+    counted.pause_runs().map(|(_, n)| n).max().unwrap_or(0)
+}
+
+/// A simulator that keeps pause runs in place of its event log keeps
+/// everything else its logging twin keeps, on every kind of input the
+/// skip-versus-step tests use: each single-device manifest and fixture
+/// at its own horizon and over an hour, the first 64 seed-1 batch draws
+/// under every variant, stamped `fleet_smoke` and `fleet_trace` devices
+/// over an hour, and the TA kill points.
+#[test]
+fn pause_runs_keep_what_the_event_log_gives() {
+    let mut longest = 0;
+    let mut check = |label: &str, compiled: &CompiledScenario| {
+        let horizon = compiled
+            .limits
+            .max_sim
+            .expect("a compiled run has a horizon");
+        let run = |sim: &mut Device| {
+            sim.run_limited(&compiled.limits);
+        };
+        longest = longest.max(assert_sinks_agree(label, &compiled.sim, horizon, run));
+    };
+    for (file, text) in single_device_manifests() {
+        for horizon in [None, Some(HOUR_S)] {
+            let m = manifest_at(&text, horizon);
+            check(
+                &format!("{file} @ {horizon:?}"),
+                &compile(&m).expect("compiles"),
+            );
+        }
+    }
+    for index in 0..64 {
+        for variant in Variant::ALL {
+            let mut m = batch_draw(1, index);
+            m.variant = variant;
+            if let Ok(compiled) = compile(&m) {
+                check(&format!("batch draw {index} under {variant:?}"), &compiled);
+            }
+        }
+    }
+    for file in ["manifests/fleet_smoke.capy", "manifests/fleet_trace.capy"] {
+        let (fleet, _) = fleet_at(file, HOUR_S, |text| text);
+        let devices = fleet.spec().devices();
+        for index in (0..8).chain([devices / 2, devices - 1]) {
+            let device = fleet.device(&fleet.spec().device(index));
+            check(&format!("{file} device {index}"), &device);
+        }
+    }
+    assert!(longest > 1, "no pause run ever counted more than one pause");
+    let (alarms, seed) = ta_bench_schedule(1);
+    let build = || ta::build(Variant::CapyP, alarms.clone(), seed);
+    for kill in ta_kill_instants(&alarms, build) {
+        let label = format!("kill at {kill}");
+        assert_sinks_agree(&label, &build(), TA_HORIZON, |sim| {
+            sim.run_limited(&RunLimits::until(kill));
+            sim.inject_power_failure();
+            sim.run_limited(&RunLimits::until(TA_HORIZON));
+        });
+    }
+}
+
 #[test]
 fn skipping_is_real_on_the_alarm_hour_and_ta_and_absent_from_csr_and_grc() {
     let share = check_manifest(
@@ -806,7 +939,7 @@ fn a_recorded_voltage_trace_skips_bit_for_bit() {
     let (step_outcome, steps) = stepped(&mut step, &limits);
     let print = |sim: &Simulator<ConstantHarvester, Sampler>, outcome| {
         let samples = [*sim.ctx().samples.committed()];
-        fingerprint(sim, outcome, &samples, sim.events().len())
+        fingerprint(sim, outcome, &samples, false)
     };
     assert_same_print(
         "traced sampler",
@@ -911,7 +1044,7 @@ fn assert_sim_skip_matches_step<H: Harvester + Clone, C: SimContext + Clone>(
     let (mut skip, mut step) = (sim.clone(), sim.clone());
     let skip_outcome = skip.run_limited(&limits);
     let (step_outcome, steps) = stepped(&mut step, &limits);
-    let print = |sim: &Simulator<H, C>, outcome| fingerprint(sim, outcome, &[], sim.events().len());
+    let print = |sim: &Simulator<H, C>, outcome| fingerprint(sim, outcome, &[], false);
     assert_same_print(
         label,
         &print(&skip, skip_outcome),

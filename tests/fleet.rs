@@ -15,7 +15,8 @@
 
 use capy_power::prelude::WearModel;
 use capy_units::rng::{derive_seed, DetRng};
-use capy_units::{SimDuration, SimTime, Volts, Watts};
+use capy_units::sketch::QuantileSketch;
+use capy_units::{Joules, SimDuration, SimTime, Volts, Watts};
 use capybara_suite::prelude::*;
 use capybara_suite::sweep::RunSummary;
 
@@ -122,8 +123,8 @@ fn synthetic_outcome(point: &DevicePoint) -> DeviceOutcome {
         end: SimTime::from_secs(120),
         ..RunSummary::default()
     };
-    let latencies: Vec<SimDuration> = (0..completions)
-        .map(|_| SimDuration::from_micros(rng.gen_range(50u64..2_000_000)))
+    let latencies = (0..completions)
+        .map(|_| (SimDuration::from_micros(rng.gen_range(50u64..2_000_000)), 1))
         .collect();
     let death = rng
         .gen_bool(0.3)
@@ -537,4 +538,124 @@ fn wear_carries_across_real_mission_legs() {
     let (leg2b, wear2b) = run_fleet_leg_on(&spec, 1, Some(&wear1), device);
     assert_eq!(leg2, leg2b);
     assert_eq!(wear2, wear2b);
+}
+
+/// A simulated year, in microseconds.
+const YEAR_US: u64 = 31_536_000_000_000;
+
+/// The pause lengths a synthetic year-long device draws from, in µs.
+const YEAR_PAUSES: [u64; 6] = [0, 1, 1_900, 250_000, 1_048_577, 40_000_000];
+
+/// One synthetic year-long device, sized like a device that jumps a
+/// year of one-second cycles: ~3×10⁷ boots and charges, ~3×10¹³ µs of
+/// charge time, and its pauses as a few runs of up to ~3×10⁷ each, one
+/// of them sometimes empty.
+fn year_outcome(index: u64) -> DeviceOutcome {
+    let mut rng = DetRng::seed_from_u64(derive_seed(0x7EA2, index));
+    let charges = rng.gen_range(25_000_000..35_000_000u64);
+    let runs = rng.gen_range(1..4usize);
+    let mut left = charges;
+    let latencies = (0..runs)
+        .map(|i| {
+            let n = if i + 1 == runs {
+                left
+            } else {
+                rng.gen_range(0..left + 1)
+            };
+            left -= n;
+            let pause = YEAR_PAUSES[rng.gen_range(0..YEAR_PAUSES.len())];
+            (SimDuration::from_micros(pause), n)
+        })
+        .collect();
+    let completions = rng.gen_range(100_000_000..130_000_000u64);
+    let summary = RunSummary {
+        boots: charges + rng.gen_range(0..3u64),
+        charges,
+        precharges: charges / 2,
+        reconfigurations: 3 * charges,
+        bursts: charges / 2,
+        charge_time: SimDuration::from_micros(rng.gen_range(20_000_000_000_000..YEAR_US)),
+        attempts: completions + 7,
+        completions,
+        failures: 7,
+        reboots: charges,
+        delivered_energy: Joules::new(rng.gen_range(2_000.0..3_000.0)),
+        end: SimTime::from_micros(YEAR_US),
+        ..RunSummary::default()
+    };
+    let death = rng
+        .gen_bool(0.01)
+        .then(|| SimTime::from_micros(rng.gen_range(0..YEAR_US)));
+    DeviceOutcome {
+        summary,
+        latencies,
+        death,
+        task_completions: vec![completions - charges / 8, charges / 8],
+    }
+}
+
+/// 2²⁰ year-long devices fold into the same accumulator over one shard
+/// and over seven, and its totals equal sums taken independently in
+/// `u128`: counts of ~3×10¹³, charge and device time past `u64`, and a
+/// latency sketch of ~3×10¹³ pauses recorded as weighted runs, which
+/// equals a sketch recorded once per distinct pause.
+#[test]
+fn a_million_year_long_devices_fold_exactly() {
+    const DEVICES: u64 = 1 << 20;
+    const SHARDS: usize = 7;
+    let horizon = SimTime::from_micros(YEAR_US);
+    let mut one = FleetAccumulator::new();
+    let mut shards = vec![FleetAccumulator::new(); SHARDS];
+    let (mut boots, mut charges, mut completions) = (0_u128, 0_u128, 0_u128);
+    let (mut charge_us, mut end_us, mut nanojoules) = (0_u128, 0_u128, 0_u128);
+    let (mut pauses, mut pause_us) = (0_u128, 0_u128);
+    let mut per_pause = [0_u128; YEAR_PAUSES.len()];
+    let mut dead = 0_u64;
+    for index in 0..DEVICES {
+        let outcome = year_outcome(index);
+        let s = &outcome.summary;
+        boots += u128::from(s.boots);
+        charges += u128::from(s.charges);
+        completions += u128::from(s.completions);
+        charge_us += u128::from(s.charge_time.as_micros());
+        end_us += u128::from(s.end.as_micros());
+        nanojoules += (s.delivered_energy.get() * 1e9).round() as u128;
+        for &(pause, n) in &outcome.latencies {
+            pauses += u128::from(n);
+            pause_us += u128::from(pause.as_micros()) * u128::from(n);
+            let at = YEAR_PAUSES.iter().position(|&p| p == pause.as_micros());
+            per_pause[at.expect("a drawn pause")] += u128::from(n);
+        }
+        dead += u64::from(outcome.death.is_some());
+        one.fold(horizon, &outcome);
+        shards[index as usize % SHARDS].fold(horizon, &outcome);
+    }
+    let mut merged = FleetAccumulator::new();
+    for shard in &shards {
+        merged.merge(shard);
+    }
+    assert_eq!(merged, one, "seven shards fold to what one does");
+
+    assert!(charge_us > u128::from(u64::MAX) && end_us > u128::from(u64::MAX));
+    assert_eq!(u128::from(one.devices), u128::from(DEVICES));
+    assert_eq!(u128::from(one.boots), boots);
+    assert_eq!(u128::from(one.charges), charges);
+    assert_eq!(u128::from(one.completions), completions);
+    assert_eq!(one.charge_micros, charge_us);
+    assert_eq!(one.end_micros, end_us);
+    assert_eq!(one.delivered_nanojoules, nanojoules);
+    assert_eq!(one.dead_devices, dead);
+    assert_eq!(one.survival.iter().sum::<u64>(), dead);
+    assert_eq!(u128::from(one.latency.count()), pauses);
+    assert_eq!(pauses, charges, "every charge is one pause");
+    assert_eq!(
+        one.latency.mean(),
+        Some(pause_us as f64 / pauses as f64),
+        "the sketch's sum is exact"
+    );
+    let mut distinct = QuantileSketch::new();
+    for (&pause, &n) in YEAR_PAUSES.iter().zip(&per_pause) {
+        distinct.record_n(pause, u64::try_from(n).expect("fits u64"));
+    }
+    assert_eq!(one.latency, distinct);
 }

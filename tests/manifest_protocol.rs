@@ -309,6 +309,27 @@ fn checked_in_artifacts_match_fresh_runs() {
     }
 }
 
+/// The alarm manifest over a year of simulated time reproduces its
+/// golden artifact. A run keeps counts, not its event log, so the year
+/// costs what its stepped boundaries cost; a log of its ~124M task
+/// completions would take gigabytes. It lives in `tests/horizons/`,
+/// outside the directories `tests/cycle_skip.rs` walks, because that
+/// suite's stepping reference would step all of it.
+#[test]
+fn a_year_long_manifest_matches_its_golden_artifact() {
+    let rel = "tests/horizons/temperature_alarm_year";
+    let text = fs::read_to_string(repo_path(&format!("{rel}.capy"))).expect("manifest reads");
+    let manifest = parse_manifest(&text).expect("parses");
+    let fresh = run_manifest_on(&manifest, &format!("{rel}.capy"), 1).expect("runs");
+    let golden =
+        fs::read_to_string(repo_path(&format!("{rel}.result.json"))).expect("golden artifact");
+    assert_eq!(
+        fresh.to_json().pretty(),
+        golden,
+        "{rel}.result.json has drifted; regenerate with `capy-run {rel}.capy`"
+    );
+}
+
 /// The orbital fleet's artifact is byte-identical for any worker count,
 /// at its own 180 s horizon, where no device jumps an orbit, and at
 /// 1,200 s, where the stamped devices do.
@@ -380,10 +401,11 @@ fn trace_fleet_artifact_identical_for_any_worker_count() {
     }
 }
 
-/// Runs one compiled device to its limits and returns what a fleet
-/// keeps of it, plus the whole event log.
+/// Runs one compiled device to its limits, keeping its event log, and
+/// returns what a fleet keeps of it, plus the whole log.
 fn run_device(device: CompiledScenario, tasks: usize) -> (DeviceOutcome, Vec<SimEvent>) {
     let CompiledScenario { mut sim, limits } = device;
+    sim.keep_log(true);
     let _ = sim.run_limited(&limits);
     let completions = (0..tasks).map(|i| sim.ctx().completions(i)).collect();
     let outcome = DeviceOutcome::from_sim(&sim).with_task_completions(completions);

@@ -47,6 +47,11 @@ fn assert_sims_identical<H: Harvester, C: SimContext>(
         RunSummary::from_sim(b, Duration::ZERO),
         "{label}: run summaries diverge"
     );
+    assert!(
+        a.pause_runs().eq(b.pause_runs()),
+        "{label}: pause runs diverge"
+    );
+    assert_eq!(a.death(), b.death(), "{label}: deaths diverge");
     assert_eq!(a.now(), b.now(), "{label}: simulated clocks diverge");
     assert_eq!(
         a.power().rail_voltage(a.now()).get().to_bits(),
@@ -106,8 +111,8 @@ fn snapshot_restore_is_bit_identical_on_ta() {
 }
 
 /// Snapshot identity on every checked-in single-device manifest, as
-/// `compile` builds it: the manifest context, policies, faults and
-/// harvesters all survive a snapshot.
+/// `compile` builds it but keeping its event log: the manifest context,
+/// policies, faults and harvesters all survive a snapshot.
 #[test]
 fn snapshot_restore_is_bit_identical_on_checked_in_manifests() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("manifests");
@@ -130,7 +135,11 @@ fn snapshot_restore_is_bit_identical_on_checked_in_manifests() {
             .max_sim
             .expect("every manifest has a horizon");
         check_snapshot_identity(
-            || compile(&manifest).expect("manifest compiles").sim,
+            || {
+                let mut sim = compile(&manifest).expect("manifest compiles").sim;
+                sim.keep_log(true);
+                sim
+            },
             horizon,
             &path.display().to_string(),
         );
